@@ -3,7 +3,13 @@
 // spike (+30K flows) hits epochs 6-15.  FlyMon inserts/removes a second
 // task (epochs 3/10) and grows/shrinks task A's memory (epochs 6/16) on
 // the fly; the static deployment cannot adapt without reloading.
+//
+// The workload streams through EpochRunner::run_stream; each epoch's
+// readout scores both deployments against the epoch's ground truth and
+// then issues the events that open the next epoch.  Exits 1 if the stream
+// does not close exactly 20 epochs or a reconfiguration event fails.
 #include "bench/bench_util.hpp"
+#include "control/epoch.hpp"
 #include "ingest/gen_source.hpp"
 #include "sketch/count_min.hpp"
 
@@ -12,7 +18,7 @@ using namespace flymon;
 namespace {
 
 double epoch_are_flymon(control::Controller& ctl, std::uint32_t task_id,
-                        const std::vector<Packet>& epoch, const TaskFilter& filter) {
+                        std::span<const Packet> epoch, const TaskFilter& filter) {
   FreqMap truth;
   for (const Packet& p : epoch) {
     if (filter.matches(p.ft)) truth[extract_flow_key(p, FlowKeySpec::src_ip())] += 1;
@@ -22,7 +28,7 @@ double epoch_are_flymon(control::Controller& ctl, std::uint32_t task_id,
   });
 }
 
-double epoch_are_static(const sketch::CountMin& cms, const std::vector<Packet>& epoch,
+double epoch_are_static(const sketch::CountMin& cms, std::span<const Packet> epoch,
                         const TaskFilter& filter) {
   FreqMap truth;
   for (const Packet& p : epoch) {
@@ -43,14 +49,6 @@ int main() {
   constexpr std::uint64_t kEpochNs = 1'000'000'000;
   constexpr std::uint32_t kSmall = 8192, kLarge = 65536;
 
-  // Per-epoch traces from the shared workload definition: 10K base flows;
-  // +30K spike flows in epochs 6..15 (ingest::fig12b_epoch is the single
-  // source of truth — the streaming GeneratorSource plays the same one).
-  std::vector<std::vector<Packet>> epochs;
-  for (unsigned e = 0; e < kEpochs; ++e) {
-    epochs.push_back(ingest::materialize(ingest::fig12b_epoch(e, kEpochNs)));
-  }
-
   // FlyMon: task A per-SrcIP counts on 10/8 traffic.
   FlyMonDataPlane dp(9);
   control::Controller ctl(dp);
@@ -68,13 +66,19 @@ int main() {
   }
   std::uint32_t a_id = ha.task_id;
   std::uint32_t b_id = 0;
+  bool events_ok = true;
 
   // Static deployment: same initial memory, immutable.
   sketch::CountMin static_cms(3, kSmall);
 
-  std::printf("%6s %14s %14s %10s\n", "epoch", "FlyMon ARE", "Static ARE", "events");
-  for (unsigned e = 0; e < kEpochs; ++e) {
+  // Issue the reconfiguration events that open epoch `e`; returns their
+  // labels for that epoch's row.
+  auto open_epoch = [&](unsigned e) {
     std::string events;
+    auto check = [&](bool ok, const char* what) {
+      if (!ok) std::fprintf(stderr, "epoch %u: %s failed\n", e, what);
+      events_ok = events_ok && ok;
+    };
     if (e == 3) {  // insert task B in the same CMU Group (disjoint filter)
       TaskSpec b;
       b.name = "task B";
@@ -84,40 +88,57 @@ int main() {
       b.memory_buckets = kSmall;
       b.rows = 3;
       const auto hb = ctl.add_task(b);
+      check(hb.ok, "add task B");
       if (hb.ok) b_id = hb.task_id;
       events += "+B ";
     }
     if (e == 6) {  // grow task A for the spike
       const auto r = ctl.resize_task(a_id, kLarge);
+      check(r.ok, "grow task A");
       if (r.ok) a_id = r.task_id;
       events += "A:mem+ ";
     }
-    if (e == 10 && b_id != 0) {
-      ctl.remove_task(b_id);
+    if (e == 10) {
+      check(b_id != 0 && ctl.remove_task(b_id), "remove task B");
       events += "-B ";
     }
     if (e == 16) {  // shrink back after the spike
       const auto r = ctl.resize_task(a_id, kSmall);
+      check(r.ok, "shrink task A");
       if (r.ok) a_id = r.task_id;
       events += "A:mem- ";
     }
+    return events;
+  };
 
-    // Fresh epoch: clear data-plane state, then measure.
-    dp.clear_registers();
-    static_cms.clear();
-    dp.process_all(epochs[e]);
-    for (const Packet& p : epochs[e]) {
-      if (a.filter.matches(p.ft)) {
-        const FlowKeyValue k = extract_flow_key(p, FlowKeySpec::src_ip());
-        static_cms.update({k.bytes.data(), k.bytes.size()});
-      }
-    }
-
-    std::printf("%6u %14.4f %14.4f %10s%s\n", e,
-                epoch_are_flymon(ctl, a_id, epochs[e], a.filter),
-                epoch_are_static(static_cms, epochs[e], a.filter),
-                e >= 6 && e <= 15 ? "[spike]" : "", events.c_str());
+  std::printf("%6s %14s %14s %10s\n", "epoch", "FlyMon ARE", "Static ARE", "events");
+  // The shared workload definition (ingest::fig12b_scenario): 10K base
+  // flows; +30K spike flows in epochs 6..15.  The runner clears the data
+  // plane after each readout; the static CMS is refilled per epoch here.
+  ingest::GeneratorSource source(ingest::fig12b_scenario(kEpochs, kEpochNs));
+  control::EpochRunner runner(dp, kEpochNs);
+  std::string events;  // labels of the events that opened epoch e
+  const unsigned epochs =
+      runner.run_stream(source, [&](unsigned e, std::span<const Packet> pkts) {
+        static_cms.clear();
+        for (const Packet& p : pkts) {
+          if (a.filter.matches(p.ft)) {
+            const FlowKeyValue k = extract_flow_key(p, FlowKeySpec::src_ip());
+            static_cms.update({k.bytes.data(), k.bytes.size()});
+          }
+        }
+        std::printf("%6u %14.4f %14.4f %10s%s\n", e,
+                    epoch_are_flymon(ctl, a_id, pkts, a.filter),
+                    epoch_are_static(static_cms, pkts, a.filter),
+                    e >= 6 && e <= 15 ? "[spike]" : "", events.c_str());
+        events = open_epoch(e + 1);
+      });
+  if (epochs != kEpochs) {
+    std::fprintf(stderr, "expected %u epochs, the stream closed %u\n", kEpochs,
+                 epochs);
+    return 1;
   }
+  if (!events_ok) return 1;
   std::printf("\n(paper: task insert/remove does not disturb task A; during the "
               "spike the static method's ARE is ~15x higher than FlyMon's)\n");
   return 0;

@@ -1,14 +1,13 @@
-// Epoch-based measurement driver: slices a time-sorted trace into fixed
-// windows, processes each through the data plane, hands the frozen state to
-// a readout callback, then clears registers for the next window — the
-// standard sketch measurement loop (paper §5: "measurement epoch").
+// Epoch-based measurement driver: slices a time-sorted packet stream into
+// fixed windows, processes each through the data plane, hands the frozen
+// state to a readout callback, then clears registers for the next window —
+// the standard sketch measurement loop (paper §5: "measurement epoch").
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,28 +44,34 @@ class EpochRunner {
   /// against the frozen registers just before they are cleared.
   using Readout = std::function<void(unsigned, std::span<const Packet>)>;
 
-  // ---- streaming core ----
-  //
-  // Packets arrive in any number of time-sorted feed() calls; epoch
-  // windows are aligned to the FIRST packet of the whole stream (rounded
-  // down to a whole window), latched once — so the boundaries, readouts,
-  // and register state are identical whether the stream arrives as one
-  // batch or many (the epoch-alignment regression test splits a trace at
-  // every seam and asserts it).
-
-  /// Start a stream, resetting alignment and the epoch counter.
-  void begin_stream(Readout readout) {
+  /// The epoch loop: pull `source` in `batch`-sized chunks through the
+  /// shared ingest::for_each_batch loop until it is done, closing an epoch
+  /// (merge, readout, clear) at every window boundary, then flush the
+  /// final (possibly empty) epoch.  Windows are aligned to the FIRST packet
+  /// of the stream (rounded down to a whole window), latched once, so the
+  /// boundaries, readouts and register state are identical however the
+  /// stream is chunked — the split-invariance test pulls it at every seam.
+  /// Returns the stream's epoch count; a source that never yields a packet
+  /// has zero epochs.
+  unsigned run_stream(ingest::PacketSource& source, Readout readout,
+                      std::size_t batch = 4096) {
     readout_ = std::move(readout);
     have_origin_ = false;
     origin_ = 0;
     epoch_ = 0;
     epoch_buf_.clear();
+    std::vector<Packet> buf(batch == 0 ? 1 : batch);
+    ingest::for_each_batch(
+        source, buf, [this](std::span<const Packet> pkts) { feed(pkts); }, {});
+    if (have_origin_) finish_epoch();
+    readout_ = nullptr;
+    return epoch_;
   }
 
-  /// Feed the next time-sorted chunk.  Packets are processed immediately
-  /// (fanning out across the worker pool when one is enabled); an epoch
-  /// boundary fires as soon as a packet beyond the window shows up,
-  /// wherever the chunk seams fall.
+ private:
+  /// Process the next time-sorted chunk (fanning out across the worker
+  /// pool when one is enabled); an epoch boundary fires as soon as a
+  /// packet beyond the window shows up, wherever the chunk seams fall.
   void feed(std::span<const Packet> pkts) {
     while (!pkts.empty()) {
       if (!have_origin_) {
@@ -88,43 +93,6 @@ class EpochRunner {
     }
   }
 
-  /// Flush the final (possibly empty) epoch; returns the stream's total
-  /// epoch count.  A stream that never saw a packet has zero epochs.
-  unsigned end_stream() {
-    if (have_origin_) finish_epoch();
-    readout_ = nullptr;
-    return epoch_;
-  }
-
-  /// Drain a PacketSource through the epoch loop: the streaming core fed
-  /// by `source.pull`.  A dry-but-live source spins until done.
-  unsigned run_stream(ingest::PacketSource& source, Readout readout,
-                      std::size_t batch = 4096) {
-    begin_stream(std::move(readout));
-    std::vector<Packet> buf(batch == 0 ? 1 : batch);
-    while (!source.done()) {
-      const std::size_t n = source.pull(buf);
-      if (n == 0) {
-        if (source.done()) break;
-        std::this_thread::yield();
-        continue;
-      }
-      feed(std::span<const Packet>(buf.data(), n));
-    }
-    return end_stream();
-  }
-
-  /// Run a time-sorted trace: one stream, one feed.  Kept as the batched
-  /// entry point; by construction it agrees exactly with any chunking of
-  /// the same trace through feed().  Returns the number of epochs.
-  template <typename R>
-  unsigned run(std::span<const Packet> trace, R&& readout) {
-    begin_stream(Readout(std::forward<R>(readout)));
-    feed(trace);
-    return end_stream();
-  }
-
- private:
   /// Close the current epoch: merge shard deltas so the readout sees
   /// exactly the registers a sequential run would have produced, record
   /// metrics, run the readout, clear registers for the next window.
@@ -161,7 +129,7 @@ class EpochRunner {
 
   FlyMonDataPlane* dp_;
   std::uint64_t epoch_ns_;
-  // Streaming state (begin_stream/feed/end_stream).
+  // Streaming state (run_stream/feed).
   Readout readout_;
   bool have_origin_ = false;
   std::uint64_t origin_ = 0;

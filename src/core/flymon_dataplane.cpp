@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 
 #include "common/lock_witness.hpp"
 #include "exec/exec_plan.hpp"
 #include "exec/worker_pool.hpp"
 #include "ingest/packet_source.hpp"
 #include "trace/span.hpp"
-#include "trace/stage_profiler.hpp"
 
 // Reconfiguration acquires the pool fence (submit_mu_) and the RCU cell
 // while holding publish_mu_; register those facts for the `concur`
@@ -208,23 +206,11 @@ FlyMonDataPlane::DrainStats FlyMonDataPlane::drain(ingest::PacketSource& source)
       batch_opts_.chunk_size == 0 ? exec::kDefaultBatchChunk
                                   : batch_opts_.chunk_size;
   std::vector<Packet> buf(chunk * executors * 8);
-  auto& prof = trace::StageProfiler::global();
-  for (;;) {
-    const std::uint64_t c0 = trace::now_cycles();
-    const std::size_t n = source.pull(buf);
-    if (prof.enabled()) {
-      prof.record(trace::Stage::kIngest, trace::now_cycles() - c0, n);
-    }
-    if (n == 0) {
-      if (source.done()) break;
-      std::this_thread::yield();  // live source, temporarily dry
-      continue;
-    }
-    stats.last_generation =
-        process_batch_parallel(std::span<const Packet>(buf.data(), n));
-    stats.packets += n;
+  ingest::for_each_batch(source, buf, [&](std::span<const Packet> pkts) {
+    stats.last_generation = process_batch_parallel(pkts);
+    stats.packets += pkts.size();
     ++stats.batches;
-  }
+  }, {});
   span.set_arg(stats.packets);
   return stats;
 }

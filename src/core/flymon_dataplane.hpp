@@ -80,15 +80,14 @@ class FlyMonDataPlane {
     std::uint64_t last_generation = 0;  ///< plan generation of the last batch
   };
 
-  /// Streaming entry point: pull batches from `source` and run each
-  /// through the batched (sharded when a pool is enabled) hot path until
-  /// the source is done.  A dry-but-live source spins; fences and RCU
-  /// republishes from other threads keep working mid-stream exactly as
-  /// they do between process_batch_parallel calls (this is a
+  /// Streaming entry point: pull batches from `source` through the shared
+  /// ingest::for_each_batch loop and run each through the batched (sharded
+  /// when a pool is enabled) hot path until the source is done.  Fences
+  /// and RCU republishes from other threads keep working mid-stream
+  /// exactly as they do between process_batch_parallel calls (this is a
   /// single-submitter API, like process_batch_parallel).  Batches are
   /// sized chunk_size x executors x 8 so the pool's per-job overhead
-  /// amortises to the batched path's.  Capture-loop time (source pull) is
-  /// attributed to the `ingest` stage of the hot-path profiler.
+  /// amortises to the batched path's.
   DrainStats drain(ingest::PacketSource& source);
 
   /// Clear all registers (start of a measurement epoch); un-merged shard

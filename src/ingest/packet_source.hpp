@@ -1,8 +1,9 @@
 // The pluggable packet-source abstraction: where the measurement plane's
 // traffic comes from.  A source is PULLED — the consumer (ingest pump,
-// dataplane drain loop, replay CLI) asks for the next batch — and every
-// implementation produces packets in non-decreasing timestamp order so
-// epoch windows and pacing are well defined downstream.
+// dataplane drain loop, epoch runner, replay CLI) asks for the next batch
+// through the one shared loop, for_each_batch() — and every implementation
+// produces packets in non-decreasing timestamp order so epoch windows and
+// pacing are well defined downstream.
 //
 // Implementations shipped here and in sibling headers:
 //   - MemorySource      replay of a materialised trace (golden tests);
@@ -15,9 +16,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <stop_token>
+#include <thread>
 
 #include "packet/packet.hpp"
+#include "trace/stage_profiler.hpp"
 
 namespace flymon::ingest {
 
@@ -45,29 +48,40 @@ class PacketSource {
   /// replay do; a live generator rebuilds its RNG state).  Returns false
   /// when unsupported.
   virtual bool rewind() { return false; }
-
-  /// Callback-style drain: pull `batch`-sized chunks and hand each packet
-  /// to `fn` until the source is done.  Convenience over pull() for
-  /// callers that do not want to manage a buffer.
-  template <class Fn>
-  void for_each(Fn&& fn, std::size_t batch = 256) {
-    std::vector<Packet> buf(batch);
-    while (!done()) {
-      const std::size_t n = pull(buf);
-      if (n == 0) break;  // dry (finite sources: also done)
-      for (std::size_t i = 0; i < n; ++i) fn(buf[i]);
-    }
-  }
 };
 
-/// Replay of an in-memory trace.  Does not own the storage by default
-/// (tests hand it the golden vector they also feed process_batch); the
-/// owning constructor keeps a copy alive for detached use.
+/// The source-pull loop — the only one: pull up to `buf.size()` packets
+/// at a time (buf must be non-empty) and hand each non-empty batch to
+/// `on_batch(std::span<const Packet>)` until the source is done.  A live
+/// source that is temporarily dry (0 while !done()) is yielded to and
+/// retried, never taken for finished.  `stop` ends the loop early; it is
+/// checked before every pull, so a caller can stop a source that stays
+/// dry.  Every pull is lapped into the stage profiler's `ingest` stage.
+template <class OnBatch>
+void for_each_batch(PacketSource& source, std::span<Packet> buf,
+                    OnBatch&& on_batch, std::stop_token stop) {
+  trace::StageProfiler& prof = trace::StageProfiler::global();
+  while (!stop.stop_requested()) {
+    const std::uint64_t c0 = trace::now_cycles();
+    const std::size_t n = source.pull(buf);
+    if (prof.enabled()) {
+      prof.record(trace::Stage::kIngest, trace::now_cycles() - c0, n);
+    }
+    if (n == 0) {
+      if (source.done()) return;
+      std::this_thread::yield();
+      continue;
+    }
+    on_batch(std::span<const Packet>(buf.data(), n));
+  }
+}
+
+/// Replay of an in-memory trace.  Borrows the storage: the caller keeps
+/// the trace alive (tests hand it the golden vector they also feed
+/// process_batch).
 class MemorySource final : public PacketSource {
  public:
   explicit MemorySource(std::span<const Packet> trace) : trace_(trace) {}
-  explicit MemorySource(std::vector<Packet> trace)
-      : owned_(std::move(trace)), trace_(owned_) {}
 
   const char* name() const noexcept override { return "memory"; }
 
@@ -86,7 +100,6 @@ class MemorySource final : public PacketSource {
   }
 
  private:
-  std::vector<Packet> owned_;
   std::span<const Packet> trace_;
   std::size_t pos_ = 0;
 };

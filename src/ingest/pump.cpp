@@ -22,13 +22,12 @@ IngestPump::~IngestPump() { stop(); }
 void IngestPump::start() {
   if (started_) return;
   started_ = true;
-  stop_.store(false, std::memory_order_relaxed);
   finished_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread([this] { run(); });
+  thread_ = std::jthread([this](std::stop_token stop) { run(stop); });
 }
 
 void IngestPump::stop() {
-  stop_.store(true, std::memory_order_relaxed);
+  thread_.request_stop();
   if (thread_.joinable()) thread_.join();
   started_ = false;
 }
@@ -44,35 +43,29 @@ PumpStats IngestPump::stats() const {
   return s;
 }
 
-void IngestPump::run() {
+void IngestPump::run(std::stop_token stop) {
   std::vector<Packet> buf(cfg_.batch == 0 ? 1 : cfg_.batch);
   const auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t first_ts = 0;
   bool have_first_ts = false;
 
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const std::size_t n = source_.pull(buf);
-    if (n == 0) {
-      if (source_.done()) break;
-      std::this_thread::yield();  // live source, temporarily dry
-      continue;
-    }
-    produced_.fetch_add(n, std::memory_order_relaxed);
+  for_each_batch(source_, buf, [&](std::span<const Packet> batch) {
+    produced_.fetch_add(batch.size(), std::memory_order_relaxed);
 
     if (cfg_.pace == PumpConfig::Pace::kReal) {
       if (!have_first_ts) {
-        first_ts = buf[0].ts_ns;
+        first_ts = batch[0].ts_ns;
         have_first_ts = true;
       }
       // Pace the batch by its first packet: sleep until that packet is
       // due on the (scaled) wall clock.  Batch-granular pacing bounds
       // the error at one batch of inter-packet gaps.
       const auto due = wall_start + std::chrono::nanoseconds(pace_delay_ns(
-                                        first_ts, buf[0].ts_ns, cfg_.time_scale));
+                                        first_ts, batch[0].ts_ns, cfg_.time_scale));
       std::this_thread::sleep_until(due);
     }
 
-    std::span<const Packet> rest(buf.data(), n);
+    std::span<const Packet> rest = batch;
     while (!rest.empty()) {
       const std::size_t pushed = ring_.try_push(rest);
       if (pushed != 0) {
@@ -86,11 +79,11 @@ void IngestPump::run() {
         drops_ctr_->inc(rest.size());
         break;
       }
-      if (stop_.load(std::memory_order_relaxed)) break;  // unblock stop()
+      if (stop.stop_requested()) break;  // unblock stop()
       std::this_thread::yield();  // backpressure: wait for the consumer
     }
     occupancy_gauge_->set(static_cast<double>(ring_.occupancy()));
-  }
+  }, stop);
   occupancy_gauge_->set(static_cast<double>(ring_.occupancy()));
   finished_.store(true, std::memory_order_release);
 }

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stop_token>
 #include <string>
 #include <thread>
 
@@ -86,8 +87,8 @@ class IngestPump {
 
   /// Spawn the producer thread.  Idempotent while running.
   void start();
-  /// Ask the producer to stop and join it.  Packets already published to
-  /// the ring stay poppable.
+  /// Ask the producer to stop and join it — promptly, even while the
+  /// source is dry.  Packets already published to the ring stay poppable.
   void stop();
 
   /// True once the producer thread has exited (source drained or stop).
@@ -100,15 +101,14 @@ class IngestPump {
   PumpStats stats() const;
 
  private:
-  void run();
+  void run(std::stop_token stop);
 
   PacketSource& source_;
   PumpConfig cfg_;
   std::string label_;
   PacketRing ring_;
-  std::thread thread_;
+  std::jthread thread_;
 
-  std::atomic<bool> stop_{false};
   std::atomic<bool> finished_{false};
   bool started_ = false;
   std::atomic<std::uint64_t> produced_{0};
@@ -120,12 +120,13 @@ class IngestPump {
   telemetry::Gauge* occupancy_gauge_ = nullptr;
 };
 
-/// The consumer side of a pump, as a PacketSource: the dataplane's
-/// drain() loop pulls from this exactly as it would from a file or
-/// generator, so "source -> ring -> sketch" and "source -> sketch" share
-/// one consumption path.  done() only turns true after the producer has
-/// finished AND the ring is empty; a dry-but-live ring returns 0 from
-/// pull (temporarily dry), which drain() treats as "spin, don't exit".
+/// The consumer side of a pump, as a PacketSource: drain() and
+/// EpochRunner::run_stream pull from this exactly as they would from a
+/// file or generator, so "source -> ring -> sketch" and "source -> sketch"
+/// share one consumption path.  done() only turns true after the producer
+/// has finished AND the ring is empty; a dry-but-live ring returns 0 from
+/// pull (temporarily dry), which for_each_batch treats as "yield, don't
+/// exit".
 class RingSource final : public PacketSource {
  public:
   explicit RingSource(IngestPump& pump) : pump_(pump) {}

@@ -1,5 +1,5 @@
-// Lock-free bounded rings between packet producers and the measurement
-// data plane.
+// Lock-free bounded single-producer single-consumer ring between the
+// ingest pump and the measurement data plane.
 //
 // The ring is a power-of-two circular buffer with monotone 64-bit cursors
 // (head = consumer, tail = producer; occupancy = tail - head, no wasted
@@ -128,29 +128,6 @@ class BasicSpscRing {
   std::uint64_t cached_head_ = 0;  // producer-only
   alignas(64) typename Sync::template Atomic<std::uint64_t> head_{0};
   std::uint64_t cached_tail_ = 0;  // consumer-only
-};
-
-/// Multi-producer single-consumer ring: producers are serialised by a
-/// mutex (ingest attaches at most a handful of sources, so producer-side
-/// contention is not a hot path); the consumer side stays lock-free.
-template <class Sync, class T, class Orders = RingOrders>
-class BasicMpscRing {
- public:
-  explicit BasicMpscRing(std::size_t capacity) : ring_(capacity) {}
-
-  std::size_t capacity() const noexcept { return ring_.capacity(); }
-
-  std::size_t try_push(std::span<const T> batch) {
-    typename Sync::Lock lk(mu_);
-    return ring_.try_push(batch);
-  }
-  std::size_t try_pop(std::span<T> out) { return ring_.try_pop(out); }
-  std::size_t occupancy() const { return ring_.occupancy(); }
-  bool empty() const { return ring_.empty(); }
-
- private:
-  mutable typename Sync::Mutex mu_{};
-  BasicSpscRing<Sync, T, Orders> ring_;
 };
 
 }  // namespace flymon::ingest

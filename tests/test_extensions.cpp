@@ -349,9 +349,10 @@ TEST(EpochRunner, SplitsTraceIntoWindows) {
   cfg.num_packets = 10'000;
   cfg.duration_ns = 1'000'000'000;
   const auto trace = TraceGenerator::generate(cfg);
+  ingest::MemorySource source{trace};
   std::size_t seen = 0;
   unsigned calls = 0;
-  const unsigned epochs = runner.run(trace, [&](unsigned e, std::span<const Packet> pkts) {
+  const unsigned epochs = runner.run_stream(source, [&](unsigned e, std::span<const Packet> pkts) {
     EXPECT_EQ(e, calls);
     ++calls;
     seen += pkts.size();
@@ -378,8 +379,9 @@ TEST(EpochRunner, AlignsToFirstPacket) {
   trace[1].ts_ns = base + 50'000'000;
   trace[2].ts_ns = base + 150'000'000;
   trace[3].ts_ns = base + 320'000'000;
+  ingest::MemorySource source{trace};
   std::vector<std::size_t> per_epoch;
-  const unsigned epochs = runner.run(trace, [&](unsigned, std::span<const Packet> pkts) {
+  const unsigned epochs = runner.run_stream(source, [&](unsigned, std::span<const Packet> pkts) {
     per_epoch.push_back(pkts.size());
   });
   EXPECT_EQ(epochs, 4u);
@@ -393,8 +395,8 @@ TEST(EpochRunner, AlignsToFirstPacket) {
 TEST(EpochRunner, EmptyTraceIsZeroEpochs) {
   FlyMonDataPlane dp(1);
   control::EpochRunner runner(dp, 100'000'000);
-  const unsigned epochs =
-      runner.run(std::span<const Packet>{}, [](unsigned, auto) { FAIL(); });
+  ingest::MemorySource source{std::span<const Packet>{}};
+  const unsigned epochs = runner.run_stream(source, [](unsigned, auto) { FAIL(); });
   EXPECT_EQ(epochs, 0u);
 }
 
@@ -415,7 +417,8 @@ TEST(EpochRunner, RegistersClearedBetweenEpochs) {
   cfg.duration_ns = 1'000'000'000;
   const auto trace = TraceGenerator::generate(cfg);
   control::EpochRunner runner(dp, 250'000'000);
-  runner.run(trace, [&](unsigned, std::span<const Packet> pkts) {
+  ingest::MemorySource source{trace};
+  runner.run_stream(source, [&](unsigned, std::span<const Packet> pkts) {
     // Within each epoch the estimates match the *epoch* ground truth —
     // proof that the previous epoch's state is gone.
     const FreqMap truth = ExactStats::frequency(pkts, s.key);

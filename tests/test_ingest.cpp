@@ -1,13 +1,15 @@
 // Tests for the streaming ingest engine (src/ingest):
 //   - source equivalence: TraceStream, GeneratorSource and materialize()
 //     produce byte-identical packet sequences from one seeded definition;
+//   - the shared pull loop: a live source that goes dry mid-stream loses
+//     nothing, and a pump over a never-done dry source stops promptly;
 //   - ring semantics: batch claim/commit, partial accept, wraparound and
-//     occupancy on the shipped SPSC/MPSC rings;
+//     occupancy on the shipped SPSC ring;
 //   - golden streaming-vs-batch: drain(source) through the sharded hot
 //     path leaves byte-identical registers and query answers vs
 //     process_batch, including a mid-stream resize/deploy;
-//   - epoch alignment: EpochRunner produces identical epochs for ANY
-//     split of the stream into feed() calls;
+//   - epoch alignment: EpochRunner::run_stream produces identical epochs
+//     for ANY chunking of the stream into pulls;
 //   - drop accounting: a slow consumer yields exact, telemetry-visible
 //     drop counts (produced == enqueued + dropped);
 //   - churn: producer/consumer ring traffic while the controller
@@ -15,7 +17,9 @@
 //   - file replay: pcap and FMTR round-trips through FileReplaySource.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -113,6 +117,71 @@ std::uint64_t register_checksum(const FlyMonDataPlane& dp) {
   return sum;
 }
 
+/// Everything `source` yields, pulled through the shared loop `batch`
+/// packets at a time.
+std::vector<Packet> collect(ingest::PacketSource& source, std::size_t batch) {
+  std::vector<Packet> got;
+  std::vector<Packet> buf(batch);
+  ingest::for_each_batch(source, buf, [&](std::span<const Packet> pkts) {
+    got.insert(got.end(), pkts.begin(), pkts.end());
+  }, {});
+  return got;
+}
+
+/// A live test source over a materialised trace: each pull stops at the
+/// next seam, and `dry_pulls` empty pulls (0 while !done()) precede every
+/// non-empty one — a capture that keeps going dry mid-stream.
+class SeamSource final : public ingest::PacketSource {
+ public:
+  SeamSource(std::span<const Packet> trace, std::vector<std::size_t> seams,
+             unsigned dry_pulls)
+      : trace_(trace),
+        seams_(std::move(seams)),
+        dry_pulls_(dry_pulls),
+        dry_left_(dry_pulls) {}
+
+  const char* name() const noexcept override { return "seams"; }
+
+  std::size_t pull(std::span<Packet> out) override {
+    if (done()) return 0;
+    if (dry_left_ > 0) {
+      --dry_left_;
+      ++dry_served_;
+      return 0;
+    }
+    dry_left_ = dry_pulls_;
+    while (next_seam_ < seams_.size() && seams_[next_seam_] <= pos_) ++next_seam_;
+    const std::size_t limit =
+        next_seam_ < seams_.size() ? seams_[next_seam_] : trace_.size();
+    const std::size_t n = std::min(out.size(), limit - pos_);
+    std::copy_n(trace_.begin() + pos_, n, out.begin());
+    pos_ += n;
+    return n;
+  }
+
+  bool done() const override { return pos_ >= trace_.size(); }
+  std::uint64_t produced() const override { return pos_; }
+  unsigned dry_served() const { return dry_served_; }
+
+ private:
+  std::span<const Packet> trace_;
+  std::vector<std::size_t> seams_;
+  unsigned dry_pulls_;
+  unsigned dry_left_;
+  unsigned dry_served_ = 0;
+  std::size_t next_seam_ = 0;
+  std::size_t pos_ = 0;
+};
+
+/// A live source that never produces a packet and never finishes.
+class NeverSource final : public ingest::PacketSource {
+ public:
+  const char* name() const noexcept override { return "never"; }
+  std::size_t pull(std::span<Packet>) override { return 0; }
+  bool done() const override { return false; }
+  std::uint64_t produced() const override { return 0; }
+};
+
 // ---------------------------------------------------------------------------
 // Source equivalence: one seeded workload definition, three consumers.
 // ---------------------------------------------------------------------------
@@ -190,9 +259,7 @@ TEST(IngestSources, GeneratorSourceMatchesMaterialize) {
 
   // rewind() rebuilds the RNG state: the replay is byte-identical too.
   ASSERT_TRUE(source.rewind());
-  std::vector<Packet> replay;
-  source.for_each([&](const Packet& p) { replay.push_back(p); }, 64);
-  expect_same_packets(golden, replay, "GeneratorSource rewind");
+  expect_same_packets(golden, collect(source, 64), "GeneratorSource rewind");
 }
 
 TEST(IngestSources, Fig12bScenarioMatchesPerEpochMaterialize) {
@@ -208,21 +275,27 @@ TEST(IngestSources, Fig12bScenarioMatchesPerEpochMaterialize) {
   }
 
   ingest::GeneratorSource source(ingest::fig12b_scenario(kEpochs, kEpochNs));
-  std::vector<Packet> streamed;
-  source.for_each([&](const Packet& p) { streamed.push_back(p); });
-  expect_same_packets(golden, streamed, "fig12b scenario vs per-epoch");
+  expect_same_packets(golden, collect(source, 256),
+                      "fig12b scenario vs per-epoch");
 }
 
 TEST(IngestSources, MemorySourceRewindAndForEach) {
   const std::vector<Packet> trace = make_trace(100, 1'000);
-  ingest::MemorySource source{std::span<const Packet>(trace)};
-  std::size_t seen = 0;
-  source.for_each([&](const Packet&) { ++seen; }, 33);
-  EXPECT_EQ(seen, trace.size());
+  ingest::MemorySource source{trace};
+  EXPECT_EQ(collect(source, 33).size(), trace.size());
   EXPECT_TRUE(source.done());
   EXPECT_TRUE(source.rewind());
   EXPECT_FALSE(source.done());
   EXPECT_EQ(source.produced(), 0u);
+}
+
+// The shared pull loop must treat a dry pull of a live source as "retry",
+// never as "finished": every packet after each dry spell is delivered.
+TEST(IngestSources, ForEachBatchRetriesDryLiveSource) {
+  const std::vector<Packet> trace = make_trace(100, 1'000);
+  SeamSource source(trace, {100, 250, 600}, 3);
+  expect_same_packets(trace, collect(source, 64), "dry live source");
+  EXPECT_GT(source.dry_served(), 3u) << "the source never went dry mid-stream";
 }
 
 // ---------------------------------------------------------------------------
@@ -273,45 +346,6 @@ TEST(IngestRing, BatchPushPartialAcceptAndWraparound) {
   EXPECT_TRUE(ring.empty());
 }
 
-TEST(IngestRing, MpscSerialisesProducers) {
-  ingest::BasicMpscRing<common::StdSync, std::uint64_t> ring(1 << 10);
-  constexpr int kProducers = 3;
-  constexpr std::uint64_t kPer = 2'000;
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (std::uint64_t v = 0; v < kPer;) {
-        const std::uint64_t tagged[1] = {static_cast<std::uint64_t>(p) << 32 | v};
-        if (ring.try_push(std::span<const std::uint64_t>(tagged, 1)) == 1) {
-          ++v;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  std::vector<std::uint64_t> per_next(kProducers, 0);
-  std::uint64_t total = 0;
-  std::vector<std::uint64_t> buf(64);
-  while (total < kProducers * kPer) {
-    const std::size_t n = ring.try_pop(buf);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto p = static_cast<int>(buf[i] >> 32);
-      const std::uint64_t v = buf[i] & 0xFFFF'FFFF;
-      ASSERT_LT(p, kProducers);
-      // Per-producer FIFO survives the mutex-serialised multi-producer path.
-      ASSERT_EQ(v, per_next[p]) << "producer " << p << " reordered";
-      ++per_next[p];
-    }
-    total += n;
-    if (n == 0) std::this_thread::yield();
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(ring.empty());
-}
-
 TEST(IngestPump, PaceDelayArithmetic) {
   using ingest::pace_delay_ns;
   EXPECT_EQ(pace_delay_ns(1000, 1000, 1.0), 0u);
@@ -320,6 +354,23 @@ TEST(IngestPump, PaceDelayArithmetic) {
   EXPECT_EQ(pace_delay_ns(1000, 3000, 2.0), 1000u);  // 2x speed-up halves gaps
   EXPECT_EQ(pace_delay_ns(1000, 3000, 0.5), 4000u);  // slow-motion doubles
   EXPECT_EQ(pace_delay_ns(1000, 3000, 0.0), 0u);     // degenerate scale
+}
+
+TEST(IngestPump, StopIsPromptWhileSourceIsDry) {
+  telemetry::Registry registry;
+  NeverSource source;
+  ingest::PumpConfig cfg;
+  cfg.registry = &registry;
+  ingest::IngestPump pump(source, cfg);
+  pump.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pump.finished()) << "a dry source is not a finished one";
+
+  const auto t0 = std::chrono::steady_clock::now();
+  pump.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_TRUE(pump.finished());
+  EXPECT_EQ(pump.stats().produced, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -488,23 +539,23 @@ struct EpochRecord {
   bool operator==(const EpochRecord&) const = default;
 };
 
-std::vector<EpochRecord> epochs_for_splits(
-    const std::vector<Packet>& trace, std::uint64_t epoch_ns,
-    const std::vector<std::size_t>& seams) {
+/// Run the trace through EpochRunner::run_stream, pulled `batch` packets
+/// at a time and never across a seam.
+std::vector<EpochRecord> epochs_for_splits(const std::vector<Packet>& trace,
+                                           std::uint64_t epoch_ns,
+                                           std::vector<std::size_t> seams,
+                                           std::size_t batch) {
   World w;
   deploy_mix(w.ctl);
   control::EpochRunner runner(w.dp, epoch_ns);
   std::vector<EpochRecord> records;
-  runner.begin_stream([&](unsigned e, std::span<const Packet> pkts) {
-    records.push_back({e, pkts.size(), register_checksum(w.dp)});
-  });
-  std::size_t pos = 0;
-  for (const std::size_t seam : seams) {
-    runner.feed(std::span<const Packet>(trace.data() + pos, seam - pos));
-    pos = seam;
-  }
-  runner.feed(std::span<const Packet>(trace.data() + pos, trace.size() - pos));
-  runner.end_stream();
+  SeamSource source(trace, std::move(seams), 0);
+  runner.run_stream(
+      source,
+      [&](unsigned e, std::span<const Packet> pkts) {
+        records.push_back({e, pkts.size(), register_checksum(w.dp)});
+      },
+      batch);
   return records;
 }
 
@@ -518,8 +569,8 @@ TEST(IngestEpochs, AlignmentIsSplitInvariant) {
   const std::vector<Packet> trace = TraceGenerator::generate(cfg);
   constexpr std::uint64_t kEpochNs = 100'000'000;
 
-  const std::vector<EpochRecord> golden =
-      epochs_for_splits(trace, kEpochNs, {});  // one feed() for everything
+  const std::vector<EpochRecord> golden =  // one pull for everything
+      epochs_for_splits(trace, kEpochNs, {}, trace.size());
   ASSERT_GE(golden.size(), 9u);
 
   const std::vector<std::vector<std::size_t>> split_sets = {
@@ -529,15 +580,13 @@ TEST(IngestEpochs, AlignmentIsSplitInvariant) {
       {7, 997, 5000, 5001, 19'000},         // many odd seams
   };
   for (const auto& seams : split_sets) {
-    EXPECT_EQ(epochs_for_splits(trace, kEpochNs, seams), golden)
+    EXPECT_EQ(epochs_for_splits(trace, kEpochNs, seams, trace.size()), golden)
         << "epoch stream differs for a " << seams.size() << "-seam split";
   }
 
   // Packet-at-a-time: every possible seam at once.
-  std::vector<std::size_t> everywhere;
-  for (std::size_t i = 1; i < trace.size(); ++i) everywhere.push_back(i);
-  EXPECT_EQ(epochs_for_splits(trace, kEpochNs, everywhere), golden)
-      << "packet-at-a-time feed diverged from single-batch feed";
+  EXPECT_EQ(epochs_for_splits(trace, kEpochNs, {}, 1), golden)
+      << "packet-at-a-time pulls diverged from a single pull";
 }
 
 TEST(IngestEpochs, GapsProduceEmptyEpochs) {
@@ -556,9 +605,10 @@ TEST(IngestEpochs, GapsProduceEmptyEpochs) {
   trace.insert(trace.end(), burst2.begin(), burst2.end());
 
   control::EpochRunner runner(w.dp, kEpochNs);
+  ingest::MemorySource source{trace};
   std::vector<std::size_t> sizes;
-  const unsigned epochs = runner.run(
-      trace, [&](unsigned, std::span<const Packet> pkts) {
+  const unsigned epochs = runner.run_stream(
+      source, [&](unsigned, std::span<const Packet> pkts) {
         sizes.push_back(pkts.size());
       });
   EXPECT_EQ(epochs, sizes.size());
@@ -704,14 +754,10 @@ TEST(IngestFiles, FmtrRoundTrip) {
 
   ingest::FileReplaySource source(path);
   EXPECT_EQ(source.format(), ingest::FileReplaySource::Format::kFmtr);
-  std::vector<Packet> got;
-  source.for_each([&](const Packet& p) { got.push_back(p); }, 128);
-  expect_same_packets(trace, got, "FMTR round-trip");
+  expect_same_packets(trace, collect(source, 128), "FMTR round-trip");
 
   ASSERT_TRUE(source.rewind());
-  std::vector<Packet> again;
-  source.for_each([&](const Packet& p) { again.push_back(p); });
-  expect_same_packets(trace, again, "FMTR rewind");
+  expect_same_packets(trace, collect(source, 256), "FMTR rewind");
   std::remove(path.c_str());
 }
 
@@ -722,8 +768,7 @@ TEST(IngestFiles, PcapRoundTrip) {
 
   ingest::FileReplaySource source(path);
   EXPECT_EQ(source.format(), ingest::FileReplaySource::Format::kPcap);
-  std::vector<Packet> got;
-  source.for_each([&](const Packet& p) { got.push_back(p); }, 128);
+  const std::vector<Packet> got = collect(source, 128);
   ASSERT_EQ(source.skipped(), 0u);
 
   // pcap carries the five-tuple, timestamp and wire length; the synthetic

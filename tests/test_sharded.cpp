@@ -473,13 +473,15 @@ TEST(ShardedEpoch, EpochRunnerReadoutsMatchSequential) {
 
   std::vector<std::uint64_t> seq_values, par_values;
   control::EpochRunner seq_runner(ws.dp, window);
-  seq_runner.run(trace, [&](unsigned, std::span<const Packet> pkts) {
+  ingest::MemorySource seq_source{trace};
+  seq_runner.run_stream(seq_source, [&](unsigned, std::span<const Packet> pkts) {
     for (const Packet& p : pkts) {
       seq_values.push_back(ws.ctl.query_value(seq_ids.cms, p));
     }
   });
   control::EpochRunner par_runner(wp.dp, window);
-  par_runner.run(trace, [&](unsigned, std::span<const Packet> pkts) {
+  ingest::MemorySource par_source{trace};
+  par_runner.run_stream(par_source, [&](unsigned, std::span<const Packet> pkts) {
     for (const Packet& p : pkts) {
       par_values.push_back(wp.ctl.query_value(par_ids.cms, p));
     }

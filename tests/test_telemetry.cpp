@@ -343,7 +343,8 @@ TEST(EpochRunnerTelemetry, RecordsEpochsAndSaturation) {
   cfg.num_packets = 5'000;
   cfg.duration_ns = 400'000'000;
   const auto trace = TraceGenerator::generate(cfg);
-  const unsigned epochs = runner.run(trace, [](unsigned, auto) {});
+  ingest::MemorySource source{trace};
+  const unsigned epochs = runner.run_stream(source, [](unsigned, auto) {});
   EXPECT_GE(epochs, 3u);
   EXPECT_EQ(reg.counter("flymon_epochs_total").value(), epochs);
   EXPECT_EQ(reg.histogram("flymon_epoch_packets").snapshot().count, epochs);

@@ -258,7 +258,10 @@ int main(int argc, char** argv) {
   // the source once and replay it from memory on both sides.
   std::vector<Packet> golden;
   if (opt.verify) {
-    source->for_each([&](const Packet& p) { golden.push_back(p); }, 4096);
+    std::vector<Packet> buf(4096);
+    ingest::for_each_batch(*source, buf, [&](std::span<const Packet> pkts) {
+      golden.insert(golden.end(), pkts.begin(), pkts.end());
+    }, {});
     source = std::make_unique<ingest::MemorySource>(
         std::span<const Packet>(golden));
   }
