@@ -377,8 +377,13 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
                           const CompressedKeySelector& param_sel_used)
       -> std::optional<UnitPlacement> {
     e.task_id = next_phys_;
+    Cmu& cmu = dp_->group(g).cmu(c);
+    // A freed partition can still hold counts: a batch submitted between a
+    // removal's merge and its publish fence folds into it after the
+    // removal's clear.  A new task starts from zero regardless.
+    cmu.clear_partition(part);
     try {
-      dp_->group(g).cmu(c).install(e);
+      cmu.install(e);
     } catch (const std::exception&) {
       return std::nullopt;
     }
@@ -831,57 +836,72 @@ struct ProbeView {
   const CmuTaskEntry* entry;
   std::uint32_t addr;
   std::uint32_t value;
-  std::vector<std::uint32_t> unit_keys;
+  CompressionStage::UnitKeys unit_keys;
 };
 
-}  // namespace
+/// Reads the cells one probe packet maps to.  The group's compressed keys
+/// are hashed into a fixed-size buffer once per group the reads visit (the
+/// rows of a single-group task share them), so a query allocates nothing.
+class Prober {
+ public:
+  Prober(const FlyMonDataPlane& dp, const Packet& probe)
+      : dp_(dp), key_(serialize_candidate_key(probe)) {}
 
-static ProbeView probe_unit(const FlyMonDataPlane& dp, const UnitPlacement& up,
-                            const Packet& probe) {
-  const CmuGroup& g = dp.group(up.group);
-  const Cmu& cmu = g.cmu(up.cmu);
-  const CmuTaskEntry* e = cmu.find(up.phys_id);
-  if (e == nullptr) throw std::logic_error("Controller: entry vanished");
-  ProbeView v;
-  v.cmu = &cmu;
-  v.entry = e;
-  v.unit_keys = g.compute_keys(serialize_candidate_key(probe));
-  v.addr = cmu.probe_address(*e, v.unit_keys);
-  v.value = cmu.reg().read(v.addr);
-  return v;
-}
+  ProbeView unit(const UnitPlacement& up) {
+    const CmuGroup& g = dp_.group(up.group);
+    if (up.group != keys_group_) {
+      keys_ = g.compute_keys(key_);
+      keys_group_ = up.group;
+    }
+    const Cmu& cmu = g.cmu(up.cmu);
+    const CmuTaskEntry* e = cmu.find(up.phys_id);
+    if (e == nullptr) throw std::logic_error("Controller: entry vanished");
+    const std::uint32_t addr = cmu.probe_address(*e, keys_);
+    return ProbeView{&cmu, e, addr, cmu.reg().read(addr), keys_};
+  }
 
-std::uint64_t Controller::read_row_value(const DeployedTask& t, const RowPlacement& row,
-                                         const Packet& probe) const {
-  switch (t.algorithm) {
+  std::uint32_t value(const UnitPlacement& up) { return unit(up).value; }
+
+ private:
+  const FlyMonDataPlane& dp_;
+  CandidateKey key_;
+  unsigned keys_group_ = ~0u;
+  CompressionStage::UnitKeys keys_{};
+};
+
+std::uint64_t read_row_value(Algorithm algo, const RowPlacement& row,
+                             Prober& cells) {
+  switch (algo) {
     case Algorithm::kCounterBraids: {
       // Layer-1 value saturates at the cap; layer-2 absorbs the rest.
       std::uint64_t total = 0;
-      for (const UnitPlacement& up : row.units) total += probe_unit(*dp_, up, probe).value;
+      for (const UnitPlacement& up : row.units) total += cells.value(up);
       return total;
     }
     case Algorithm::kSuMaxSum: {
       std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
       for (const UnitPlacement& up : row.units) {
-        best = std::min<std::uint64_t>(best, probe_unit(*dp_, up, probe).value);
+        best = std::min<std::uint64_t>(best, cells.value(up));
       }
       return best;
     }
     default:
-      return probe_unit(*dp_, row.units.at(0), probe).value;
+      return cells.value(row.units.at(0));
   }
 }
 
+}  // namespace
+
 std::uint64_t Controller::query_value(std::uint32_t id, const Packet& probe) const {
   const DeployedTask& t = require(id);
+  Prober cells(*dp_, probe);
   if (t.algorithm == Algorithm::kTowerSketch) {
     std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_saturated = 0;
     bool found = false;
     for (std::size_t r = 0; r < t.rows.size(); ++r) {
       const unsigned width = kTowerWidths[r % 3];
-      const std::uint32_t raw = static_cast<std::uint32_t>(
-          probe_unit(*dp_, t.rows[r].units.at(0), probe).value);
+      const std::uint32_t raw = cells.value(t.rows[r].units.at(0));
       const std::uint32_t v = raw >> (32 - width);
       if (v == low_mask32(width)) {
         max_saturated = std::max<std::uint64_t>(max_saturated, v);
@@ -894,15 +914,16 @@ std::uint64_t Controller::query_value(std::uint32_t id, const Packet& probe) con
   }
   std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
   for (const RowPlacement& row : t.rows) {
-    best = std::min(best, read_row_value(t, row, probe));
+    best = std::min(best, read_row_value(t.algorithm, row, cells));
   }
   return best;
 }
 
 bool Controller::query_existence(std::uint32_t id, const Packet& probe) const {
   const DeployedTask& t = require(id);
+  Prober cells(*dp_, probe);
   for (const RowPlacement& row : t.rows) {
-    const ProbeView v = probe_unit(*dp_, row.units.at(0), probe);
+    const ProbeView v = cells.unit(row.units.at(0));
     if (t.spec.bloom_bit_packed) {
       PhvContext ctx;
       const std::uint32_t sel =
@@ -919,9 +940,10 @@ bool Controller::query_existence(std::uint32_t id, const Packet& probe) const {
 std::uint64_t Controller::query_max_interarrival_ns(std::uint32_t id,
                                                     const Packet& probe) const {
   const DeployedTask& t = require(id);
+  Prober cells(*dp_, probe);
   std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
   for (const RowPlacement& row : t.rows) {
-    const ProbeView v = probe_unit(*dp_, row.units.back(), probe);
+    const ProbeView v = cells.unit(row.units.back());
     best = std::min<std::uint64_t>(best, v.value);
   }
   return best << kTsShift;
@@ -929,8 +951,9 @@ std::uint64_t Controller::query_max_interarrival_ns(std::uint32_t id,
 
 bool Controller::distinct_over_threshold(std::uint32_t id, const Packet& probe) const {
   const DeployedTask& t = require(id);
+  Prober cells(*dp_, probe);
   for (const RowPlacement& row : t.rows) {
-    const ProbeView v = probe_unit(*dp_, row.units.at(0), probe);
+    const ProbeView v = cells.unit(row.units.at(0));
     const unsigned coupons = static_cast<unsigned>(
         std::popcount(v.value & low_mask32(t.coupon_count)));
     if (coupons < t.coupon_threshold) return false;
@@ -940,13 +963,14 @@ bool Controller::distinct_over_threshold(std::uint32_t id, const Packet& probe) 
 
 double Controller::estimate_distinct(std::uint32_t id, const Packet& probe) const {
   const DeployedTask& t = require(id);
+  Prober cells(*dp_, probe);
   sketch::CouponConfig cfg;
   cfg.num_coupons = t.coupon_count;
   cfg.draw_probability = t.coupon_probability;
   cfg.collect_threshold = t.coupon_threshold;
   double best = std::numeric_limits<double>::max();
   for (const RowPlacement& row : t.rows) {
-    const ProbeView v = probe_unit(*dp_, row.units.at(0), probe);
+    const ProbeView v = cells.unit(row.units.at(0));
     const unsigned coupons = static_cast<unsigned>(
         std::popcount(v.value & low_mask32(t.coupon_count)));
     best = std::min(best, cfg.expected_items_to_collect(coupons));
@@ -1011,10 +1035,11 @@ Controller::TaskSnapshot Controller::snapshot_task(std::uint32_t id) const {
 std::uint64_t Controller::query_snapshot(const TaskSnapshot& snap,
                                          const Packet& probe) const {
   const DeployedTask& t = require(snap.task_id);
+  Prober cells(*dp_, probe);
   std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t r = 0; r < t.rows.size() && r < snap.row_cells.size(); ++r) {
     const UnitPlacement& up = t.rows[r].units.at(0);
-    const ProbeView v = probe_unit(*dp_, up, probe);
+    const ProbeView v = cells.unit(up);
     const std::uint32_t offset = v.addr - up.partition.base;
     best = std::min<std::uint64_t>(best, snap.row_cells[r].at(offset));
   }

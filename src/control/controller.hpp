@@ -252,8 +252,6 @@ class Controller {
 
   // Readout helpers.
   const DeployedTask& require(std::uint32_t id) const;
-  std::uint64_t read_row_value(const DeployedTask& t, const RowPlacement& row,
-                               const Packet& probe) const;
 
   /// Paranoid-mode helper: full verifier pass; returns formatted error
   /// diagnostics, empty when clean (implemented in src/verify/verifier.cpp

@@ -28,15 +28,20 @@ class EpochRunner {
   std::uint64_t epoch_ns() const noexcept { return epoch_ns_; }
 
   /// Record per-epoch metrics into `registry`: epoch count, packets-per-
-  /// epoch histogram and — when a controller is given — every task's
-  /// bucket saturation and its epoch-over-epoch delta, observed against the
-  /// frozen registers just before they are cleared.
+  /// epoch histogram, the boundary's wall time (merge + readout + clear)
+  /// and — when a controller is given — every task's bucket saturation and
+  /// its epoch-over-epoch delta, observed against the frozen registers just
+  /// before they are cleared.
   void bind_telemetry(telemetry::Registry& registry,
                       const Controller* controller = nullptr) {
     registry_ = &registry;
     controller_ = controller;
     epochs_counter_ = &registry.counter("flymon_epochs_total");
     epoch_packets_ = &registry.histogram("flymon_epoch_packets");
+    // 0.25us .. ~4s, the spacing of the pool's merge/fence histograms.
+    boundary_us_ = &registry.histogram(
+        "flymon_epoch_boundary_us", {},
+        telemetry::Histogram::exponential_bounds(0.25, 4.0, 17));
     prev_saturation_.clear();
   }
 
@@ -97,6 +102,7 @@ class EpochRunner {
   /// exactly the registers a sequential run would have produced, record
   /// metrics, run the readout, clear registers for the next window.
   void finish_epoch() {
+    const std::uint64_t t0 = trace::monotonic_now_ns();
     dp_->merge_shards();
     record_epoch(epoch_buf_.size());
     {
@@ -104,6 +110,10 @@ class EpochRunner {
       if (readout_) readout_(epoch_, std::span<const Packet>(epoch_buf_));
     }
     dp_->clear_registers();
+    if (boundary_us_ != nullptr) {
+      boundary_us_->observe(
+          static_cast<double>(trace::monotonic_now_ns() - t0) / 1000.0);
+    }
     trace::instant("epoch.boundary", epoch_);
     epoch_buf_.clear();
     ++epoch_;
@@ -139,6 +149,7 @@ class EpochRunner {
   const Controller* controller_ = nullptr;
   telemetry::Counter* epochs_counter_ = nullptr;
   telemetry::Histogram* epoch_packets_ = nullptr;
+  telemetry::Histogram* boundary_us_ = nullptr;
   std::map<std::uint32_t, double> prev_saturation_;
 };
 

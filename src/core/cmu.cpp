@@ -22,6 +22,8 @@ Cmu::Cmu(Cmu&& other) noexcept
     : reg_(std::move(other.reg_)),
       salu_(std::move(other.salu_)),
       entries_(std::move(other.entries_)),
+      hull_begin_(other.hull_begin_),
+      hull_end_(other.hull_end_),
       tel_(other.tel_) {
   salu_.rebind(reg_);
 }
@@ -81,6 +83,29 @@ void Cmu::install(const CmuTaskEntry& entry) {
                    [](const CmuTaskEntry& a, const CmuTaskEntry& b) {
                      return a.priority < b.priority;
                    });
+  extend_hull(entry.partition);
+}
+
+void Cmu::extend_hull(const MemoryPartition& p) noexcept {
+  if (hull_begin_ == hull_end_) {
+    hull_begin_ = p.base;
+    hull_end_ = p.end();
+    return;
+  }
+  hull_begin_ = std::min(hull_begin_, p.base);
+  hull_end_ = std::max(hull_end_, p.end());
+}
+
+void Cmu::clear_register() {
+  reg_.clear_range(hull_begin_, hull_end_);
+  hull_begin_ = hull_end_ = 0;
+  for (const CmuTaskEntry& e : entries_) extend_hull(e.partition);
+}
+
+void Cmu::clear_partition(const MemoryPartition& p) {
+  const std::uint32_t begin = std::max(p.base, hull_begin_);
+  const std::uint32_t end = std::min(p.end(), hull_end_);
+  if (begin < end) reg_.clear_range(begin, end);
 }
 
 bool Cmu::remove(std::uint32_t task_id) {
@@ -99,7 +124,7 @@ const CmuTaskEntry* Cmu::find(std::uint32_t task_id) const noexcept {
 }
 
 std::uint32_t Cmu::resolve_param(const ParamSelect& sel, const Packet& pkt,
-                                 const std::vector<std::uint32_t>& unit_keys,
+                                 std::span<const std::uint32_t> unit_keys,
                                  const PhvContext& ctx) const noexcept {
   switch (sel.source) {
     case ParamSelect::Source::kConst:
@@ -115,14 +140,14 @@ std::uint32_t Cmu::resolve_param(const ParamSelect& sel, const Packet& pkt,
 }
 
 std::uint32_t Cmu::probe_address(const CmuTaskEntry& entry,
-                                 const std::vector<std::uint32_t>& unit_keys) const noexcept {
+                                 std::span<const std::uint32_t> unit_keys) const noexcept {
   const std::uint32_t key = CompressionStage::select(unit_keys, entry.key_sel);
   return translate_address(entry.key_slice.apply(key), entry.key_slice.width,
                            entry.partition);
 }
 
 std::optional<std::uint32_t> Cmu::process(const Packet& pkt,
-                                          const std::vector<std::uint32_t>& unit_keys,
+                                          std::span<const std::uint32_t> unit_keys,
                                           PhvContext& ctx) {
   const bool tel = telemetry::enabled() && tel_.updates != nullptr;
   for (const CmuTaskEntry& e : entries_) {

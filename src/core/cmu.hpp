@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -151,19 +152,31 @@ class Cmu {
   /// per packet, paper §3.3).
   void install(const CmuTaskEntry& entry);
   bool remove(std::uint32_t task_id);
+
+  /// Zero every register cell an entry installed since the last clear can
+  /// have written — the hull of those entries' partitions — then shrink
+  /// the hull to the entries still installed.  Removing an entry keeps its
+  /// partition in the hull: a publish fence may still fold deltas into it.
+  void clear_register();
+
+  /// Zero the cells of `p` that lie in the hull.  Cells outside it are
+  /// already zero, so a partition about to be installed starts empty at a
+  /// cost bounded by what earlier entries used.
+  void clear_partition(const MemoryPartition& p);
+
   const CmuTaskEntry* find(std::uint32_t task_id) const noexcept;
   const std::vector<CmuTaskEntry>& entries() const noexcept { return entries_; }
 
   /// Process one packet given the group's compressed keys.  Returns the
   /// SALU result if some task matched and executed.
   std::optional<std::uint32_t> process(const Packet& pkt,
-                                       const std::vector<std::uint32_t>& unit_keys,
+                                       std::span<const std::uint32_t> unit_keys,
                                        PhvContext& ctx);
 
   /// Memory address a probe flow maps to under `entry` (control-plane
   /// readout uses the same hash configuration as the data plane).
   std::uint32_t probe_address(const CmuTaskEntry& entry,
-                              const std::vector<std::uint32_t>& unit_keys) const noexcept;
+                              std::span<const std::uint32_t> unit_keys) const noexcept;
 
   dataplane::RegisterArray& reg() noexcept { return reg_; }
   const dataplane::RegisterArray& reg() const noexcept { return reg_; }
@@ -181,7 +194,7 @@ class Cmu {
   /// Evaluate a parameter selection for a probe packet (control-plane
   /// readout re-derives data-plane inputs, e.g. Bloom-filter bit indices).
   std::uint32_t resolve_param(const ParamSelect& sel, const Packet& pkt,
-                              const std::vector<std::uint32_t>& unit_keys,
+                              std::span<const std::uint32_t> unit_keys,
                               const PhvContext& ctx) const noexcept;
 
   // ---- snapshot accessors for the plan compiler (src/exec) ----
@@ -209,9 +222,15 @@ class Cmu {
     std::array<telemetry::Counter*, 5> ops{};    ///< per StatefulOp kind
   };
 
+  void extend_hull(const MemoryPartition& p) noexcept;
+
   dataplane::RegisterArray reg_;
   dataplane::Salu salu_;
   std::vector<CmuTaskEntry> entries_;
+  /// [hull_begin_, hull_end_): cells clear_register() zeroes (empty when
+  /// begin == end).
+  std::uint32_t hull_begin_ = 0;
+  std::uint32_t hull_end_ = 0;
   Telemetry tel_;
 };
 

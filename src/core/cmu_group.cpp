@@ -32,7 +32,7 @@ void CmuGroup::bind_telemetry(telemetry::Registry& registry) {
 
 void CmuGroup::process(const Packet& pkt, PhvContext& ctx) {
   const CandidateKey key = serialize_candidate_key(pkt);
-  const std::vector<std::uint32_t> unit_keys = compression_.compute(key);
+  const CompressionStage::UnitKeys unit_keys = compression_.compute(key);
   if (telemetry::enabled()) {
     packets_counter_->inc();
     unsigned configured = 0;
@@ -42,7 +42,8 @@ void CmuGroup::process(const Packet& pkt, PhvContext& ctx) {
     hash_counter_->inc(configured);
   }
   if (ctx.trace != nullptr) {
-    ctx.trace->keys.push_back(telemetry::GroupKeys{id_, unit_keys});
+    ctx.trace->keys.push_back(telemetry::GroupKeys{
+        id_, {unit_keys.begin(), unit_keys.begin() + compression_.num_units()}});
   }
   for (Cmu& c : cmus_) c.process(pkt, unit_keys, ctx);
 }

@@ -25,6 +25,9 @@ FlowKeySpec specs_union(const FlowKeySpec& a, const FlowKeySpec& b) noexcept {
 
 CompressionStage::CompressionStage(unsigned num_units, unsigned first_unit_index) {
   if (num_units == 0) throw std::invalid_argument("CompressionStage: zero units");
+  if (num_units > kMaxUnits) {
+    throw std::invalid_argument("CompressionStage: more units than one stage has");
+  }
   units_.reserve(num_units);
   for (unsigned i = 0; i < num_units; ++i) units_.emplace_back(first_unit_index + i);
   specs_.resize(num_units);
@@ -69,15 +72,16 @@ std::optional<CompressedKeySelector> CompressionStage::find_selector(
   return std::nullopt;
 }
 
-std::vector<std::uint32_t> CompressionStage::compute(const CandidateKey& key) const {
-  std::vector<std::uint32_t> out(units_.size(), 0u);
+CompressionStage::UnitKeys CompressionStage::compute(
+    const CandidateKey& key) const noexcept {
+  UnitKeys out{};
   for (std::size_t i = 0; i < units_.size(); ++i) {
     if (specs_[i]) out[i] = units_[i].compute(key);
   }
   return out;
 }
 
-std::uint32_t CompressionStage::select(const std::vector<std::uint32_t>& unit_keys,
+std::uint32_t CompressionStage::select(std::span<const std::uint32_t> unit_keys,
                                        const CompressedKeySelector& sel) noexcept {
   std::uint32_t v = sel.unit_a >= 0 ? unit_keys[static_cast<unsigned>(sel.unit_a)] : 0u;
   if (sel.unit_b >= 0) v ^= unit_keys[static_cast<unsigned>(sel.unit_b)];

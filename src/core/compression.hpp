@@ -4,11 +4,14 @@
 // giving k(k+1)/2 selectable keys from k units.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dataplane/hash_unit.hpp"
+#include "dataplane/tofino_model.hpp"
 #include "packet/flowkey.hpp"
 
 namespace flymon {
@@ -44,8 +47,15 @@ FlowKeySpec specs_union(const FlowKeySpec& a, const FlowKeySpec& b) noexcept;
 
 class CompressionStage {
  public:
-  /// `num_units` physical hash units; `first_unit_index` diversifies the
-  /// CRC parameterisation across groups.
+  /// A stage lives in one MAU stage, so it has at most that stage's hash
+  /// distribution units; this bound sizes the fixed key buffer below.
+  static constexpr unsigned kMaxUnits =
+      dataplane::TofinoModel::kHashDistUnitsPerStage;
+  /// Every unit's compressed key, unconfigured and absent units reading 0.
+  using UnitKeys = std::array<std::uint32_t, kMaxUnits>;
+
+  /// `num_units` (1..kMaxUnits) physical hash units; `first_unit_index`
+  /// diversifies the CRC parameterisation across groups.
   CompressionStage(unsigned num_units, unsigned first_unit_index);
 
   unsigned num_units() const noexcept { return static_cast<unsigned>(units_.size()); }
@@ -69,10 +79,10 @@ class CompressionStage {
   std::optional<CompressedKeySelector> find_selector(const FlowKeySpec& spec) const;
 
   /// Per-packet evaluation of every configured unit.
-  std::vector<std::uint32_t> compute(const CandidateKey& key) const;
+  UnitKeys compute(const CandidateKey& key) const noexcept;
 
   /// Resolve a selector against computed unit outputs.
-  static std::uint32_t select(const std::vector<std::uint32_t>& unit_keys,
+  static std::uint32_t select(std::span<const std::uint32_t> unit_keys,
                               const CompressedKeySelector& sel) noexcept;
 
  private:

@@ -164,7 +164,7 @@ std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
 void FlyMonDataPlane::clear_registers() {
   if (pool_ != nullptr) pool_->discard_shards();
   for (CmuGroup& g : groups_) {
-    for (unsigned i = 0; i < g.num_cmus(); ++i) g.cmu(i).reg().clear();
+    for (unsigned i = 0; i < g.num_cmus(); ++i) g.cmu(i).clear_register();
   }
 }
 

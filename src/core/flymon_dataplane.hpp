@@ -91,7 +91,9 @@ class FlyMonDataPlane {
   DrainStats drain(ingest::PacketSource& source);
 
   /// Clear all registers (start of a measurement epoch); un-merged shard
-  /// deltas are discarded with them.
+  /// deltas are discarded with them.  Each CMU zeroes only the hull of the
+  /// partitions its entries used since the last clear (Cmu::clear_register),
+  /// so the cost follows what tasks own, not the register file.
   void clear_registers();
 
   // ---- multi-core sharded execution ----

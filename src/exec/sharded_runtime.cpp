@@ -24,37 +24,51 @@ RegisterShard::RegisterShard(const FlyMonDataPlane& dp) {
   counters_.assign(dp.num_groups() * 2 + total_cmus * 8, 0);
 }
 
+namespace {
+
+/// Fold every cell of [base, end) of `shard` into `live` with `op` and zero
+/// the shard cell, so an overlapping region folds it once.  No branch on the
+/// shard value: 0 is the identity of every MergeKind over the register's
+/// value domain (the merge prover checks this per region), so a clean cell
+/// stores back what it read.
+template <class Op>
+void fold_range(dataplane::RegisterArray& shard, dataplane::RegisterArray& live,
+                std::uint32_t base, std::uint32_t end, Op op) {
+  for (std::uint32_t addr = base; addr < end; ++addr) {
+    live.store_relaxed(addr, op(live.load_relaxed(addr), shard.load_relaxed(addr)));
+    shard.store_relaxed(addr, 0);
+  }
+}
+
+}  // namespace
+
 void RegisterShard::merge_into(const ExecPlan& plan) {
   if (!dirty_) return;
   for (const MergeRegion& region : plan.merge_regions()) {
     dataplane::RegisterArray& shard = regs_[region.cmu];
-    dataplane::RegisterArray* live = plan.live_register(region.cmu);
+    dataplane::RegisterArray& live = *plan.live_register(region.cmu);
     const std::uint32_t end = region.base + region.size;
-    for (std::uint32_t addr = region.base; addr < end; ++addr) {
-      const std::uint32_t v = shard.load_relaxed(addr);
-      if (v == 0) continue;  // 0 is the identity for every MergeKind
-      const std::uint32_t cur = live->load_relaxed(addr);
-      std::uint32_t next = cur;
-      switch (region.kind) {
-        case MergeKind::kSum: {
-          const std::uint64_t sum = std::uint64_t{cur} + v;
-          next = sum > region.value_mask
-                     ? region.value_mask
-                     : static_cast<std::uint32_t>(sum);
-          break;
-        }
-        case MergeKind::kMax:
-          next = std::max(cur, v);
-          break;
-        case MergeKind::kOr:
-          next = cur | v;
-          break;
-        case MergeKind::kXor:
-          next = (cur ^ v) & region.value_mask;
-          break;
-      }
-      if (next != cur) live->store_relaxed(addr, next);
-      shard.store_relaxed(addr, 0);  // overlapping regions fold once
+    const std::uint32_t mask = region.value_mask;
+    switch (region.kind) {
+      case MergeKind::kSum:
+        fold_range(shard, live, region.base, end,
+                   [mask](std::uint32_t cur, std::uint32_t v) {
+                     const std::uint64_t sum = std::uint64_t{cur} + v;
+                     return sum > mask ? mask : static_cast<std::uint32_t>(sum);
+                   });
+        break;
+      case MergeKind::kMax:
+        fold_range(shard, live, region.base, end,
+                   [](std::uint32_t cur, std::uint32_t v) { return std::max(cur, v); });
+        break;
+      case MergeKind::kOr:
+        fold_range(shard, live, region.base, end,
+                   [](std::uint32_t cur, std::uint32_t v) { return cur | v; });
+        break;
+      case MergeKind::kXor:
+        fold_range(shard, live, region.base, end,
+                   [mask](std::uint32_t cur, std::uint32_t v) { return (cur ^ v) & mask; });
+        break;
     }
   }
   plan.flush_counter_block(counters_);

@@ -136,7 +136,13 @@ void WorkerPool::run_chunks(Job& job, std::size_t shard_idx) {
 
 void WorkerPool::quiesce_and_merge() {
   common::MutexLock submit(submit_mu_);
-  merge_locked();
+  // Every controller query lands here: with clean shards there is nothing
+  // to fold, so skip the span, the clocks and the plan load.  (A Fence
+  // still merges through merge_locked, so its merge span always nests.)
+  const bool any_dirty = std::any_of(
+      workers_.begin(), workers_.end(),
+      [](const std::unique_ptr<Worker>& w) { return w->shard.dirty(); });
+  if (any_dirty) merge_locked();
 }
 
 void WorkerPool::discard_shards() {

@@ -67,7 +67,8 @@ class WorkerPool {
   std::uint64_t process(std::span<const Packet> pkts);
 
   /// Block new submissions, wait out the in-flight job, and fold every
-  /// dirty shard into the live registers under the current plan.
+  /// dirty shard into the live registers under the current plan.  With
+  /// every shard clean this is one lock and a dirty check.
   void quiesce_and_merge();
 
   /// Drop all shard state without merging (epoch clear).

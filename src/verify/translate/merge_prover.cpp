@@ -3,8 +3,8 @@
 //
 // Part A checks each MergeRegion describes a fold that is a commutative,
 // associative monoid with identity 0 over the *register's* value domain
-// (probing the exact RegisterShard::merge_into fold, including the v == 0
-// identity skip and the region's saturation mask), that the region metadata
+// (probing the exact RegisterShard::merge_into fold, which folds clean
+// cells too, and the region's saturation mask), that the region metadata
 // is structurally sound (bounds, value mask = register mask), and that
 // every state-writing compiled entry is covered by a matching region — an
 // uncovered entry's shard writes would be silently dropped at merge time.
@@ -47,10 +47,10 @@ using exec::MergeRegion;
 /// The exact merge step RegisterShard::merge_into performs for one cell:
 /// fold shard value `v` into live value `cur`.  Mirrored, not shared — the
 /// point of translation validation is an independent implementation to
-/// check the production one against.
+/// check the production one against.  merge_into does not skip zero shard
+/// cells, so fold(cur, 0) == cur is the identity law below, not a shortcut.
 std::uint32_t fold(MergeKind kind, std::uint32_t cur, std::uint32_t v,
                    std::uint32_t value_mask) {
-  if (v == 0) return cur;  // merge_into skips zero shard cells
   switch (kind) {
     case MergeKind::kSum: {
       const std::uint64_t sum = std::uint64_t{cur} + v;
@@ -127,8 +127,8 @@ void prove_monoid_laws(const MergeRegion& region, std::uint32_t domain_mask,
 
   for (const std::uint32_t a : probes) {
     // Identity: folding one shard value into an untouched live cell must
-    // reproduce the value (0 is both the fresh-cell state and the shard
-    // identity the v == 0 skip assumes).
+    // reproduce the value, and folding a clean shard cell (0) must store
+    // back the live value unchanged.
     if (fold(region.kind, 0, a, region.value_mask) != a ||
         fold(region.kind, a, 0, region.value_mask) != a) {
       law_failed("the identity law", a, 0, 0,

@@ -32,7 +32,7 @@ struct CmuFixture {
     comp.configure(1, FlowKeySpec::dst_ip());
   }
 
-  std::vector<std::uint32_t> keys(const Packet& p) const {
+  CompressionStage::UnitKeys keys(const Packet& p) const {
     return comp.compute(serialize_candidate_key(p));
   }
 

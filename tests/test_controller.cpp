@@ -225,6 +225,34 @@ TEST(Controller, ClearTaskStateZeroesPartitions) {
   EXPECT_EQ(ctl.query_value(r.task_id, trace[0]), 0u);
 }
 
+// A batch submitted between remove_task's merge and its publish fence is
+// folded into the freed partition after the removal cleared it.  A task
+// placed there later must still start from zero.
+TEST(Controller, ReusedPartitionStartsZeroed) {
+  FlyMonDataPlane dp(1);
+  Controller ctl(dp);
+  const auto first = ctl.add_task(freq_spec(4096, 1));
+  ASSERT_TRUE(first.ok) << first.error;
+  const UnitPlacement freed = ctl.task(first.task_id)->rows.at(0).units.at(0);
+  ASSERT_TRUE(ctl.remove_task(first.task_id));
+  // Stand-in for that late fold: counts left in the freed partition.
+  auto& reg = dp.group(freed.group).cmu(freed.cmu).reg();
+  reg.write(freed.partition.base, 42);
+  reg.write(freed.partition.end() - 1, 7);
+
+  const auto second = ctl.add_task(freq_spec(4096, 1));
+  ASSERT_TRUE(second.ok) << second.error;
+  const UnitPlacement reused = ctl.task(second.task_id)->rows.at(0).units.at(0);
+  ASSERT_EQ(reused.group, freed.group);
+  ASSERT_EQ(reused.cmu, freed.cmu);
+  ASSERT_EQ(reused.partition, freed.partition)
+      << "the new task did not land in the freed partition";
+  for (const std::uint32_t v :
+       reg.read_range(reused.partition.base, reused.partition.end())) {
+    ASSERT_EQ(v, 0u) << "a reused partition starts with stale counts";
+  }
+}
+
 TEST(Controller, ChainedAlgorithmsSpanDistinctGroups) {
   FlyMonDataPlane dp(9);
   Controller ctl(dp);

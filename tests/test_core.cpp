@@ -39,9 +39,11 @@ TEST(Compression, ConfigureAndCompute) {
   cs.configure(0, FlowKeySpec::src_ip());
   cs.configure(1, FlowKeySpec::dst_ip());
   const auto keys = cs.compute(serialize_candidate_key(sample_packet()));
-  ASSERT_EQ(keys.size(), 3u);
   EXPECT_NE(keys[0], keys[1]);
   EXPECT_EQ(keys[2], 0u) << "unconfigured unit computes nothing";
+  for (std::size_t i = 3; i < keys.size(); ++i) {
+    EXPECT_EQ(keys[i], 0u) << "absent unit " << i << " computes nothing";
+  }
 }
 
 TEST(Compression, FreeUnitTracking) {

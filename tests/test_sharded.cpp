@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "control/controller.hpp"
 #include "control/epoch.hpp"
 #include "exec/exec_plan.hpp"
@@ -452,6 +453,124 @@ TEST(ShardedMerge, ClearRegistersDiscardsShardDeltas) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// clear_registers zeroes only each CMU's partition hull; a seeded lifecycle
+// proves the hulls still cover every cell anything could have written.
+// ---------------------------------------------------------------------------
+
+::testing::AssertionResult all_banks_zero(const FlyMonDataPlane& dp) {
+  for (unsigned g = 0; g < dp.num_groups(); ++g) {
+    for (unsigned c = 0; c < dp.group(g).num_cmus(); ++c) {
+      const auto& reg = dp.group(g).cmu(c).reg();
+      const std::vector<std::uint32_t> cells = reg.read_range(0, reg.size());
+      for (std::uint32_t i = 0; i < cells.size(); ++i) {
+        if (cells[i] != 0) {
+          return ::testing::AssertionFailure()
+                 << "group " << g << " cmu " << c << " cell " << i << " holds "
+                 << cells[i];
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Seeded add/resize/split/remove lifecycle with traffic between the
+/// operations (`workers` == 0 stays on the batched path).  After every
+/// clear_registers() each cell of each bank must be zero.  A count planted
+/// in every freed partition stands in for a publish fence folding late
+/// deltas there; the next clear must zero it too.
+void run_clear_lifecycle(unsigned workers, std::uint64_t seed) {
+  World w;
+  if (workers != 0) w.dp.enable_parallel(workers);
+  const std::vector<Packet> trace = make_trace(400, 6000, seed);
+  Rng rng(seed);
+  std::vector<std::uint32_t> live;
+
+  const auto spec = [&](std::uint32_t buckets) {
+    TaskSpec s;
+    s.name = "t";
+    s.key = FlowKeySpec::src_ip();
+    s.attribute = AttributeKind::kFrequency;
+    s.memory_buckets = buckets;
+    s.rows = 1 + static_cast<unsigned>(rng.next_below(3));
+    return s;
+  };
+  const auto any_size = [&] {
+    static constexpr std::uint32_t kSizes[] = {2048, 4096, 16384};
+    return kSizes[rng.next_below(3)];
+  };
+  const auto traffic = [&] {
+    const std::size_t n = 1500;
+    const std::size_t at = rng.next_below(trace.size() - n);
+    w.dp.process_batch_parallel(std::span<const Packet>(trace).subspan(at, n));
+  };
+  const auto units_of = [&](std::uint32_t id) {
+    std::vector<control::UnitPlacement> units;
+    for (const auto& row : w.ctl.task(id)->rows) {
+      units.insert(units.end(), row.units.begin(), row.units.end());
+    }
+    return units;
+  };
+  const auto plant = [&](const std::vector<control::UnitPlacement>& freed) {
+    for (const auto& up : freed) {
+      w.dp.group(up.group).cmu(up.cmu).reg().write(up.partition.end() - 1, 1);
+    }
+  };
+
+  const auto first = w.ctl.add_task(spec(8192));
+  ASSERT_TRUE(first.ok) << first.error;
+  live.push_back(first.task_id);
+  unsigned clears = 0;
+  for (unsigned step = 0; step < 14; ++step) {
+    traffic();
+    const bool full_bank = step == 5;
+    const auto op = full_bank ? 1 : rng.next_below(4);
+    const std::size_t pick = rng.next_below(live.size());
+    if (op == 0 && live.size() < 3) {
+      const auto r = w.ctl.add_task(spec(any_size()));
+      ASSERT_TRUE(r.ok) << "step " << step << ": " << r.error;
+      live.push_back(r.task_id);
+    } else if (op == 1) {
+      const auto freed = units_of(live[pick]);
+      const auto r =
+          w.ctl.resize_task(live[pick], full_bank ? 65536 : any_size());
+      ASSERT_TRUE(r.ok) << "step " << step << ": " << r.error;
+      plant(freed);
+    } else if (op == 2 && live.size() < 3) {
+      const auto freed = units_of(live[pick]);
+      const auto [a, b] = w.ctl.split_task(live[pick]);
+      ASSERT_TRUE(a.ok && b.ok) << "step " << step << ": " << a.error << b.error;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      live.push_back(a.task_id);
+      live.push_back(b.task_id);
+      plant(freed);
+    } else if (op == 3 && live.size() > 1) {
+      const auto freed = units_of(live[pick]);
+      ASSERT_TRUE(w.ctl.remove_task(live[pick]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      plant(freed);
+    }
+    traffic();
+    if (full_bank || rng.next_bool(0.6)) {
+      w.dp.clear_registers();
+      ++clears;
+      ASSERT_TRUE(all_banks_zero(w.dp)) << "after the clear at step " << step;
+    }
+  }
+  EXPECT_GE(clears, 4u);
+}
+
+TEST(ShardedClear, BatchedLifecycleClearsEveryLiveCell) {
+  EnabledGuard on(false);
+  run_clear_lifecycle(0, 0xC1EA5);
+}
+
+TEST(ShardedClear, ThreeWorkerLifecycleClearsEveryLiveCell) {
+  EnabledGuard on(false);
+  run_clear_lifecycle(3, 0xC1EA5);
 }
 
 // ---------------------------------------------------------------------------

@@ -348,6 +348,10 @@ TEST(EpochRunnerTelemetry, RecordsEpochsAndSaturation) {
   EXPECT_GE(epochs, 3u);
   EXPECT_EQ(reg.counter("flymon_epochs_total").value(), epochs);
   EXPECT_EQ(reg.histogram("flymon_epoch_packets").snapshot().count, epochs);
+  // One boundary observation (merge + readout + clear) per closed epoch.
+  const auto boundary = reg.histogram("flymon_epoch_boundary_us").snapshot();
+  EXPECT_EQ(boundary.count, epochs);
+  EXPECT_GT(boundary.sum, 0.0);
   const std::string id = std::to_string(r.task_id);
   EXPECT_GT(reg.gauge("flymon_epoch_task_saturation", {{"task", id}}).value(), 0.0);
 }

@@ -349,6 +349,44 @@ TEST(PoolTracing, ChunkSpansLandOnWorkerThreadTracks) {
   }
 }
 
+// Every controller query merges on demand.  With a dirty shard the query
+// folds it and answers like the sequential run; once the shards are clean
+// the merge is one lock and a dirty check: no span, no merge counted.
+TEST(PoolTracing, QueriesOnCleanShardsSkipTheMerge) {
+  TraceGuard on;
+  FlyMonDataPlane ds(9), dp(9);
+  control::Controller seq(ds), ctl(dp);
+  const auto rs = seq.add_task(cms_spec());
+  const auto rp = ctl.add_task(cms_spec());
+  ASSERT_TRUE(rs.ok && rp.ok);
+  dp.enable_parallel(3);
+
+  const std::vector<Packet> trace = make_trace(256, 8000, 23);
+  ds.process_batch(trace);
+  dp.process_batch_parallel(trace);
+  const auto merge_spans = [] {
+    const auto events = trace::SpanCollector::global().collect();
+    return std::count_if(events.begin(), events.end(), [](const auto& e) {
+      return std::string(e.name) == "exec.merge_shards";
+    });
+  };
+  const auto spans_before = merge_spans();
+  const std::uint64_t merges_before = dp.parallel_stats().merges;
+  EXPECT_EQ(ctl.query_value(rp.task_id, trace[0]),
+            seq.query_value(rs.task_id, trace[0]));
+  EXPECT_EQ(merge_spans(), spans_before + 1) << "the dirty query did not merge";
+  const std::uint64_t merges_after = dp.parallel_stats().merges;
+  EXPECT_EQ(merges_after, merges_before + 1);
+
+  for (std::size_t i = 1; i < trace.size(); i += 97) {
+    EXPECT_EQ(ctl.query_value(rp.task_id, trace[i]),
+              seq.query_value(rs.task_id, trace[i]));
+  }
+  EXPECT_EQ(merge_spans(), spans_before + 1)
+      << "queries on clean shards recorded exec.merge_shards spans";
+  EXPECT_EQ(dp.parallel_stats().merges, merges_after);
+}
+
 // The interesting assertions fire under TSan: reconfiguration churn with
 // tracing enabled while a collector thread snapshots the rings and a
 // processing thread pumps the pool.
