@@ -1,6 +1,11 @@
 #include "dataplane/salu.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstddef>
+#include <new>
 
 namespace flymon::dataplane {
 
@@ -20,9 +25,32 @@ RegisterArray::RegisterArray(std::uint32_t num_buckets, unsigned bit_width)
   if (num_buckets == 0) throw std::invalid_argument("RegisterArray: zero buckets");
   if (bit_width == 0 || bit_width > 32)
     throw std::invalid_argument("RegisterArray: bit width must be 1..32");
-  cells_ = std::make_unique<std::atomic<std::uint32_t>[]>(num_buckets);
+  // Fresh anonymous pages are zero, and an all-zero std::atomic<uint32_t>
+  // holds 0, so the cells need no initialising write.
+  static_assert(std::atomic<std::uint32_t>::is_always_lock_free &&
+                sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
+  static const std::size_t page =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t bytes = std::size_t{num_buckets} * sizeof(std::uint32_t);
+  const std::size_t data_len = (bytes + page - 1) / page * page;
+  const std::size_t length = data_len + page;
+  void* base = ::mmap(nullptr, length, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  auto* bytes_base = static_cast<std::byte*>(base);
+  if (::mprotect(bytes_base + data_len, page, PROT_NONE) != 0) {
+    ::munmap(base, length);
+    throw std::bad_alloc();
+  }
+  cells_ = std::unique_ptr<std::atomic<std::uint32_t>[], Unmap>(
+      reinterpret_cast<std::atomic<std::uint32_t>*>(bytes_base + data_len - bytes),
+      Unmap{base, length});
   size_ = num_buckets;
   value_mask_ = bit_width >= 32 ? 0xFFFF'FFFFu : ((1u << bit_width) - 1u);
+}
+
+void RegisterArray::Unmap::operator()(std::atomic<std::uint32_t>*) const noexcept {
+  ::munmap(base, length);
 }
 
 std::vector<std::uint32_t> RegisterArray::read_range(std::uint32_t begin,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -39,6 +40,13 @@ const char* to_string(StatefulOp op) noexcept;
 /// control thread may touch the same cells without a data race.  Relaxed
 /// ordering is sufficient because cross-thread visibility is sequenced by
 /// the ExecPlan publish (release store / acquire load of the plan pointer).
+///
+/// Each bank is its own anonymous private mapping, so construction writes
+/// nothing: unwritten cells read as the kernel's zero page, and a page
+/// becomes resident only when something first writes it.  The cells end
+/// flush against a trailing PROT_NONE guard page, so touching
+/// data()[size()] faults in every build (AddressSanitizer does not see
+/// mapped memory).
 class RegisterArray {
  public:
   explicit RegisterArray(std::uint32_t num_buckets,
@@ -95,7 +103,14 @@ class RegisterArray {
     if (addr >= size_) throw std::out_of_range("RegisterArray: address out of range");
   }
 
-  std::unique_ptr<std::atomic<std::uint32_t>[]> cells_;
+  /// Unmaps the whole mapping (cells plus guard page), not just the cells.
+  struct Unmap {
+    void* base;
+    std::size_t length;
+    void operator()(std::atomic<std::uint32_t>* cells) const noexcept;
+  };
+
+  std::unique_ptr<std::atomic<std::uint32_t>[], Unmap> cells_;
   std::uint32_t size_ = 0;
   unsigned bit_width_;
   std::uint32_t value_mask_;

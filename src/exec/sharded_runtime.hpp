@@ -1,7 +1,8 @@
 // Per-worker register shards for the multi-core execution engine.
 //
 // Every worker in the exec::WorkerPool owns a RegisterShard: a private,
-// zero-initialised replica of every CMU register bank plus a flat block of
+// lazily mapped replica of every CMU register bank (resident only where
+// written; see dataplane::RegisterArray) plus a flat block of
 // telemetry counter deltas.  The hot path writes only its own shard —
 // never a shared atomic — and shards fold back into the live registers at
 // epoch/query boundaries via merge_into(), which applies the op-aware
@@ -51,8 +52,13 @@ class RegisterShard {
   /// shard's deltas were produced under `plan` (pool fencing does).
   void merge_into(const ExecPlan& plan);
 
-  /// Drop all shard state without merging (epoch clear).
-  void discard();
+  /// Drop all shard state without merging (epoch clear).  With a plan,
+  /// zero only the cells its merge regions cover — the ones merge_into
+  /// folds.  That takes merge_into's contract: the deltas were produced
+  /// under `plan`, whose regions cover every state-writing entry (the
+  /// merge prover checks this), so no other cell can be non-zero.  With
+  /// no plan (fold_dirty_shards' null-plan case), zero every bank.
+  void discard(const ExecPlan* plan = nullptr);
 
   std::size_t num_registers() const noexcept { return regs_.size(); }
 

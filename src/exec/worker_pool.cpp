@@ -147,7 +147,11 @@ void WorkerPool::quiesce_and_merge() {
 
 void WorkerPool::discard_shards() {
   common::MutexLock submit(submit_mu_);
-  for (auto& w : workers_) w->shard.discard();
+  // Under submit_mu_ no publish can intervene, so a dirty shard's deltas
+  // belong to this plan (the fencing invariant) and its merge regions
+  // bound them.
+  const std::shared_ptr<const ExecPlan> plan = dp_->current_plan();
+  for (auto& w : workers_) w->shard.discard(plan.get());
 }
 
 void WorkerPool::merge_locked() {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <set>
 
 #include "common/rng.hpp"
@@ -92,6 +95,30 @@ TEST(RegisterArray, SramBlocks) {
   // 65536 x 32b = 2 Mb = 16 blocks of 128 Kb.
   EXPECT_EQ(RegisterArray(65536, 32).sram_blocks(), 16u);
   EXPECT_EQ(RegisterArray(1, 32).sram_blocks(), 1u);
+}
+
+TEST(RegisterArray, FreshBankReadsAllZeros) {
+  for (const std::uint32_t n : {1u, 1000u, 65536u}) {
+    const RegisterArray r(n);
+    const std::vector<std::uint32_t> cells = r.read_range(0, n);
+    EXPECT_EQ(std::count(cells.begin(), cells.end(), 0u),
+              static_cast<std::ptrdiff_t>(n))
+        << n << "-cell bank";
+  }
+}
+
+// Each bank ends flush against an inaccessible guard page, so an overrun
+// by one cell faults in every build, sanitizer or not.
+TEST(RegisterArrayDeathTest, TouchingOnePastTheEndFaults) {
+  for (const std::uint32_t n : {1u, 65536u}) {
+    RegisterArray r(n);
+    EXPECT_DEATH(
+        static_cast<void>(r.data()[r.size()].load(std::memory_order_relaxed)),
+        "")
+        << "read past a " << n << "-cell bank";
+    EXPECT_DEATH(r.store_relaxed(r.size(), 1), "")
+        << "write past a " << n << "-cell bank";
+  }
 }
 
 TEST(Salu, PreloadLimitIsFour) {

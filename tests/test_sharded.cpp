@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -573,6 +574,38 @@ TEST(ShardedClear, ThreeWorkerLifecycleClearsEveryLiveCell) {
   run_clear_lifecycle(3, 0xC1EA5);
 }
 
+// clear_registers() zeroes a dirty shard only inside the current plan's
+// merge regions.  Shards dirtied under a resized plan are cleared with no
+// merge first; any delta the clear missed would resurface in the next
+// merge and break equality with the sequential referee.
+TEST(ShardedClear, ClearOfUnmergedShardsLeavesNoStaleDeltas) {
+  EnabledGuard on(false);
+  const std::vector<Packet> trace = make_trace(400, 9000, 23);
+  const auto part = [&](std::size_t i) {
+    return std::span<const Packet>(trace).subspan(i * 3000, 3000);
+  };
+
+  World ws, wp;
+  const MixIds ids_s = deploy_mergeable_mix(ws.ctl);
+  const MixIds ids_p = deploy_mergeable_mix(wp.ctl);
+  wp.dp.enable_parallel(3);
+
+  for (World* w : {&ws, &wp}) w->dp.process_batch_parallel(part(0));
+  ASSERT_TRUE(ws.ctl.resize_task(ids_s.cms, 16384).ok);
+  ASSERT_TRUE(wp.ctl.resize_task(ids_p.cms, 16384).ok);
+  for (World* w : {&ws, &wp}) {
+    w->dp.process_batch_parallel(part(1));
+    w->dp.clear_registers();
+    w->dp.process_batch_parallel(part(2));
+  }
+  wp.dp.merge_shards();
+
+  EXPECT_EQ(wp.dp.parallel_stats().fallback_batches, 0u);
+  expect_identical_registers(ws.dp, wp.dp, "clear before merge");
+  EXPECT_EQ(ws.ctl.query_value(ids_s.cms, trace.back()),
+            wp.ctl.query_value(ids_p.cms, trace.back()));
+}
+
 // ---------------------------------------------------------------------------
 // Epoch integration: parallel epochs produce sequential readouts.
 // ---------------------------------------------------------------------------
@@ -704,6 +737,11 @@ TEST(ShardedChurn, ReconfigureWhileProcessingIsRaceFree) {
       last_gen = gen;
       ++batches;
       if (stop.load(std::memory_order_acquire) && batches >= 8) break;
+      // submit_mu_ is not fair: this loop re-takes it before the woken
+      // control thread's fence gets a turn, which starves the control
+      // thread under TSan.  A bare yield() does not open a long enough
+      // window; a short pause does.
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   });
 

@@ -4,8 +4,11 @@
 // mutation catalogue, and the paranoid deploy gate / rollback regression.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +21,7 @@
 #include "dataplane/tcam.hpp"
 #include "verify/diagnostics.hpp"
 #include "verify/mutations.hpp"
+#include "verify/planner.hpp"
 #include "verify/tcam_lint.hpp"
 #include "verify/verifier.hpp"
 
@@ -430,6 +434,54 @@ TEST(VerifyParanoid, ExhaustionUnderLoadRollsBackAndStaysClean) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(dataplane_fingerprint(dp, ctl), before);
   EXPECT_TRUE(verify::verify_deployment(ctl).empty());
+}
+
+// ASan and TSan quarantine freed heap blocks and shadow the heap, which
+// adds ~8 MB of resident memory to the test below that is not the
+// program's own.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FLYMON_SANITIZED_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FLYMON_SANITIZED_HEAP 1
+#endif
+#endif
+
+/// Resident set size in bytes (Linux /proc/self/statm), or -1 if unknown.
+long long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long long size_pages = 0, resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return -1;
+  return resident_pages * static_cast<long long>(::sysconf(_SC_PAGESIZE));
+}
+
+// Register banks are lazily mapped, so the live pipeline, two worker
+// shards and the paranoid gate's shadow worlds (20.25 MB of registers
+// between the live banks and the shards alone) cost resident memory only
+// for the cells a task writes — none here.
+TEST(VerifyParanoid, GatedSetUpLeavesUnwrittenBanksNonResident) {
+#if defined(FLYMON_SANITIZED_HEAP)
+  GTEST_SKIP() << "the sanitizer's heap bookkeeping is resident too";
+#endif
+  const long long before = resident_bytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/statm unavailable";
+
+  FlyMonDataPlane dp(9);
+  dp.enable_parallel(2);
+  control::Controller ctl(dp);
+  ctl.set_paranoid(true);
+  const auto r = ctl.add_task(make_spec("hh", FlowKeySpec::src_ip(),
+                                        AttributeKind::kFrequency,
+                                        Algorithm::kCms, 4096));
+  ASSERT_TRUE(r.ok) << r.error;
+  const verify::PlanResult plan = ctl.plan({control::PlanOp::add(make_spec(
+      "dst", FlowKeySpec::dst_ip(), AttributeKind::kFrequency, Algorithm::kCms,
+      4096))});
+  ASSERT_TRUE(plan.ok) << plan.error;
+
+  const long long grown = resident_bytes() - before;
+  EXPECT_LT(grown, 2LL << 20) << "resident memory grew by " << grown
+                              << " bytes";
 }
 
 // ---- shell front end ----
