@@ -806,10 +806,6 @@ void Controller::clear_task_state(std::uint32_t id) {
   }
 }
 
-void Controller::clear_all_state() {
-  for (const auto& [id, t] : tasks_) clear_task_state(id);
-}
-
 std::uint32_t Controller::free_buckets(unsigned group, unsigned cmu) const {
   const auto it = allocators_.find({group, cmu});
   return it == allocators_.end() ? dp_->group(group).config().register_buckets

@@ -123,7 +123,6 @@ class Controller {
 
   /// Zero the task's register partitions (start of a measurement epoch).
   void clear_task_state(std::uint32_t id);
-  void clear_all_state();
 
   // ---- resource management interfaces ----
   std::uint32_t free_buckets(unsigned group, unsigned cmu) const;

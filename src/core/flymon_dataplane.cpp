@@ -106,25 +106,26 @@ std::uint64_t FlyMonDataPlane::plan_generation() const noexcept {
   return plan != nullptr ? plan->generation() : 0;
 }
 
-void FlyMonDataPlane::interpret(const Packet& pkt, bool traced) {
+void FlyMonDataPlane::interpret(const Packet& pkt,
+                                telemetry::TraceRecord* trace) {
   PhvContext ctx;
-  if (traced) ctx.trace = tracer_->begin(pkt);
+  ctx.trace = trace;
   for (CmuGroup& g : groups_) g.process(pkt, ctx);
-  if (ctx.trace != nullptr) tracer_->commit();
   packets_.fetch_add(1, std::memory_order_relaxed);
   packets_counter_->inc();
 }
 
 void FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
-                               std::span<const Packet> pkts) {
+                               std::span<const Packet> pkts,
+                               telemetry::TraceSample sample) {
   if (pkts.empty()) return;
   // Bounded chunks keep the scratch (hash lanes, chain channels) hot in
-  // cache for arbitrarily long traces.  Same knob as the sharded pool's
+  // cache for arbitrarily long traces.  Same size as the sharded pool's
   // work-queue chunk, so the two paths process equal-sized units of work.
-  const std::size_t chunk = std::max<std::size_t>(1, batch_opts_.chunk_size);
-  for (std::size_t off = 0; off < pkts.size(); off += chunk) {
-    plan.run_batch(pkts.subspan(off, std::min(chunk, pkts.size() - off)),
-                   *scratch_);
+  for (std::size_t off = 0; off < pkts.size(); off += exec::kBatchChunk) {
+    plan.run_batch(
+        pkts.subspan(off, std::min(exec::kBatchChunk, pkts.size() - off)),
+        *scratch_, sample.at(off));
   }
   packets_.fetch_add(pkts.size(), std::memory_order_relaxed);
   packets_counter_->inc(pkts.size());
@@ -135,29 +136,30 @@ void FlyMonDataPlane::process(const Packet& pkt) {
 }
 
 std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
+  telemetry::PacketTracer* const tracer = this->tracer();
+  const telemetry::TraceSample sample =
+      tracer != nullptr ? tracer->sample_batch(pkts.size())
+                        : telemetry::TraceSample{};
   const auto plan = plan_.load();
   if (plan == nullptr) {
-    for (const Packet& p : pkts) {
-      interpret(p, tracer_ != nullptr && tracer_->should_sample());
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      if (!sample.traced(i)) {
+        interpret(pkts[i], nullptr);
+        continue;
+      }
+      auto rec = telemetry::TraceRecord::start(sample.first_seq + i, pkts[i]);
+      interpret(pkts[i], &rec);
+      tracer->publish(std::move(rec));
     }
     return 0;
   }
-  if (tracer_ == nullptr) {
-    run_plan(*plan, pkts);
-    return plan->generation();
-  }
-  // Tracer attached: consume the sampling sequence packet-by-packet (same
-  // records as per-packet processing) and split the batch around traced
-  // packets, which run the interpreted slow path to record their steps.
-  std::size_t run_start = 0;
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    if (tracer_->should_sample()) {
-      run_plan(*plan, pkts.subspan(run_start, i - run_start));
-      interpret(pkts[i], true);
-      run_start = i + 1;
+  run_plan(*plan, pkts, sample);
+  if (tracer != nullptr) {
+    for (telemetry::TraceRecord& rec : scratch_->records) {
+      tracer->publish(std::move(rec));
     }
+    scratch_->records.clear();
   }
-  run_plan(*plan, pkts.subspan(run_start));
   return plan->generation();
 }
 
@@ -197,15 +199,12 @@ void FlyMonDataPlane::merge_shards() {
 FlyMonDataPlane::DrainStats FlyMonDataPlane::drain(ingest::PacketSource& source) {
   trace::Span span("ingest.drain");
   DrainStats stats;
-  // One pool job per drained batch: size it chunk_size x executors x 8 so
+  // One pool job per drained batch: size it kBatchChunk x executors x 8 so
   // the per-job submit/claim overhead amortises to the batched path's
   // (the streaming-vs-batched throughput gate in CI depends on this).
   const std::size_t executors =
       pool_ != nullptr ? pool_->num_workers() : 1;
-  const std::size_t chunk =
-      batch_opts_.chunk_size == 0 ? exec::kDefaultBatchChunk
-                                  : batch_opts_.chunk_size;
-  std::vector<Packet> buf(chunk * executors * 8);
+  std::vector<Packet> buf(exec::kBatchChunk * executors * 8);
   ingest::for_each_batch(source, buf, [&](std::span<const Packet> pkts) {
     stats.last_generation = process_batch_parallel(pkts);
     stats.packets += pkts.size();

@@ -5,12 +5,14 @@
 //
 // Two execution paths share the same registers and counters:
 //   - the interpreted path walks the mutable Cmu/CompressionStage objects
-//     per packet (control-plane probes, traced packets, no plan published);
+//     per packet: the referee the golden tests compare against, and the
+//     path packets take while no plan is published;
 //   - the compiled path executes an immutable exec::ExecPlan snapshot held
 //     behind an RCU-style atomic shared_ptr.  The controller republishes a
 //     freshly compiled plan after every reconfiguration; in-flight batches
 //     keep running against the plan they acquire-loaded, so reconfiguration
-//     never stalls or tears the packet path.
+//     never stalls or tears the packet path.  Traced packets run it too:
+//     attaching a tracer never changes which path runs.
 #pragma once
 
 #include <atomic>
@@ -57,8 +59,8 @@ class FlyMonDataPlane {
 
   /// Process a batch: compression (hashing) runs for the whole batch before
   /// the attribute stages when a compiled plan is published; falls back to
-  /// the per-packet interpreted path otherwise (and for traced packets).
-  /// Returns the plan generation the batch executed under (0 = interpreted).
+  /// the per-packet interpreted path when none is.  Returns the plan
+  /// generation the batch executed under (0 = interpreted).
   std::uint64_t process_batch(std::span<const Packet> pkts);
 
   /// Process a whole trace through the batched path.  Returns what
@@ -86,8 +88,8 @@ class FlyMonDataPlane {
   /// and RCU republishes from other threads keep working mid-stream
   /// exactly as they do between process_batch_parallel calls (this is a
   /// single-submitter API, like process_batch_parallel).  Batches are
-  /// sized chunk_size x executors x 8 so the pool's per-job overhead
-  /// amortises to the batched path's.
+  /// sized exec::kBatchChunk x executors x 8 so the pool's per-job
+  /// overhead amortises to the batched path's.
   DrainStats drain(ingest::PacketSource& source);
 
   /// Clear all registers (start of a measurement epoch); un-merged shard
@@ -114,9 +116,9 @@ class FlyMonDataPlane {
 
   /// Parallel entry point: fan the batch across the worker pool.  Falls
   /// back to process_batch when no pool is enabled; the pool itself falls
-  /// back (sequentially, exact) when no plan is published, the plan is not
-  /// shard-mergeable, or a tracer is attached.  Like process_batch this is
-  /// a single-submitter API: one thread feeds packets.
+  /// back (sequentially, exact) when no plan is published or the plan is
+  /// not shard-mergeable.  Like process_batch this is a single-submitter
+  /// API: one thread feeds packets.
   std::uint64_t process_batch_parallel(std::span<const Packet> pkts);
 
   /// Fold every dirty shard into the live registers under the current
@@ -127,15 +129,6 @@ class FlyMonDataPlane {
 
   /// Pool observability snapshot (zeroes without a pool).
   exec::ParallelStats parallel_stats() const;
-
-  /// Execution tunables shared by the sequential batched path and the
-  /// sharded pool (one chunk-size knob for both).
-  void set_batch_options(const exec::BatchOptions& opts) noexcept {
-    batch_opts_ = opts;
-  }
-  const exec::BatchOptions& batch_options() const noexcept {
-    return batch_opts_;
-  }
 
   /// Pool bookkeeping hook: account a parallel batch on the pipeline
   /// totals (per-group/per-CMU counters travel through the shard counter
@@ -192,17 +185,23 @@ class FlyMonDataPlane {
   telemetry::Registry& registry() const noexcept { return *registry_; }
 
   /// Attach / detach a sampled-packet tracer (not owned).  While attached,
-  /// 1-in-N packets record their PHV transformations into the ring; traced
-  /// packets always run the interpreted path (the compiled path does not
-  /// trace), batches split around them.
-  void set_tracer(telemetry::PacketTracer* tracer) noexcept { tracer_ = tracer; }
-  telemetry::PacketTracer* tracer() const noexcept { return tracer_; }
+  /// 1-in-N packets record their PHV transformations into the ring, on
+  /// whichever path runs them (interpreted, compiled or sharded).  Safe to
+  /// call while another thread processes: each batch loads the tracer once,
+  /// so a detached tracer must outlive the batch in flight.
+  void set_tracer(telemetry::PacketTracer* tracer) noexcept {
+    tracer_.store(tracer, std::memory_order_release);
+  }
+  telemetry::PacketTracer* tracer() const noexcept {
+    return tracer_.load(std::memory_order_acquire);
+  }
 
  private:
-  /// Legacy per-packet path against the mutable objects.
-  void interpret(const Packet& pkt, bool traced);
+  /// Per-packet path against the mutable objects; fills `trace` when set.
+  void interpret(const Packet& pkt, telemetry::TraceRecord* trace);
   /// Run `pkts` through `plan` in bounded chunks (reusing scratch_).
-  void run_plan(const exec::ExecPlan& plan, std::span<const Packet> pkts);
+  void run_plan(const exec::ExecPlan& plan, std::span<const Packet> pkts,
+                telemetry::TraceSample sample);
 
   std::vector<CmuGroup> groups_;
   std::atomic<std::uint64_t> packets_{0};
@@ -215,10 +214,9 @@ class FlyMonDataPlane {
   PlanValidator validator_ FLYMON_GUARDED_BY(publish_mu_);
   std::string last_publish_veto_ FLYMON_GUARDED_BY(publish_mu_);
   std::unique_ptr<exec::BatchScratch> scratch_;  ///< processing-thread only
-  exec::BatchOptions batch_opts_;
   telemetry::Registry* registry_ = nullptr;
   telemetry::Counter* packets_counter_ = nullptr;
-  telemetry::PacketTracer* tracer_ = nullptr;
+  std::atomic<telemetry::PacketTracer*> tracer_{nullptr};
   // Declared last so the pool (and its threads) dies before the registers
   // and counters the shards reference.
   std::unique_ptr<exec::WorkerPool> pool_;

@@ -208,29 +208,76 @@ void ExecPlan::build_hot() {
   }
 }
 
-template <bool kProfiled>
+namespace {
+
+/// One SALU op of entry `e` on register value `cur`, with the same
+/// arithmetic as Salu::execute: the value to store, if any, and the result.
+struct SaluOut {
+  bool write = false;
+  std::uint32_t next = 0;
+  std::uint32_t result = 0;
+};
+
+inline SaluOut salu(const CompiledEntry& e, std::uint32_t cur, std::uint32_t p1,
+                    std::uint32_t p2) noexcept {
+  const std::uint32_t mask = e.value_mask;
+  switch (e.op) {
+    case dataplane::StatefulOp::kNop:
+      return {false, cur, cur};
+    case dataplane::StatefulOp::kCondAdd: {
+      if (cur >= p2) return {};
+      const std::uint64_t sum = std::uint64_t{cur} + p1;
+      const std::uint32_t next =
+          sum > mask ? mask : static_cast<std::uint32_t>(sum);
+      return {true, next & mask, next};
+    }
+    case dataplane::StatefulOp::kMax:
+      if (cur < (p1 & mask)) return {true, p1 & mask, p1 & mask};
+      return {};
+    case dataplane::StatefulOp::kAndOr: {
+      const std::uint32_t next = (p2 == 0) ? (cur & p1) : (cur | p1);
+      return {true, next & mask, next};
+    }
+    case dataplane::StatefulOp::kXor: {
+      const std::uint32_t next = cur ^ (p1 & mask);
+      return {true, next & mask, next};
+    }
+  }
+  return {};
+}
+
+/// What entry `e`'s step exports on its chain channel and trace result.
+inline std::uint32_t exported(const CompiledEntry& e, std::uint32_t cur,
+                              std::uint32_t p1, std::uint32_t result) noexcept {
+  if (!e.output_old_value) return result;
+  return e.one_hot_export ? ((cur & p1) != 0 ? 1u : 0u) : cur;
+}
+
+/// The interpreted path's trace step for entry `e` of `cmu`, built from
+/// compiled state; the caller fills the post-preparation fields.
+telemetry::CmuTraceStep trace_step(const CompiledCmu& cmu,
+                                   const CompiledEntry& e,
+                                   const std::uint32_t* lanes, std::size_t n,
+                                   std::size_t p) noexcept {
+  telemetry::CmuTraceStep step;
+  step.group = cmu.group;
+  step.cmu = cmu.index;
+  step.task_id = e.phys_id;
+  step.selected_key = lanes[e.key_slot_a * n + p] ^ lanes[e.key_slot_b * n + p];
+  step.op = dataplane::to_string(e.op);
+  return step;
+}
+
+}  // namespace
+
+template <bool kTraced>
 void ExecPlan::run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
                        const Packet& pkt, const CandidateKey& key,
-                       const BatchScratch& s, std::size_t n, std::size_t p,
+                       BatchScratch& s, std::size_t n, std::size_t p,
                        std::uint32_t* chains, std::uint64_t& updates,
                        std::uint64_t& sampled_out, std::uint64_t& prep_aborts,
                        std::array<std::uint64_t, 5>& op_counts,
-                       [[maybe_unused]] trace::BatchStageSample* prof) const {
-  // Stage lap timer: compiles to nothing in the <false> instantiation, so
-  // the un-sampled hot path is the exact pre-profiler code.  Filter match
-  // and address translation were already lapped by the batched SoA passes;
-  // everything scalar that remains here attributes to the SALU stage.
-  [[maybe_unused]] std::uint64_t lap_t = 0;
-  if constexpr (kProfiled) lap_t = trace::now_cycles();
-  const auto lap = [&]([[maybe_unused]] trace::Stage st,
-                       [[maybe_unused]] std::uint64_t items) {
-    if constexpr (kProfiled) {
-      const std::uint64_t now = trace::now_cycles();
-      prof->add(st, now - lap_t, items);
-      lap_t = now;
-    }
-  };
-
+                       [[maybe_unused]] telemetry::TraceRecord* rec) const {
   const std::uint32_t* lanes = s.lanes.data();
   for (std::uint32_t i = cmu.entry_begin; i < cmu.entry_end; ++i) {
     // Initialization: precomputed filter verdict + sampling coin.
@@ -260,7 +307,13 @@ void ExecPlan::run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
         const double u = static_cast<double>(p1) * 0x1.0p-32;
         if (u >= e.coupon_total) {  // no coupon drawn: no update
           ++prep_aborts;
-          lap(trace::Stage::kSalu, 1);
+          if constexpr (kTraced) {
+            if (rec != nullptr) {
+              telemetry::CmuTraceStep step = trace_step(cmu, e, lanes, n, p);
+              step.aborted = true;
+              rec->steps.push_back(step);
+            }
+          }
           return;
         }
         const auto idx =
@@ -288,95 +341,81 @@ void ExecPlan::run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
         break;
     }
 
-    // Operation: inlined SALU semantics (same arithmetic as Salu::execute,
-    // on the shared register, without touching any mutable SALU state).
-    const std::uint32_t mask = e.value_mask;
+    // Operation: inlined SALU semantics on the shared register, without
+    // touching any mutable SALU state.
     const std::uint32_t cur = reg.load_relaxed(addr);
-    std::uint32_t result = 0;
-    switch (e.op) {
-      case dataplane::StatefulOp::kNop:
-        result = cur;
-        break;
-      case dataplane::StatefulOp::kCondAdd:
-        if (cur < p2) {
-          const std::uint64_t sum = std::uint64_t{cur} + p1;
-          const std::uint32_t next =
-              sum > mask ? mask : static_cast<std::uint32_t>(sum);
-          reg.store_relaxed(addr, next & mask);
-          result = next;
-        }
-        break;
-      case dataplane::StatefulOp::kMax:
-        if (cur < (p1 & mask)) {
-          reg.store_relaxed(addr, p1 & mask);
-          result = p1 & mask;
-        }
-        break;
-      case dataplane::StatefulOp::kAndOr: {
-        const std::uint32_t next = (p2 == 0) ? (cur & p1) : (cur | p1);
-        reg.store_relaxed(addr, next & mask);
-        result = next;
-        break;
-      }
-      case dataplane::StatefulOp::kXor: {
-        const std::uint32_t next = cur ^ (p1 & mask);
-        reg.store_relaxed(addr, next & mask);
-        result = next;
-        break;
-      }
-    }
-
-    std::uint32_t out = result;
-    if (e.output_old_value) {
-      out = e.one_hot_export ? ((cur & p1) != 0 ? 1u : 0u) : cur;
-    }
+    const SaluOut op = salu(e, cur, p1, p2);
+    if (op.write) reg.store_relaxed(addr, op.next);
+    const std::uint32_t out = exported(e, cur, p1, op.result);
     if (e.chain_out != kNoChain) {
-      chains[e.chain_out] = (e.chain_fallback && result == 0) ? p2_raw : out;
+      chains[e.chain_out] = (e.chain_fallback && op.result == 0) ? p2_raw : out;
     }
     ++updates;
     ++op_counts[static_cast<std::size_t>(e.op)];
-    lap(trace::Stage::kSalu, 1);
+    if constexpr (kTraced) {
+      if (rec != nullptr) {
+        telemetry::CmuTraceStep step = trace_step(cmu, e, lanes, n, p);
+        step.sliced_key = (step.selected_key >> e.key_shift) & e.key_mask;
+        step.address = addr;
+        step.p1 = p1;
+        step.p2 = p2;
+        step.result = out;
+        rec->steps.push_back(step);
+        if (&reg != cmu.reg) {  // a replica: the pool fixes the result up
+          s.fixups.push_back(
+              {rec->seq, static_cast<std::uint32_t>(rec->steps.size() - 1), i,
+               {static_cast<std::uint32_t>(&cmu - cmus_.data()), addr}, p1, p2,
+               cur});
+        }
+      }
+    }
     return;  // at most one entry executes per CMU per packet
   }
 }
 
-void ExecPlan::run_batch(std::span<const Packet> pkts, BatchScratch& s) const {
-  if (trace::StageProfiler::global().sample_batch()) {
-    run_batch_impl<true>(pkts, s, nullptr);
+void ExecPlan::run_batch(std::span<const Packet> pkts, BatchScratch& s,
+                         telemetry::TraceSample sample,
+                         const ShardBinding* binding) const {
+  if (sample.first_traced() < pkts.size()) {
+    run_batch_impl<true>(pkts, s, sample, binding);
   } else {
-    run_batch_impl<false>(pkts, s, nullptr);
+    run_batch_impl<false>(pkts, s, sample, binding);
   }
 }
 
-void ExecPlan::run_batch_sharded(std::span<const Packet> pkts, BatchScratch& s,
-                                 const ShardBinding& binding) const {
-  if (trace::StageProfiler::global().sample_batch()) {
-    run_batch_impl<true>(pkts, s, &binding);
-  } else {
-    run_batch_impl<false>(pkts, s, &binding);
-  }
-}
-
-template <bool kProfiled>
-void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
-                              const ShardBinding* b) const {
+void ExecPlan::start_records(std::span<const Packet> pkts, BatchScratch& s,
+                             telemetry::TraceSample sample) const {
   const std::size_t n = pkts.size();
-  if (n == 0) return;
-  const std::size_t num_slots = slots_.size();
-  const std::size_t num_chains = chain_count_;
-  const std::size_t num_entries = entries_.size();
-
-  trace::BatchStageSample sample;
-  trace::BatchStageSample* const prof = kProfiled ? &sample : nullptr;
-  [[maybe_unused]] std::uint64_t t0 = 0;
-  if constexpr (kProfiled) t0 = trace::now_cycles();
-  const auto stage_lap = [&]([[maybe_unused]] trace::Stage st,
-                             [[maybe_unused]] std::uint64_t items) {
-    if constexpr (kProfiled) {
-      const std::uint64_t now = trace::now_cycles();
-      sample.add(st, now - t0, items);
-      t0 = now;
+  s.record_of.assign(n, ~std::uint32_t{0});
+  for (std::size_t p = sample.first_traced(); p < n; p += sample.every) {
+    s.record_of[p] = static_cast<std::uint32_t>(s.records.size());
+    telemetry::TraceRecord& rec = s.records.emplace_back(
+        telemetry::TraceRecord::start(sample.first_seq + p, pkts[p]));
+    rec.keys.reserve(groups_.size());
+    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+      const CompiledGroup& g = groups_[gi];
+      telemetry::GroupKeys& gk = rec.keys.emplace_back();
+      gk.group = static_cast<unsigned>(gi);
+      gk.unit_keys.resize(g.num_units);
+      for (std::size_t u = 0; u < g.num_units; ++u) {
+        const std::size_t sl = g.unit_slot[u];
+        gk.unit_keys[u] = sl < lane_slots_ ? s.lanes[sl * n + p]
+                                           : slots_[sl].unit.compute(s.keys[p]);
+      }
     }
+  }
+}
+
+void ExecPlan::batch_passes(std::span<const Packet> pkts, BatchScratch& s,
+                            trace::BatchStageSample* prof) const {
+  const std::size_t n = pkts.size();
+  const std::size_t num_entries = entries_.size();
+  std::uint64_t t0 = prof != nullptr ? trace::now_cycles() : 0;
+  const auto lap = [&](trace::Stage st, std::uint64_t items) {
+    if (prof == nullptr) return;
+    const std::uint64_t now = trace::now_cycles();
+    prof->add(st, now - t0, items);
+    t0 = now;
   };
 
   // Compression stage, batched and slot-major: serialize every packet,
@@ -385,8 +424,7 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
   // "unconfigured unit / no selector" lane); `lanes[slot * n + p]` so each
   // lane is a contiguous per-packet array for the SoA address pass.
   s.keys.resize(n);
-  s.lanes.assign(num_slots * n, 0u);
-  s.chains.assign(n * num_chains, 0u);
+  s.lanes.assign(lane_slots_ * n, 0u);
   s.src_ip.resize(n);
   s.dst_ip.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
@@ -394,17 +432,17 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
     s.src_ip[p] = pkts[p].ft.src_ip;
     s.dst_ip[p] = pkts[p].ft.dst_ip;
   }
-  for (std::size_t sl = 1; sl < num_slots; ++sl) {
+  for (std::size_t sl = 1; sl < lane_slots_; ++sl) {
     const dataplane::HashUnit& unit = slots_[sl].unit;
     std::uint32_t* lane = &s.lanes[sl * n];
     for (std::size_t p = 0; p < n; ++p) lane[p] = unit.compute(s.keys[p]);
   }
-  stage_lap(trace::Stage::kCompression, n);
+  lap(trace::Stage::kCompression, n);
 
   // SoA stage passes: filter verdicts and translated addresses for every
   // (entry, packet) pair, entry-major.  Both are pure functions of the
   // lanes/headers computed above — sampling coins, preps and chains stay
-  // in the scalar walk below, which consumes these buffers.
+  // in the scalar walk, which consumes these buffers.
   s.match.resize(num_entries * n);
   s.addr.resize(num_entries * n);
   for (std::size_t i = 0; i < num_entries; ++i) {
@@ -412,14 +450,32 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
                  hot_.f_dst_mask[i], s.src_ip.data(), s.dst_ip.data(), n,
                  &s.match[i * n]);
   }
-  stage_lap(trace::Stage::kFilter, num_entries * n);
+  lap(trace::Stage::kFilter, num_entries * n);
   for (std::size_t i = 0; i < num_entries; ++i) {
     g_fill_addr(hot_.key_shift[i], hot_.key_mask[i], hot_.addr_shift[i],
                 hot_.addr_mask[i], hot_.addr_base[i],
                 &s.lanes[hot_.key_slot_a[i] * n],
                 &s.lanes[hot_.key_slot_b[i] * n], n, &s.addr[i * n]);
   }
-  stage_lap(trace::Stage::kAddress, num_entries * n);
+  lap(trace::Stage::kAddress, num_entries * n);
+}
+
+template <bool kTraced>
+void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
+                              [[maybe_unused]] telemetry::TraceSample sample,
+                              const ShardBinding* b) const {
+  const std::size_t n = pkts.size();
+  if (n == 0) return;
+  const std::size_t num_chains = chain_count_;
+  s.chains.assign(n * num_chains, 0u);
+
+  // Stage laps are a runtime check per stage (per batch, or per CMU for
+  // the SALU walk), so profiling never reads the clock per packet.
+  const bool profiled = trace::StageProfiler::global().sample_batch();
+  trace::BatchStageSample prof;
+  batch_passes(pkts, s, profiled ? &prof : nullptr);
+  if constexpr (kTraced) start_records(pkts, s, sample);
+  std::uint64_t t0 = profiled ? trace::now_cycles() : 0;
 
   // Attribute stages, group-major.  Within a CMU packets run in trace
   // order, so final register state is byte-identical to per-packet
@@ -460,9 +516,20 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
             }
           }
         }
-        run_cmu<kProfiled>(cmu, reg, pkts[p], s.keys[p], s, n, p,
-                           &s.chains[p * num_chains], updates, sampled_out,
-                           prep_aborts, op_counts, prof);
+        telemetry::TraceRecord* rec = nullptr;
+        if constexpr (kTraced) {
+          if (s.record_of[p] != ~std::uint32_t{0}) {
+            rec = &s.records[s.record_of[p]];
+          }
+        }
+        run_cmu<kTraced>(cmu, reg, pkts[p], s.keys[p], s, n, p,
+                         &s.chains[p * num_chains], updates, sampled_out,
+                         prep_aborts, op_counts, rec);
+      }
+      if (profiled) {
+        const std::uint64_t now = trace::now_cycles();
+        prof.add(trace::Stage::kSalu, now - t0, n);
+        t0 = now;
       }
       if (b != nullptr) {
         std::uint64_t* slot = &b->counters[groups_.size() * 2 + c * 8];
@@ -489,9 +556,37 @@ void ExecPlan::run_batch_impl(std::span<const Packet> pkts, BatchScratch& s,
     }
   }
 
-  if constexpr (kProfiled) {
-    trace::StageProfiler::global().record_batch(sample);
+  if (profiled) trace::StageProfiler::global().record_batch(prof);
+}
+
+std::vector<Cell> ExecPlan::traced_cells(std::span<const Packet> pkts,
+                                         telemetry::TraceSample sample,
+                                         BatchScratch& s) const {
+  std::vector<Packet> traced;
+  for (std::size_t p = sample.first_traced(); p < pkts.size();
+       p += sample.every) {
+    traced.push_back(pkts[p]);
   }
+  const std::size_t m = traced.size();
+  batch_passes(traced, s, nullptr);
+  std::vector<Cell> cells;
+  for (std::uint32_t c = 0; c < cmus_.size(); ++c) {
+    for (std::size_t i = cmus_[c].entry_begin; i < cmus_[c].entry_end; ++i) {
+      for (std::size_t t = 0; t < m; ++t) {
+        if (s.match[i * m + t] != 0) cells.push_back({c, s.addr[i * m + t]});
+      }
+    }
+  }
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  return cells;
+}
+
+std::uint32_t ExecPlan::step_result(std::uint32_t entry, std::uint32_t cur,
+                                    std::uint32_t p1,
+                                    std::uint32_t p2) const noexcept {
+  const CompiledEntry& e = entries_[entry];
+  return exported(e, cur, p1, salu(e, cur, p1, p2).result);
 }
 
 void ExecPlan::flush_counter_block(std::span<std::uint64_t> block) const {

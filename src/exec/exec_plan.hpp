@@ -30,6 +30,7 @@
 #include "packet/exact.hpp"
 #include "packet/packet.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_ring.hpp"
 
 namespace flymon {
 class FlyMonDataPlane;
@@ -81,6 +82,7 @@ struct CompiledEntry {
   bool sampled = false;               ///< sample_probability < 1
   double sample_probability = 1.0;
   std::uint64_t sample_seed = 0;      ///< 0xC01F + phys task id
+  std::uint32_t phys_id = 0;          ///< installed task id (trace records)
 
   // Dynamic key: XOR of two hash lanes, sliced.
   std::uint16_t key_slot_a = 0;
@@ -148,6 +150,8 @@ inline constexpr std::size_t kPrefetchDistance = 1;
 struct CompiledCmu {
   std::uint32_t entry_begin = 0;
   std::uint32_t entry_end = 0;
+  unsigned group = 0;  ///< position in the pipeline (trace records)
+  unsigned index = 0;
   dataplane::RegisterArray* reg = nullptr;
   telemetry::Counter* updates = nullptr;
   telemetry::Counter* sampled_out = nullptr;
@@ -161,41 +165,66 @@ struct CompiledGroup {
   std::uint32_t cmu_begin = 0;
   std::uint32_t cmu_end = 0;
   std::uint32_t configured_units = 0;  ///< hash invocations per packet
+  /// The group's hash units as trace records list them: unit u reads hash
+  /// slot unit_slot[u] (0 = unconfigured, reads zero).
+  std::uint32_t num_units = 0;
+  std::array<std::uint16_t, CompressionStage::kMaxUnits> unit_slot{};
   telemetry::Counter* packets = nullptr;
   telemetry::Counter* hashes = nullptr;
 };
 
 /// One compiled hash lane: a snapshot copy of a configured hash unit.
 /// Lane 0 is the constant-zero lane (unconfigured / absent selectors).
+/// Slots in ExecPlan::lane_slots() are units some entry references
+/// and are hashed for every packet; the rest are configured units no entry
+/// references, hashed only for traced packets' records.
 struct HashSlot {
   dataplane::HashUnit unit;
   unsigned group = 0;
   unsigned unit_index = 0;
 };
 
+/// One register cell of the plan.
+struct Cell {
+  std::uint32_t cmu = 0;  ///< flat CompiledCmu index
+  std::uint32_t addr = 0;
+  friend auto operator<=>(const Cell&, const Cell&) = default;
+};
+
+/// A traced step that ran on a shard replica: the replica value its SALU
+/// read, so the pool can rebuild the value a sequential run would have
+/// read (see ExecPlan::step_result).
+struct TraceFixup {
+  std::uint64_t seq = 0;         ///< the traced packet
+  std::uint32_t step = 0;        ///< index into its record's steps
+  std::uint32_t entry = 0;       ///< flat CompiledEntry index
+  Cell cell;
+  std::uint32_t p1 = 0, p2 = 0;  ///< post-preparation parameters
+  std::uint32_t cur = 0;         ///< replica value the SALU read
+};
+
 /// Reusable per-batch working memory (hash lanes, chain channels, SoA
-/// stage buffers).  Owned by whoever drives run_batch — one scratch per
-/// processing thread.
+/// stage buffers, trace records).  Owned by whoever drives run_batch — one
+/// scratch per processing thread.
 struct BatchScratch {
   std::vector<CandidateKey> keys;
-  std::vector<std::uint32_t> lanes;   ///< SLOT-major: num_hash_slots x packets
+  std::vector<std::uint32_t> lanes;   ///< SLOT-major: lane slots x packets
   std::vector<std::uint32_t> chains;  ///< packets x num_chain_channels
   std::vector<std::uint32_t> src_ip;  ///< per-packet filter words (SoA)
   std::vector<std::uint32_t> dst_ip;
   std::vector<std::uint32_t> match;   ///< entries x packets, 0 or ~0
   std::vector<std::uint32_t> addr;    ///< entries x packets, translated addr
+  /// Records of the traced packets this scratch ran, in seq order per
+  /// chunk; the submitting thread publishes and clears them after the batch.
+  std::vector<telemetry::TraceRecord> records;
+  std::vector<std::uint32_t> record_of;  ///< traced chunk: packet -> record, or ~0
+  std::vector<TraceFixup> fixups;        ///< traced steps run on a shard
 };
 
 /// Packets per scratch refill on the sequential path and per work-queue
-/// chunk on the sharded path.  One tunable for both so a scaling comparison
-/// always compares equal-sized units of work.
-inline constexpr std::size_t kDefaultBatchChunk = 256;
-
-/// Execution tunables shared by the sequential batched path and the
-/// sharded worker pool.
-struct BatchOptions {
-  std::size_t chunk_size = kDefaultBatchChunk;
-};
+/// chunk on the sharded path, so a scaling comparison always compares
+/// equal-sized units of work.
+inline constexpr std::size_t kBatchChunk = 256;
 
 /// How one compiled entry's register partition folds across per-worker
 /// shards.  Only operations from FlyMon's reduced SALU set appear here;
@@ -265,15 +294,37 @@ class ExecPlan {
   /// (batched hashing), then the attribute stages group-major.  Per-CMU
   /// packet order is preserved, so the final register state is
   /// byte-identical to per-packet processing.  Telemetry counters are
-  /// aggregated per batch and flushed once.
-  void run_batch(std::span<const Packet> pkts, BatchScratch& scratch) const;
+  /// aggregated per batch and flushed once.  Packets `sample` marks as
+  /// traced append their record (the interpreted path's keys and steps,
+  /// filled from compiled state) to `scratch.records`.
+  ///
+  /// With a `binding` (sharded execution, only valid when
+  /// shard_mergeable()) every register access goes to
+  /// `binding->regs[flat_cmu]` and every counter total accumulates into
+  /// `binding->counters` instead of the shared atomics; traced steps then
+  /// also leave a TraceFixup in `scratch.fixups`.
+  void run_batch(std::span<const Packet> pkts, BatchScratch& scratch,
+                 telemetry::TraceSample sample = {},
+                 const ShardBinding* binding = nullptr) const;
 
-  /// Sharded execution: same walk as run_batch but every register access
-  /// goes to `binding.regs[flat_cmu]` and every counter total accumulates
-  /// into `binding.counters` instead of the shared atomics.  Only valid
-  /// when shard_mergeable().
-  void run_batch_sharded(std::span<const Packet> pkts, BatchScratch& scratch,
-                         const ShardBinding& binding) const;
+  // ---- sharded tracing ----
+  //
+  // A shard's SALU reads its own replica, not the value a sequential run
+  // would.  Each shard-run traced step leaves a TraceFixup, each executor
+  // snapshots the traced cells of its replica as it claims a chunk, and
+  // after the job the pool folds the live register with every replica's
+  // state as of the traced packet (the exact shard merge, cell by cell) and
+  // recomputes the step's result from that.
+
+  /// The cells, sorted, that any entry matching a traced packet of `pkts`
+  /// would update (computed in `scratch`).
+  std::vector<Cell> traced_cells(std::span<const Packet> pkts,
+                                 telemetry::TraceSample sample,
+                                 BatchScratch& scratch) const;
+  /// The trace result of entry `entry`'s SALU step on register value `cur`
+  /// with prepared parameters `p1`, `p2`.
+  std::uint32_t step_result(std::uint32_t entry, std::uint32_t cur,
+                            std::uint32_t p1, std::uint32_t p2) const noexcept;
 
   // ---- shard merge metadata (computed at compile time) ----
 
@@ -328,6 +379,10 @@ class ExecPlan {
     return groups_;
   }
   std::span<const HashSlot> hash_slots() const noexcept { return slots_; }
+  /// The slots entries may reference: the per-batch lanes.
+  std::span<const HashSlot> lane_slots() const noexcept {
+    return std::span<const HashSlot>(slots_).first(lane_slots_);
+  }
 
   /// The SoA twin of entries(): what the batch filter/address passes
   /// actually execute from.  The translation validator proves it congruent
@@ -338,29 +393,39 @@ class ExecPlan {
   friend class PlanCompiler;
   friend struct PlanMutator;
 
-  // Both walk functions are templated on kProfiled: the <false>
-  // instantiation contains no timing code at all (it is the plain hot
-  // path), the <true> instantiation laps trace::now_cycles() around the
-  // compression / filter / address / SALU stages into `prof`.  run_batch /
-  // run_batch_sharded pick the instantiation per batch via
-  // trace::StageProfiler::sample_batch() — one relaxed load when profiling
-  // is off.
+  // Both walk functions are templated on kTraced: the <false>
+  // instantiation is the plain hot path with no trace code at all; the
+  // <true> instantiation, chosen per chunk when the chunk holds a traced
+  // packet, also writes those packets' GroupKeys and CmuTraceSteps.  The
+  // stage profiler is a runtime check per stage lap (one lap per batch
+  // stage, one SALU lap per (CMU, batch)), never a clock read per packet.
   // The scalar per-packet remainder of one CMU: sampling coin, preps,
   // chain reads/writes and the SALU op, in the exact interpreted order.
   // Filter matches and translated addresses arrive precomputed in the
   // scratch SoA buffers (`s.match` / `s.addr`, entry-major, stride n);
-  // hash lanes are slot-major (`s.lanes[slot * n + p]`).
-  template <bool kProfiled>
+  // hash lanes are slot-major (`s.lanes[slot * n + p]`).  `rec` is the
+  // packet's trace record, or null when it is not traced.
+  template <bool kTraced>
   void run_cmu(const CompiledCmu& cmu, dataplane::RegisterArray& reg,
                const Packet& pkt, const CandidateKey& key,
-               const BatchScratch& s, std::size_t n, std::size_t p,
+               BatchScratch& s, std::size_t n, std::size_t p,
                std::uint32_t* chains, std::uint64_t& updates,
                std::uint64_t& sampled_out, std::uint64_t& prep_aborts,
                std::array<std::uint64_t, 5>& op_counts,
-               trace::BatchStageSample* prof) const;
-  template <bool kProfiled>
+               telemetry::TraceRecord* rec) const;
+  template <bool kTraced>
   void run_batch_impl(std::span<const Packet> pkts, BatchScratch& scratch,
+                      telemetry::TraceSample sample,
                       const ShardBinding* binding) const;
+  /// The batch-wide passes into `s`: compression (keys, hash lanes), then
+  /// the SoA filter verdicts and translated addresses.  Laps each stage
+  /// into `prof` when it is set.
+  void batch_passes(std::span<const Packet> pkts, BatchScratch& s,
+                    trace::BatchStageSample* prof) const;
+  /// Start the records of the chunk's traced packets, with their
+  /// compressed keys read from the hash lanes.
+  void start_records(std::span<const Packet> pkts, BatchScratch& s,
+                     telemetry::TraceSample sample) const;
 
   /// (Re)derive the SoA hot arrays from the AoS entries.  Called once at
   /// plan-compile time; PlanMutator re-runs it after seeded miscompiles so
@@ -370,6 +435,7 @@ class ExecPlan {
   std::uint64_t generation_ = 0;
   EntryHot hot_;                      ///< SoA twin of entries_
   std::vector<HashSlot> slots_;       ///< slot 0 = constant-zero lane
+  std::size_t lane_slots_ = 1;        ///< slots_[0, lane_slots_) hash per batch
   std::vector<CompiledGroup> groups_;
   std::vector<CompiledCmu> cmus_;
   std::vector<CompiledEntry> entries_;

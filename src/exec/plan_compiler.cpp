@@ -135,34 +135,34 @@ std::shared_ptr<const ExecPlan> PlanCompiler::compile(
     CmuGroup& grp = dp.group(g);
     const CompressionStage& comp = grp.compression();
 
-    // Hash lanes: one slot per configured unit *referenced by some entry*
-    // (unreferenced units are still counted for hash-invocation telemetry
-    // but never influence state, so the plan skips hashing them).
-    std::map<unsigned, std::uint16_t> unit_slot;
-    const auto slot_of = [&](std::int8_t unit) -> std::uint16_t {
-      if (unit < 0) return 0;
-      const auto u = static_cast<unsigned>(unit);
-      if (u >= comp.num_units() || !comp.spec_of(u)) return 0;
-      const auto it = unit_slot.find(u);
-      if (it != unit_slot.end()) return it->second;
-      const auto slot = static_cast<std::uint16_t>(plan->slots_.size());
-      plan->slots_.push_back(HashSlot{comp.unit(u), g, u});
-      unit_slot.emplace(u, slot);
-      return slot;
-    };
-
     CompiledGroup cg;
     cg.cmu_begin = static_cast<std::uint32_t>(plan->cmus_.size());
     cg.packets = grp.packets_counter();
     cg.hashes = grp.hash_counter();
+    cg.num_units = comp.num_units();
     for (unsigned u = 0; u < comp.num_units(); ++u) {
       if (comp.spec_of(u)) ++cg.configured_units;
     }
+
+    // Hash lanes: one slot per configured unit *referenced by some entry*.
+    // Unreferenced units never influence state; they get trace-only slots
+    // after every group's lanes (below).
+    const auto slot_of = [&](std::int8_t unit) -> std::uint16_t {
+      if (unit < 0) return 0;
+      const auto u = static_cast<unsigned>(unit);
+      if (u >= comp.num_units() || !comp.spec_of(u)) return 0;
+      if (cg.unit_slot[u] != 0) return cg.unit_slot[u];
+      cg.unit_slot[u] = static_cast<std::uint16_t>(plan->slots_.size());
+      plan->slots_.push_back(HashSlot{comp.unit(u), g, u});
+      return cg.unit_slot[u];
+    };
 
     for (unsigned c = 0; c < grp.num_cmus(); ++c) {
       Cmu& cmu = grp.cmu(c);
       CompiledCmu cc;
       cc.entry_begin = static_cast<std::uint32_t>(plan->entries_.size());
+      cc.group = g;
+      cc.index = c;
       cc.reg = &cmu.reg();
       cc.updates = cmu.updates_counter();
       cc.sampled_out = cmu.sampled_out_counter();
@@ -178,6 +178,7 @@ std::shared_ptr<const ExecPlan> PlanCompiler::compile(
         ce.sampled = e.sample_probability < 1.0;
         ce.sample_probability = e.sample_probability;
         ce.sample_seed = 0xC01Full + e.task_id;
+        ce.phys_id = e.task_id;
 
         ce.key_slot_a = slot_of(e.key_sel.unit_a);
         ce.key_slot_b = slot_of(e.key_sel.unit_b);
@@ -353,6 +354,19 @@ std::shared_ptr<const ExecPlan> PlanCompiler::compile(
   }
 
   plan->chain_count_ = chain_index.size() + 1;
+
+  // Trace-only slots: configured units no entry references, hashed only
+  // for traced packets so their records list every configured unit.
+  plan->lane_slots_ = plan->slots_.size();
+  for (unsigned g = 0; g < dp.num_groups(); ++g) {
+    const CompressionStage& comp = dp.group(g).compression();
+    CompiledGroup& cg = plan->groups_[g];
+    for (unsigned u = 0; u < comp.num_units(); ++u) {
+      if (!comp.spec_of(u) || cg.unit_slot[u] != 0) continue;
+      cg.unit_slot[u] = static_cast<std::uint16_t>(plan->slots_.size());
+      plan->slots_.push_back(HashSlot{comp.unit(u), g, u});
+    }
+  }
 
   // Collapse duplicate merge windows (several filter entries of one task
   // share a partition) and reject overlapping windows that disagree on the

@@ -26,16 +26,17 @@ RegisterShard::RegisterShard(const FlyMonDataPlane& dp) {
 
 namespace {
 
-/// Fold every cell of [base, end) of `shard` into `live` with `op` and zero
-/// the shard cell, so an overlapping region folds it once.  No branch on the
-/// shard value: 0 is the identity of every MergeKind over the register's
-/// value domain (the merge prover checks this per region), so a clean cell
+/// Fold every cell of [base, end) of `shard` into `live` and zero the shard
+/// cell, so an overlapping region folds it once.  No branch on the shard
+/// value: 0 is the identity of every MergeKind over the register's value
+/// domain (the merge prover checks this per region), so a clean cell
 /// stores back what it read.
-template <class Op>
+template <MergeKind kKind>
 void fold_range(dataplane::RegisterArray& shard, dataplane::RegisterArray& live,
-                std::uint32_t base, std::uint32_t end, Op op) {
+                std::uint32_t base, std::uint32_t end, std::uint32_t mask) {
   for (std::uint32_t addr = base; addr < end; ++addr) {
-    live.store_relaxed(addr, op(live.load_relaxed(addr), shard.load_relaxed(addr)));
+    live.store_relaxed(addr, fold_cell(kKind, live.load_relaxed(addr),
+                                       shard.load_relaxed(addr), mask));
     shard.store_relaxed(addr, 0);
   }
 }
@@ -44,30 +45,22 @@ void fold_range(dataplane::RegisterArray& shard, dataplane::RegisterArray& live,
 
 void RegisterShard::merge_into(const ExecPlan& plan) {
   if (!dirty_) return;
-  for (const MergeRegion& region : plan.merge_regions()) {
-    dataplane::RegisterArray& shard = regs_[region.cmu];
-    dataplane::RegisterArray& live = *plan.live_register(region.cmu);
-    const std::uint32_t end = region.base + region.size;
-    const std::uint32_t mask = region.value_mask;
-    switch (region.kind) {
+  for (const MergeRegion& r : plan.merge_regions()) {
+    dataplane::RegisterArray& shard = regs_[r.cmu];
+    dataplane::RegisterArray& live = *plan.live_register(r.cmu);
+    const std::uint32_t end = r.base + r.size;
+    switch (r.kind) {
       case MergeKind::kSum:
-        fold_range(shard, live, region.base, end,
-                   [mask](std::uint32_t cur, std::uint32_t v) {
-                     const std::uint64_t sum = std::uint64_t{cur} + v;
-                     return sum > mask ? mask : static_cast<std::uint32_t>(sum);
-                   });
+        fold_range<MergeKind::kSum>(shard, live, r.base, end, r.value_mask);
         break;
       case MergeKind::kMax:
-        fold_range(shard, live, region.base, end,
-                   [](std::uint32_t cur, std::uint32_t v) { return std::max(cur, v); });
+        fold_range<MergeKind::kMax>(shard, live, r.base, end, r.value_mask);
         break;
       case MergeKind::kOr:
-        fold_range(shard, live, region.base, end,
-                   [](std::uint32_t cur, std::uint32_t v) { return cur | v; });
+        fold_range<MergeKind::kOr>(shard, live, r.base, end, r.value_mask);
         break;
       case MergeKind::kXor:
-        fold_range(shard, live, region.base, end,
-                   [mask](std::uint32_t cur, std::uint32_t v) { return (cur ^ v) & mask; });
+        fold_range<MergeKind::kXor>(shard, live, r.base, end, r.value_mask);
         break;
     }
   }

@@ -26,6 +26,21 @@ class FlyMonDataPlane;
 
 namespace flymon::exec {
 
+/// One cell of the exact shard merge: fold shard value `v` into `cur`.
+inline std::uint32_t fold_cell(MergeKind kind, std::uint32_t cur,
+                               std::uint32_t v, std::uint32_t mask) noexcept {
+  switch (kind) {
+    case MergeKind::kSum: {
+      const std::uint64_t sum = std::uint64_t{cur} + v;
+      return sum > mask ? mask : static_cast<std::uint32_t>(sum);
+    }
+    case MergeKind::kMax: return cur > v ? cur : v;
+    case MergeKind::kOr: return cur | v;
+    case MergeKind::kXor: return (cur ^ v) & mask;
+  }
+  return cur;
+}
+
 class RegisterShard {
  public:
   /// Build zeroed replicas of every CMU register bank in `dp`, in the same
@@ -37,7 +52,7 @@ class RegisterShard {
   RegisterShard(const RegisterShard&) = delete;
   RegisterShard& operator=(const RegisterShard&) = delete;
 
-  /// Binding handed to ExecPlan::run_batch_sharded.
+  /// Binding handed to ExecPlan::run_batch.
   ShardBinding binding() noexcept {
     return ShardBinding{reg_ptrs_, counters_};
   }

@@ -1,6 +1,7 @@
 #include "exec/worker_pool.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/lock_witness.hpp"
 #include "core/flymon_dataplane.hpp"
@@ -10,13 +11,14 @@
 // The acquisition-order facts the annotations above establish, registered
 // for the `concur` lock-order analyzer: everything the pool acquires while
 // holding submit_mu_ (job hand-off, completion wait, plan-cell load,
-// telemetry handle caching).  The runtime lock witness must only ever
-// observe these edges in this orientation.
+// telemetry handle caching, trace-record publication).  The runtime lock
+// witness must only ever observe these edges in this orientation.
 FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "exec.job_mu");
 FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "exec.done_mu");
 FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "exec.plan_cell");
 FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "telemetry.registry");
 FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "trace.spans");
+FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "telemetry.tracer");
 
 namespace flymon::exec {
 
@@ -49,17 +51,26 @@ std::uint64_t WorkerPool::process(std::span<const Packet> pkts) {
   // plan, and a concurrent publisher fences on submit_mu_, so shard deltas
   // never straddle a reconfiguration.
   std::shared_ptr<const ExecPlan> plan = dp_->current_plan();
-  if (plan == nullptr || !plan->shard_mergeable() || dp_->tracer() != nullptr) {
+  if (plan == nullptr || !plan->shard_mergeable()) {
     fallback_batches_.fetch_add(1, std::memory_order_relaxed);
-    count_fallback(plan.get(), dp_->tracer() != nullptr);
+    count_fallback(plan.get());
     return dp_->process_batch(pkts);
   }
 
+  // The tracer is loaded once per job, and its sampling decision taken in
+  // arrival order before any chunk runs, so the shards trace exactly the
+  // packets the sequential path would.
+  telemetry::PacketTracer* const tracer = dp_->tracer();
   auto job = std::make_shared<Job>();
   job->plan = plan;
   job->pkts = pkts;
-  job->chunk = std::max<std::size_t>(1, dp_->batch_options().chunk_size);
-  job->num_chunks = (pkts.size() + job->chunk - 1) / job->chunk;
+  if (tracer != nullptr) {
+    job->sample = tracer->sample_batch(pkts.size());
+    // The submitter's own executor is idle until the job is published.
+    job->watch =
+        plan->traced_cells(pkts, job->sample, workers_.back()->scratch);
+  }
+  job->num_chunks = (pkts.size() + kBatchChunk - 1) / kBatchChunk;
   job->ctl.arm(job->num_chunks);
 
   {
@@ -81,10 +92,79 @@ std::uint64_t WorkerPool::process(std::span<const Packet> pkts) {
     job_.reset();  // stragglers keep the Job alive via their own ref
   }
 
+  if (tracer != nullptr) publish_records(*job, *tracer);
   parallel_batches_.fetch_add(1, std::memory_order_relaxed);
   chunks_.fetch_add(job->num_chunks, std::memory_order_relaxed);
   dp_->note_parallel_batch(pkts.size());
   return plan->generation();
+}
+
+std::uint32_t WorkerPool::sequential_value(const Job& job, std::size_t wi,
+                                           const TraceFixup& f) {
+  // The fixup's replica held the fold of its executor's earlier chunks.  A
+  // sequential run would have read the live register folded with every
+  // replica as of the packet: for each other executor, its snapshot at its
+  // first chunk after the packet's (claims only ascend), or its final value.
+  const ExecPlan& plan = *job.plan;
+  std::uint32_t v = plan.live_register(f.cell.cmu)->load_relaxed(f.cell.addr);
+  const auto regions = plan.merge_regions();
+  const auto r = std::find_if(
+      regions.begin(), regions.end(), [&](const MergeRegion& m) {
+        return m.cmu == f.cell.cmu && f.cell.addr - m.base < m.size;
+      });
+  if (r == regions.end()) return v;  // no entry writes it: replicas read 0
+  v = fold_cell(r->kind, v, f.cur, r->value_mask);
+  const auto at = static_cast<std::size_t>(
+      std::lower_bound(job.watch.begin(), job.watch.end(), f.cell) -
+      job.watch.begin());
+  const std::size_t chunk = (f.seq - job.sample.first_seq) / kBatchChunk;
+  for (std::size_t wj = 0; wj < workers_.size(); ++wj) {
+    if (wj == wi) continue;
+    Worker& o = *workers_[wj];
+    const auto next =
+        std::upper_bound(o.snap_chunks.begin(), o.snap_chunks.end(), chunk);
+    const std::uint32_t ov =
+        next == o.snap_chunks.end()
+            ? o.shard.binding().regs[f.cell.cmu]->load_relaxed(f.cell.addr)
+            : o.snaps[static_cast<std::size_t>(next - o.snap_chunks.begin()) *
+                          job.watch.size() +
+                      at];
+    v = fold_cell(r->kind, v, ov, r->value_mask);
+  }
+  return v;
+}
+
+void WorkerPool::publish_records(const Job& job,
+                                 telemetry::PacketTracer& tracer) {
+  // Each executor's records are in seq order per chunk, but chunks
+  // interleave across executors.  The job's completion count ordered every
+  // executor's writes before this read.
+  std::vector<telemetry::TraceRecord> recs;
+  for (auto& w : workers_) {
+    std::move(w->scratch.records.begin(), w->scratch.records.end(),
+              std::back_inserter(recs));
+    w->scratch.records.clear();
+  }
+  std::sort(recs.begin(), recs.end(),
+            [](const telemetry::TraceRecord& a,
+               const telemetry::TraceRecord& b) { return a.seq < b.seq; });
+  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
+    for (const TraceFixup& f : workers_[wi]->scratch.fixups) {
+      const auto rec = std::lower_bound(
+          recs.begin(), recs.end(), f.seq,
+          [](const telemetry::TraceRecord& r, std::uint64_t seq) {
+            return r.seq < seq;
+          });
+      rec->steps[f.step].result = job.plan->step_result(
+          f.entry, sequential_value(job, wi, f), f.p1, f.p2);
+    }
+  }
+  for (auto& w : workers_) {
+    w->scratch.fixups.clear();
+    w->snap_chunks.clear();
+    w->snaps.clear();
+  }
+  for (telemetry::TraceRecord& r : recs) tracer.publish(std::move(r));
 }
 
 void WorkerPool::worker_main(std::size_t shard_idx) {
@@ -111,13 +191,20 @@ void WorkerPool::run_chunks(Job& job, std::size_t shard_idx) {
     const std::uint64_t t0 = profiled ? trace::now_cycles() : 0;
     const std::size_t i = job.ctl.claim();
     if (i >= job.num_chunks) return;  // nothing claimed: no completion debt
-    const std::size_t begin = i * job.chunk;
-    const std::size_t len = std::min(job.chunk, job.pkts.size() - begin);
+    const std::size_t begin = i * kBatchChunk;
+    const std::size_t len = std::min(kBatchChunk, job.pkts.size() - begin);
+    // A traced job records the replica's traced cells as of this chunk.
+    if (!job.watch.empty()) {
+      w.snap_chunks.push_back(i);
+      for (const Cell& cell : job.watch) {
+        w.snaps.push_back(binding.regs[cell.cmu]->load_relaxed(cell.addr));
+      }
+    }
     const std::uint64_t t1 = profiled ? trace::now_cycles() : 0;
     {
       trace::Span span("exec.chunk", job.plan->generation());
-      job.plan->run_batch_sharded(job.pkts.subspan(begin, len), w.scratch,
-                                  binding);
+      job.plan->run_batch(job.pkts.subspan(begin, len), w.scratch,
+                          job.sample.at(begin), &binding);
     }
     if (profiled) {
       const std::uint64_t t2 = trace::now_cycles();
@@ -197,9 +284,7 @@ void WorkerPool::note_fence_wait(std::uint64_t wait_ns) {
   }
 }
 
-void WorkerPool::count_fallback(const ExecPlan* plan, bool tracer) {
-  // Precedence mirrors the process() guard: a null plan is reported as
-  // no_plan even if a tracer is also attached.
+void WorkerPool::count_fallback(const ExecPlan* plan) {
   if (plan == nullptr) {
     fallback_no_plan_.fetch_add(1, std::memory_order_relaxed);
     if (fallback_counters_[0] != nullptr) fallback_counters_[0]->inc();
@@ -212,11 +297,6 @@ void WorkerPool::count_fallback(const ExecPlan* plan, bool tracer) {
       telemetry::Counter* c = blocker_counters_[static_cast<std::size_t>(k)];
       if (c != nullptr) c->inc();
     }
-    return;
-  }
-  if (tracer) {
-    fallback_tracer_.fetch_add(1, std::memory_order_relaxed);
-    if (fallback_counters_[2] != nullptr) fallback_counters_[2]->inc();
   }
 }
 
@@ -229,8 +309,8 @@ void WorkerPool::bind_telemetry(telemetry::Registry* registry) {
     shard_merge_us_ = nullptr;
     return;
   }
-  static const char* kReasons[3] = {"no_plan", "unmergeable", "tracer"};
-  for (std::size_t i = 0; i < 3; ++i) {
+  static const char* kReasons[2] = {"no_plan", "unmergeable"};
+  for (std::size_t i = 0; i < 2; ++i) {
     fallback_counters_[i] = &registry->counter("flymon_sharded_fallback_total",
                                                {{"reason", kReasons[i]}});
   }
@@ -254,7 +334,6 @@ ParallelStats WorkerPool::stats() const noexcept {
   s.fallback_no_plan = fallback_no_plan_.load(std::memory_order_relaxed);
   s.fallback_unmergeable =
       fallback_unmergeable_.load(std::memory_order_relaxed);
-  s.fallback_tracer = fallback_tracer_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -12,6 +12,14 @@
 // shard into the live registers — FlyMonDataPlane holds a Fence across
 // compile+publish, so a shard never carries deltas across a plan change
 // (the invariant RegisterShard::merge_into relies on).
+//
+// Tracing: the submitter takes the batch's sampling decision once, before
+// the job runs; each executor writes the records of the traced packets it
+// runs into its own BatchScratch and snapshots the traced cells of its
+// replica at every chunk it claims.  After the job the submitter rebuilds
+// each traced step's sequential SALU result from the live register and
+// those snapshots (the exact shard merge, cell by cell) and publishes the
+// records in seq order, so the tracer keeps a single writer.
 #pragma once
 
 #include <atomic>
@@ -37,14 +45,13 @@ namespace flymon::exec {
 /// Pool observability (all monotonic since enable_parallel).
 struct ParallelStats {
   std::uint64_t parallel_batches = 0;  ///< batches executed across shards
-  std::uint64_t fallback_batches = 0;  ///< sequential fallbacks (no plan, unmergeable plan, or tracer attached)
+  std::uint64_t fallback_batches = 0;  ///< sequential fallbacks (no plan or unmergeable plan)
   std::uint64_t chunks = 0;            ///< work-queue chunks claimed
   std::uint64_t merges = 0;            ///< quiesce/fence merges that folded a dirty shard
   // Fallback causes (sum == fallback_batches): a silent sequential run is
   // indistinguishable from a fast parallel one without these.
   std::uint64_t fallback_no_plan = 0;      ///< no compiled plan published
   std::uint64_t fallback_unmergeable = 0;  ///< plan has merge blockers
-  std::uint64_t fallback_tracer = 0;       ///< packet tracer attached
 };
 
 class WorkerPool {
@@ -61,9 +68,9 @@ class WorkerPool {
 
   /// Process a batch across all executors against the current plan
   /// snapshot.  Falls back to the data plane's sequential path (recording
-  /// a fallback stat) when no plan is published, the plan is not
-  /// shard-mergeable, or a tracer is attached.  Returns the generation
-  /// the batch executed under (0 = interpreted fallback).
+  /// a fallback stat) when no plan is published or the plan is not
+  /// shard-mergeable.  Returns the generation the batch executed under
+  /// (0 = interpreted fallback).
   std::uint64_t process(std::span<const Packet> pkts);
 
   /// Block new submissions, wait out the in-flight job, and fold every
@@ -102,7 +109,8 @@ class WorkerPool {
   struct Job {
     std::shared_ptr<const ExecPlan> plan;
     std::span<const Packet> pkts;
-    std::size_t chunk = kDefaultBatchChunk;
+    telemetry::TraceSample sample;  ///< the batch's tracing decision
+    std::vector<Cell> watch;        ///< ExecPlan::traced_cells
     std::size_t num_chunks = 0;
     /// Claim cursor + completion count; the memory-order contract lives
     /// with the template (protocol.hpp), shared with the model checker.
@@ -113,13 +121,24 @@ class WorkerPool {
     explicit Worker(const FlyMonDataPlane& dp) : shard(dp) {}
     RegisterShard shard;
     BatchScratch scratch;
+    /// Traced job: the chunks claimed, and the replica's traced cells as
+    /// of each (chunk-major, job.watch order).
+    std::vector<std::size_t> snap_chunks;
+    std::vector<std::uint32_t> snaps;
   };
 
   void worker_main(std::size_t shard_idx);
   void run_chunks(Job& job, std::size_t shard_idx);
   void merge_locked() FLYMON_REQUIRES(submit_mu_);
   void note_fence_wait(std::uint64_t wait_ns) FLYMON_REQUIRES(submit_mu_);
-  void count_fallback(const ExecPlan* plan, bool tracer)
+  void count_fallback(const ExecPlan* plan) FLYMON_REQUIRES(submit_mu_);
+  /// The value a sequential run would have read where fixup `f` of
+  /// executor `wi` read its replica.
+  std::uint32_t sequential_value(const Job& job, std::size_t wi,
+                                 const TraceFixup& f)
+      FLYMON_REQUIRES(submit_mu_);
+  /// Fix up and publish every executor's records of the finished job.
+  void publish_records(const Job& job, telemetry::PacketTracer& tracer)
       FLYMON_REQUIRES(submit_mu_);
 
   FlyMonDataPlane* dp_;
@@ -149,12 +168,11 @@ class WorkerPool {
   std::atomic<std::uint64_t> merges_{0};
   std::atomic<std::uint64_t> fallback_no_plan_{0};
   std::atomic<std::uint64_t> fallback_unmergeable_{0};
-  std::atomic<std::uint64_t> fallback_tracer_{0};
 
   // Telemetry handles, cached under submit_mu_ (written only by
   // bind_telemetry; read only by code already holding the lock).
-  telemetry::Counter* fallback_counters_[3] FLYMON_GUARDED_BY(submit_mu_) =
-      {};  ///< no_plan, unmergeable, tracer
+  telemetry::Counter* fallback_counters_[2] FLYMON_GUARDED_BY(submit_mu_) =
+      {};  ///< no_plan, unmergeable
   telemetry::Counter* blocker_counters_[4] FLYMON_GUARDED_BY(submit_mu_) =
       {};  ///< per MergeBlockerKind
   telemetry::Histogram* fence_wait_us_ FLYMON_GUARDED_BY(submit_mu_) = nullptr;

@@ -11,21 +11,9 @@ PacketTracer::PacketTracer(std::size_t capacity, std::uint64_t sample_every)
       ring_(capacity_),
       every_(sample_every == 0 ? 1 : sample_every) {}
 
-TraceRecord* PacketTracer::begin(const Packet& pkt) {
-  scratch_ = TraceRecord{};
-  const std::uint64_t seen = seen_.load(std::memory_order_relaxed);
-  scratch_.seq = seen == 0 ? 0 : seen - 1;  // seq of the packet just sampled
-  scratch_.ts_ns = pkt.ts_ns;
-  scratch_.ft = pkt.ft;
-  scratch_live_ = true;
-  return &scratch_;
-}
-
-void PacketTracer::commit() {
-  if (!scratch_live_) return;
-  scratch_live_ = false;
+void PacketTracer::publish(TraceRecord&& rec) {
   const common::MutexLock lock(mu_);
-  ring_[head_] = std::move(scratch_);
+  ring_[head_] = std::move(rec);
   head_ = (head_ + 1) % ring_.size();
   if (filled_ < ring_.size()) ++filled_;
   taken_.fetch_add(1, std::memory_order_relaxed);
@@ -41,7 +29,6 @@ void PacketTracer::clear() {
   for (TraceRecord& r : ring_) r = TraceRecord{};
   head_ = 0;
   filled_ = 0;
-  scratch_live_ = false;
   seen_.store(0, std::memory_order_relaxed);
   taken_.store(0, std::memory_order_relaxed);
 }

@@ -44,13 +44,45 @@ struct TraceRecord {
   FiveTuple ft{};
   std::vector<GroupKeys> keys;
   std::vector<CmuTraceStep> steps;
+
+  /// An empty record for packet `pkt` at arrival index `seq`.
+  static TraceRecord start(std::uint64_t seq, const Packet& pkt) {
+    TraceRecord r;
+    r.seq = seq;
+    r.ts_ns = pkt.ts_ns;
+    r.ft = pkt.ft;
+    return r;
+  }
 };
 
-/// Fixed-capacity ring of trace records with 1-in-N sampling.  Single-writer
-/// (the data-plane thread) fills a writer-private scratch record between
-/// begin() and commit(); commit() publishes it into the mutex-guarded ring, so
-/// concurrent readers (records(), to_json(), an exporter thread) only ever see
-/// completed records.
+/// One batch's sampling decision, taken once before the batch runs: its
+/// packets are seq first_seq, first_seq + 1, ... in arrival order, and
+/// packet seq is traced when seq % every == 0.  Every execution path of
+/// the batch (interpreted, compiled, sharded) reads the same decision.
+struct TraceSample {
+  std::uint64_t first_seq = 0;
+  std::uint64_t every = 0;  ///< 0 = no tracer attached
+
+  /// Is packet `i` of the batch traced?
+  bool traced(std::size_t i) const noexcept {
+    return every != 0 && (first_seq + i) % every == 0;
+  }
+  /// Index of the first traced packet (>= n when none of n is traced).
+  std::uint64_t first_traced() const noexcept {
+    return every == 0 ? ~std::uint64_t{0} : (every - first_seq % every) % every;
+  }
+  /// The decision for the sub-batch starting at packet `off`.
+  TraceSample at(std::size_t off) const noexcept {
+    return {first_seq + off, every};
+  }
+};
+
+/// Fixed-capacity ring of trace records with 1-in-N sampling.  Single
+/// writer: the thread that submitted a batch claims its sequence numbers
+/// with sample_batch() and, once the batch has run, publish()es its
+/// records in seq order into the mutex-guarded ring, so concurrent readers
+/// (records(), to_json(), an exporter thread) only ever see completed
+/// records.
 class PacketTracer {
  public:
   explicit PacketTracer(std::size_t capacity = 256, std::uint64_t sample_every = 1024);
@@ -73,20 +105,15 @@ class PacketTracer {
     return taken_.load(std::memory_order_relaxed);
   }
 
-  /// Per-packet sampling decision; advances the packet count.
-  bool should_sample() noexcept {
-    return (seen_.fetch_add(1, std::memory_order_relaxed) %
-            every_.load(std::memory_order_relaxed)) == 0;
+  /// Sampling decision for a batch of `n` packets; advances the packet
+  /// count by `n`.
+  TraceSample sample_batch(std::uint64_t n) noexcept {
+    const std::uint64_t first = seen_.fetch_add(n, std::memory_order_relaxed);
+    return {first, every_.load(std::memory_order_relaxed)};
   }
 
-  /// Start a record for this packet and return the writer-private scratch
-  /// slot for the pipeline to fill.  The pointer is valid until commit() (or
-  /// the next begin()); nothing is visible to readers until commit().
-  TraceRecord* begin(const Packet& pkt);
-
-  /// Publish the record started by the last begin() into the ring.  No-op if
-  /// no record is pending.  Writer thread only.
-  void commit();
+  /// Move one completed record into the ring.  Writer thread only.
+  void publish(TraceRecord&& rec);
 
   void clear();
 
@@ -100,8 +127,6 @@ class PacketTracer {
   std::size_t capacity_;  ///< == ring_.size(); immutable, readable lock-free
   mutable common::Mutex mu_{"telemetry.tracer"};
   std::vector<TraceRecord> ring_ FLYMON_GUARDED_BY(mu_);
-  TraceRecord scratch_;        ///< writer-private; published by commit()
-  bool scratch_live_ = false;  ///< writer-private
   std::size_t head_ FLYMON_GUARDED_BY(mu_) = 0;  ///< next slot to publish into
   std::size_t filled_ FLYMON_GUARDED_BY(mu_) = 0;
   std::atomic<std::uint64_t> seen_{0};

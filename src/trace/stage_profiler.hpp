@@ -6,11 +6,11 @@
 //   compiled path:  compression | filter | address | salu
 //   sharded path:   claim | execute | merge
 //
-// The profiler is off by default and entirely out of the un-sampled path:
+// The profiler is off by default and out of the per-packet path:
 // ExecPlan::run_batch checks one relaxed atomic per *batch* (not per
-// packet) and dispatches to a separately-instantiated profiled template,
-// so the common instantiation is byte-identical to an uninstrumented
-// build.  Per-stage cycles/items accumulate in process-wide atomics,
+// packet); a sampled batch laps each batch-wide stage once and the SALU
+// walk once per (CMU, batch), so the clock is never read per packet and
+// the stage sum reconciles with the unprofiled wall clock.  Per-stage cycles/items accumulate in process-wide atomics,
 // surface as a snapshot() for `micro_throughput --json` (the `stages`
 // row) and flow through the telemetry exporters via flush_to_registry().
 #pragma once
@@ -33,9 +33,9 @@ namespace flymon::trace {
 
 enum class Stage : std::uint8_t {
   kCompression = 0,  ///< batched key serialisation + hash lanes
-  kFilter,           ///< TCAM-filter match + sampling coin
-  kAddress,          ///< key slice, address translation, param prep
-  kSalu,             ///< stateful ALU op + chain/counter bookkeeping
+  kFilter,           ///< TCAM-filter match (batched SoA pass)
+  kAddress,          ///< key slice + address translation (batched SoA pass)
+  kSalu,             ///< per-CMU walk: sampling coin, preps, SALU op, chains
   kClaim,            ///< sharded: work-queue chunk claim overhead
   kExecute,          ///< sharded: per-chunk plan execution
   kMerge,            ///< sharded: folding dirty shards into live registers

@@ -2,13 +2,14 @@
 //   - golden equivalence: the interpreted per-packet path, the compiled
 //     per-packet path and the compiled batched path must leave byte-identical
 //     register state and identical telemetry counts for the same trace;
-//   - tracer fallback: traced packets run the interpreted slow path even
-//     when a plan is published, producing the same trace records;
+//   - compiled tracing: traced packets run the compiled (and sharded) path
+//     and record the same PHV transformations as the interpreted referee;
 //   - plan generations across controller reconfiguration;
 //   - RCU snapshot swap under a concurrent reconfiguration thread (the
 //     interesting assertions fire under TSan: no data race, no torn plan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -18,10 +19,12 @@
 
 #include "control/controller.hpp"
 #include "exec/exec_plan.hpp"
+#include "exec/worker_pool.hpp"
 #include "packet/trace_gen.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_ring.hpp"
 #include "verify/planner.hpp"
+#include "verify/translate/translate.hpp"
 
 namespace flymon {
 namespace {
@@ -250,36 +253,83 @@ TEST(ExecGolden, CompiledAndBatchedMatchInterpretedByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer fallback: traced packets take the interpreted slow path and record
-// the same PHV transformations as a fully interpreted run.
+// Compiled tracing: traced packets run the same plan on the same path as
+// untraced ones, and every path's trace records are byte-equal to the
+// interpreted referee's.
 // ---------------------------------------------------------------------------
 
-TEST(ExecTracer, TracedPacketsFallBackToInterpretedPath) {
-  EnabledGuard on(true);
-  const std::vector<Packet> trace = make_trace(50, 200, 3);
+void deploy_chains(control::Controller& ctl) {
+  TaskSpec sumax;
+  sumax.name = "sumax";
+  sumax.key = FlowKeySpec::five_tuple();
+  sumax.attribute = AttributeKind::kFrequency;
+  sumax.algorithm = Algorithm::kSuMaxSum;
+  sumax.memory_buckets = 4096;
+  sumax.rows = 3;
+  const auto a = ctl.add_task(sumax);
+  ASSERT_TRUE(a.ok) << "sumax: " << a.error;
+  TaskSpec gap;
+  gap.name = "maxgap";
+  gap.key = FlowKeySpec::five_tuple();
+  gap.attribute = AttributeKind::kMax;
+  gap.algorithm = Algorithm::kMaxInterarrival;
+  gap.memory_buckets = 8192;
+  gap.rows = 1;
+  const auto b = ctl.add_task(gap);
+  ASSERT_TRUE(b.ok) << "maxgap: " << b.error;
+}
 
-  World wi, wb;
-  ASSERT_NO_FATAL_FAILURE(deploy_cms(wi.ctl));
-  ASSERT_NO_FATAL_FAILURE(deploy_cms(wb.ctl));
+void deploy_coupons(control::Controller& ctl) {
+  TaskSpec s;
+  s.name = "beaucoup";
+  s.key = FlowKeySpec::dst_ip();
+  s.attribute = AttributeKind::kDistinct;
+  s.param = ParamSpec::compressed(FlowKeySpec::src_ip());
+  s.algorithm = Algorithm::kBeauCoup;
+  s.report_threshold = 1000;  // coupon draw total < 1: most packets abort
+  s.memory_buckets = 8192;
+  s.rows = 2;
+  const auto r = ctl.add_task(s);
+  ASSERT_TRUE(r.ok) << "beaucoup: " << r.error;
+}
 
-  telemetry::PacketTracer ti(256, 4), tb(256, 4);
-  wi.dp.set_tracer(&ti);
-  wi.dp.unpublish_plan();
-  for (const Packet& p : trace) wi.dp.process(p);
+void deploy_sampled(control::Controller& ctl) {
+  TaskSpec s;
+  s.name = "sampled";
+  s.key = FlowKeySpec::src_ip();
+  s.attribute = AttributeKind::kFrequency;
+  s.memory_buckets = 4096;
+  s.rows = 2;
+  s.sample_probability = 0.5;
+  const auto r = ctl.add_task(s);
+  ASSERT_TRUE(r.ok) << "sampled: " << r.error;
+}
 
-  wb.dp.set_tracer(&tb);
-  ASSERT_GT(wb.dp.process_batch(trace), 0u);
+/// A CMS plus a configured hash unit no entry references: the plan hashes
+/// it for traced packets only, so their records still list its key.
+void deploy_unreferenced_unit(control::Controller& ctl) {
+  ASSERT_NO_FATAL_FAILURE(deploy_cms(ctl));
+  CompressionStage& comp = ctl.dataplane().group(0).compression();
+  const auto spare = comp.free_unit();
+  ASSERT_TRUE(spare.has_value());
+  comp.configure(*spare, FlowKeySpec::dst_ip());
+  ASSERT_GT(ctl.dataplane().republish_plan(), 0u);
+}
 
-  EXPECT_EQ(ti.packets_seen(), tb.packets_seen());
-  EXPECT_EQ(ti.records_taken(), tb.records_taken());
-  EXPECT_GT(tb.records_taken(), 0u);
-  expect_identical_registers(wi.dp, wb.dp, "tracer fallback");
-
-  const auto ra = ti.records();
-  const auto rb = tb.records();
-  ASSERT_EQ(ra.size(), rb.size());
+void expect_identical_records(const std::vector<telemetry::TraceRecord>& ra,
+                              const std::vector<telemetry::TraceRecord>& rb,
+                              const char* what) {
+  ASSERT_EQ(ra.size(), rb.size()) << what;
   for (std::size_t i = 0; i < ra.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << what << ": record " << i);
     EXPECT_EQ(ra[i].seq, rb[i].seq);
+    EXPECT_EQ(ra[i].ts_ns, rb[i].ts_ns);
+    EXPECT_TRUE(ra[i].ft == rb[i].ft);
+    ASSERT_EQ(ra[i].keys.size(), rb[i].keys.size());
+    for (std::size_t g = 0; g < ra[i].keys.size(); ++g) {
+      EXPECT_EQ(ra[i].keys[g].group, rb[i].keys[g].group);
+      EXPECT_EQ(ra[i].keys[g].unit_keys, rb[i].keys[g].unit_keys);
+    }
     ASSERT_EQ(ra[i].steps.size(), rb[i].steps.size());
     for (std::size_t j = 0; j < ra[i].steps.size(); ++j) {
       const auto& sa = ra[i].steps[j];
@@ -295,6 +345,90 @@ TEST(ExecTracer, TracedPacketsFallBackToInterpretedPath) {
       EXPECT_EQ(sa.p2, sb.p2);
       EXPECT_EQ(sa.result, sb.result);
       EXPECT_EQ(sa.aborted, sb.aborted);
+    }
+  }
+}
+
+TEST(ExecTracer, RecordsMatchInterpretedRefereeOnEveryPath) {
+  EnabledGuard on(true);
+  struct Case {
+    const char* name;
+    void (*deploy)(control::Controller&);
+    bool mergeable;
+  };
+  const Case cases[] = {
+      {"chains", deploy_chains, false},
+      {"coupons", deploy_coupons, true},
+      {"sampled", deploy_sampled, true},
+      {"unreferenced-unit", deploy_unreferenced_unit, true},
+  };
+  const std::vector<Packet> trace = make_trace(200, 3000, 3);
+  constexpr std::uint64_t kEvery = 5;
+
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    // The interpreted referee, one packet at a time with no plan.  Before
+    // dropping its plan, the translation validator (lane audit included)
+    // must accept it.
+    World wi;
+    ASSERT_NO_FATAL_FAILURE(tc.deploy(wi.ctl));
+    const auto plan = wi.dp.current_plan();
+    ASSERT_NE(plan, nullptr);
+    verify::VerifyReport report;
+    verify::translate::validate_translation(wi.dp, *plan, report);
+    EXPECT_FALSE(report.has_errors()) << report.format();
+    EXPECT_FALSE(report.has_check("translate.lane")) << report.format();
+    wi.dp.unpublish_plan();
+    telemetry::PacketTracer ti(1024, kEvery);
+    wi.dp.set_tracer(&ti);
+    for (const Packet& p : trace) wi.dp.process(p);
+    const auto referee = ti.records();
+    ASSERT_EQ(referee.size(), (trace.size() + kEvery - 1) / kEvery);
+
+    // Each case exercises what it is in the table for.
+    const std::string name = tc.name;
+    if (name == "coupons") {
+      bool saw_abort = false;
+      for (const auto& rec : referee) {
+        for (const auto& step : rec.steps) saw_abort |= step.aborted;
+      }
+      EXPECT_TRUE(saw_abort);
+    }
+    if (name == "unreferenced-unit") {
+      EXPECT_GT(plan->hash_slots().size(), plan->lane_slots().size());
+      const auto& keys = referee.front().keys.front().unit_keys;
+      EXPECT_GE(std::count_if(keys.begin(), keys.end(),
+                              [](std::uint32_t k) { return k != 0; }),
+                2);
+    }
+
+    const auto check = [&](const char* what, auto run) {
+      World w;
+      ASSERT_NO_FATAL_FAILURE(tc.deploy(w.ctl));
+      ASSERT_NE(w.dp.current_plan(), nullptr);
+      ASSERT_EQ(w.dp.current_plan()->shard_mergeable(), tc.mergeable);
+      telemetry::PacketTracer tracer(1024, kEvery);
+      w.dp.set_tracer(&tracer);
+      run(w);
+      w.dp.merge_shards();
+      EXPECT_EQ(tracer.packets_seen(), trace.size()) << what;
+      expect_identical_records(referee, tracer.records(), what);
+      expect_identical_registers(wi.dp, w.dp, what);
+    };
+    check("compiled per-packet", [&](World& w) {
+      for (const Packet& p : trace) ASSERT_GT(w.dp.process_batch({&p, 1}), 0u);
+    });
+    check("batched", [&](World& w) {
+      ASSERT_GT(w.dp.process_batch(trace), 0u);
+    });
+    if (!tc.mergeable) continue;
+    for (const unsigned workers : {2u, 4u}) {
+      const std::string what = "sharded@" + std::to_string(workers);
+      check(what.c_str(), [&](World& w) {
+        w.dp.enable_parallel(workers);
+        ASSERT_GT(w.dp.process_batch_parallel(trace), 0u);
+        EXPECT_EQ(w.dp.parallel_stats().parallel_batches, 1u);
+      });
     }
   }
 }

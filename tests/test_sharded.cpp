@@ -8,6 +8,8 @@
 //   - merge-on-demand: controller readouts and telemetry collection fold
 //     outstanding shard deltas without an explicit merge call;
 //   - epoch integration: EpochRunner sees post-merge registers at readout;
+//   - tracing: an attached tracer keeps batches parallel, and toggling it
+//     while a drain runs is race-free (TSan);
 //   - reconfigure-while-processing churn (the interesting assertions fire
 //     under TSan: publish fencing vs in-flight parallel batches).
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include "exec/worker_pool.hpp"
 #include "packet/trace_gen.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_ring.hpp"
 
 namespace flymon {
 namespace {
@@ -223,8 +226,7 @@ TEST(ShardedGolden, FourWorkersMatchSequentialByteForByte) {
   const exec::ParallelStats stats = wp.dp.parallel_stats();
   EXPECT_EQ(stats.parallel_batches, 1u);
   EXPECT_EQ(stats.fallback_batches, 0u);
-  EXPECT_GE(stats.chunks,
-            trace.size() / wp.dp.batch_options().chunk_size);
+  EXPECT_GE(stats.chunks, trace.size() / exec::kBatchChunk);
   EXPECT_GE(stats.merges, 1u);
 
   EXPECT_EQ(ws.dp.packets_processed(), trace.size());
@@ -372,22 +374,26 @@ TEST(ShardedFallback, ChainedPlansAreFlaggedAndFallBackSequentially) {
   expect_identical_registers(ws.dp, wp.dp, "unmergeable fallback");
 }
 
-TEST(ShardedFallback, TracerAttachedFallsBackSequentially) {
+TEST(ShardedTracer, TracerAttachedStaysParallel) {
   EnabledGuard on(true);
-  World w;
-  deploy_mergeable_mix(w.ctl);
-  w.dp.enable_parallel(2);
+  World ws, wp;
+  deploy_mergeable_mix(ws.ctl);
+  deploy_mergeable_mix(wp.ctl);
+  wp.dp.enable_parallel(2);
 
   telemetry::PacketTracer tracer(64, 16);
-  w.dp.set_tracer(&tracer);
-  const std::vector<Packet> trace = make_trace(50, 400, 3);
-  w.dp.process_batch_parallel(trace);
-  w.dp.set_tracer(nullptr);
+  wp.dp.set_tracer(&tracer);
+  const std::vector<Packet> trace = make_trace(50, 2000, 3);
+  ws.dp.process_batch(trace);
+  wp.dp.process_batch_parallel(trace);
+  wp.dp.set_tracer(nullptr);
+  wp.dp.merge_shards();
 
-  EXPECT_GT(tracer.records_taken(), 0u);
-  const exec::ParallelStats stats = w.dp.parallel_stats();
-  EXPECT_EQ(stats.parallel_batches, 0u);
-  EXPECT_EQ(stats.fallback_batches, 1u);
+  EXPECT_EQ(tracer.records_taken(), trace.size() / 16);
+  const exec::ParallelStats stats = wp.dp.parallel_stats();
+  EXPECT_GT(stats.parallel_batches, 0u);
+  EXPECT_EQ(stats.fallback_batches, 0u);
+  expect_identical_registers(ws.dp, wp.dp, "traced 2-worker vs untraced");
 }
 
 // ---------------------------------------------------------------------------
@@ -765,6 +771,53 @@ TEST(ShardedChurn, ReconfigureWhileProcessingIsRaceFree) {
       << "parallel path observed a decreasing plan generation";
   EXPECT_GE(batches, 8u);
   EXPECT_EQ(w.dp.packets_processed(), batches * trace.size());
+}
+
+// The shell's `trace off` may run while an `ingest start` drain thread is
+// mid-batch: the data plane loads the tracer once per batch, so toggling it
+// from another thread is race-free and never changes the registers.
+TEST(ShardedChurn, TracerToggleDuringDrainIsRaceFree) {
+  EnabledGuard on(false);
+  World ws, wp;
+  deploy_mergeable_mix(ws.ctl);
+  deploy_mergeable_mix(wp.ctl);
+  wp.dp.enable_parallel(2);
+  const std::vector<Packet> trace = make_trace(256, 4096, 23);
+  constexpr int kDrains = 12;
+
+  telemetry::PacketTracer tracer(128, 7);
+  std::atomic<bool> done{false};
+  std::thread toggler([&] {
+    bool on = false;
+    while (!done.load(std::memory_order_acquire)) {
+      on = !on;
+      wp.dp.set_tracer(on ? &tracer : nullptr);
+      (void)tracer.records();
+      std::this_thread::yield();
+    }
+    wp.dp.set_tracer(nullptr);
+  });
+  std::uint64_t drained = 0;
+  for (int i = 0; i < kDrains; ++i) {
+    ingest::MemorySource source{trace};
+    drained += wp.dp.drain(source).packets;
+  }
+  done.store(true, std::memory_order_release);
+  toggler.join();
+  wp.dp.merge_shards();
+
+  for (int i = 0; i < kDrains; ++i) ws.dp.process_batch(trace);
+  EXPECT_EQ(drained, kDrains * trace.size());
+  EXPECT_EQ(wp.dp.parallel_stats().fallback_batches, 0u);
+  expect_identical_registers(ws.dp, wp.dp, "tracer toggled during drain");
+  const auto recs = tracer.records();
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].seq % 7, 0u);
+    EXPECT_FALSE(recs[i].steps.empty());  // the wildcard CMS always runs
+    if (i > 0) {
+      EXPECT_LT(recs[i - 1].seq, recs[i].seq);
+    }
+  }
 }
 
 }  // namespace

@@ -164,12 +164,18 @@ TEST(TelemetryExport, FormatNumber) {
 
 TEST(PacketTracer, SamplesOneInN) {
   telemetry::PacketTracer tracer(4, 3);
+  // Two batches: the second continues the first's sequence numbers.
+  const telemetry::TraceSample a = tracer.sample_batch(5);
+  const telemetry::TraceSample b = tracer.sample_batch(7);
   unsigned sampled = 0;
-  for (unsigned i = 0; i < 12; ++i) {
-    if (tracer.should_sample()) ++sampled;
-  }
+  for (unsigned i = 0; i < 5; ++i) sampled += a.traced(i) ? 1 : 0;
+  for (unsigned i = 0; i < 7; ++i) sampled += b.traced(i) ? 1 : 0;
   EXPECT_EQ(sampled, 4u);  // packets 0, 3, 6, 9
+  EXPECT_EQ(b.first_seq, 5u);
+  EXPECT_EQ(b.first_traced(), 1u);  // packet 6
+  EXPECT_EQ(b.at(2).first_traced(), 2u);  // packet 9
   EXPECT_EQ(tracer.packets_seen(), 12u);
+  EXPECT_GE(telemetry::TraceSample{}.first_traced(), 12u);  // no tracer
 }
 
 TEST(PacketTracer, RingKeepsNewestOldestFirst) {
@@ -177,9 +183,8 @@ TEST(PacketTracer, RingKeepsNewestOldestFirst) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     Packet p;
     p.ts_ns = i;
-    ASSERT_TRUE(tracer.should_sample());
-    tracer.begin(p);
-    tracer.commit();
+    ASSERT_TRUE(tracer.sample_batch(1).traced(0));
+    tracer.publish(telemetry::TraceRecord::start(i, p));
   }
   EXPECT_EQ(tracer.records_taken(), 5u);
   const auto recs = tracer.records();

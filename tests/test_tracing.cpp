@@ -486,7 +486,7 @@ TEST(StageProfiler, SamplingRateGatesAttribution) {
   ASSERT_TRUE(ctl.add_task(cms_spec()).ok);
   // Fits one batch chunk, so each process_batch is one sampling decision.
   const std::vector<Packet> trace = make_trace(100, 200, 3);
-  ASSERT_LE(trace.size(), exec::kDefaultBatchChunk);
+  ASSERT_LE(trace.size(), exec::kBatchChunk);
 
   prof.set_enabled(true);
   prof.set_sample_every(4);
@@ -551,7 +551,7 @@ TEST(FallbackTelemetry, UnmergeablePlanCountsReasonAndBlockerKind) {
   const auto stats = dp.parallel_stats();
   EXPECT_EQ(stats.fallback_batches, 1u);
   EXPECT_EQ(stats.fallback_unmergeable, 1u);
-  EXPECT_EQ(stats.fallback_no_plan + stats.fallback_tracer, 0u);
+  EXPECT_EQ(stats.fallback_no_plan, 0u);
   EXPECT_EQ(registry
                 .counter("flymon_sharded_fallback_total",
                          {{"reason", "unmergeable"}})
