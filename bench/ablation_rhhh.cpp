@@ -65,7 +65,7 @@ int main() {
       std::printf("%12u deploy failed: %s\n", buckets, task.error().c_str());
       continue;
     }
-    dp.process_all(trace);
+    dp.process_batch(trace);
 
     std::vector<FlowKeyValue> candidates;
     {

@@ -20,7 +20,7 @@ double f1_at(double p, std::size_t mem_bytes, const std::vector<Packet>& trace,
       static_cast<std::uint32_t>(std::max<std::size_t>(32, mem_bytes / (4 * spec.rows)));
   auto inst = bench::deploy_flymon(spec);
   if (!inst.ok) return -1;
-  inst.dp->process_all(trace);
+  inst.dp->process_batch(trace);
   // Estimates are scaled back by 1/p at readout.
   const auto scaled_threshold =
       static_cast<std::uint64_t>(static_cast<double>(kThreshold) * p);

@@ -24,7 +24,7 @@ double flymon_f1(unsigned d, std::size_t mem_bytes, const std::vector<Packet>& t
       static_cast<std::uint32_t>(std::max<std::size_t>(32, mem_bytes / (4 * d)));
   auto inst = bench::deploy_flymon(spec);
   if (!inst.ok) return -1;
-  inst.dp->process_all(trace);
+  inst.dp->process_batch(trace);
   const auto reported = inst.ctl->detect_over_threshold(
       inst.task_id, bench::keys_of(truth), kThreshold);
   return analysis::score_detection(victims, reported).f1();

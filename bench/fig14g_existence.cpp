@@ -20,7 +20,7 @@ double existence_fp(bool bit_packed, std::size_t mem_bytes,
       static_cast<std::uint32_t>(std::max<std::size_t>(32, mem_bytes / (4 * spec.rows)));
   auto inst = bench::deploy_flymon(spec);
   if (!inst.ok) return -1;
-  inst.dp->process_all(members);
+  inst.dp->process_batch(members);
 
   // No false negatives allowed.
   for (std::size_t i = 0; i < members.size(); i += 37) {

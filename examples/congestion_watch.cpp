@@ -50,7 +50,7 @@ int main() {
   cfg.num_flows = 3000;
   cfg.num_packets = 200'000;
   const std::vector<Packet> trace = TraceGenerator::generate(cfg);
-  dataplane.process_all(trace);
+  dataplane.process_batch(trace);
 
   // Readout vs ground truth for the ten busiest pairs.
   const FreqMap qtruth = ExactStats::max_value(trace, congestion.key, MetaField::kQueueLen);

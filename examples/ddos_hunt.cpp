@@ -44,7 +44,7 @@ int main() {
   const auto card_h = controller.add_task(card);
   std::printf("deployed in %.2f ms\n", card_h.report.delay_ms());
 
-  dataplane.process_all(trace);
+  dataplane.process_batch(trace);
   std::printf("estimated distinct 5-tuples: %.0f (true: %llu)\n",
               controller.estimate_cardinality(card_h.task_id),
               static_cast<unsigned long long>(
@@ -67,7 +67,7 @@ int main() {
               ddos_h.report.delay_ms());
 
   dataplane.clear_registers();
-  dataplane.process_all(trace);
+  dataplane.process_batch(trace);
 
   const FreqMap spread = ExactStats::distinct(trace, ddos.key, FlowKeySpec::src_ip());
   std::vector<FlowKeyValue> candidates;
@@ -94,7 +94,7 @@ int main() {
               controller.num_tasks());
 
   dataplane.clear_registers();
-  dataplane.process_all(trace);
+  dataplane.process_batch(trace);
 
   const FreqMap sizes = ExactStats::frequency(trace, hh.key);
   std::vector<FlowKeyValue> flows;

@@ -44,7 +44,7 @@ int main() {
   cfg.num_flows = 5000;
   cfg.num_packets = 200'000;
   const std::vector<Packet> trace = TraceGenerator::generate(cfg);
-  dataplane.process_all(trace);
+  dataplane.process_batch(trace);
   std::printf("processed %llu packets\n",
               static_cast<unsigned long long>(dataplane.packets_processed()));
 

@@ -157,24 +157,22 @@ std::optional<CompressedKeySelector> Controller::ensure_selector(
   return std::nullopt;
 }
 
-void Controller::ref_selector(unsigned group, const CompressedKeySelector& sel) {
-  if (sel.unit_a >= 0) ++unit_refs_[{group, static_cast<unsigned>(sel.unit_a)}];
-  if (sel.unit_b >= 0) ++unit_refs_[{group, static_cast<unsigned>(sel.unit_b)}];
-}
-
-void Controller::unref_selector(unsigned group, const CompressedKeySelector& sel) {
-  auto drop = [&](std::int8_t unit) {
-    if (unit < 0) return;
+void Controller::ref_units(unsigned group, const CmuTaskEntry& e, bool add) {
+  // A unit whose count drops to zero stays configured until
+  // gc_unreferenced_units(), so a rollback can reattach an entry reading it.
+  const bool param = e.p1.source == ParamSelect::Source::kCompressedKey;
+  for (const std::int8_t unit : {e.key_sel.unit_a, e.key_sel.unit_b,
+                                 param ? e.p1.key_sel.unit_a : std::int8_t{-1},
+                                 param ? e.p1.key_sel.unit_b : std::int8_t{-1}}) {
+    if (unit < 0) continue;
     const auto key = std::make_pair(group, static_cast<unsigned>(unit));
-    auto it = unit_refs_.find(key);
-    if (it == unit_refs_.end()) return;
-    if (--it->second == 0) {
+    if (add) {
+      ++unit_refs_[key];
+    } else if (const auto it = unit_refs_.find(key);
+               it != unit_refs_.end() && --it->second == 0) {
       unit_refs_.erase(it);
-      dp_->group(group).compression().clear_unit(static_cast<unsigned>(unit));
     }
-  };
-  drop(sel.unit_a);
-  drop(sel.unit_b);
+  }
 }
 
 std::vector<exec::EntryOwnership> Controller::entry_ownership() const {
@@ -214,17 +212,11 @@ void Controller::recompile_and_publish() {
 DeployResult Controller::add_task(const TaskSpec& spec) {
   trace::ReconfigScope reconfig;
   trace::Span span("ctl.add_task", reconfig.tag());
-  // Fold outstanding shard deltas before the deployment mutates register
-  // layout: the end-of-mutation publish fence also merges, but by then
-  // this mutation may already have cleared/reused the very cells the
-  // deltas target (merge-after-clear would resurrect pre-mutation state).
-  dp_->merge_shards();
   if (paranoid_) {
     // Pre-flight: dry-run the add against a shadow world before touching
-    // the live pipeline.  The post-commit gate in deploy() still runs —
-    // the pre-flight proves intent, the post-commit gate proves the
-    // commit — but a bad spec is now rejected with the live data plane
-    // never modified.
+    // the live pipeline.  The verify gate in reconfigure() still runs —
+    // the pre-flight proves intent, the gate proves the commit — but a
+    // bad spec is rejected with the live data plane never modified.
     trace::Span gate("ctl.plan_gate");
     last_verify_errors_ = run_plan_gate(spec);
     if (!last_verify_errors_.empty()) {
@@ -234,30 +226,184 @@ DeployResult Controller::add_task(const TaskSpec& spec) {
       return r;
     }
   }
-  DeployResult r = deploy(spec, next_id_);
-  if (r.ok) {
-    ++next_id_;
-    recompile_and_publish();
-  }
+  return reconfigure({spec}, 0).front();
+}
+
+bool Controller::remove_task(std::uint32_t id) {
+  if (tasks_.find(id) == tasks_.end()) return false;
+  trace::ReconfigScope reconfig;
+  trace::Span span("ctl.remove_task", id);
+  reconfigure({}, id);
+  return true;
+}
+
+DeployResult Controller::resize_task(std::uint32_t id, std::uint32_t new_buckets) {
+  const auto it = tasks_.find(id);
+  if (it == tasks_.end()) return {false, "unknown task", 0, {}};
+  trace::ReconfigScope reconfig;
+  trace::Span span("ctl.resize_task", id);
+  TaskSpec spec = it->second.spec;
+  spec.memory_buckets = new_buckets;
+  DeployResult r = reconfigure({spec}, id).front();
+  if (r.ok) resizes_counter_->inc();
   return r;
 }
 
-void Controller::undo_deployment(DeployedTask& t) {
+std::pair<DeployResult, DeployResult> Controller::split_task(std::uint32_t id) {
+  const auto it = tasks_.find(id);
+  if (it == tasks_.end()) return {{false, "unknown task", 0, {}}, {}};
+  trace::ReconfigScope reconfig;
+  trace::Span span("ctl.split_task", id);
+  const TaskSpec& spec = it->second.spec;
+  const TaskFilter& f = spec.filter;
+
+  TaskSpec a = spec, b = spec;
+  if (f.src_len < 32) {
+    a.filter.src_len = static_cast<std::uint8_t>(f.src_len + 1);
+    b.filter.src_len = a.filter.src_len;
+    b.filter.src_ip = f.src_ip | (1u << (31 - f.src_len));
+    a.name += "/lo";
+    b.name += "/hi";
+  } else if (f.dst_len < 32) {
+    a.filter.dst_len = static_cast<std::uint8_t>(f.dst_len + 1);
+    b.filter.dst_len = a.filter.dst_len;
+    b.filter.dst_ip = f.dst_ip | (1u << (31 - f.dst_len));
+    a.name += "/lo";
+    b.name += "/hi";
+  } else {
+    return {{false, "filter is a host route; nothing to split", 0, {}}, {}};
+  }
+
+  const std::vector<DeployResult> r = reconfigure({a, b}, id);
+  if (!r.front().ok) return {r.front(), {}};
+  return {r[0], r[1]};
+}
+
+ApplyResult Controller::apply(const PlanOp& op, std::string_view label) {
+  const std::string task = std::string(label) + " ";
+  DeployResult r;
+  switch (op.kind) {
+    case PlanOp::Kind::kAdd:
+      r = add_task(op.spec);
+      return {r.ok, r.ok ? "deployed as " + task + std::to_string(r.task_id) : r.error};
+    case PlanOp::Kind::kRemove:
+      if (remove_task(op.task_id)) return {true, "removed"};
+      return {false, "unknown " + task + std::to_string(op.task_id)};
+    case PlanOp::Kind::kResize:
+      r = resize_task(op.task_id, op.new_buckets);
+      return {r.ok, r.ok ? "resized to " + std::to_string(op.new_buckets) + " buckets"
+                         : r.error};
+    case PlanOp::Kind::kSplit: {
+      const auto [lo, hi] = split_task(op.task_id);
+      return {lo.ok, lo.ok ? "split into " + std::string(label) + "s " +
+                                 std::to_string(lo.task_id) + " + " +
+                                 std::to_string(hi.task_id)
+                           : lo.error};
+    }
+  }
+  return {false, "unknown op"};
+}
+
+std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& stage,
+                                                  std::uint32_t retire) {
+  // Fold outstanding shard deltas before staging clears or reuses cells:
+  // merge-after-clear would resurrect pre-reconfiguration state.  Deltas
+  // that traffic adds later target only the published plan's cells, and
+  // the publish fence folds them.
+  dp_->merge_shards();
+  const std::uint32_t first_id = next_id_;
+  std::vector<DeployResult> results;
+  decltype(tasks_)::node_type retired;
+  std::vector<DetachedEntry> detached;
+
+  // Undo everything in reverse: reinstall the retired task while the
+  // staged instances still reference any hash unit it shares, then unwind
+  // the staged instances.  The data plane ends byte-identical.
+  const auto rollback = [&](std::string error) {
+    reattach(detached);
+    tasks_.insert(std::move(retired));
+    for (std::uint32_t id = next_id_; id-- > first_id;) {
+      undo_deployment(tasks_.at(id));
+      tasks_.erase(id);
+    }
+    next_id_ = first_id;
+    deploy_failures_counter_->inc();
+    DeployResult r;
+    r.error = std::move(error);
+    return std::vector<DeployResult>{r};
+  };
+
+  for (const TaskSpec& spec : stage) {
+    DeployResult r = deploy(spec, next_id_);
+    if (!r.ok) return rollback(std::move(r.error));
+    ++next_id_;
+    results.push_back(std::move(r));
+  }
+  if (retire != 0) {
+    retired = tasks_.extract(retire);
+    detached = detach(retired.mapped());
+  }
+  if (paranoid_) {
+    // The gate sees the final state, so one run covers the whole
+    // reconfiguration.  A pure removal stages nothing to undo: its gate
+    // only reports.
+    trace::Span gate("ctl.verify_gate");
+    last_verify_errors_ = run_verify_gate();
+    gate.close();
+    if (!last_verify_errors_.empty() && !stage.empty()) {
+      return rollback("paranoid verify rejected deployment:\n" + last_verify_errors_);
+    }
+  }
+
+  if (retired) {
+    trace::Span reclaim("ctl.reclaim", retire);
+    release(retired.mapped());
+    reclaim.close();
+    removals_counter_->inc();
+    // A one-for-one replacement (resize) takes over the retired public id.
+    if (stage.size() == 1) {
+      auto node = tasks_.extract(first_id);
+      node.key() = retire;
+      node.mapped().id = retire;
+      node.mapped().cumulative_delay_ms += retired.mapped().cumulative_delay_ms;
+      tasks_.insert(std::move(node));
+      results.front().task_id = retire;
+    }
+  }
+  deploys_counter_->inc(stage.size());
+  recompile_and_publish();
+  return results;
+}
+
+std::vector<Controller::DetachedEntry> Controller::detach(const DeployedTask& t) {
+  std::vector<DetachedEntry> out;
   for (const RowPlacement& row : t.rows) {
     for (const UnitPlacement& up : row.units) {
       Cmu& cmu = dp_->group(up.group).cmu(up.cmu);
       const CmuTaskEntry* e = cmu.find(up.phys_id);
-      if (e != nullptr) {
-        unref_selector(up.group, e->key_sel);
-        if (e->p1.source == ParamSelect::Source::kCompressedKey) {
-          unref_selector(up.group, e->p1.key_sel);
-        }
-        cmu.remove(up.phys_id);
-      }
-      if (up.partition.size != 0) {
-        cmu.reg().clear_range(up.partition.base, up.partition.end());
-        allocator(up.group, up.cmu).release(up.partition);
-      }
+      if (e == nullptr) continue;
+      ref_units(up.group, *e, false);
+      out.push_back({up.group, up.cmu, *e});
+      cmu.remove(up.phys_id);
+    }
+  }
+  return out;
+}
+
+void Controller::reattach(const std::vector<DetachedEntry>& entries) {
+  for (const DetachedEntry& d : entries) {
+    dp_->group(d.group).cmu(d.cmu).install(d.entry);
+    ref_units(d.group, d.entry, true);
+  }
+}
+
+void Controller::release(DeployedTask& t) {
+  for (const RowPlacement& row : t.rows) {
+    for (const UnitPlacement& up : row.units) {
+      if (up.partition.size == 0) continue;
+      dp_->group(up.group).cmu(up.cmu).reg().clear_range(up.partition.base,
+                                                         up.partition.end());
+      allocator(up.group, up.cmu).release(up.partition);
     }
   }
   t.rows.clear();
@@ -265,8 +411,9 @@ void Controller::undo_deployment(DeployedTask& t) {
 }
 
 void Controller::gc_unreferenced_units() {
-  // Clear hash units configured during placement probes that ended up
-  // unused (e.g. a group that offered a selector but had no free CMU).
+  // Clear hash units no entry references: leftovers of placement probes
+  // (e.g. a group that offered a selector but had no free CMU) and units
+  // whose last reader was released.
   for (unsigned g = 0; g < dp_->num_groups(); ++g) {
     auto& comp = dp_->group(g).compression();
     for (unsigned u = 0; u < comp.num_units(); ++u) {
@@ -280,37 +427,18 @@ void Controller::gc_unreferenced_units() {
 DeployResult Controller::deploy(const TaskSpec& spec, std::uint32_t public_id) {
   trace::Span span("ctl.deploy", public_id);
   DeployedTask staged;
-  DeployResult result;
   try {
-    result = deploy_impl(spec, public_id, staged);
+    return deploy_impl(spec, public_id, staged);
   } catch (const std::exception& ex) {
     // No task-mutation path may leak an exception mid-operation: undo every
     // unit/partition staged so far so the data plane is byte-identical to
     // its pre-deploy state, then fail the result instead.
     undo_deployment(staged);
     tasks_.erase(public_id);
-    gc_unreferenced_units();
-    deploy_failures_counter_->inc();
-    result = DeployResult{};
+    DeployResult result;
     result.error = std::string("deployment aborted: ") + ex.what();
     return result;
   }
-  if (!result.ok || !paranoid_) return result;
-  // Paranoid gate: dry-run the static verifier over the committed state;
-  // any error diagnostic rolls the deployment back.
-  trace::Span gate("ctl.verify_gate");
-  last_verify_errors_ = run_verify_gate();
-  gate.close();
-  if (last_verify_errors_.empty()) return result;
-  auto it = tasks_.find(public_id);
-  if (it != tasks_.end()) {
-    undo_deployment(it->second);
-    tasks_.erase(it);
-  }
-  deploy_failures_counter_->inc();
-  result = DeployResult{};
-  result.error = "paranoid verify rejected deployment:\n" + last_verify_errors_;
-  return result;
 }
 
 DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_id,
@@ -373,9 +501,7 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
   };
 
   auto install_unit = [&](unsigned g, unsigned c, CmuTaskEntry e,
-                          const MemoryPartition& part,
-                          const CompressedKeySelector& param_sel_used)
-      -> std::optional<UnitPlacement> {
+                          const MemoryPartition& part) -> std::optional<UnitPlacement> {
     e.task_id = next_phys_;
     Cmu& cmu = dp_->group(g).cmu(c);
     // A freed partition can still hold counts: a batch submitted between a
@@ -387,8 +513,7 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
     } catch (const std::exception&) {
       return std::nullopt;
     }
-    ref_selector(g, e.key_sel);
-    if (e.p1.source == ParamSelect::Source::kCompressedKey) ref_selector(g, param_sel_used);
+    ref_units(g, e, true);
     UnitPlacement up{g, c, next_phys_, part};
     ++next_phys_;
     return up;
@@ -512,7 +637,7 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
             ok = false;
             continue;
         }
-        const auto up = install_unit(g, chosen[r], e, parts[r], param_sel);
+        const auto up = install_unit(g, chosen[r], e, parts[r]);
         if (!up) {
           ok = false;
           break;
@@ -646,7 +771,7 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
               default:
                 break;
             }
-            const auto up = install_unit(g, c, e, *part, *key_sel);
+            const auto up = install_unit(g, c, e, *part);
             if (!up) {
               allocator(g, c).release(*part);
               continue;
@@ -680,108 +805,15 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
 
   gc_unreferenced_units();
   if (!placed) {
-    deploy_failures_counter_->inc();
     result.error = "insufficient resources (keys / CMUs / memory)";
     return result;
   }
   t.cumulative_delay_ms = t.report.delay_ms();
   tasks_[public_id] = t;
-  deploys_counter_->inc();
   result.ok = true;
   result.task_id = public_id;
   result.report = t.report;
   return result;
-}
-
-bool Controller::remove_task(std::uint32_t id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return false;
-  trace::ReconfigScope reconfig;
-  trace::Span span("ctl.remove_task", id);
-  // Merge before undo_deployment clears the task's partitions — see
-  // add_task for why merge-after-clear would be wrong.
-  dp_->merge_shards();
-  undo_deployment(it->second);
-  tasks_.erase(it);
-  removals_counter_->inc();
-  // Removal never rolls back, but paranoid mode still re-verifies so that
-  // residual corruption surfaces through last_verify_errors().
-  if (paranoid_) {
-    trace::Span gate("ctl.verify_gate");
-    last_verify_errors_ = run_verify_gate();
-  }
-  recompile_and_publish();
-  return true;
-}
-
-DeployResult Controller::resize_task(std::uint32_t id, std::uint32_t new_buckets) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return {false, "unknown task", 0, {}};
-  trace::ReconfigScope reconfig;
-  trace::Span span("ctl.resize_task", id);
-  // Merge before the replacement/reclaim dance rearranges partitions —
-  // see add_task for why merge-after-clear would be wrong.
-  dp_->merge_shards();
-  TaskSpec spec = it->second.spec;
-  spec.memory_buckets = new_buckets;
-  // Deploy the replacement first (traffic is diverted once it is live),
-  // then reclaim the frozen original (paper §6).  The public task id is
-  // stable across the swap.
-  DeployResult fresh = deploy(spec, next_id_);
-  if (!fresh.ok) return fresh;
-  ++next_id_;
-  const double prior_delay = it->second.cumulative_delay_ms;
-  auto node = tasks_.extract(fresh.task_id);
-  remove_task(id);
-  node.key() = id;
-  node.mapped().id = id;
-  node.mapped().cumulative_delay_ms += prior_delay;
-  tasks_.insert(std::move(node));
-  resizes_counter_->inc();
-  fresh.task_id = id;
-  // The intermediate remove_task() published with the replacement still
-  // under its temporary id; republish so the plan's ownership labels carry
-  // the preserved public id.
-  recompile_and_publish();
-  return fresh;
-}
-
-std::pair<DeployResult, DeployResult> Controller::split_task(std::uint32_t id) {
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end()) return {{false, "unknown task", 0, {}}, {}};
-  trace::ReconfigScope reconfig;
-  trace::Span span("ctl.split_task", id);
-  const TaskSpec& spec = it->second.spec;
-  const TaskFilter& f = spec.filter;
-
-  TaskSpec a = spec, b = spec;
-  if (f.src_len < 32) {
-    a.filter.src_len = static_cast<std::uint8_t>(f.src_len + 1);
-    b.filter.src_len = a.filter.src_len;
-    b.filter.src_ip = f.src_ip | (1u << (31 - f.src_len));
-    a.name += "/lo";
-    b.name += "/hi";
-  } else if (f.dst_len < 32) {
-    a.filter.dst_len = static_cast<std::uint8_t>(f.dst_len + 1);
-    b.filter.dst_len = a.filter.dst_len;
-    b.filter.dst_ip = f.dst_ip | (1u << (31 - f.dst_len));
-    a.name += "/lo";
-    b.name += "/hi";
-  } else {
-    return {{false, "filter is a host route; nothing to split", 0, {}}, {}};
-  }
-
-  DeployResult ra = deploy(a, next_id_);
-  if (!ra.ok) return {ra, {}};
-  ++next_id_;
-  DeployResult rb = deploy(b, next_id_);
-  if (!rb.ok) {
-    remove_task(ra.task_id);
-    return {rb, {}};
-  }
-  ++next_id_;
-  remove_task(id);
-  return {ra, rb};
 }
 
 const DeployedTask* Controller::task(std::uint32_t id) const noexcept {

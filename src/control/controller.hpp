@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -80,8 +81,8 @@ struct DeployResult {
 
 /// One staged reconfiguration operation for Controller::plan() — the
 /// dry-run planner replays it against a shadow world without touching the
-/// live data plane.  `task_id` refers to a *live* public task id; the
-/// planner maps it onto the shadow replica internally.
+/// live data plane; Controller::apply() runs it for real.  `task_id` refers
+/// to a *live* public task id; the planner maps it onto the shadow replica.
 struct PlanOp {
   enum class Kind : std::uint8_t { kAdd, kRemove, kResize, kSplit };
   Kind kind = Kind::kAdd;
@@ -95,7 +96,14 @@ struct PlanOp {
   static PlanOp split(std::uint32_t id);
 };
 
-const char* to_string(PlanOp::Kind k) noexcept;
+/// "add \"name\"", "resize task 3 -> 8192 buckets", "split task 3", ...
+std::string describe(const PlanOp& op);
+
+/// Outcome of Controller::apply().
+struct ApplyResult {
+  bool ok = false;
+  std::string detail;  ///< what the op did ("deployed as task 4"), or why it failed
+};
 
 class Controller {
  public:
@@ -103,19 +111,24 @@ class Controller {
                       TranslationStrategy strategy = TranslationStrategy::kTcam,
                       AllocMode mode = AllocMode::kAccurate);
 
-  // ---- task management interfaces ----
+  // ---- task management interfaces (each one transaction: reconfigure()) ----
   DeployResult add_task(const TaskSpec& spec);
   bool remove_task(std::uint32_t id);
-  /// Reallocate a task's memory: deploy the replacement first, then freeze
-  /// and reclaim the old instance (paper §6, memory reallocation strategy).
-  /// The public task id is preserved; measurement state starts fresh.
+  /// Reallocate a task's memory: deploy the replacement, then freeze and
+  /// reclaim the old instance, as one reconfiguration (paper §6).  The public
+  /// task id is preserved; measurement state starts fresh.
   DeployResult resize_task(std::uint32_t id, std::uint32_t new_buckets);
 
   /// Split a heavy task into two subtasks with halved filters (paper
   /// §3.1.1: e.g. SrcIP 10.0.0.0/8 -> 10.0.0.0/9 + 10.128.0.0/9), each with
   /// its own memory, reducing per-subtask hash collisions.  Both subtasks
-  /// deploy before the original is reclaimed; on failure nothing changes.
+  /// deploy before the original is reclaimed, in one reconfiguration; on
+  /// failure nothing changes and `first` carries the error.
   std::pair<DeployResult, DeployResult> split_task(std::uint32_t id);
+
+  /// Run one PlanOp through the matching operation above.  `detail` names
+  /// the tasks the op created "<label> N" ("deployed as task 4").
+  ApplyResult apply(const PlanOp& op, std::string_view label = "task");
 
   const DeployedTask* task(std::uint32_t id) const noexcept;
   std::size_t num_tasks() const noexcept { return tasks_.size(); }
@@ -134,9 +147,12 @@ class Controller {
   const BuddyAllocator* find_allocator(unsigned group, unsigned cmu) const noexcept;
 
   // ---- static verification (src/verify) ----
-  /// Paranoid mode: every deploy (add/resize/split) runs the full static
-  /// verifier after committing; error diagnostics roll the deployment back
-  /// and fail the DeployResult.  remove_task re-verifies too and surfaces
+  /// Paranoid mode: every reconfiguration runs the full static verifier
+  /// once, on its final state (new instances staged, retired ones
+  /// uninstalled), before it publishes.  For add/resize/split, error
+  /// diagnostics roll the whole operation back and fail the DeployResult:
+  /// nothing is published and no counter but the failure count moves.  A
+  /// pure remove_task has nothing to roll back, so its gate only surfaces
   /// residual corruption via last_verify_errors().  Additionally installs
   /// a publish-time translation-validation gate on the data plane: every
   /// compiled ExecPlan is symbolically checked against the interpreted
@@ -227,18 +243,35 @@ class Controller {
   /// Ownership labels of every installed entry, derived from tasks_ (used
   /// to tag compiled-plan entries with public task ids).
   std::vector<exec::EntryOwnership> entry_ownership() const;
+  /// A CMU entry detach() uninstalled, kept so a rollback can reinstall it.
+  struct DetachedEntry { unsigned group, cmu; CmuTaskEntry entry; };
+
   /// Compile the current deployment into a fresh ExecPlan and publish it on
   /// the data plane.  Every successful public mutation (add/remove/resize/
   /// split) ends here, so the packet path always executes a coherent
   /// snapshot of the newest committed configuration.
   void recompile_and_publish();
 
+  /// The transaction behind add/remove/resize/split: merge shards; deploy
+  /// `stage` under fresh ids; detach task `retire` (0 = none); run the
+  /// paranoid verify gate once; then either roll back exactly or release
+  /// the retired partitions and publish once.  A one-for-one replacement
+  /// (resize) takes over the retired public id.  Returns one result per
+  /// staged spec, or a single failed result.
+  std::vector<DeployResult> reconfigure(const std::vector<TaskSpec>& stage,
+                                        std::uint32_t retire);
   DeployResult deploy(const TaskSpec& spec, std::uint32_t public_id);
   /// Placement/installation body of deploy().  `t` is the staged task the
   /// exception-safe wrapper rolls back if this throws mid-operation.
   DeployResult deploy_impl(const TaskSpec& spec, std::uint32_t public_id,
                            DeployedTask& t);
-  void undo_deployment(DeployedTask& t);
+  /// Uninstall `t`'s CMU entries and drop its selector references; its
+  /// partitions, register cells and hash units stay until release().
+  std::vector<DetachedEntry> detach(const DeployedTask& t);
+  void reattach(const std::vector<DetachedEntry>& entries);
+  /// Clear and free `t`'s partitions, then clear unreferenced hash units.
+  void release(DeployedTask& t);
+  void undo_deployment(DeployedTask& t) { detach(t); release(t); }
   void gc_unreferenced_units();
 
   // Resource helpers.
@@ -246,8 +279,8 @@ class Controller {
   std::optional<CompressedKeySelector> ensure_selector(unsigned group,
                                                        const FlowKeySpec& spec,
                                                        unsigned& mask_rules);
-  void ref_selector(unsigned group, const CompressedKeySelector& sel);
-  void unref_selector(unsigned group, const CompressedKeySelector& sel);
+  /// Add or drop one reference to each hash unit entry `e` reads.
+  void ref_units(unsigned group, const CmuTaskEntry& e, bool add);
 
   // Readout helpers.
   const DeployedTask& require(std::uint32_t id) const;

@@ -246,20 +246,7 @@ std::string Shell::cmd_plan(const std::vector<std::string>& args) {
     if (pending_.empty()) return "(no staged ops; 'plan add ...' to stage)";
     std::ostringstream out;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const PlanOp& op = pending_[i];
-      out << i + 1 << ". " << to_string(op.kind);
-      switch (op.kind) {
-        case PlanOp::Kind::kAdd:
-          out << " \"" << op.spec.name << "\"";
-          break;
-        case PlanOp::Kind::kResize:
-          out << " task " << op.task_id << " -> " << op.new_buckets
-              << " buckets";
-          break;
-        default:
-          out << " task " << op.task_id;
-      }
-      out << '\n';
+      out << i + 1 << ". " << describe(pending_[i]) << '\n';
     }
     out << pending_.size() << " op(s) staged ('plan run' to dry-run)";
     return out.str();
@@ -321,34 +308,11 @@ std::string Shell::cmd_plan(const std::vector<std::string>& args) {
     }
     std::ostringstream out;
     for (const PlanOp& op : pending_) {
-      switch (op.kind) {
-        case PlanOp::Kind::kAdd: {
-          const DeployResult r = ctl_->add_task(op.spec);
-          if (!r.ok) return out.str() + "error applying add: " + r.error;
-          out << "task " << r.task_id << " deployed\n";
-          break;
-        }
-        case PlanOp::Kind::kRemove:
-          if (!ctl_->remove_task(op.task_id)) {
-            return out.str() + "error applying remove " +
-                   std::to_string(op.task_id);
-          }
-          out << "task " << op.task_id << " removed\n";
-          break;
-        case PlanOp::Kind::kResize: {
-          const DeployResult r = ctl_->resize_task(op.task_id, op.new_buckets);
-          if (!r.ok) return out.str() + "error applying resize: " + r.error;
-          out << "task " << op.task_id << " resized\n";
-          break;
-        }
-        case PlanOp::Kind::kSplit: {
-          const auto [lo, hi] = ctl_->split_task(op.task_id);
-          if (!lo.ok) return out.str() + "error applying split: " + lo.error;
-          out << "task " << op.task_id << " split into " << lo.task_id
-              << " + " << hi.task_id << '\n';
-          break;
-        }
+      const ApplyResult r = ctl_->apply(op);
+      if (!r.ok) {
+        return out.str() + "error applying " + describe(op) + ": " + r.detail;
       }
+      out << describe(op) << ": " << r.detail << '\n';
     }
     out << pending_.size() << " op(s) committed";
     pending_.clear();

@@ -63,13 +63,6 @@ class FlyMonDataPlane {
   /// generation the batch executed under (0 = interpreted).
   std::uint64_t process_batch(std::span<const Packet> pkts);
 
-  /// Process a whole trace through the batched path.  Returns what
-  /// process_batch returns: the plan generation the trace executed under
-  /// (0 = interpreted).
-  std::uint64_t process_all(std::span<const Packet> trace) {
-    return process_batch(trace);
-  }
-
   std::uint64_t packets_processed() const noexcept {
     return packets_.load(std::memory_order_relaxed);
   }

@@ -141,7 +141,7 @@ void instant(const char* name, std::uint64_t arg = 0) noexcept;
 // ---- reconfiguration tagging ----
 
 /// Monotonic tag linking every span of one reconfiguration.  Nested scopes
-/// (resize -> deploy -> remove) reuse the outermost tag; the counter only
+/// (a paranoid add's shadow replay) reuse the outermost tag; the counter only
 /// advances at top level, so tags order reconfigurations totally.
 class ReconfigScope {
  public:

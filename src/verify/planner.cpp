@@ -44,12 +44,14 @@ PlanOp PlanOp::split(std::uint32_t id) {
   return op;
 }
 
-const char* to_string(PlanOp::Kind k) noexcept {
-  switch (k) {
-    case PlanOp::Kind::kAdd: return "add";
-    case PlanOp::Kind::kRemove: return "remove";
-    case PlanOp::Kind::kResize: return "resize";
-    case PlanOp::Kind::kSplit: return "split";
+std::string describe(const PlanOp& op) {
+  const std::string task = " task " + std::to_string(op.task_id);
+  switch (op.kind) {
+    case PlanOp::Kind::kAdd: return "add \"" + op.spec.name + "\"";
+    case PlanOp::Kind::kRemove: return "remove" + task;
+    case PlanOp::Kind::kResize:
+      return "resize" + task + " -> " + std::to_string(op.new_buckets) + " buckets";
+    case PlanOp::Kind::kSplit: return "split" + task;
   }
   return "?";
 }
@@ -59,76 +61,25 @@ const char* to_string(PlanOp::Kind k) noexcept {
 namespace flymon::verify {
 namespace {
 
-std::string describe(const control::PlanOp& op) {
-  using Kind = control::PlanOp::Kind;
-  std::string s = control::to_string(op.kind);
-  switch (op.kind) {
-    case Kind::kAdd:
-      s += " \"" + op.spec.name + "\"";
-      break;
-    case Kind::kResize:
-      s += " task " + std::to_string(op.task_id) + " -> " +
-           std::to_string(op.new_buckets) + " buckets";
-      break;
-    default:
-      s += " task " + std::to_string(op.task_id);
-      break;
-  }
-  return s;
-}
-
 /// Apply one op to the shadow controller.  `id_map` translates live ids to
-/// shadow ids and is updated for ops that create or destroy tasks.  Ops may
-/// only reference ids that exist on the *live* controller; ids minted by
+/// shadow ids and forgets ids whose task the op retired.  Ops may only
+/// reference ids that exist on the *live* controller; ids minted by
 /// earlier ops of the same batch are not addressable.
 PlanOpResult apply_op(control::Controller& shadow, const control::PlanOp& op,
                       std::map<std::uint32_t, std::uint32_t>& id_map) {
-  using Kind = control::PlanOp::Kind;
-  PlanOpResult r;
-  r.op = op;
-  if (op.kind != Kind::kAdd) {
+  control::PlanOp shadow_op = op;
+  if (op.kind != control::PlanOp::Kind::kAdd) {
     const auto it = id_map.find(op.task_id);
     if (it == id_map.end()) {
-      r.detail = "unknown live task id " + std::to_string(op.task_id);
-      return r;
+      return {op, false, "unknown live task id " + std::to_string(op.task_id)};
     }
-    const std::uint32_t shadow_id = it->second;
-    switch (op.kind) {
-      case Kind::kRemove:
-        r.ok = shadow.remove_task(shadow_id);
-        r.detail = r.ok ? "removed" : "remove failed";
-        if (r.ok) id_map.erase(op.task_id);
-        break;
-      case Kind::kResize: {
-        const control::DeployResult res =
-            shadow.resize_task(shadow_id, op.new_buckets);
-        r.ok = res.ok;
-        r.detail = res.ok ? "resized to " + std::to_string(op.new_buckets) +
-                                " buckets"
-                          : res.error;
-        break;
-      }
-      case Kind::kSplit: {
-        const auto [lo, hi] = shadow.split_task(shadow_id);
-        r.ok = lo.ok && hi.ok;
-        r.detail = r.ok ? "split into shadow tasks " +
-                              std::to_string(lo.task_id) + " + " +
-                              std::to_string(hi.task_id)
-                        : (!lo.ok ? lo.error : hi.error);
-        if (r.ok) id_map.erase(op.task_id);
-        break;
-      }
-      default:
-        break;
-    }
-    return r;
+    shadow_op.task_id = it->second;
   }
-  const control::DeployResult res = shadow.add_task(op.spec);
-  r.ok = res.ok;
-  r.detail = res.ok
-                 ? "deployed as shadow task " + std::to_string(res.task_id)
-                 : res.error;
-  return r;
+  const control::ApplyResult res = shadow.apply(shadow_op, "shadow task");
+  if (res.ok && shadow_op.task_id != 0 && shadow.task(shadow_op.task_id) == nullptr) {
+    id_map.erase(op.task_id);  // the op retired the task (remove, split)
+  }
+  return {op, res.ok, res.detail};
 }
 
 }  // namespace
@@ -161,7 +112,7 @@ std::string PlanResult::format() const {
   out += "\n";
   for (const PlanOpResult& r : ops) {
     out += std::string("  [") + (r.ok ? "ok" : "FAIL") + "] " +
-           describe(r.op) + ": " + r.detail + "\n";
+           control::describe(r.op) + ": " + r.detail + "\n";
   }
   const std::string diags = report.format(Severity::kWarning);
   if (!diags.empty()) out += diags;
@@ -217,7 +168,7 @@ verify::PlanResult Controller::plan(const std::vector<PlanOp>& ops) const {
     const bool op_ok = r.ok;
     result.ops.push_back(std::move(r));
     if (!op_ok) {
-      result.error = "op '" + verify::describe(op) +
+      result.error = "op '" + describe(op) +
                      "' failed: " + result.ops.back().detail;
       ops_ok = false;
       break;

@@ -491,19 +491,20 @@ TEST(ExecPlanApi, GenerationAdvancesAcrossReconfiguration) {
   EXPECT_GT(w.dp.republish_plan(), g4);
 }
 
-TEST(ExecPlanApi, ProcessAllRoutesThroughBatchedPath) {
+TEST(ExecPlanApi, ProcessBatchMatchesPerPacketProcessing) {
   World w;
   ASSERT_NO_FATAL_FAILURE(deploy_cms(w.ctl));
   const std::vector<Packet> trace = make_trace(100, 1000, 11);
-  // process_all forwards process_batch's return: the executing generation.
-  EXPECT_EQ(w.dp.process_all(trace), w.dp.plan_generation());
+  // process_batch returns the generation the whole trace executed under.
+  EXPECT_EQ(w.dp.process_batch(trace), w.dp.plan_generation());
   EXPECT_GT(w.dp.plan_generation(), 0u);
   EXPECT_EQ(w.dp.packets_processed(), trace.size());
   // Batched and per-packet runs agree (same world, doubled state).
   World w2;
   ASSERT_NO_FATAL_FAILURE(deploy_cms(w2.ctl));
   for (const Packet& p : trace) w2.dp.process(p);
-  expect_identical_registers(w.dp, w2.dp, "process_all vs per-packet");
+  EXPECT_EQ(w2.dp.packets_processed(), trace.size());
+  expect_identical_registers(w.dp, w2.dp, "process_batch vs per-packet");
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ struct World {
     trace = TraceGenerator::generate(cfg);
   }
 
-  void run() { dp.process_all(trace); }
+  void run() { dp.process_batch(trace); }
 };
 
 TEST(Integration, CmsPerFlowByteCounts) {
@@ -64,7 +64,7 @@ TEST(Integration, SuMaxSumMoreAccurateThanCmsAtTightMemory) {
   ASSERT_TRUE(rs.ok) << rs.error;
 
   w.run();
-  dp2.process_all(w.trace);
+  dp2.process_batch(w.trace);
 
   // The paper's claim (Fig 14a) is about heavy-hitter F1, where the
   // conservative update's damped over-counts matter most.
@@ -262,7 +262,7 @@ TEST(Integration, ProbabilisticTasksShareOneCmu) {
   cfg.num_flows = 500;
   cfg.num_packets = 100'000;
   const auto trace = TraceGenerator::generate(cfg);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   // Each task sees roughly half the packets: estimates scale by ~p.
   const FreqMap truth = ExactStats::frequency(trace, a.key);

@@ -280,8 +280,8 @@ TEST(SystemProperty, IdenticalDataplanesStayIdentical) {
   cfg.num_flows = 500;
   cfg.num_packets = 20'000;
   const auto trace = TraceGenerator::generate(cfg);
-  dp1->process_all(trace);
-  dp2->process_all(trace);
+  dp1->process_batch(trace);
+  dp2->process_batch(trace);
 
   for (unsigned g = 0; g < 3; ++g) {
     for (unsigned c = 0; c < 3; ++c) {

@@ -88,7 +88,7 @@ TEST(Rhhh, HierarchicalSemantics) {
     emit(0x0B000000 | (i << 8) | 1, 300);  // 11/8: spread across 120 /24s
   }
   TraceGenerator::sort_by_time(trace);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   std::vector<FlowKeyValue> candidates;
   {

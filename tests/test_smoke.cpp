@@ -28,7 +28,7 @@ TEST(Smoke, CmsFrequencyTaskEndToEnd) {
   cfg.num_flows = 2000;
   cfg.num_packets = 100'000;
   const auto trace = TraceGenerator::generate(cfg);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   const FreqMap truth = ExactStats::frequency(trace, spec.key);
   const double are = analysis::frequency_are(truth, [&](const FlowKeyValue& k) {
@@ -61,7 +61,7 @@ TEST(Smoke, BeauCoupDdosDetection) {
   ddos.num_victims = 10;
   ddos.spreaders_per_victim = 2000;
   TraceGenerator::inject_ddos(trace, ddos, cfg.duration_ns);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   const FreqMap truth = ExactStats::distinct(trace, spec.key, FlowKeySpec::src_ip());
   const auto victims = ExactStats::over_threshold(truth, 512);
@@ -94,7 +94,7 @@ TEST(Smoke, HyperLogLogCardinality) {
   cfg.num_packets = 80'000;
   cfg.zipf_alpha = 0.4;
   const auto trace = TraceGenerator::generate(cfg);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   const double truth =
       static_cast<double>(ExactStats::cardinality(trace, FlowKeySpec::five_tuple()));
@@ -121,7 +121,7 @@ TEST(Smoke, BloomFilterExistence) {
   cfg.num_flows = 2000;
   cfg.num_packets = 4000;
   const auto trace = TraceGenerator::generate(cfg);
-  dp.process_all(trace);
+  dp.process_batch(trace);
 
   // Every inserted flow must be found (no false negatives).
   for (std::size_t i = 0; i < 200; ++i) {

@@ -302,7 +302,7 @@ TEST(TaskHealth, SaturationAndResizeDelay) {
   TraceConfig cfg;
   cfg.num_flows = 2000;
   cfg.num_packets = 20'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
 
   const control::TaskHealth h = ctl.task_health(r.task_id);
   EXPECT_EQ(h.task_id, r.task_id);
@@ -472,7 +472,7 @@ TEST(ShellTelemetry, CommandsRoundTrip) {
   TraceConfig cfg;
   cfg.num_flows = 100;
   cfg.num_packets = 1'000;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
 
   const std::string summary = shell.execute("telemetry");
   EXPECT_NE(summary.find("telemetry on"), std::string::npos);
@@ -506,7 +506,7 @@ TEST(ShellTrace, CommandsRoundTrip) {
   TraceConfig cfg;
   cfg.num_flows = 10;
   cfg.num_packets = 100;
-  dp.process_all(TraceGenerator::generate(cfg));
+  dp.process_batch(TraceGenerator::generate(cfg));
   const std::string status = shell.execute("trace status");
   EXPECT_NE(status.find("tracing on: 1-in-4"), std::string::npos);
   EXPECT_NE(status.find("100 packets seen"), std::string::npos);

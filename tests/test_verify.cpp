@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -19,6 +20,8 @@
 #include "control/shell.hpp"
 #include "core/flymon_dataplane.hpp"
 #include "dataplane/tcam.hpp"
+#include "telemetry/telemetry.hpp"
+#include "trace/span.hpp"
 #include "verify/diagnostics.hpp"
 #include "verify/mutations.hpp"
 #include "verify/planner.hpp"
@@ -434,6 +437,194 @@ TEST(VerifyParanoid, ExhaustionUnderLoadRollsBackAndStaysClean) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(dataplane_fingerprint(dp, ctl), before);
   EXPECT_TRUE(verify::verify_deployment(ctl).empty());
+}
+
+// ---- one transaction per reconfiguration ----
+
+/// Enables span tracing against a clean collector for one test.
+struct TraceOn {
+  TraceOn() {
+    trace::SpanCollector::global().clear();
+    trace::set_enabled(true);
+  }
+  ~TraceOn() {
+    trace::set_enabled(false);
+    trace::SpanCollector::global().clear();
+  }
+};
+
+/// Spans named `name` recorded under the most recent reconfiguration tag.
+std::size_t spans_in_latest_reconfig(const std::string& name) {
+  const std::uint64_t tag = trace::latest_reconfig();
+  const auto events = trace::SpanCollector::global().collect();
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [&](const auto& e) {
+        return e.gen == tag && e.kind == trace::EventKind::kSpan &&
+               name == e.name;
+      }));
+}
+
+TEST(VerifyParanoid, ResizeAndSplitGateOnceAndPublishOnce) {
+  TraceOn on;
+  FlyMonDataPlane dp(9);
+  dp.enable_parallel(2);  // so every live publish runs a pool fence
+  control::Controller ctl(dp);
+  ctl.set_paranoid(true);
+  const auto r = ctl.add_task(make_spec("hh", FlowKeySpec::src_ip(),
+                                        AttributeKind::kFrequency,
+                                        Algorithm::kCms, 4096,
+                                        TaskFilter::src(0x0A00'0000u, 8)));
+  ASSERT_TRUE(r.ok) << r.error;
+
+  std::uint64_t gen = dp.plan_generation();
+  const auto resized = ctl.resize_task(r.task_id, 8192);
+  ASSERT_TRUE(resized.ok) << resized.error;
+  EXPECT_EQ(resized.task_id, r.task_id);
+  EXPECT_EQ(spans_in_latest_reconfig("ctl.verify_gate"), 1u);
+  EXPECT_EQ(spans_in_latest_reconfig("exec.fence"), 1u);
+  EXPECT_EQ(dp.plan_generation(), gen + 1);
+
+  gen = dp.plan_generation();
+  const auto [lo, hi] = ctl.split_task(r.task_id);
+  ASSERT_TRUE(lo.ok && hi.ok) << lo.error;
+  EXPECT_EQ(spans_in_latest_reconfig("ctl.verify_gate"), 1u);
+  EXPECT_EQ(spans_in_latest_reconfig("exec.fence"), 1u);
+  EXPECT_EQ(dp.plan_generation(), gen + 1);
+  EXPECT_TRUE(ctl.last_verify_errors().empty()) << ctl.last_verify_errors();
+}
+
+/// Flips the global telemetry switch on for one test (counters only count
+/// while it is on).
+struct TelemetryOn {
+  TelemetryOn() : prev(telemetry::enabled()) { telemetry::set_enabled(true); }
+  ~TelemetryOn() { telemetry::set_enabled(prev); }
+  bool prev;
+};
+
+/// The controller's reconfiguration counters: deploys, removals, resizes
+/// and deploy failures.
+std::array<std::uint64_t, 4> reconfig_counters(telemetry::Registry& reg) {
+  return {reg.counter("flymon_task_deploys_total").value(),
+          reg.counter("flymon_task_removals_total").value(),
+          reg.counter("flymon_task_resizes_total").value(),
+          reg.counter("flymon_task_deploy_failures_total").value()};
+}
+
+// A corruption the verifier catches, in a task no operation below touches:
+// the gate sees it in the final state of every reconfiguration.
+TEST(VerifyParanoid, RejectedReconfigurationsRollBackExactly) {
+  TelemetryOn telemetry_on;
+  telemetry::Registry reg;
+  FlyMonDataPlane dp(9);
+  control::Controller ctl(dp);
+  ctl.bind_telemetry(reg);
+  ctl.set_paranoid(true);
+  ASSERT_TRUE(ctl.add_task(make_spec("victim", FlowKeySpec::src_ip(),
+                                     AttributeKind::kFrequency, Algorithm::kCms,
+                                     4096))
+                  .ok);
+  const auto r = ctl.add_task(make_spec("hh", FlowKeySpec::dst_ip(),
+                                        AttributeKind::kFrequency,
+                                        Algorithm::kCms, 4096,
+                                        TaskFilter::src(0x0A00'0000u, 8)));
+  ASSERT_TRUE(r.ok) << r.error;
+
+  auto plan = control::cross_stack(dataplane::TofinoModel::kNumStages,
+                                   dp.group(0).config());
+  verify::MutableWorld world{dp, ctl, plan};
+  const auto catalogue = verify::mutation_catalogue();
+  const auto orphan =
+      std::find_if(catalogue.begin(), catalogue.end(),
+                   [](const auto& m) { return m.name == "orphaned-placement"; });
+  ASSERT_NE(orphan, catalogue.end());
+  orphan->apply(world);  // uninstalls the victim's first entry
+
+  const std::string before = dataplane_fingerprint(dp, ctl);
+  const std::uint64_t gen = dp.plan_generation();
+  auto counters = reconfig_counters(reg);
+  const auto expect_rejected = [&](const std::string& error, const char* op) {
+    EXPECT_NE(error.find("paranoid verify rejected"), std::string::npos)
+        << op << ": " << error;
+    EXPECT_NE(ctl.last_verify_errors().find("task.placement"),
+              std::string::npos)
+        << op << ": " << ctl.last_verify_errors();
+    EXPECT_EQ(dataplane_fingerprint(dp, ctl), before) << op;
+    EXPECT_EQ(dp.plan_generation(), gen) << op;
+    ++counters[3];  // only the failure count moves
+    EXPECT_EQ(reconfig_counters(reg), counters) << op;
+  };
+
+  const auto resized = ctl.resize_task(r.task_id, 8192);
+  EXPECT_FALSE(resized.ok);
+  expect_rejected(resized.error, "resize");
+  ASSERT_NE(ctl.task(r.task_id), nullptr);
+  EXPECT_EQ(ctl.task(r.task_id)->buckets, 4096u);
+
+  const auto [lo, hi] = ctl.split_task(r.task_id);
+  EXPECT_FALSE(lo.ok);
+  EXPECT_FALSE(hi.ok);
+  expect_rejected(lo.error, "split");
+
+  const auto added = ctl.add_task(make_spec("late", FlowKeySpec::five_tuple(),
+                                            AttributeKind::kFrequency,
+                                            Algorithm::kCms, 4096));
+  EXPECT_FALSE(added.ok);
+  expect_rejected(added.error, "add");
+  EXPECT_EQ(ctl.num_tasks(), 2u);
+
+  // A pure remove has nothing to roll back: it goes through and reports.
+  EXPECT_TRUE(ctl.remove_task(r.task_id));
+  EXPECT_NE(ctl.last_verify_errors().find("task.placement"), std::string::npos)
+      << ctl.last_verify_errors();
+  EXPECT_EQ(ctl.task(r.task_id), nullptr);
+  EXPECT_NE(dp.plan_generation(), gen);
+}
+
+// Only one half of a split fits: the split fails with no other trace — no
+// deploy or removal counted, no plan published, the next id not consumed.
+TEST(VerifyRollback, FailedSplitMovesOnlyTheFailureCounter) {
+  TelemetryOn telemetry_on;
+  telemetry::Registry reg;
+  CmuGroupConfig cfg;
+  cfg.register_buckets = 4096;
+  FlyMonDataPlane dp(1, cfg);
+  control::Controller ctl(dp);
+  ctl.bind_telemetry(reg);
+  TaskSpec spec = make_spec("x", FlowKeySpec::src_ip(),
+                            AttributeKind::kFrequency, Algorithm::kCms, 4096,
+                            TaskFilter::src(0x0A00'0000u, 8));
+  spec.rows = 1;
+  const auto x = ctl.add_task(spec);  // fills CMU 0
+  spec.name = "y";
+  const auto y = ctl.add_task(spec);  // overlaps x: fills CMU 1
+  ASSERT_TRUE(x.ok && y.ok) << x.error << y.error;
+
+  const std::string before = dataplane_fingerprint(dp, ctl);
+  const std::uint64_t gen = dp.plan_generation();
+  const std::uint64_t deploys = reg.counter("flymon_task_deploys_total").value();
+  const std::uint64_t failures =
+      reg.counter("flymon_task_deploy_failures_total").value();
+
+  // x/lo fits in CMU 2; x/hi overlaps x and y and finds CMU 2 full.
+  const auto [lo, hi] = ctl.split_task(x.task_id);
+  EXPECT_FALSE(lo.ok);
+  EXPECT_FALSE(lo.error.empty());
+  EXPECT_FALSE(hi.ok);
+
+  EXPECT_EQ(dataplane_fingerprint(dp, ctl), before);
+  EXPECT_EQ(dp.plan_generation(), gen);
+  EXPECT_EQ(reg.counter("flymon_task_deploys_total").value(), deploys);
+  EXPECT_EQ(reg.counter("flymon_task_removals_total").value(), 0u);
+  EXPECT_EQ(reg.counter("flymon_task_deploy_failures_total").value(),
+            failures + 1);
+  ASSERT_NE(ctl.task(x.task_id), nullptr);
+  EXPECT_EQ(ctl.task(x.task_id)->spec.filter.src_len, 8u);
+
+  ASSERT_TRUE(ctl.remove_task(y.task_id));
+  spec.name = "z";
+  const auto z = ctl.add_task(spec);
+  ASSERT_TRUE(z.ok) << z.error;
+  EXPECT_EQ(z.task_id, y.task_id + 1);
 }
 
 // ASan and TSan quarantine freed heap blocks and shadow the heap, which

@@ -12,6 +12,8 @@
 // --check verifies the tracing contract the DESIGN doc promises: every
 // reconfiguration's end-to-end span must decompose into >= 95% covered
 // plan/verify/compile/publish/fence/merge children (exit 1 otherwise).
+// The summary also counts each reconfiguration's exec.fence (one per live
+// publish) and ctl.verify_gate spans.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -32,6 +34,8 @@ struct ReconfigSummary {
   std::uint64_t gen = 0;
   std::uint64_t dur_ns = 0;
   double coverage = 0.0;
+  std::size_t fences = 0;
+  std::size_t verify_gates = 0;
 };
 
 TaskSpec cms_spec(std::uint32_t buckets) {
@@ -163,6 +167,11 @@ int main(int argc, char** argv) {
     r.gen = e.gen;
     r.dur_ns = e.dur_ns;
     r.coverage = trace::child_coverage(events, e);
+    for (const trace::SpanEvent& c : events) {
+      if (c.gen != e.gen || c.kind != trace::EventKind::kSpan) continue;
+      r.fences += std::strcmp(c.name, "exec.fence") == 0;
+      r.verify_gates += std::strcmp(c.name, "ctl.verify_gate") == 0;
+    }
     if (r.coverage < min_coverage) min_coverage = r.coverage;
     reconfigs.push_back(r);
   }
@@ -179,12 +188,12 @@ int main(int argc, char** argv) {
               events.size(), stats.threads,
               static_cast<unsigned long long>(stats.dropped),
               static_cast<unsigned long long>(trace::latest_reconfig()));
-  std::printf("%-18s %6s %12s %9s\n", "reconfiguration", "gen", "dur (us)",
-              "coverage");
+  std::printf("%-18s %6s %12s %9s %7s %6s\n", "reconfiguration", "gen",
+              "dur (us)", "coverage", "fences", "gates");
   for (const ReconfigSummary& r : reconfigs) {
-    std::printf("%-18s %6llu %12.1f %8.1f%%\n", r.name,
+    std::printf("%-18s %6llu %12.1f %8.1f%% %7zu %6zu\n", r.name,
                 static_cast<unsigned long long>(r.gen), r.dur_ns / 1000.0,
-                r.coverage * 100.0);
+                r.coverage * 100.0, r.fences, r.verify_gates);
   }
   if (!out_path.empty()) {
     std::printf("wrote %s (load in ui.perfetto.dev)\n", out_path.c_str());
@@ -202,7 +211,9 @@ int main(int argc, char** argv) {
       j += "    {\"name\": \"" + std::string(r.name) +
            "\", \"gen\": " + std::to_string(r.gen) +
            ", \"dur_us\": " + telemetry::format_number(r.dur_ns / 1000.0) +
-           ", \"coverage\": " + telemetry::format_number(r.coverage) + "}";
+           ", \"coverage\": " + telemetry::format_number(r.coverage) +
+           ", \"fences\": " + std::to_string(r.fences) +
+           ", \"verify_gates\": " + std::to_string(r.verify_gates) + "}";
       j += i + 1 < reconfigs.size() ? ",\n" : "\n";
     }
     j += "  ]\n}\n";
