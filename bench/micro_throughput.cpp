@@ -167,7 +167,7 @@ void BM_FullPipelineSharded(benchmark::State& state) {
   dp.enable_parallel(static_cast<unsigned>(state.range(0)));
   const auto trace = small_trace();
   for (auto _ : state) {
-    dp.process_batch_parallel(trace);  // whole trace per iteration
+    dp.process_batch(trace);  // whole trace per iteration
   }
   dp.merge_shards();
   const auto stats = dp.parallel_stats();
@@ -296,7 +296,7 @@ void emit_stage_breakdown(bench::JsonReport& report) {
           pkts;
     }
     dp.enable_parallel(2);
-    for (int i = 0; i < kRuns; ++i) dp.process_batch_parallel(trace);
+    for (int i = 0; i < kRuns; ++i) dp.process_batch(trace);
     dp.merge_shards();
   }
   const auto stats = prof.snapshot();

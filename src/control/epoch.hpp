@@ -89,7 +89,7 @@ class EpochRunner {
       while (end < pkts.size() && pkts[end].ts_ns < window_end) ++end;
       if (end > 0) {
         trace::Span process("epoch.process", end);
-        dp_->process_batch_parallel(pkts.first(end));
+        dp_->process_batch(pkts.first(end));
         epoch_buf_.insert(epoch_buf_.end(), pkts.begin(), pkts.begin() + end);
         pkts = pkts.subspan(end);
       }

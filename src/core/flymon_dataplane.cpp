@@ -111,14 +111,12 @@ void FlyMonDataPlane::interpret(const Packet& pkt,
   PhvContext ctx;
   ctx.trace = trace;
   for (CmuGroup& g : groups_) g.process(pkt, ctx);
-  packets_.fetch_add(1, std::memory_order_relaxed);
-  packets_counter_->inc();
 }
 
 void FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
                                std::span<const Packet> pkts,
-                               telemetry::TraceSample sample) {
-  if (pkts.empty()) return;
+                               telemetry::TraceSample sample,
+                               telemetry::PacketTracer* tracer) {
   // Bounded chunks keep the scratch (hash lanes, chain channels) hot in
   // cache for arbitrarily long traces.  Same size as the sharded pool's
   // work-queue chunk, so the two paths process equal-sized units of work.
@@ -127,40 +125,62 @@ void FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
         pkts.subspan(off, std::min(exec::kBatchChunk, pkts.size() - off)),
         *scratch_, sample.at(off));
   }
-  packets_.fetch_add(pkts.size(), std::memory_order_relaxed);
-  packets_counter_->inc(pkts.size());
-}
-
-void FlyMonDataPlane::process(const Packet& pkt) {
-  process_batch(std::span<const Packet>(&pkt, 1));
-}
-
-std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
-  telemetry::PacketTracer* const tracer = this->tracer();
-  const telemetry::TraceSample sample =
-      tracer != nullptr ? tracer->sample_batch(pkts.size())
-                        : telemetry::TraceSample{};
-  const auto plan = plan_.load();
-  if (plan == nullptr) {
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      if (!sample.traced(i)) {
-        interpret(pkts[i], nullptr);
-        continue;
-      }
-      auto rec = telemetry::TraceRecord::start(sample.first_seq + i, pkts[i]);
-      interpret(pkts[i], &rec);
-      tracer->publish(std::move(rec));
-    }
-    return 0;
-  }
-  run_plan(*plan, pkts, sample);
   if (tracer != nullptr) {
     for (telemetry::TraceRecord& rec : scratch_->records) {
       tracer->publish(std::move(rec));
     }
     scratch_->records.clear();
   }
+}
+
+std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
+  if (pkts.empty()) return plan_generation();
+  const std::uint64_t generation =
+      pool_ != nullptr ? process_pooled(*pool_, pkts)
+                       : run_sequential(plan_.load().get(), pkts);
+  packets_.fetch_add(pkts.size(), std::memory_order_relaxed);
+  packets_counter_->inc(pkts.size());
+  return generation;
+}
+
+std::uint64_t FlyMonDataPlane::process_pooled(exec::WorkerPool& pool,
+                                              std::span<const Packet> pkts) {
+  // Hold the submission lock for the whole batch: a fence then never
+  // folds shards into live cells this batch is writing.
+  exec::WorkerPool::Submission submit(pool);
+  std::shared_ptr<const exec::ExecPlan> plan = plan_.load();
+  if (plan == nullptr || !plan->shard_mergeable()) {
+    pool.count_fallback(plan.get());
+    return run_sequential(plan.get(), pkts);
+  }
+  telemetry::PacketTracer* const tracer = this->tracer();
+  pool.run(plan, pkts,
+           tracer != nullptr ? tracer->sample_batch(pkts.size())
+                             : telemetry::TraceSample{},
+           tracer);
   return plan->generation();
+}
+
+std::uint64_t FlyMonDataPlane::run_sequential(const exec::ExecPlan* plan,
+                                              std::span<const Packet> pkts) {
+  telemetry::PacketTracer* const tracer = this->tracer();
+  const telemetry::TraceSample sample =
+      tracer != nullptr ? tracer->sample_batch(pkts.size())
+                        : telemetry::TraceSample{};
+  if (plan != nullptr) {
+    run_plan(*plan, pkts, sample, tracer);
+    return plan->generation();
+  }
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    if (!sample.traced(i)) {
+      interpret(pkts[i], nullptr);
+      continue;
+    }
+    auto rec = telemetry::TraceRecord::start(sample.first_seq + i, pkts[i]);
+    interpret(pkts[i], &rec);
+    tracer->publish(std::move(rec));
+  }
+  return 0;
 }
 
 void FlyMonDataPlane::clear_registers() {
@@ -186,12 +206,6 @@ unsigned FlyMonDataPlane::parallel_workers() const noexcept {
   return pool_ != nullptr ? pool_->num_workers() : 0;
 }
 
-std::uint64_t FlyMonDataPlane::process_batch_parallel(
-    std::span<const Packet> pkts) {
-  if (pool_ == nullptr) return process_batch(pkts);
-  return pool_->process(pkts);
-}
-
 void FlyMonDataPlane::merge_shards() {
   if (pool_ != nullptr) pool_->quiesce_and_merge();
 }
@@ -202,11 +216,10 @@ FlyMonDataPlane::DrainStats FlyMonDataPlane::drain(ingest::PacketSource& source)
   // One pool job per drained batch: size it kBatchChunk x executors x 8 so
   // the per-job submit/claim overhead amortises to the batched path's
   // (the streaming-vs-batched throughput gate in CI depends on this).
-  const std::size_t executors =
-      pool_ != nullptr ? pool_->num_workers() : 1;
+  const std::size_t executors = std::max(1u, parallel_workers());
   std::vector<Packet> buf(exec::kBatchChunk * executors * 8);
   ingest::for_each_batch(source, buf, [&](std::span<const Packet> pkts) {
-    stats.last_generation = process_batch_parallel(pkts);
+    stats.last_generation = process_batch(pkts);
     stats.packets += pkts.size();
     ++stats.batches;
   }, {});
@@ -216,11 +229,6 @@ FlyMonDataPlane::DrainStats FlyMonDataPlane::drain(ingest::PacketSource& source)
 
 exec::ParallelStats FlyMonDataPlane::parallel_stats() const {
   return pool_ != nullptr ? pool_->stats() : exec::ParallelStats{};
-}
-
-void FlyMonDataPlane::note_parallel_batch(std::size_t packets) noexcept {
-  packets_.fetch_add(packets, std::memory_order_relaxed);
-  packets_counter_->inc(packets);
 }
 
 void collect_dataplane_telemetry(const FlyMonDataPlane& dp,

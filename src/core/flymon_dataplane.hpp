@@ -3,16 +3,16 @@
 // groups can consume results of earlier ones (SuMax chaining, max
 // inter-arrival, Counter Braids carries).
 //
-// Two execution paths share the same registers and counters:
-//   - the interpreted path walks the mutable Cmu/CompressionStage objects
-//     per packet: the referee the golden tests compare against, and the
-//     path packets take while no plan is published;
-//   - the compiled path executes an immutable exec::ExecPlan snapshot held
-//     behind an RCU-style atomic shared_ptr.  The controller republishes a
-//     freshly compiled plan after every reconfiguration; in-flight batches
-//     keep running against the plan they acquire-loaded, so reconfiguration
-//     never stalls or tears the packet path.  Traced packets run it too:
-//     attaching a tracer never changes which path runs.
+// process_batch is the one batch entry point; the published plan picks
+// the path, and all paths share the same registers and counters:
+//   - interpreted (no plan): walks the mutable Cmu/Compression objects per
+//     packet; the referee the golden tests compare against;
+//   - compiled: runs the immutable exec::ExecPlan snapshot held behind an
+//     RCU-style atomic shared_ptr, which the controller republishes after
+//     every reconfiguration; in-flight batches keep the plan they loaded;
+//   - sharded: with a pool and a shard-mergeable plan, the batch fans out
+//     across per-executor register replicas (exec/worker_pool.hpp).
+// Attaching a tracer never changes which path runs.
 #pragma once
 
 #include <atomic>
@@ -55,13 +55,17 @@ class FlyMonDataPlane {
   const CmuGroup& group(unsigned i) const { return groups_.at(i); }
 
   /// Process one packet (single-packet batch).
-  void process(const Packet& pkt);
+  void process(const Packet& pkt) { process_batch({&pkt, 1}); }
 
-  /// Process a batch: compression (hashing) runs for the whole batch before
-  /// the attribute stages when a compiled plan is published; falls back to
-  /// the per-packet interpreted path when none is.  Returns the plan
-  /// generation the batch executed under (0 = interpreted).
+  /// Process a batch on the path the published plan picks.  With a pool it
+  /// holds the submission lock for the whole batch, so a fence waits for
+  /// it.  Single submitter.  Returns the plan generation the batch ran
+  /// under (0 = interpreted).
   std::uint64_t process_batch(std::span<const Packet> pkts);
+  /// Old name of process_batch; it stays until the next benchmark change.
+  std::uint64_t process_batch_parallel(std::span<const Packet> pkts) {
+    return process_batch(pkts);
+  }
 
   std::uint64_t packets_processed() const noexcept {
     return packets_.load(std::memory_order_relaxed);
@@ -71,18 +75,17 @@ class FlyMonDataPlane {
 
   struct DrainStats {
     std::uint64_t packets = 0;          ///< packets pulled and processed
-    std::uint64_t batches = 0;          ///< process_batch_parallel calls
+    std::uint64_t batches = 0;          ///< process_batch calls
     std::uint64_t last_generation = 0;  ///< plan generation of the last batch
   };
 
   /// Streaming entry point: pull batches from `source` through the shared
-  /// ingest::for_each_batch loop and run each through the batched (sharded
-  /// when a pool is enabled) hot path until the source is done.  Fences
-  /// and RCU republishes from other threads keep working mid-stream
-  /// exactly as they do between process_batch_parallel calls (this is a
-  /// single-submitter API, like process_batch_parallel).  Batches are
-  /// sized exec::kBatchChunk x executors x 8 so the pool's per-job
-  /// overhead amortises to the batched path's.
+  /// ingest::for_each_batch loop and run each through process_batch until
+  /// the source is done.  Fences and RCU republishes from other threads
+  /// keep working mid-stream exactly as they do between process_batch
+  /// calls (this is a single-submitter API, like process_batch).  Batches
+  /// are sized exec::kBatchChunk x executors x 8 so the pool's per-job
+  /// overhead amortises to the compiled path's.
   DrainStats drain(ingest::PacketSource& source);
 
   /// Clear all registers (start of a measurement epoch); un-merged shard
@@ -95,10 +98,10 @@ class FlyMonDataPlane {
 
   /// Spin up a persistent pool of `num_workers` executors (the submitting
   /// thread participates as the last one, so 1 spawns no threads).  Each
-  /// executor owns a private replica of every CMU register bank; batches
-  /// submitted via process_batch_parallel fan out across them and fold
-  /// back into the live registers at merge points.  Replaces any existing
-  /// pool (merging its shards first).
+  /// executor owns a private replica of every CMU register bank;
+  /// process_batch fans batches under a shard-mergeable plan out across
+  /// them, and they fold back into the live registers at merge points.
+  /// Replaces any existing pool (merging its shards first).
   void enable_parallel(unsigned num_workers);
 
   /// Merge outstanding shard deltas and tear the pool down.
@@ -106,13 +109,6 @@ class FlyMonDataPlane {
 
   /// Executors in the active pool (0 = no pool).
   unsigned parallel_workers() const noexcept;
-
-  /// Parallel entry point: fan the batch across the worker pool.  Falls
-  /// back to process_batch when no pool is enabled; the pool itself falls
-  /// back (sequentially, exact) when no plan is published or the plan is
-  /// not shard-mergeable.  Like process_batch this is a single-submitter
-  /// API: one thread feeds packets.
-  std::uint64_t process_batch_parallel(std::span<const Packet> pkts);
 
   /// Fold every dirty shard into the live registers under the current
   /// plan (no-op without a pool).  Read-side paths — controller readouts,
@@ -122,11 +118,6 @@ class FlyMonDataPlane {
 
   /// Pool observability snapshot (zeroes without a pool).
   exec::ParallelStats parallel_stats() const;
-
-  /// Pool bookkeeping hook: account a parallel batch on the pipeline
-  /// totals (per-group/per-CMU counters travel through the shard counter
-  /// blocks instead).
-  void note_parallel_batch(std::size_t packets) noexcept;
 
   // ---- compiled-plan publication (RCU-style snapshot swap) ----
 
@@ -192,9 +183,16 @@ class FlyMonDataPlane {
  private:
   /// Per-packet path against the mutable objects; fills `trace` when set.
   void interpret(const Packet& pkt, telemetry::TraceRecord* trace);
+  /// process_batch with a pool, under the pool's submission lock.
+  std::uint64_t process_pooled(exec::WorkerPool& pool,
+                               std::span<const Packet> pkts);
+  /// Run on the live registers: interpreted without a plan, else compiled.
+  std::uint64_t run_sequential(const exec::ExecPlan* plan,
+                               std::span<const Packet> pkts);
   /// Run `pkts` through `plan` in bounded chunks (reusing scratch_).
   void run_plan(const exec::ExecPlan& plan, std::span<const Packet> pkts,
-                telemetry::TraceSample sample);
+                telemetry::TraceSample sample,
+                telemetry::PacketTracer* tracer);
 
   std::vector<CmuGroup> groups_;
   std::atomic<std::uint64_t> packets_{0};

@@ -75,8 +75,6 @@ class RegisterShard {
   /// no plan (fold_dirty_shards' null-plan case), zero every bank.
   void discard(const ExecPlan* plan = nullptr);
 
-  std::size_t num_registers() const noexcept { return regs_.size(); }
-
  private:
   std::vector<dataplane::RegisterArray> regs_;   ///< flat CMU order
   std::vector<dataplane::RegisterArray*> reg_ptrs_;

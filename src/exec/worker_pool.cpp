@@ -9,8 +9,8 @@
 #include "trace/stage_profiler.hpp"
 
 // The acquisition-order facts the annotations above establish, registered
-// for the `concur` lock-order analyzer: everything the pool acquires while
-// holding submit_mu_ (job hand-off, completion wait, plan-cell load,
+// for the `concur` lock-order analyzer: everything acquired while a batch
+// or fence holds submit_mu_ (job hand-off, completion wait, plan-cell load,
 // telemetry handle caching, trace-record publication).  The runtime lock
 // witness must only ever observe these edges in this orientation.
 FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "exec.job_mu");
@@ -43,32 +43,21 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::uint64_t WorkerPool::process(std::span<const Packet> pkts) {
-  common::MutexLock submit(submit_mu_);
-  if (pkts.empty()) return dp_->plan_generation();
-
-  // One snapshot per job: every chunk of this batch executes the same
-  // plan, and a concurrent publisher fences on submit_mu_, so shard deltas
-  // never straddle a reconfiguration.
-  std::shared_ptr<const ExecPlan> plan = dp_->current_plan();
-  if (plan == nullptr || !plan->shard_mergeable()) {
-    fallback_batches_.fetch_add(1, std::memory_order_relaxed);
-    count_fallback(plan.get());
-    return dp_->process_batch(pkts);
-  }
-
-  // The tracer is loaded once per job, and its sampling decision taken in
-  // arrival order before any chunk runs, so the shards trace exactly the
-  // packets the sequential path would.
-  telemetry::PacketTracer* const tracer = dp_->tracer();
+void WorkerPool::run(std::shared_ptr<const ExecPlan> plan,
+                     std::span<const Packet> pkts,
+                     telemetry::TraceSample sample,
+                     telemetry::PacketTracer* tracer) {
+  // One plan per job, and publishers fence on submit_mu_, so shard deltas
+  // never straddle a reconfiguration.  `sample` was taken in arrival order,
+  // so the shards trace exactly the packets the sequential path would.
   auto job = std::make_shared<Job>();
-  job->plan = plan;
+  job->plan = std::move(plan);
   job->pkts = pkts;
+  job->sample = sample;
   if (tracer != nullptr) {
-    job->sample = tracer->sample_batch(pkts.size());
     // The submitter's own executor is idle until the job is published.
     job->watch =
-        plan->traced_cells(pkts, job->sample, workers_.back()->scratch);
+        job->plan->traced_cells(pkts, sample, workers_.back()->scratch);
   }
   job->num_chunks = (pkts.size() + kBatchChunk - 1) / kBatchChunk;
   job->ctl.arm(job->num_chunks);
@@ -95,8 +84,6 @@ std::uint64_t WorkerPool::process(std::span<const Packet> pkts) {
   if (tracer != nullptr) publish_records(*job, *tracer);
   parallel_batches_.fetch_add(1, std::memory_order_relaxed);
   chunks_.fetch_add(job->num_chunks, std::memory_order_relaxed);
-  dp_->note_parallel_batch(pkts.size());
-  return plan->generation();
 }
 
 std::uint32_t WorkerPool::sequential_value(const Job& job, std::size_t wi,
@@ -285,18 +272,13 @@ void WorkerPool::note_fence_wait(std::uint64_t wait_ns) {
 }
 
 void WorkerPool::count_fallback(const ExecPlan* plan) {
-  if (plan == nullptr) {
-    fallback_no_plan_.fetch_add(1, std::memory_order_relaxed);
-    if (fallback_counters_[0] != nullptr) fallback_counters_[0]->inc();
-    return;
-  }
-  if (!plan->shard_mergeable()) {
-    fallback_unmergeable_.fetch_add(1, std::memory_order_relaxed);
-    if (fallback_counters_[1] != nullptr) fallback_counters_[1]->inc();
-    for (MergeBlockerKind k : plan->merge_blocker_kinds()) {
-      telemetry::Counter* c = blocker_counters_[static_cast<std::size_t>(k)];
-      if (c != nullptr) c->inc();
-    }
+  const std::size_t reason = plan == nullptr ? 0 : 1;  // kReasons index
+  fallbacks_[reason].fetch_add(1, std::memory_order_relaxed);
+  if (fallback_counters_[reason] != nullptr) fallback_counters_[reason]->inc();
+  if (plan == nullptr) return;
+  for (MergeBlockerKind k : plan->merge_blocker_kinds()) {
+    telemetry::Counter* c = blocker_counters_[static_cast<std::size_t>(k)];
+    if (c != nullptr) c->inc();
   }
 }
 
@@ -328,12 +310,11 @@ void WorkerPool::bind_telemetry(telemetry::Registry* registry) {
 ParallelStats WorkerPool::stats() const noexcept {
   ParallelStats s;
   s.parallel_batches = parallel_batches_.load(std::memory_order_relaxed);
-  s.fallback_batches = fallback_batches_.load(std::memory_order_relaxed);
   s.chunks = chunks_.load(std::memory_order_relaxed);
   s.merges = merges_.load(std::memory_order_relaxed);
-  s.fallback_no_plan = fallback_no_plan_.load(std::memory_order_relaxed);
-  s.fallback_unmergeable =
-      fallback_unmergeable_.load(std::memory_order_relaxed);
+  s.fallback_no_plan = fallbacks_[0].load(std::memory_order_relaxed);
+  s.fallback_unmergeable = fallbacks_[1].load(std::memory_order_relaxed);
+  s.fallback_batches = s.fallback_no_plan + s.fallback_unmergeable;
   return s;
 }
 

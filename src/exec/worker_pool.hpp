@@ -1,19 +1,20 @@
 // Persistent worker pool for multi-core packet processing.
 //
 // N executors = N-1 spawned threads plus the calling thread, each owning a
-// private RegisterShard and BatchScratch.  process() publishes one Job —
-// the acquired ExecPlan snapshot plus a packet span — and all executors
-// claim fixed-size chunks from it with a lock-free fetch_add cursor, so
-// load balances itself and no shared state is written on the hot path
-// except the claim/completion atomics.
+// private RegisterShard and BatchScratch.  run() publishes one Job — the
+// plan snapshot plus a packet span — and all executors claim fixed-size
+// chunks from it with a lock-free fetch_add cursor, so load balances
+// itself and no shared state is written on the hot path except the
+// claim/completion atomics.
 //
-// Reconfiguration safety: the plan is acquired ONCE per job (not per
-// chunk), and Fence serialises against process() while folding every dirty
-// shard into the live registers — FlyMonDataPlane holds a Fence across
-// compile+publish, so a shard never carries deltas across a plan change
-// (the invariant RegisterShard::merge_into relies on).
+// FlyMonDataPlane::process_batch picks the path under a Submission held
+// for the whole batch, handing run() only shard-mergeable plans.  Fence
+// takes the same lock to fold every dirty shard into the live registers,
+// and the data plane holds one across compile+publish, so no delta
+// straddles a plan change (RegisterShard::merge_into relies on this) and
+// no fold lands in a cell a batch is writing.
 //
-// Tracing: the submitter takes the batch's sampling decision once, before
+// Tracing: the dispatcher takes the batch's sampling decision once, before
 // the job runs; each executor writes the records of the traced packets it
 // runs into its own BatchScratch and snapshots the traced cells of its
 // replica at every chunk it claims.  After the job the submitter rebuilds
@@ -66,12 +67,25 @@ class WorkerPool {
 
   unsigned num_workers() const noexcept { return num_executors_; }
 
-  /// Process a batch across all executors against the current plan
-  /// snapshot.  Falls back to the data plane's sequential path (recording
-  /// a fallback stat) when no plan is published or the plan is not
-  /// shard-mergeable.  Returns the generation the batch executed under
-  /// (0 = interpreted fallback).
-  std::uint64_t process(std::span<const Packet> pkts);
+  /// Submission lock: process_batch holds one across a whole batch.
+  class FLYMON_SCOPED_CAPABILITY Submission {
+   public:
+    explicit Submission(WorkerPool& pool) FLYMON_ACQUIRE(pool.submit_mu_)
+        : pool_(pool) { pool_.submit_mu_.lock(); }
+    ~Submission() FLYMON_RELEASE() { pool_.submit_mu_.unlock(); }
+
+   private:
+    WorkerPool& pool_;
+  };
+
+  /// Run a non-empty batch across all executors under a shard-mergeable
+  /// `plan`, tracing the packets `sample` picks into `tracer` (if any).
+  void run(std::shared_ptr<const ExecPlan> plan, std::span<const Packet> pkts,
+           telemetry::TraceSample sample, telemetry::PacketTracer* tracer)
+      FLYMON_REQUIRES(submit_mu_);
+
+  /// Record a sequential batch: no plan (nullptr) or an unmergeable one.
+  void count_fallback(const ExecPlan* plan) FLYMON_REQUIRES(submit_mu_);
 
   /// Block new submissions, wait out the in-flight job, and fold every
   /// dirty shard into the live registers under the current plan.  With
@@ -86,7 +100,7 @@ class WorkerPool {
   /// Cache handles into `registry` (fallback-reason counters, fence-wait
   /// and shard-merge histograms) so the pool reports without per-event
   /// registry lookups.  Pass nullptr to detach.  Serialises on the
-  /// submission lock, so it is safe against in-flight process() calls.
+  /// submission lock, so it is safe against in-flight batches.
   void bind_telemetry(telemetry::Registry* registry);
 
   /// RAII reconfiguration fence: holds the submission lock and merges all
@@ -104,8 +118,6 @@ class WorkerPool {
   };
 
  private:
-  friend class Fence;
-
   struct Job {
     std::shared_ptr<const ExecPlan> plan;
     std::span<const Packet> pkts;
@@ -131,7 +143,6 @@ class WorkerPool {
   void run_chunks(Job& job, std::size_t shard_idx);
   void merge_locked() FLYMON_REQUIRES(submit_mu_);
   void note_fence_wait(std::uint64_t wait_ns) FLYMON_REQUIRES(submit_mu_);
-  void count_fallback(const ExecPlan* plan) FLYMON_REQUIRES(submit_mu_);
   /// The value a sequential run would have read where fixup `f` of
   /// executor `wi` read its replica.
   std::uint32_t sequential_value(const Job& job, std::size_t wi,
@@ -146,7 +157,7 @@ class WorkerPool {
   std::vector<std::unique_ptr<Worker>> workers_;  ///< one per executor
   std::vector<std::thread> threads_;              ///< num_executors_ - 1
 
-  /// Serialises process() / quiesce / Fence.
+  /// Serialises batches (Submission) / quiesce / Fence.
   common::Mutex submit_mu_{"exec.submit_mu"};
 
   // Job hand-off: the submitter publishes job_/job_seq_ under job_mu_ and
@@ -163,11 +174,9 @@ class WorkerPool {
   common::CondVar done_cv_;
 
   std::atomic<std::uint64_t> parallel_batches_{0};
-  std::atomic<std::uint64_t> fallback_batches_{0};
   std::atomic<std::uint64_t> chunks_{0};
   std::atomic<std::uint64_t> merges_{0};
-  std::atomic<std::uint64_t> fallback_no_plan_{0};
-  std::atomic<std::uint64_t> fallback_unmergeable_{0};
+  std::atomic<std::uint64_t> fallbacks_[2]{};  ///< no_plan, unmergeable
 
   // Telemetry handles, cached under submit_mu_ (written only by
   // bind_telemetry; read only by code already holding the lock).

@@ -426,7 +426,7 @@ TEST(ExecTracer, RecordsMatchInterpretedRefereeOnEveryPath) {
       const std::string what = "sharded@" + std::to_string(workers);
       check(what.c_str(), [&](World& w) {
         w.dp.enable_parallel(workers);
-        ASSERT_GT(w.dp.process_batch_parallel(trace), 0u);
+        ASSERT_GT(w.dp.process_batch(trace), 0u);
         EXPECT_EQ(w.dp.parallel_stats().parallel_batches, 1u);
       });
     }

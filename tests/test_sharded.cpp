@@ -2,16 +2,18 @@
 //   - golden equivalence: a 4-worker parallel run over a mergeable mix must
 //     leave byte-identical registers, identical telemetry counts and
 //     identical query results vs the sequential compiled path;
-//   - compile-time mergeability: plans with register-derived chain outputs
-//     or capped Cond-ADDs are flagged and the pool falls back sequentially
+//   - dispatch: process_batch on a pooled data plane shards mergeable
+//     plans; plans with register-derived chain outputs or capped Cond-ADDs
+//     are flagged and run sequentially, as does a batch with no plan
 //     (still exact, recorded in the stats);
 //   - merge-on-demand: controller readouts and telemetry collection fold
 //     outstanding shard deltas without an explicit merge call;
 //   - epoch integration: EpochRunner sees post-merge registers at readout;
 //   - tracing: an attached tracer keeps batches parallel, and toggling it
 //     while a drain runs is race-free (TSan);
-//   - reconfigure-while-processing churn (the interesting assertions fire
-//     under TSan: publish fencing vs in-flight parallel batches).
+//   - reconfigure-while-processing churn (publish fencing vs in-flight
+//     batches and drains: TSan for races, a sequential referee for lost
+//     updates).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,6 +198,23 @@ void expect_identical_counters(World& a, World& b, const char* what) {
   }
 }
 
+::testing::AssertionResult all_banks_zero(const FlyMonDataPlane& dp) {
+  for (unsigned g = 0; g < dp.num_groups(); ++g) {
+    for (unsigned c = 0; c < dp.group(g).num_cmus(); ++c) {
+      const auto& reg = dp.group(g).cmu(c).reg();
+      const std::vector<std::uint32_t> cells = reg.read_range(0, reg.size());
+      for (std::uint32_t i = 0; i < cells.size(); ++i) {
+        if (cells[i] != 0) {
+          return ::testing::AssertionFailure()
+                 << "group " << g << " cmu " << c << " cell " << i << " holds "
+                 << cells[i];
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // ---------------------------------------------------------------------------
 // Golden equivalence: 4 workers vs the sequential compiled path.
 // ---------------------------------------------------------------------------
@@ -219,7 +238,7 @@ TEST(ShardedGolden, FourWorkersMatchSequentialByteForByte) {
 
   wp.dp.enable_parallel(4);
   EXPECT_EQ(wp.dp.parallel_workers(), 4u);
-  const std::uint64_t par_gen = wp.dp.process_batch_parallel(trace);
+  const std::uint64_t par_gen = wp.dp.process_batch(trace);
   EXPECT_EQ(par_gen, wp.dp.plan_generation());
   wp.dp.merge_shards();
 
@@ -266,16 +285,14 @@ TEST(ShardedGolden, EquivalenceSurvivesReconfigurationFences) {
 
   const auto third = trace.size() / 3;
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, third));
-  wp.dp.process_batch_parallel(
-      std::span<const Packet>(trace).subspan(0, third));
+  wp.dp.process_batch(std::span<const Packet>(trace).subspan(0, third));
 
   // Fence mid-stream: both worlds resize the same task identically.
   ASSERT_TRUE(ws.ctl.resize_task(seq_ids.maxq, 8192).ok);
   ASSERT_TRUE(wp.ctl.resize_task(par_ids.maxq, 8192).ok);
 
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(third));
-  wp.dp.process_batch_parallel(
-      std::span<const Packet>(trace).subspan(third));
+  wp.dp.process_batch(std::span<const Packet>(trace).subspan(third));
   wp.dp.merge_shards();
 
   expect_identical_registers(ws.dp, wp.dp, "across reconfiguration fence");
@@ -299,8 +316,7 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
 
   const auto half = trace.size() / 2;
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
-  wp.dp.process_batch_parallel(
-      std::span<const Packet>(trace).subspan(0, half));
+  wp.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
   // wp's shards now hold unmerged deltas produced under the current plan.
 
   // Veto every publish from here on: the reconfiguration fence must still
@@ -314,10 +330,10 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
   EXPECT_EQ(wp.dp.current_plan(), nullptr);  // interpreted path serves
   expect_identical_registers(ws.dp, wp.dp, "deltas folded at the veto fence");
 
-  // Traffic keeps flowing while vetoed (pool falls back to interpreted
-  // execution) and the worlds stay byte-identical.
+  // Traffic keeps flowing while vetoed (with no plan, process_batch
+  // interprets) and the worlds stay byte-identical.
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(half));
-  wp.dp.process_batch_parallel(std::span<const Packet>(trace).subspan(half));
+  wp.dp.process_batch(std::span<const Packet>(trace).subspan(half));
   wp.dp.merge_shards();
   EXPECT_EQ(wp.dp.packets_processed(), trace.size());
   expect_identical_registers(ws.dp, wp.dp, "interpreted service under veto");
@@ -328,8 +344,7 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
   EXPECT_TRUE(wp.dp.last_publish_veto().empty());
   ASSERT_NE(wp.dp.current_plan(), nullptr);
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
-  wp.dp.process_batch_parallel(
-      std::span<const Packet>(trace).subspan(0, half));
+  wp.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
   wp.dp.merge_shards();
   expect_identical_registers(ws.dp, wp.dp, "parallel resumes after veto");
 }
@@ -365,13 +380,49 @@ TEST(ShardedFallback, ChainedPlansAreFlaggedAndFallBackSequentially) {
   const std::vector<Packet> trace = make_trace(200, 5000, 13);
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(4);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.merge_shards();
 
   const exec::ParallelStats stats = wp.dp.parallel_stats();
   EXPECT_EQ(stats.parallel_batches, 0u);
   EXPECT_EQ(stats.fallback_batches, 1u);
+  EXPECT_EQ(stats.fallback_unmergeable, 1u);
   expect_identical_registers(ws.dp, wp.dp, "unmergeable fallback");
+}
+
+// process_batch is the one entry point: on a pooled data plane the plan it
+// loads picks sharded or sequential execution, and the pool counts which.
+TEST(ShardedFallback, ProcessBatchOnAPoolDispatchesByPlan) {
+  EnabledGuard on(false);
+  const std::vector<Packet> trace = make_trace(300, 6000, 43);
+
+  World ws, wp;
+  deploy_mergeable_mix(ws.ctl);
+  deploy_mergeable_mix(wp.ctl);
+  wp.dp.enable_parallel(4);
+
+  // Mergeable plan: the batch runs on the replicas, so the live registers
+  // stay untouched until the merge.
+  ws.dp.process_batch(trace);
+  EXPECT_EQ(wp.dp.process_batch(trace), wp.dp.plan_generation());
+  exec::ParallelStats stats = wp.dp.parallel_stats();
+  EXPECT_EQ(stats.parallel_batches, 1u);
+  EXPECT_EQ(stats.fallback_batches, 0u);
+  EXPECT_TRUE(all_banks_zero(wp.dp)) << "a sharded batch wrote live cells";
+  wp.dp.merge_shards();
+  expect_identical_registers(ws.dp, wp.dp, "sharded dispatch");
+
+  // No published plan: the batch is interpreted on the live registers.
+  ws.dp.unpublish_plan();
+  wp.dp.unpublish_plan();
+  ws.dp.process_batch(trace);
+  EXPECT_EQ(wp.dp.process_batch(trace), 0u);
+  stats = wp.dp.parallel_stats();
+  EXPECT_EQ(stats.parallel_batches, 1u);
+  EXPECT_EQ(stats.fallback_batches, 1u);
+  EXPECT_EQ(stats.fallback_no_plan, 1u);
+  expect_identical_registers(ws.dp, wp.dp, "interpreted dispatch");
+  EXPECT_EQ(wp.dp.packets_processed(), 2 * trace.size());
 }
 
 TEST(ShardedTracer, TracerAttachedStaysParallel) {
@@ -385,7 +436,7 @@ TEST(ShardedTracer, TracerAttachedStaysParallel) {
   wp.dp.set_tracer(&tracer);
   const std::vector<Packet> trace = make_trace(50, 2000, 3);
   ws.dp.process_batch(trace);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.set_tracer(nullptr);
   wp.dp.merge_shards();
 
@@ -410,7 +461,7 @@ TEST(ShardedMerge, ControllerQueriesMergeOnDemand) {
 
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(4);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
 
   // No explicit merge_shards(): the readout path must fold the shards.
   for (std::size_t i = 0; i < trace.size(); i += 499) {
@@ -428,7 +479,7 @@ TEST(ShardedMerge, TelemetryCollectionMergesCounters) {
   World w;
   deploy_mergeable_mix(w.ctl);
   w.dp.enable_parallel(2);
-  w.dp.process_batch_parallel(trace);
+  w.dp.process_batch(trace);
 
   // Pipeline total is maintained by the pool; per-group counters travel
   // through the shard blocks and appear only after a merge point.
@@ -447,7 +498,7 @@ TEST(ShardedMerge, ClearRegistersDiscardsShardDeltas) {
   World w;
   const MixIds ids = deploy_mergeable_mix(w.ctl);
   w.dp.enable_parallel(3);
-  w.dp.process_batch_parallel(trace);
+  w.dp.process_batch(trace);
   w.dp.clear_registers();  // epoch boundary: shard deltas die with the epoch
 
   // A later merge point must not resurrect pre-clear state.
@@ -466,23 +517,6 @@ TEST(ShardedMerge, ClearRegistersDiscardsShardDeltas) {
 // clear_registers zeroes only each CMU's partition hull; a seeded lifecycle
 // proves the hulls still cover every cell anything could have written.
 // ---------------------------------------------------------------------------
-
-::testing::AssertionResult all_banks_zero(const FlyMonDataPlane& dp) {
-  for (unsigned g = 0; g < dp.num_groups(); ++g) {
-    for (unsigned c = 0; c < dp.group(g).num_cmus(); ++c) {
-      const auto& reg = dp.group(g).cmu(c).reg();
-      const std::vector<std::uint32_t> cells = reg.read_range(0, reg.size());
-      for (std::uint32_t i = 0; i < cells.size(); ++i) {
-        if (cells[i] != 0) {
-          return ::testing::AssertionFailure()
-                 << "group " << g << " cmu " << c << " cell " << i << " holds "
-                 << cells[i];
-        }
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
 
 /// Seeded add/resize/split/remove lifecycle with traffic between the
 /// operations (`workers` == 0 stays on the batched path).  After every
@@ -512,7 +546,7 @@ void run_clear_lifecycle(unsigned workers, std::uint64_t seed) {
   const auto traffic = [&] {
     const std::size_t n = 1500;
     const std::size_t at = rng.next_below(trace.size() - n);
-    w.dp.process_batch_parallel(std::span<const Packet>(trace).subspan(at, n));
+    w.dp.process_batch(std::span<const Packet>(trace).subspan(at, n));
   };
   const auto units_of = [&](std::uint32_t id) {
     std::vector<control::UnitPlacement> units;
@@ -596,13 +630,13 @@ TEST(ShardedClear, ClearOfUnmergedShardsLeavesNoStaleDeltas) {
   const MixIds ids_p = deploy_mergeable_mix(wp.ctl);
   wp.dp.enable_parallel(3);
 
-  for (World* w : {&ws, &wp}) w->dp.process_batch_parallel(part(0));
+  for (World* w : {&ws, &wp}) w->dp.process_batch(part(0));
   ASSERT_TRUE(ws.ctl.resize_task(ids_s.cms, 16384).ok);
   ASSERT_TRUE(wp.ctl.resize_task(ids_p.cms, 16384).ok);
   for (World* w : {&ws, &wp}) {
-    w->dp.process_batch_parallel(part(1));
+    w->dp.process_batch(part(1));
     w->dp.clear_registers();
-    w->dp.process_batch_parallel(part(2));
+    w->dp.process_batch(part(2));
   }
   wp.dp.merge_shards();
 
@@ -662,7 +696,7 @@ TEST(ShardedLifecycle, DisableParallelMergesOutstandingDeltas) {
 
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(4);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.disable_parallel();
   EXPECT_EQ(wp.dp.parallel_workers(), 0u);
 
@@ -670,8 +704,8 @@ TEST(ShardedLifecycle, DisableParallelMergesOutstandingDeltas) {
   EXPECT_EQ(ws.ctl.query_value(seq_ids.cms, trace.front()),
             wp.ctl.query_value(par_ids.cms, trace.front()));
 
-  // With no pool, the parallel entry point degrades to process_batch.
-  EXPECT_GT(wp.dp.process_batch_parallel(trace), 0u);
+  // With no pool, the same entry point runs the compiled plan.
+  EXPECT_GT(wp.dp.process_batch(trace), 0u);
   EXPECT_EQ(wp.dp.packets_processed(), 2 * trace.size());
 }
 
@@ -686,7 +720,7 @@ TEST(ShardedLifecycle, SingleWorkerPoolSpawnsNoThreadsAndStaysExact) {
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(1);
   EXPECT_EQ(wp.dp.parallel_workers(), 1u);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.merge_shards();
   expect_identical_registers(ws.dp, wp.dp, "single-worker pool");
 }
@@ -706,7 +740,7 @@ TEST(ShardedSmoke, TwoThreadEquivalence) {
 
   ws.dp.process_batch(trace);
   wp.dp.enable_parallel(2);
-  wp.dp.process_batch_parallel(trace);
+  wp.dp.process_batch(trace);
   wp.dp.merge_shards();
 
   const exec::ParallelStats stats = wp.dp.parallel_stats();
@@ -716,16 +750,19 @@ TEST(ShardedSmoke, TwoThreadEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// Churn: reconfigure while parallel batches are in flight.  The publish
-// fence serialises against submissions, so every batch executes one
-// coherent plan and every shard delta merges under the plan it was
-// produced with.  TSan is the referee.
+// Churn: reconfigure while batches are in flight.  The publish fence
+// serialises against every batch, so each executes one coherent plan,
+// every shard delta merges under the plan it was produced with, and no
+// fold lands in a cell a batch is writing.  TSan is the referee for races;
+// a sequential referee catches lost updates, which relaxed cells hide from
+// TSan.
 // ---------------------------------------------------------------------------
 
 TEST(ShardedChurn, ReconfigureWhileProcessingIsRaceFree) {
   EnabledGuard on(false);
-  World w;
-  deploy_mergeable_mix(w.ctl);
+  World w, ref;
+  const MixIds ids = deploy_mergeable_mix(w.ctl);
+  const MixIds ref_ids = deploy_mergeable_mix(ref.ctl);
   w.dp.enable_parallel(3);
   const std::vector<Packet> trace = make_trace(256, 2048, 9);
 
@@ -735,7 +772,12 @@ TEST(ShardedChurn, ReconfigureWhileProcessingIsRaceFree) {
   std::thread proc([&] {
     std::uint64_t last_gen = 0;
     while (true) {
-      const std::uint64_t gen = w.dp.process_batch_parallel(trace);
+      // Alternate the two ways packets enter: one batch, one drained
+      // stream of the same packets.
+      ingest::MemorySource source{trace};
+      const std::uint64_t gen = batches % 2 == 0
+                                    ? w.dp.process_batch(trace)
+                                    : w.dp.drain(source).last_generation;
       if (gen < last_gen) {
         generations_ok = false;
         break;
@@ -771,6 +813,21 @@ TEST(ShardedChurn, ReconfigureWhileProcessingIsRaceFree) {
       << "parallel path observed a decreasing plan generation";
   EXPECT_GE(batches, 8u);
   EXPECT_EQ(w.dp.packets_processed(), batches * trace.size());
+
+  // The churned task never shares cells with the persistent mix, so the
+  // mix must answer exactly as a sequential run over the same packets.
+  for (std::uint64_t i = 0; i < batches; ++i) ref.dp.process_batch(trace);
+  for (std::size_t i = 0; i < trace.size(); i += 97) {
+    const Packet& probe = trace[i];
+    EXPECT_EQ(ref.ctl.query_value(ref_ids.cms, probe),
+              w.ctl.query_value(ids.cms, probe));
+    EXPECT_EQ(ref.ctl.query_existence(ref_ids.bloom, probe),
+              w.ctl.query_existence(ids.bloom, probe));
+    EXPECT_EQ(ref.ctl.query_value(ref_ids.maxq, probe),
+              w.ctl.query_value(ids.maxq, probe));
+    EXPECT_DOUBLE_EQ(ref.ctl.estimate_distinct(ref_ids.beaucoup, probe),
+                     w.ctl.estimate_distinct(ids.beaucoup, probe));
+  }
 }
 
 // The shell's `trace off` may run while an `ingest start` drain thread is

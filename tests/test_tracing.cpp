@@ -303,7 +303,7 @@ TEST(PoolTracing, ChunkSpansLandOnWorkerThreadTracks) {
 
   const std::vector<Packet> trace = make_trace(512, 20'000, 11);
   const std::uint64_t gen = dp.plan_generation();
-  for (int i = 0; i < 4; ++i) dp.process_batch_parallel(trace);
+  for (int i = 0; i < 4; ++i) dp.process_batch(trace);
   // A reconfiguration with the pool live: republish fences the workers
   // (merging the dirty shards), so the fence + merge spans appear.
   ASSERT_TRUE(ctl.add_task(cms_spec(4096)).ok);
@@ -363,7 +363,7 @@ TEST(PoolTracing, QueriesOnCleanShardsSkipTheMerge) {
 
   const std::vector<Packet> trace = make_trace(256, 8000, 23);
   ds.process_batch(trace);
-  dp.process_batch_parallel(trace);
+  dp.process_batch(trace);
   const auto merge_spans = [] {
     const auto events = trace::SpanCollector::global().collect();
     return std::count_if(events.begin(), events.end(), [](const auto& e) {
@@ -403,7 +403,7 @@ TEST(TracingChurn, ReconfigureAndCollectWhileProcessingIsRaceFree) {
   std::uint64_t batches = 0;
   std::thread proc([&] {
     while (true) {
-      dp.process_batch_parallel(trace);
+      dp.process_batch(trace);
       ++batches;
       if (stop.load(std::memory_order_acquire) && batches >= 8) break;
     }
@@ -513,7 +513,7 @@ TEST(StageProfiler, ShardedPhasesAreAttributed) {
   prof.set_enabled(true);
   prof.set_sample_every(1);
   prof.reset();
-  dp.process_batch_parallel(make_trace(256, 8000, 17));
+  dp.process_batch(make_trace(256, 8000, 17));
   dp.merge_shards();
   prof.set_enabled(false);
 
@@ -546,7 +546,7 @@ TEST(FallbackTelemetry, UnmergeablePlanCountsReasonAndBlockerKind) {
   EXPECT_EQ(dp.current_plan()->merge_blocker_kinds().front(),
             exec::MergeBlockerKind::kChainOutput);
 
-  dp.process_batch_parallel(make_trace(100, 1000, 19));
+  dp.process_batch(make_trace(100, 1000, 19));
 
   const auto stats = dp.parallel_stats();
   EXPECT_EQ(stats.fallback_batches, 1u);
@@ -575,7 +575,7 @@ TEST(FallbackTelemetry, FenceWaitAndMergeTimesReachHistograms) {
   ASSERT_TRUE(ctl.add_task(cms_spec()).ok);
   dp.enable_parallel(2);
 
-  dp.process_batch_parallel(make_trace(200, 4000, 23));
+  dp.process_batch(make_trace(200, 4000, 23));
   // Republish with dirty shards: the Fence times its submit-lock wait and
   // the merge observes the shard-fold duration.
   ASSERT_TRUE(ctl.add_task(cms_spec(4096)).ok);

@@ -254,7 +254,7 @@ TEST(PublishGate, VetoWithParallelPoolFoldsOutstandingDeltasFirst) {
   tcfg.seed = 11;
   const std::vector<Packet> trace = TraceGenerator::generate(tcfg);
   dp_seq.process_batch(trace);
-  dp_par.process_batch_parallel(trace);
+  dp_par.process_batch(trace);
   // dp_par's shards are dirty: nothing has merged them yet.
 
   dp_par.set_plan_validator([](const FlyMonDataPlane&, const exec::ExecPlan&) {

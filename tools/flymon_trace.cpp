@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   tcfg.num_packets = static_cast<std::uint32_t>(packets);
   const std::vector<Packet> traffic = TraceGenerator::generate(tcfg);
   const auto pump = [&] {
-    dp.process_batch_parallel(traffic);  // keep the pool hot so fences wait
+    dp.process_batch(traffic);  // keep the pool hot so fences wait
   };
 
   // Scripted reconfiguration batch: add + add + add, resize, split —

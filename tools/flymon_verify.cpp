@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
     tcfg.num_packets = 2048;
     tcfg.seed = 7;
     const auto trace = flymon::TraceGenerator::generate(tcfg);
-    dp.process_batch_parallel(trace);
+    dp.process_batch(trace);
     dp.merge_shards();
     dp.disable_parallel();
     witness.enable(false);
