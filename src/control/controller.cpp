@@ -197,35 +197,9 @@ std::vector<exec::EntryOwnership> Controller::entry_ownership() const {
   return owners;
 }
 
-void Controller::recompile_and_publish() {
-  const std::vector<exec::EntryOwnership> owners = entry_ownership();
-  if (dp_->republish_plan(owners) == 0) {
-    // The publish-time translation validator vetoed the compiled plan
-    // (generation 0 = nothing published, interpreted path serves traffic).
-    // Surface the divergence diagnostics the same way the deploy gates do;
-    // the deployment itself stands — a miscompile is a compiler bug, not a
-    // deployment bug.
-    last_verify_errors_ = dp_->last_publish_veto();
-  }
-}
-
 DeployResult Controller::add_task(const TaskSpec& spec) {
   trace::ReconfigScope reconfig;
   trace::Span span("ctl.add_task", reconfig.tag());
-  if (paranoid_) {
-    // Pre-flight: dry-run the add against a shadow world before touching
-    // the live pipeline.  The verify gate in reconfigure() still runs —
-    // the pre-flight proves intent, the gate proves the commit — but a
-    // bad spec is rejected with the live data plane never modified.
-    trace::Span gate("ctl.plan_gate");
-    last_verify_errors_ = run_plan_gate(spec);
-    if (!last_verify_errors_.empty()) {
-      deploy_failures_counter_->inc();
-      DeployResult r;
-      r.error = "plan gate rejected deployment:\n" + last_verify_errors_;
-      return r;
-    }
-  }
   return reconfigure({spec}, 0).front();
 }
 
@@ -233,8 +207,7 @@ bool Controller::remove_task(std::uint32_t id) {
   if (tasks_.find(id) == tasks_.end()) return false;
   trace::ReconfigScope reconfig;
   trace::Span span("ctl.remove_task", id);
-  reconfigure({}, id);
-  return true;
+  return reconfigure({}, id).empty();  // a rejection returns one failed result
 }
 
 DeployResult Controller::resize_task(std::uint32_t id, std::uint32_t new_buckets) {
@@ -287,8 +260,11 @@ ApplyResult Controller::apply(const PlanOp& op, std::string_view label) {
       r = add_task(op.spec);
       return {r.ok, r.ok ? "deployed as " + task + std::to_string(r.task_id) : r.error};
     case PlanOp::Kind::kRemove:
+      if (tasks_.count(op.task_id) == 0) {
+        return {false, "unknown " + task + std::to_string(op.task_id)};
+      }
       if (remove_task(op.task_id)) return {true, "removed"};
-      return {false, "unknown " + task + std::to_string(op.task_id)};
+      return {false, "paranoid verify rejected removal:\n" + last_verify_errors_};
     case PlanOp::Kind::kResize:
       r = resize_task(op.task_id, op.new_buckets);
       return {r.ok, r.ok ? "resized to " + std::to_string(op.new_buckets) + " buckets"
@@ -315,16 +291,35 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
   std::vector<DeployResult> results;
   decltype(tasks_)::node_type retired;
   std::vector<DetachedEntry> detached;
+  // The hash-unit configuration a rollback restores: staging and the sweep
+  // before the compile both clear units nothing references.
+  std::vector<std::optional<FlowKeySpec>> units;
+  for (unsigned g = 0; g < dp_->num_groups(); ++g) {
+    const CompressionStage& comp = dp_->group(g).compression();
+    for (unsigned u = 0; u < comp.num_units(); ++u) units.push_back(comp.spec_of(u));
+  }
 
   // Undo everything in reverse: reinstall the retired task while the
-  // staged instances still reference any hash unit it shares, then unwind
-  // the staged instances.  The data plane ends byte-identical.
+  // staged instances still reference any hash unit it shares, unwind the
+  // staged instances, then restore the hash units.  The data plane ends
+  // byte-identical and the published plan keeps serving.
   const auto rollback = [&](std::string error) {
     reattach(detached);
     tasks_.insert(std::move(retired));
     for (std::uint32_t id = next_id_; id-- > first_id;) {
       undo_deployment(tasks_.at(id));
       tasks_.erase(id);
+    }
+    std::size_t i = 0;
+    for (unsigned g = 0; g < dp_->num_groups(); ++g) {
+      CompressionStage& comp = dp_->group(g).compression();
+      for (unsigned u = 0; u < comp.num_units(); ++u, ++i) {
+        if (units[i]) {
+          comp.configure(u, *units[i]);
+        } else {
+          comp.clear_unit(u);
+        }
+      }
     }
     next_id_ = first_id;
     deploy_failures_counter_->inc();
@@ -343,14 +338,25 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     retired = tasks_.extract(retire);
     detached = detach(retired.mapped());
   }
+  // The candidate plan is the final deployment, exactly as it will be
+  // published: no unreferenced hash unit, and a one-for-one replacement
+  // (resize) already owned by the retired public id.
+  gc_unreferenced_units();
+  const bool rekey = retired && stage.size() == 1;
+  std::vector<exec::EntryOwnership> owners = entry_ownership();
+  for (exec::EntryOwnership& o : owners) {
+    if (rekey && o.task_id == first_id) o.task_id = retire;
+  }
+  std::shared_ptr<const exec::ExecPlan> candidate = dp_->compile_plan(owners);
   if (paranoid_) {
-    // The gate sees the final state, so one run covers the whole
-    // reconfiguration.  A pure removal stages nothing to undo: its gate
-    // only reports.
+    // One gate on the final state and its plan covers the whole
+    // reconfiguration.  A pure removal stages nothing to undo, so its
+    // deployment findings only report; a wrong plan is never published.
     trace::Span gate("ctl.verify_gate");
-    last_verify_errors_ = run_verify_gate();
+    const GateResult verdict = run_verify_gate(*candidate);
     gate.close();
-    if (!last_verify_errors_.empty() && !stage.empty()) {
+    last_verify_errors_ = verdict.errors;
+    if (!verdict.errors.empty() && (!stage.empty() || verdict.plan_errors)) {
       return rollback("paranoid verify rejected deployment:\n" + last_verify_errors_);
     }
   }
@@ -360,8 +366,7 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     release(retired.mapped());
     reclaim.close();
     removals_counter_->inc();
-    // A one-for-one replacement (resize) takes over the retired public id.
-    if (stage.size() == 1) {
+    if (rekey) {
       auto node = tasks_.extract(first_id);
       node.key() = retire;
       node.mapped().id = retire;
@@ -371,7 +376,7 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     }
   }
   deploys_counter_->inc(stage.size());
-  recompile_and_publish();
+  dp_->publish_plan(std::move(candidate));
   return results;
 }
 
@@ -413,7 +418,7 @@ void Controller::release(DeployedTask& t) {
 void Controller::gc_unreferenced_units() {
   // Clear hash units no entry references: leftovers of placement probes
   // (e.g. a group that offered a selector but had no free CMU) and units
-  // whose last reader was released.
+  // whose last reader was detached or released.
   for (unsigned g = 0; g < dp_->num_groups(); ++g) {
     auto& comp = dp_->group(g).compression();
     for (unsigned u = 0; u < comp.num_units(); ++u) {

@@ -113,6 +113,8 @@ class Controller {
 
   // ---- task management interfaces (each one transaction: reconfigure()) ----
   DeployResult add_task(const TaskSpec& spec);
+  /// False for an unknown id, or when the paranoid gate rejects the
+  /// candidate plan (last_verify_errors() says why).
   bool remove_task(std::uint32_t id);
   /// Reallocate a task's memory: deploy the replacement, then freeze and
   /// reclaim the old instance, as one reconfiguration (paper §6).  The public
@@ -147,22 +149,29 @@ class Controller {
   const BuddyAllocator* find_allocator(unsigned group, unsigned cmu) const noexcept;
 
   // ---- static verification (src/verify) ----
-  /// Paranoid mode: every reconfiguration runs the full static verifier
-  /// once, on its final state (new instances staged, retired ones
-  /// uninstalled), before it publishes.  For add/resize/split, error
-  /// diagnostics roll the whole operation back and fail the DeployResult:
-  /// nothing is published and no counter but the failure count moves.  A
-  /// pure remove_task has nothing to roll back, so its gate only surfaces
-  /// residual corruption via last_verify_errors().  Additionally installs
-  /// a publish-time translation-validation gate on the data plane: every
-  /// compiled ExecPlan is symbolically checked against the interpreted
-  /// semantics *before* the RCU store, and a divergent plan is vetoed
-  /// (processing stays on the interpreted path, diagnostics land in
-  /// last_verify_errors()).  Off by default (tests enable it); the shell
-  /// toggles it with `verify paranoid on|off`.  Implemented in
-  /// verifier.cpp so this header stays free of the analyzer machinery.
-  void set_paranoid(bool on);
+  /// Paranoid mode: every reconfiguration compiles its candidate plan once
+  /// and runs one gate, run_verify_gate, on its final state (new instances
+  /// staged, retired ones uninstalled) before the fence.  On a rejection the
+  /// whole operation rolls back and fails; the previously published plan
+  /// keeps serving and no counter but the failure count moves.  A pure
+  /// remove_task rolls back only when the candidate plan itself is wrong;
+  /// deployment findings there only report via last_verify_errors().  Off
+  /// by default (tests enable it); the shell toggles it with
+  /// `verify paranoid on|off`.
+  void set_paranoid(bool on) noexcept { paranoid_ = on; }
   bool paranoid() const noexcept { return paranoid_; }
+
+  /// Verdict of run_verify_gate.
+  struct GateResult {
+    std::string errors;        ///< formatted error diagnostics, empty = clean
+    bool plan_errors = false;  ///< some error is the candidate plan's (translate.*)
+  };
+  /// The paranoid gate: every analyzer over the live deployment, with
+  /// `candidate` as VerifyContext::exec_plan so the translation validator
+  /// and merge prover check the plan that would be published (implemented
+  /// in src/verify/verifier.cpp to keep the analyzer headers out of this
+  /// one).
+  GateResult run_verify_gate(const exec::ExecPlan& candidate) const;
   /// Formatted error diagnostics of the most recent paranoid check that
   /// failed (empty when the last check was clean or paranoid mode is off).
   const std::string& last_verify_errors() const noexcept { return last_verify_errors_; }
@@ -246,18 +255,14 @@ class Controller {
   /// A CMU entry detach() uninstalled, kept so a rollback can reinstall it.
   struct DetachedEntry { unsigned group, cmu; CmuTaskEntry entry; };
 
-  /// Compile the current deployment into a fresh ExecPlan and publish it on
-  /// the data plane.  Every successful public mutation (add/remove/resize/
-  /// split) ends here, so the packet path always executes a coherent
-  /// snapshot of the newest committed configuration.
-  void recompile_and_publish();
-
   /// The transaction behind add/remove/resize/split: merge shards; deploy
-  /// `stage` under fresh ids; detach task `retire` (0 = none); run the
-  /// paranoid verify gate once; then either roll back exactly or release
-  /// the retired partitions and publish once.  A one-for-one replacement
-  /// (resize) takes over the retired public id.  Returns one result per
-  /// staged spec, or a single failed result.
+  /// `stage` under fresh ids; detach task `retire` (0 = none) and clear the
+  /// hash units nothing references any more; compile the candidate plan
+  /// once; run the paranoid gate on it; then either roll back exactly (the
+  /// published plan keeps serving) or release the retired partitions and
+  /// publish that same plan.  A one-for-one replacement (resize) takes over
+  /// the retired public id.  Returns one result per staged spec, or a
+  /// single failed result.
   std::vector<DeployResult> reconfigure(const std::vector<TaskSpec>& stage,
                                         std::uint32_t retire);
   DeployResult deploy(const TaskSpec& spec, std::uint32_t public_id);
@@ -284,15 +289,6 @@ class Controller {
 
   // Readout helpers.
   const DeployedTask& require(std::uint32_t id) const;
-
-  /// Paranoid-mode helper: full verifier pass; returns formatted error
-  /// diagnostics, empty when clean (implemented in src/verify/verifier.cpp
-  /// to keep the analyzer headers out of this one).
-  std::string run_verify_gate() const;
-  /// Paranoid-mode pre-flight: dry-run plan() of the single add op; returns
-  /// the failure summary, empty when the plan is clean (implemented in
-  /// src/verify/planner.cpp).
-  std::string run_plan_gate(const TaskSpec& spec) const;
 
   FlyMonDataPlane* dp_;
   TranslationStrategy strategy_;

@@ -35,46 +35,30 @@ void FlyMonDataPlane::bind_telemetry(telemetry::Registry& registry) {
   if (pool_ != nullptr) pool_->bind_telemetry(&registry);
   // A published plan caches counter handles: recompile it against the new
   // registry so compiled execution keeps feeding the bound counters.
-  if (plan_.load() != nullptr) republish_plan();
+  if (const auto cur = plan_.load(); cur != nullptr) {
+    publish_plan(compile_plan(cur->ownership()));
+  }
 }
 
-std::uint64_t FlyMonDataPlane::republish_plan(
+std::shared_ptr<const exec::ExecPlan> FlyMonDataPlane::compile_plan(
     std::span<const exec::EntryOwnership> owners) {
-  trace::Span span("exec.publish");
   common::MutexLock publish(publish_mu_);
-  // Fence the pool across compile+publish: block submissions and fold
+  return exec::PlanCompiler::compile(*this, owners, ++next_generation_);
+}
+
+std::uint64_t FlyMonDataPlane::publish_plan(
+    std::shared_ptr<const exec::ExecPlan> plan) {
+  const std::uint64_t generation = plan->generation();
+  trace::Span span("exec.publish", generation);
+  common::MutexLock publish(publish_mu_);
+  // Fence the pool across the store: block submissions and fold
   // outstanding shard deltas under the OLD plan, so no shard ever holds
   // deltas produced under a plan that is no longer the merge target.
   std::optional<exec::WorkerPool::Fence> fence;
   if (pool_ != nullptr) fence.emplace(*pool_);
-  auto plan = exec::PlanCompiler::compile(*this, owners, ++next_generation_);
-  const std::uint64_t generation = plan->generation();
-  if (validator_) {
-    std::string veto = validator_(*this, *plan);
-    if (!veto.empty()) {
-      // Refuse the miscompiled plan AND the previously published one (it
-      // describes a deployment that no longer exists): the interpreted
-      // path — the semantic ground truth the validator compared against —
-      // serves traffic until a clean compile publishes.
-      last_publish_veto_ = std::move(veto);
-      plan_.store(nullptr);
-      span.set_arg(0);
-      trace::instant("exec.plan_vetoed", generation);
-      return 0;
-    }
-    last_publish_veto_.clear();
-  }
   plan_.store_if_newer(std::move(plan));
-  span.set_arg(generation);
   trace::instant("exec.plan_published", generation);
   return generation;
-}
-
-std::uint64_t FlyMonDataPlane::republish_plan() {
-  const auto cur = plan_.load();
-  return republish_plan(cur != nullptr
-                            ? std::span<const exec::EntryOwnership>(cur->ownership())
-                            : std::span<const exec::EntryOwnership>{});
 }
 
 void FlyMonDataPlane::unpublish_plan() noexcept {
@@ -84,17 +68,6 @@ void FlyMonDataPlane::unpublish_plan() noexcept {
   std::optional<exec::WorkerPool::Fence> fence;
   if (pool_ != nullptr) fence.emplace(*pool_);
   plan_.store(nullptr);
-}
-
-void FlyMonDataPlane::set_plan_validator(PlanValidator validator) {
-  common::MutexLock publish(publish_mu_);
-  validator_ = std::move(validator);
-  last_publish_veto_.clear();
-}
-
-std::string FlyMonDataPlane::last_publish_veto() const {
-  common::MutexLock publish(publish_mu_);
-  return last_publish_veto_;
 }
 
 std::shared_ptr<const exec::ExecPlan> FlyMonDataPlane::current_plan() const noexcept {

@@ -8,8 +8,9 @@
 //   - interpreted (no plan): walks the mutable Cmu/Compression objects per
 //     packet; the referee the golden tests compare against;
 //   - compiled: runs the immutable exec::ExecPlan snapshot held behind an
-//     RCU-style atomic shared_ptr, which the controller republishes after
-//     every reconfiguration; in-flight batches keep the plan they loaded;
+//     RCU-style atomic shared_ptr, which the controller publishes once per
+//     reconfiguration, after its gate; in-flight batches keep the plan they
+//     loaded;
 //   - sharded: with a pool and a shard-mergeable plan, the batch fans out
 //     across per-executor register replicas (exec/worker_pool.hpp).
 // Attaching a tracer never changes which path runs.
@@ -17,11 +18,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/annotated_mutex.hpp"
@@ -120,41 +119,25 @@ class FlyMonDataPlane {
   exec::ParallelStats parallel_stats() const;
 
   // ---- compiled-plan publication (RCU-style snapshot swap) ----
+  //
+  // A reconfiguration compiles its candidate plan, checks it, and only then
+  // publishes that same plan: compile -> validate -> fence -> publish.
 
-  /// Compile the current deployment into a fresh ExecPlan (tagging entries
-  /// with `owners`) and publish it with a release store.  Returns the new
-  /// plan generation.  Call from the control thread after reconfiguring.
-  std::uint64_t republish_plan(std::span<const exec::EntryOwnership> owners);
+  /// Compile the current deployment into a fresh ExecPlan tagged with
+  /// `owners` and the next generation.  Takes no fence, so traffic keeps
+  /// running on the published plan while the candidate is built and
+  /// checked.  Call from the control thread after staging a deployment.
+  std::shared_ptr<const exec::ExecPlan> compile_plan(
+      std::span<const exec::EntryOwnership> owners);
 
-  /// Recompile with the ownership labels of the currently published plan
-  /// (used after telemetry rebinding; publishes an empty-ownership plan if
-  /// none was published before).
-  std::uint64_t republish_plan();
+  /// Publish `plan` under the pool fence: block submissions, fold
+  /// outstanding shard deltas under the old plan, then release-store the
+  /// new one.  Returns its generation.
+  std::uint64_t publish_plan(std::shared_ptr<const exec::ExecPlan> plan);
 
-  /// Drop the published plan: processing reverts to the interpreted path.
+  /// Drop the published plan: processing reverts to the interpreted path
+  /// (the referee switch of tests and micro_throughput).
   void unpublish_plan() noexcept;
-
-  // ---- publish-time plan validation (translation-validation gate) ----
-
-  /// Validator invoked on every freshly compiled plan between compilation
-  /// and the RCU store, under publish_mu_ and the worker-pool fence.  An
-  /// empty return admits the plan; any non-empty string (formatted
-  /// diagnostics) VETOES publication: the plan is discarded, the previously
-  /// published plan is dropped too (the interpreted path — the semantic
-  /// ground truth the validator compared against — serves traffic instead),
-  /// republish_plan returns 0, and the string is kept in
-  /// last_publish_veto().  Installed by Controller::set_paranoid with the
-  /// verify::validate_plan translation validator.
-  using PlanValidator =
-      std::function<std::string(const FlyMonDataPlane&, const exec::ExecPlan&)>;
-
-  /// Install (or, with an empty function, clear) the publish-time
-  /// validator.  Takes effect from the next republish_plan call.
-  void set_plan_validator(PlanValidator validator);
-
-  /// Diagnostics of the most recent vetoed publication; empty when the
-  /// last publish was admitted (or no validator is installed).
-  std::string last_publish_veto() const;
 
   /// The currently published plan (nullptr = interpreted execution).
   std::shared_ptr<const exec::ExecPlan> current_plan() const noexcept;
@@ -163,8 +146,10 @@ class FlyMonDataPlane {
   std::uint64_t plan_generation() const noexcept;
 
   /// Rebind all instrumentation counters (groups, CMUs, pipeline totals)
-  /// into `registry` and recompile the published plan against the new
-  /// counter handles.  Construction binds to telemetry::Registry::global().
+  /// into `registry` and, when a plan is published, recompile and publish
+  /// it against the new counter handles.  This is the only publish outside
+  /// Controller::reconfigure; no production caller rebinds after the first
+  /// publish.  Construction binds to telemetry::Registry::global().
   void bind_telemetry(telemetry::Registry& registry);
   telemetry::Registry& registry() const noexcept { return *registry_; }
 
@@ -198,12 +183,10 @@ class FlyMonDataPlane {
   std::atomic<std::uint64_t> packets_{0};
   // The RCU cell: packet path acquire-loads, control plane release-stores.
   exec::PlanCell plan_;
-  /// Serialises compile+publish and pool fencing.  mutable so read-only
-  /// accessors (last_publish_veto) can lock it on a const data plane.
-  mutable common::Mutex publish_mu_{"core.publish_mu"};
+  /// Serialises compiles (generation numbering), publishes and pool
+  /// fencing.
+  common::Mutex publish_mu_{"core.publish_mu"};
   std::uint64_t next_generation_ FLYMON_GUARDED_BY(publish_mu_) = 0;
-  PlanValidator validator_ FLYMON_GUARDED_BY(publish_mu_);
-  std::string last_publish_veto_ FLYMON_GUARDED_BY(publish_mu_);
   std::unique_ptr<exec::BatchScratch> scratch_;  ///< processing-thread only
   telemetry::Registry* registry_ = nullptr;
   telemetry::Counter* packets_counter_ = nullptr;

@@ -22,15 +22,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
-         (std::uint32_t{p[3]} << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return std::uint64_t{get_u32(p)} | (std::uint64_t{get_u32(p + 4)} << 32);
-}
-
 constexpr std::size_t kRecordBytes = 4 + 4 + 2 + 2 + 1 + 4 + 8 + 4 + 4;  // 33
 
 }  // namespace
@@ -60,43 +51,6 @@ void TraceIo::save(const std::string& path, const std::vector<Packet>& trace) {
   if (std::fwrite(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
     throw std::runtime_error("TraceIo::save: short write to " + path);
   }
-}
-
-std::vector<Packet> TraceIo::load(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) throw std::runtime_error("TraceIo::load: cannot open " + path);
-
-  std::uint8_t header[16];
-  if (std::fread(header, 1, sizeof header, f.get()) != sizeof header) {
-    throw std::runtime_error("TraceIo::load: truncated header in " + path);
-  }
-  if (get_u32(header) != kMagic) throw std::runtime_error("TraceIo::load: bad magic");
-  if (get_u32(header + 4) != kVersion) {
-    throw std::runtime_error("TraceIo::load: unsupported version");
-  }
-  const std::uint64_t count = get_u64(header + 8);
-
-  std::vector<std::uint8_t> buf(count * kRecordBytes);
-  if (std::fread(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
-    throw std::runtime_error("TraceIo::load: truncated records in " + path);
-  }
-  std::vector<Packet> trace;
-  trace.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t* r = buf.data() + i * kRecordBytes;
-    Packet p;
-    p.ft.src_ip = get_u32(r);
-    p.ft.dst_ip = get_u32(r + 4);
-    p.ft.src_port = static_cast<std::uint16_t>(r[8] | (r[9] << 8));
-    p.ft.dst_port = static_cast<std::uint16_t>(r[10] | (r[11] << 8));
-    p.ft.protocol = r[12];
-    p.wire_bytes = get_u32(r + 13);
-    p.ts_ns = get_u64(r + 17);
-    p.queue_len = get_u32(r + 25);
-    p.queue_delay_ns = get_u32(r + 29);
-    trace.push_back(p);
-  }
-  return trace;
 }
 
 }  // namespace flymon

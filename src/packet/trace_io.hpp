@@ -11,7 +11,8 @@
 namespace flymon {
 
 /// File layout: 16-byte header (magic "FMTR", version, record count) then
-/// packed 29-byte records in little-endian field order.
+/// packed 33-byte records in little-endian field order.  Read it back with
+/// ingest::FileReplaySource.
 class TraceIo {
  public:
   static constexpr std::uint32_t kMagic = 0x464D'5452;  // "FMTR"
@@ -19,10 +20,6 @@ class TraceIo {
 
   /// Write the trace; throws std::runtime_error on I/O failure.
   static void save(const std::string& path, const std::vector<Packet>& trace);
-
-  /// Read a trace written by save(); throws on I/O error, bad magic or
-  /// version mismatch.
-  static std::vector<Packet> load(const std::string& path);
 };
 
 }  // namespace flymon

@@ -31,10 +31,10 @@ struct VerifyContext {
   std::uint64_t packets_per_epoch = 1ull << 26;
   /// Compiled plan for the translation-validation analyzers ("translate",
   /// "merge").  Deliberately NOT defaulted to the data plane's current
-  /// plan: deploy-time verify gates run *before* recompilation, where the
-  /// current plan legitimately describes the previous deployment.  Callers
-  /// with a plan in hand (publish gate, --translate, self-test) set it
-  /// explicitly; when null those analyzers are silent no-ops.
+  /// plan: during a reconfiguration the published plan still describes the
+  /// previous deployment.  Callers with a plan in hand (the paranoid gate's
+  /// candidate, --translate, self-test) set it explicitly; when null those
+  /// analyzers are silent no-ops.
   const exec::ExecPlan* exec_plan = nullptr;
 };
 

@@ -12,8 +12,8 @@ namespace flymon::verify::concur {
 
 namespace {
 
-/// The plan stand-in: generation + a "miscompiled" flag the validator
-/// vetoes on.  Immutable after construction; publication order is what the
+/// The plan stand-in: generation + a "miscompiled" flag the gate rejects
+/// on.  Immutable after construction; publication order is what the
 /// model probes, so the fields need no instrumentation of their own (the
 /// kTornPublish mutation demonstrates tearing through dedicated vars).
 struct ModelPlan {
@@ -33,6 +33,7 @@ struct Ghost {
   std::uint64_t produced = 0;
   std::uint64_t merged = 0;
   std::uint64_t discarded = 0;
+  bool published = false;  ///< some plan has been stored
 };
 
 /// The per-executor shard: race-checked delta/dirty state plus the
@@ -184,48 +185,48 @@ void worker_main(Model& m, ModelShard& shard) {
 void publisher_main(Model& m) {
   std::uint64_t next_gen = 0;
   for (int p = 0; p < m.cfg.publishes; ++p) {
+    // --- Compile + validate before the fence: traffic keeps running on the
+    // published plan while the candidate is checked.
+    const std::uint64_t gen = ++next_gen;
+    const bool rejected = m.cfg.reject_last && p == m.cfg.publishes - 1;
+    auto plan = std::make_shared<const ModelPlan>(gen, rejected);
+    if (rejected && m.cfg.mutation != Mutation::kPublishBeforeValidate) {
+      continue;  // never stored: the previous plan keeps serving (I5)
+    }
     m.publish_mu.lock();
     // --- Fence: block submissions, fold dirty shards under the OLD plan.
     m.submit_mu.lock();
-    {
-      std::shared_ptr<const ModelPlan> old = m.cell.load();
-      switch (m.cfg.mutation) {
-        case Mutation::kDroppedFenceFold:
-          break;  // seeded: publish with deltas still parked in shards
-        case Mutation::kMergeAfterClear:
-          // seeded: "clear then merge" — the clear empties the shards, so
-          // the fold below folds nothing and the deltas are gone.
-          for (ModelShard* s : m.shard_ptrs) {
-            if (s->dirty()) s->discard();
-          }
-          [[fallthrough]];
-        default:
-          exec::fold_dirty_shards<ModelShard, const ModelPlan>(m.shard_ptrs,
-                                                               old.get());
-      }
-      if (m.cfg.mutation == Mutation::kDoubleFold && old != nullptr) {
-        for (ModelShard* s : m.shard_ptrs) s->merge_into(*old);
-      }
+    std::shared_ptr<const ModelPlan> old = m.cell.load();
+    switch (m.cfg.mutation) {
+      case Mutation::kDroppedFenceFold:
+        break;  // seeded: publish with deltas still parked in shards
+      case Mutation::kMergeAfterClear:
+        // seeded: "clear then merge" — the clear empties the shards, so
+        // the fold below folds nothing and the deltas are gone.
+        for (ModelShard* s : m.shard_ptrs) {
+          if (s->dirty()) s->discard();
+        }
+        [[fallthrough]];
+      default:
+        exec::fold_dirty_shards<ModelShard, const ModelPlan>(m.shard_ptrs,
+                                                             old.get());
     }
-    // --- Compile + validate + RCU publish.
-    const std::uint64_t gen = ++next_gen;
-    const bool veto = m.cfg.veto_last && p == m.cfg.publishes - 1;
-    auto plan = std::make_shared<const ModelPlan>(gen, veto);
+    if (m.cfg.mutation == Mutation::kDoubleFold && old != nullptr) {
+      for (ModelShard* s : m.shard_ptrs) s->merge_into(*old);
+    }
+    // --- RCU publish of the checked plan.
     if (m.cfg.mutation == Mutation::kTornPublish) {
       m.torn_lo.write(gen);
       m.torn_hi.write(gen);
     }
-    if (m.cfg.mutation == Mutation::kPublishBeforeValidate) {
-      // Seeded: the store precedes the validator, opening a window where
-      // lock-free observers (the collector) can see a vetoed plan.
-      m.cell.store_if_newer(plan);
-      if (veto) m.cell.store(nullptr);
+    m.cell.store_if_newer(plan);
+    if (rejected) {
+      // Seeded: the gate ran after the store, opening a window where
+      // lock-free observers (the collector) see the rejected plan before
+      // the rollback restores the previous one.
+      m.cell.store(old);
     } else {
-      if (veto) {
-        m.cell.store(nullptr);  // interpreted path serves (I5)
-      } else {
-        m.cell.store_if_newer(plan);
-      }
+      m.ghost.published = true;
     }
     m.submit_mu.unlock();
     m.publish_mu.unlock();
@@ -245,7 +246,7 @@ void collector_main(Model& m) {
     }
     std::shared_ptr<const ModelPlan> p = m.cell.load();
     if (p != nullptr) {
-      sim::check(!p->bad, "vetoed plan observed by a reader");
+      sim::check(!p->bad, "rejected plan observed by a reader");
       sim::check(p->generation() >= last_seen,
                  "observer saw the plan generation move backwards");
       last_seen = p->generation();
@@ -260,12 +261,14 @@ void submitter_and_shutdown(Model& m) {
     m.submit_mu.lock();
     std::shared_ptr<const ModelPlan> plan = m.cell.load();
     if (plan == nullptr) {
-      // Interpreted fallback: no compiled plan (never published yet, or
-      // vetoed) — the batch bypasses the shards entirely.
+      // Bootstrap before the first publish: the batch is interpreted and
+      // bypasses the shards entirely.
+      sim::check(!m.ghost.published,
+                 "batch found no plan after one was published");
       m.submit_mu.unlock();
       continue;
     }
-    sim::check(!plan->bad, "batch executed under a vetoed plan");
+    sim::check(!plan->bad, "batch executed under a rejected plan");
     sim::check(plan->generation() >= last_gen,
                "submitter saw the plan generation move backwards");
     last_gen = plan->generation();
@@ -406,7 +409,7 @@ ModelConfig clean_acceptance_config() {
   cfg.batches = 1;
   cfg.chunks = 2;
   cfg.collector = true;
-  cfg.veto_last = false;
+  cfg.reject_last = false;
   return cfg;
 }
 
@@ -423,7 +426,7 @@ ModelConfig scenario_for(Mutation m) {
     case Mutation::kPublishBeforeValidate:
       cfg.workers = 0; cfg.publishes = 1; cfg.batches = 0; cfg.chunks = 1;
       cfg.collector = true;
-      cfg.veto_last = true;
+      cfg.reject_last = true;
       break;
     case Mutation::kMergeAfterClear:
       cfg.workers = 1; cfg.publishes = 2; cfg.batches = 1; cfg.chunks = 1;

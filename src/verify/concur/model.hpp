@@ -1,6 +1,6 @@
 // The bounded model of FlyMon's hot reconfiguration protocol, explored by
-// the deterministic scheduler (sim.hpp): one publisher (compile + fence +
-// validate + RCU publish), one submitter plus N pool workers (job
+// the deterministic scheduler (sim.hpp): one publisher (compile + validate,
+// then fence + RCU publish), one submitter plus N pool workers (job
 // hand-off, chunk claim, shard writes, completion), and one collector
 // (the span-collector / current_plan() observer class of threads, which
 // read the published plan with no pool lock held).
@@ -17,8 +17,9 @@
 //       shard is folded exactly once, under the plan its deltas were
 //       produced under (never discarded on the publish path);
 //   I4  counter-delta conservation — every produced delta is merged;
-//   I5  a vetoed plan is never observed by anyone (the interpreted path
-//       serves until a clean compile publishes);
+//   I5  a rejected plan is never stored, so nobody observes it, and once
+//       a plan is published the previous one keeps serving through a
+//       rejection (no batch ever finds the cell empty again);
 //   I6  no data race on any shard or job field (vector-clock checked);
 //   I7  no deadlock and no lost wakeup (structural, from the scheduler).
 //
@@ -38,7 +39,8 @@ enum class Mutation {
   kNone = 0,
   /// Fence publishes a new plan without folding dirty shards first.
   kDroppedFenceFold,
-  /// Publisher RCU-stores the plan before running the validator.
+  /// Publisher RCU-stores the candidate before the gate has accepted it
+  /// (and restores the previous plan on a rejection).
   kPublishBeforeValidate,
   /// Fence discards (clears) dirty shards instead of merging them.
   kMergeAfterClear,
@@ -71,7 +73,7 @@ struct ModelConfig {
   int batches = 2;        ///< jobs submitted
   int chunks = 2;         ///< chunks per job
   bool collector = true;  ///< run the lock-free plan observer thread
-  bool veto_last = false; ///< validator vetoes the last publish
+  bool reject_last = false; ///< the gate rejects the last candidate
   Mutation mutation = Mutation::kNone;
 };
 

@@ -1,7 +1,6 @@
-// Implementation of the dry-run reconfiguration planner (Controller::plan)
-// and the paranoid pre-flight gate (Controller::run_plan_gate).  Lives in
-// src/verify (like run_verify_gate) so controller.cpp stays free of the
-// analyzer headers.
+// Implementation of the dry-run reconfiguration planner (Controller::plan,
+// the shell's `plan` commands).  Lives in src/verify (like run_verify_gate)
+// so controller.cpp stays free of the analyzer headers.
 #include "verify/planner.hpp"
 
 #include <algorithm>
@@ -129,8 +128,8 @@ verify::PlanResult Controller::plan(const std::vector<PlanOp>& ops) const {
 
   // Compiled signature of the live world: what the published ExecPlan
   // looks like before the batch.  (Compiling is read-only apart from
-  // counter-series registration, which recompile_and_publish already did
-  // for every live entry.)
+  // counter-series registration, which the last publish already did for
+  // every live entry.)
   result.compiled_before =
       exec::PlanCompiler::compile(*dp_, entry_ownership(), 0)->signature();
 
@@ -201,15 +200,6 @@ verify::PlanResult Controller::plan(const std::vector<PlanOp>& ops) const {
   }
   result.ok = ops_ok && !result.report.has_errors();
   return result;
-}
-
-std::string Controller::run_plan_gate(const TaskSpec& spec) const {
-  const verify::PlanResult result = plan({PlanOp::add(spec)});
-  if (result.ok) return {};
-  std::string out = result.error;
-  const std::string diags = result.report.format(verify::Severity::kError);
-  if (!diags.empty()) out += "\n" + diags;
-  return out;
 }
 
 }  // namespace flymon::control

@@ -561,9 +561,8 @@ class TranslationAnalyzer final : public Analyzer {
            "VerifyContext::exec_plan)";
   }
   void run(const VerifyContext& ctx, VerifyReport& report) const override {
-    // Only validates an explicitly supplied plan: deploy-time gates run
-    // BEFORE recompilation, so the data plane's current plan is legally
-    // stale there and must not be compared against the new deployment.
+    // Only validates an explicitly supplied plan: mid-reconfiguration the
+    // published plan legally describes the previous deployment.
     if (ctx.exec_plan == nullptr || ctx.dataplane == nullptr) return;
     translate::validate_translation(*ctx.dataplane, *ctx.exec_plan, report);
   }

@@ -21,10 +21,10 @@
 // (translate.merge.spurious).
 //
 // Entry points: the "translate"/"merge" analyzers in the verify registry
-// (gated on VerifyContext::exec_plan, so deploy-time gates that run before
-// recompilation do not validate a stale plan), validate_plan() for direct
-// plan-in-hand validation, the FlyMonDataPlane publish-time validator hook
-// installed by Controller::set_paranoid, and `flymon_verify --translate`.
+// (gated on VerifyContext::exec_plan, which the paranoid gate sets to the
+// candidate plan of each reconfiguration before it is published),
+// validate_plan() for direct plan-in-hand validation, and
+// `flymon_verify --translate`.
 #pragma once
 
 #include "verify/diagnostics.hpp"

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "verify/translate/translate.hpp"
 
 namespace flymon::verify {
 
@@ -53,12 +52,14 @@ VerifyReport Verifier::run_one(std::string_view name,
 
 VerifyReport verify_deployment(const control::Controller& ctl,
                                const control::CrossStackPlan* plan,
-                               bool allow_wrap) {
+                               bool allow_wrap,
+                               const exec::ExecPlan* exec_plan) {
   VerifyContext ctx;
   ctx.controller = &ctl;
   ctx.dataplane = &ctl.dataplane();
   ctx.plan = plan;
   ctx.allow_wrap = allow_wrap;
+  ctx.exec_plan = exec_plan;
   return Verifier{}.run(ctx);
 }
 
@@ -68,24 +69,17 @@ namespace flymon::control {
 
 // Implemented here (not in controller.cpp) so the controller translation
 // unit stays free of the analyzer headers.
-std::string Controller::run_verify_gate() const {
-  const verify::VerifyReport report = verify::verify_deployment(*this);
-  return report.format(verify::Severity::kError);
-}
-
-// Implemented here for the same reason: installing the publish-time
-// translation-validation gate pulls in verify::validate_plan.
-void Controller::set_paranoid(bool on) {
-  paranoid_ = on;
-  if (on) {
-    dp_->set_plan_validator(
-        [](const FlyMonDataPlane& dp, const exec::ExecPlan& plan) {
-          return verify::validate_plan(dp, plan).format(
-              verify::Severity::kError);
-        });
-  } else {
-    dp_->set_plan_validator({});
+Controller::GateResult Controller::run_verify_gate(
+    const exec::ExecPlan& candidate) const {
+  const verify::VerifyReport report =
+      verify::verify_deployment(*this, nullptr, false, &candidate);
+  GateResult result;
+  result.errors = report.format(verify::Severity::kError);
+  for (const verify::Diagnostic& d : report.diagnostics()) {
+    result.plan_errors |= d.severity == verify::Severity::kError &&
+                          d.check.starts_with("translate.");
   }
+  return result;
 }
 
 }  // namespace flymon::control

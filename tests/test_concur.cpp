@@ -164,7 +164,7 @@ TEST(ConcurModel, PublishVetoLeavesNoVetoedPlanObservable) {
   cfg.batches = 1;
   cfg.chunks = 1;
   cfg.collector = true;
-  cfg.veto_last = true;  // validator rejects the final publish
+  cfg.reject_last = true;  // the gate rejects the final candidate
   const ExploreResult r =
       verify::concur::check_protocol(cfg, ExploreOptions{});
   EXPECT_TRUE(r.ok()) << r.error;

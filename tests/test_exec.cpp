@@ -51,6 +51,15 @@ struct World {
   }
 };
 
+/// Recompile the deployment with the published plan's ownership labels
+/// (none when nothing is published) and publish it; returns its generation.
+std::uint64_t republish(FlyMonDataPlane& dp) {
+  const auto cur = dp.current_plan();
+  return dp.publish_plan(dp.compile_plan(
+      cur != nullptr ? std::span<const exec::EntryOwnership>(cur->ownership())
+                     : std::span<const exec::EntryOwnership>{}));
+}
+
 std::vector<Packet> make_trace(std::size_t flows, std::size_t pkts,
                                std::uint64_t seed = 7) {
   TraceConfig cfg;
@@ -313,7 +322,7 @@ void deploy_unreferenced_unit(control::Controller& ctl) {
   const auto spare = comp.free_unit();
   ASSERT_TRUE(spare.has_value());
   comp.configure(*spare, FlowKeySpec::dst_ip());
-  ASSERT_GT(ctl.dataplane().republish_plan(), 0u);
+  ASSERT_GT(republish(ctl.dataplane()), 0u);
 }
 
 void expect_identical_records(const std::vector<telemetry::TraceRecord>& ra,
@@ -488,7 +497,7 @@ TEST(ExecPlanApi, GenerationAdvancesAcrossReconfiguration) {
   EXPECT_EQ(w.dp.process_batch(trace), 0u);  // interpreted fallback
   EXPECT_EQ(w.dp.packets_processed(), trace.size());
 
-  EXPECT_GT(w.dp.republish_plan(), g4);
+  EXPECT_GT(republish(w.dp), g4);
 }
 
 TEST(ExecPlanApi, ProcessBatchMatchesPerPacketProcessing) {
@@ -560,10 +569,10 @@ TEST(ExecRcu, PlanSwapUnderConcurrentReconfigIsRaceFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent publishers: republish_plan from several threads must keep the
-// published generation strictly monotone (publish_mu_ serialises compiles;
-// PlanCell::store_if_newer is the belt-and-braces ordering check) and land
-// on exactly initial + publishers * publishes.
+// Concurrent publishers: compile_plan + publish_plan from several threads
+// must keep the published generation monotone (publish_mu_ numbers the
+// compiles; PlanCell::store_if_newer drops a plan published after a newer
+// one) and land on exactly initial + publishers * publishes.
 // ---------------------------------------------------------------------------
 
 TEST(ExecRcu, ConcurrentPublishersKeepGenerationsMonotone) {
@@ -590,7 +599,7 @@ TEST(ExecRcu, ConcurrentPublishersKeepGenerationsMonotone) {
   std::vector<std::thread> publishers;
   for (unsigned t = 0; t < kPublishers; ++t) {
     publishers.emplace_back([&] {
-      for (unsigned i = 0; i < kPublishes; ++i) w.dp.republish_plan();
+      for (unsigned i = 0; i < kPublishes; ++i) republish(w.dp);
     });
   }
   for (std::thread& t : publishers) t.join();

@@ -11,11 +11,14 @@
 //   - epoch integration: EpochRunner sees post-merge registers at readout;
 //   - tracing: an attached tracer keeps batches parallel, and toggling it
 //     while a drain runs is race-free (TSan);
+//   - a reconfiguration the paranoid gate rejects leaves the pool running
+//     on the old plan;
 //   - reconfigure-while-processing churn (publish fencing vs in-flight
 //     batches and drains: TSan for races, a sequential referee for lost
 //     updates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -25,12 +28,15 @@
 
 #include "common/rng.hpp"
 #include "control/controller.hpp"
+#include "control/crossstack.hpp"
 #include "control/epoch.hpp"
+#include "dataplane/tofino_model.hpp"
 #include "exec/exec_plan.hpp"
 #include "exec/worker_pool.hpp"
 #include "packet/trace_gen.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_ring.hpp"
+#include "verify/mutations.hpp"
 
 namespace flymon {
 namespace {
@@ -298,14 +304,11 @@ TEST(ShardedGolden, EquivalenceSurvivesReconfigurationFences) {
   expect_identical_registers(ws.dp, wp.dp, "across reconfiguration fence");
 }
 
-// Publish-veto x fence: a reconfiguration whose compiled plan is vetoed
-// must still run the fence first — outstanding shard deltas fold under the
-// plan they were produced under — and must leave the interpreted path
-// serving.  Register equality against an all-sequential world proves no
-// delta was lost or folded under the wrong plan (the model checker proves
-// the same property over the bounded protocol; this is the end-to-end
-// instance).
-TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
+// A paranoid reconfiguration the gate rejects publishes nothing: the old
+// plan keeps serving on the pool.  The corruption (an entry removed behind
+// the controller's back) hits both worlds' live deployment but not the
+// plans they already published, so both keep counting identically.
+TEST(ShardedReject, RejectedResizeKeepsThePoolOnTheOldPlan) {
   EnabledGuard on(false);
   const std::vector<Packet> trace = make_trace(400, 10'000, 33);
 
@@ -313,40 +316,41 @@ TEST(ShardedVeto, VetoedRepublishStillFencesOutstandingDeltas) {
   const MixIds seq_ids = deploy_mergeable_mix(ws.ctl);
   const MixIds par_ids = deploy_mergeable_mix(wp.ctl);
   wp.dp.enable_parallel(3);
-
   const auto half = trace.size() / 2;
   ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
   wp.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
   // wp's shards now hold unmerged deltas produced under the current plan.
 
-  // Veto every publish from here on: the reconfiguration fence must still
-  // fold those deltas under the OLD plan before the veto unpublishes it.
-  wp.dp.set_plan_validator([](const FlyMonDataPlane&, const exec::ExecPlan&) {
-    return std::string("synthetic veto");
-  });
-  ASSERT_TRUE(ws.ctl.resize_task(seq_ids.maxq, 8192).ok);
-  ASSERT_TRUE(wp.ctl.resize_task(par_ids.maxq, 8192).ok);
-  EXPECT_EQ(wp.dp.last_publish_veto(), "synthetic veto");
-  EXPECT_EQ(wp.dp.current_plan(), nullptr);  // interpreted path serves
-  expect_identical_registers(ws.dp, wp.dp, "deltas folded at the veto fence");
+  const auto catalogue = verify::mutation_catalogue();
+  const auto orphan =
+      std::find_if(catalogue.begin(), catalogue.end(),
+                   [](const auto& m) { return m.name == "orphaned-placement"; });
+  ASSERT_NE(orphan, catalogue.end());
+  for (World* w : {&ws, &wp}) {
+    auto xplan = control::cross_stack(dataplane::TofinoModel::kNumStages,
+                                      w->dp.group(0).config());
+    verify::MutableWorld world{w->dp, w->ctl, xplan};
+    orphan->apply(world);
+    w->ctl.set_paranoid(true);
+  }
 
-  // Traffic keeps flowing while vetoed (with no plan, process_batch
-  // interprets) and the worlds stay byte-identical.
-  ws.dp.process_batch(std::span<const Packet>(trace).subspan(half));
+  const auto published = wp.dp.current_plan();
+  const exec::ParallelStats before = wp.dp.parallel_stats();
+  EXPECT_FALSE(ws.ctl.resize_task(seq_ids.maxq, 8192).ok);
+  EXPECT_FALSE(wp.ctl.resize_task(par_ids.maxq, 8192).ok);
+  EXPECT_NE(wp.ctl.last_verify_errors().find("task.placement"),
+            std::string::npos)
+      << wp.ctl.last_verify_errors();
+  EXPECT_EQ(wp.dp.current_plan(), published);
+
   wp.dp.process_batch(std::span<const Packet>(trace).subspan(half));
+  ws.dp.process_batch(std::span<const Packet>(trace).subspan(half));
+  const exec::ParallelStats after = wp.dp.parallel_stats();
+  EXPECT_EQ(after.parallel_batches, before.parallel_batches + 1);
+  EXPECT_EQ(after.fallback_no_plan, 0u);
   wp.dp.merge_shards();
   EXPECT_EQ(wp.dp.packets_processed(), trace.size());
-  expect_identical_registers(ws.dp, wp.dp, "interpreted service under veto");
-
-  // Lifting the veto republishes and parallel processing resumes exactly.
-  wp.dp.set_plan_validator({});
-  EXPECT_GT(wp.dp.republish_plan(), 0u);
-  EXPECT_TRUE(wp.dp.last_publish_veto().empty());
-  ASSERT_NE(wp.dp.current_plan(), nullptr);
-  ws.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
-  wp.dp.process_batch(std::span<const Packet>(trace).subspan(0, half));
-  wp.dp.merge_shards();
-  expect_identical_registers(ws.dp, wp.dp, "parallel resumes after veto");
+  expect_identical_registers(ws.dp, wp.dp, "old plan serves after rejection");
 }
 
 // ---------------------------------------------------------------------------

@@ -276,8 +276,8 @@ TEST(Decomposition, ChildSpansExplainTheDeployDelay) {
   }
   EXPECT_EQ(top_level, 2u);  // ctl.add_task + ctl.resize_task
 
-  // Both reconfigurations produced a compile + publish under their tag;
-  // the planner span fires at least for the add.
+  // Each reconfiguration compiled, gated and published once under its
+  // tag; no dry-run planner runs on the way.
   const auto tagged_count = [&](const char* child) {
     std::size_t tagged = 0;
     for (const auto& e : events) {
@@ -285,9 +285,10 @@ TEST(Decomposition, ChildSpansExplainTheDeployDelay) {
     }
     return tagged;
   };
-  EXPECT_GE(tagged_count("exec.compile"), 2u);
-  EXPECT_GE(tagged_count("exec.publish"), 2u);
-  EXPECT_GE(tagged_count("ctl.plan"), 1u);
+  EXPECT_EQ(tagged_count("exec.compile"), 2u);
+  EXPECT_EQ(tagged_count("ctl.verify_gate"), 2u);
+  EXPECT_EQ(tagged_count("exec.publish"), 2u);
+  EXPECT_EQ(tagged_count("ctl.plan"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 // Translation validation for compiled ExecPlans (src/verify/translate):
 // symbolic bit-vector domain, lockstep entry checks, merge-soundness
-// prover, the seeded-miscompile self-test, and the paranoid publish gate.
+// prover, the seeded-miscompile self-test, and the paranoid gate's check of
+// the candidate plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "control/controller.hpp"
 #include "core/flymon_dataplane.hpp"
 #include "exec/exec_plan.hpp"
-#include "exec/worker_pool.hpp"
-#include "packet/trace_gen.hpp"
 #include "verify/mutations.hpp"
 #include "verify/translate/symbits.hpp"
 #include "verify/translate/translate.hpp"
@@ -181,7 +181,7 @@ TEST(MergeProver, IntervalDerivationProvesCompilerConservatism) {
   e.p2 = ParamSelect::metadata(MetaField::kOne);
   e.op = dataplane::StatefulOp::kAndOr;
   dp.group(0).cmu(0).install(e);
-  ASSERT_GT(dp.republish_plan(), 0u);
+  ASSERT_GT(dp.publish_plan(dp.compile_plan({})), 0u);
   const auto plan = dp.current_plan();
   ASSERT_NE(plan, nullptr);
   ASSERT_FALSE(plan->shard_mergeable());  // compiler is conservative
@@ -214,82 +214,49 @@ TEST(TranslateAnalyzer, SilentWithoutExplicitPlanLoudWithIt) {
   EXPECT_TRUE(v.run_one("translate", ctx).has_errors());
 }
 
-// ---- publish-time gate ----
-
-TEST(PublishGate, VetoDropsPlanAndSurfacesDiagnostics) {
-  FlyMonDataPlane dp(9);
-  control::Controller ctl(dp);
-  dp.set_plan_validator([](const FlyMonDataPlane&, const exec::ExecPlan&) {
-    return std::string("synthetic veto");
-  });
-  const auto r = add_cms(ctl, "hh");
-  EXPECT_TRUE(r.ok);  // the deployment stands — a miscompile is not its fault
-  // ...but nothing was published: interpreted execution serves traffic.
-  EXPECT_EQ(dp.plan_generation(), 0u);
-  EXPECT_EQ(dp.current_plan(), nullptr);
-  EXPECT_EQ(dp.last_publish_veto(), "synthetic veto");
-  EXPECT_EQ(ctl.last_verify_errors(), "synthetic veto");
-  // Clearing the validator lets the next publish through.
-  dp.set_plan_validator({});
-  EXPECT_GT(dp.republish_plan(), 0u);
-  EXPECT_NE(dp.current_plan(), nullptr);
-  EXPECT_TRUE(dp.last_publish_veto().empty());
-}
-
-// The veto path interacts with the worker-pool fence: a vetoed republish
-// must fold outstanding parallel shard deltas under the plan they were
-// produced under before that plan goes away, so interpreted-path readouts
-// after the veto see every packet.
-TEST(PublishGate, VetoWithParallelPoolFoldsOutstandingDeltasFirst) {
-  FlyMonDataPlane dp_seq(9), dp_par(9);
-  control::Controller ctl_seq(dp_seq), ctl_par(dp_par);
-  const auto rs = add_cms(ctl_seq, "hh");
-  const auto rp = add_cms(ctl_par, "hh");
-  ASSERT_TRUE(rs.ok && rp.ok);
-  dp_par.enable_parallel(2);
-
-  TraceConfig tcfg;
-  tcfg.num_flows = 64;
-  tcfg.num_packets = 4096;
-  tcfg.seed = 11;
-  const std::vector<Packet> trace = TraceGenerator::generate(tcfg);
-  dp_seq.process_batch(trace);
-  dp_par.process_batch(trace);
-  // dp_par's shards are dirty: nothing has merged them yet.
-
-  dp_par.set_plan_validator([](const FlyMonDataPlane&, const exec::ExecPlan&) {
-    return std::string("synthetic veto");
-  });
-  EXPECT_EQ(dp_par.republish_plan(), 0u);
-  EXPECT_EQ(dp_par.current_plan(), nullptr);
-  EXPECT_EQ(dp_par.last_publish_veto(), "synthetic veto");
-  EXPECT_GE(dp_par.parallel_stats().merges, 1u);  // the fence folded them
-
-  // Readouts on the interpreted path agree with the sequential world
-  // exactly — the deltas survived the vetoed publish.
-  for (std::size_t i = 0; i < trace.size(); i += 257) {
-    EXPECT_EQ(ctl_seq.query_value(rs.task_id, trace[i]),
-              ctl_par.query_value(rp.task_id, trace[i]));
-  }
-
-  dp_par.set_plan_validator({});
-  EXPECT_GT(dp_par.republish_plan(), 0u);
-  EXPECT_TRUE(dp_par.last_publish_veto().empty());
-}
+// ---- the paranoid gate checks the candidate plan ----
 
 TEST(PublishGate, ParanoidModeInstallsTranslationValidator) {
+  // Paranoid mode's one gate runs the translation validator on the
+  // candidate plan before the fence, and the plan it passed is the one
+  // published.
   FlyMonDataPlane dp(9);
   control::Controller ctl(dp);
   ctl.set_paranoid(true);
-  // A correct compile passes the real translation validator and publishes.
   ASSERT_TRUE(add_cms(ctl, "hh").ok);
-  EXPECT_GT(dp.plan_generation(), 0u);
-  EXPECT_TRUE(dp.last_publish_veto().empty());
-  EXPECT_TRUE(ctl.last_verify_errors().empty());
-  // Toggling paranoid off clears the gate; publishes still succeed.
+  const auto published = dp.current_plan();
+  ASSERT_NE(published, nullptr);
+  EXPECT_TRUE(ctl.last_verify_errors().empty()) << ctl.last_verify_errors();
+  const auto verdict = ctl.run_verify_gate(*published);
+  EXPECT_TRUE(verdict.errors.empty()) << verdict.errors;
+  EXPECT_FALSE(verdict.plan_errors);
+  // With paranoid mode off nothing is gated; publishes still succeed.
   ctl.set_paranoid(false);
   ASSERT_TRUE(add_cms(ctl, "hh2", TaskFilter::src(0x0A00'0000u, 8)).ok);
-  EXPECT_GT(dp.plan_generation(), 1u);
+  EXPECT_EQ(dp.plan_generation(), published->generation() + 1);
+}
+
+TEST(PublishGate, GateReportsTranslateErrorsOfTheCandidatePlan) {
+  FlyMonDataPlane dp(9);
+  control::Controller ctl(dp);
+  ASSERT_TRUE(add_cms(ctl, "hh").ok);
+  const auto catalogue = verify::plan_mutation_catalogue();
+  for (const char* name :
+       {"miscompile-wrong-preshift", "miscompile-swapped-opcode"}) {
+    const auto m = std::find_if(catalogue.begin(), catalogue.end(),
+                                [&](const auto& c) { return c.name == name; });
+    ASSERT_NE(m, catalogue.end()) << name;
+    // A candidate nothing runs yet: the gate's plan before the fence.
+    const auto candidate =
+        std::const_pointer_cast<exec::ExecPlan>(dp.compile_plan({}));
+    EXPECT_TRUE(ctl.run_verify_gate(*candidate).errors.empty()) << name;
+    m->apply(*candidate);
+    exec::PlanMutator::rebuild_hot(*candidate);
+    const auto verdict = ctl.run_verify_gate(*candidate);
+    EXPECT_TRUE(verdict.plan_errors) << name;
+    EXPECT_NE(verdict.errors.find(m->expected_check), std::string::npos)
+        << name << ": " << verdict.errors;
+  }
 }
 
 }  // namespace

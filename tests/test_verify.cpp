@@ -493,6 +493,45 @@ TEST(VerifyParanoid, ResizeAndSplitGateOnceAndPublishOnce) {
   EXPECT_TRUE(ctl.last_verify_errors().empty()) << ctl.last_verify_errors();
 }
 
+// Each operation compiles, gates and fences exactly once; no dry-run
+// planner (whose shadow world compiles twice) runs on the way.
+TEST(VerifyParanoid, EveryReconfigurationCompilesOnceAndGatesOnce) {
+  TraceOn on;
+  FlyMonDataPlane dp(9);
+  dp.enable_parallel(2);  // so every publish runs a pool fence
+  control::Controller ctl(dp);
+  ctl.set_paranoid(true);
+  ASSERT_TRUE(ctl.add_task(make_spec("base", FlowKeySpec::dst_ip(),
+                                     AttributeKind::kFrequency,
+                                     Algorithm::kCms, 4096))
+                  .ok);
+  std::uint64_t gen = dp.plan_generation();
+  const auto expect_one_transaction = [&](const char* op) {
+    EXPECT_EQ(spans_in_latest_reconfig("exec.compile"), 1u) << op;
+    EXPECT_EQ(spans_in_latest_reconfig("ctl.verify_gate"), 1u) << op;
+    EXPECT_EQ(spans_in_latest_reconfig("exec.fence"), 1u) << op;
+    EXPECT_EQ(spans_in_latest_reconfig("ctl.plan"), 0u) << op;
+    EXPECT_EQ(dp.plan_generation(), gen + 1) << op;
+    EXPECT_TRUE(ctl.last_verify_errors().empty())
+        << op << ": " << ctl.last_verify_errors();
+    gen = dp.plan_generation();
+  };
+
+  const auto r = ctl.add_task(make_spec("hh", FlowKeySpec::src_ip(),
+                                        AttributeKind::kFrequency,
+                                        Algorithm::kCms, 4096,
+                                        TaskFilter::src(0x0A00'0000u, 8)));
+  ASSERT_TRUE(r.ok) << r.error;
+  expect_one_transaction("add");
+  ASSERT_TRUE(ctl.resize_task(r.task_id, 8192).ok);
+  expect_one_transaction("resize");
+  const auto [lo, hi] = ctl.split_task(r.task_id);
+  ASSERT_TRUE(lo.ok && hi.ok) << lo.error;
+  expect_one_transaction("split");
+  ASSERT_TRUE(ctl.remove_task(lo.task_id));
+  expect_one_transaction("remove");
+}
+
 /// Flips the global telemetry switch on for one test (counters only count
 /// while it is on).
 struct TelemetryOn {
@@ -580,6 +619,43 @@ TEST(VerifyParanoid, RejectedReconfigurationsRollBackExactly) {
   EXPECT_NE(dp.plan_generation(), gen);
 }
 
+// Staging and the sweep before the compile clear the hash units nothing
+// references; a rejected reconfiguration configures them again.
+TEST(VerifyRollback, RejectionRestoresTheHashUnitsItCleared) {
+  FlyMonDataPlane dp(9);
+  control::Controller ctl(dp);
+  ctl.set_paranoid(true);
+  ASSERT_TRUE(ctl.add_task(make_spec("victim", FlowKeySpec::src_ip(),
+                                     AttributeKind::kFrequency, Algorithm::kCms,
+                                     4096))
+                  .ok);
+  const auto r = ctl.add_task(make_spec("hh", FlowKeySpec::dst_ip(),
+                                        AttributeKind::kFrequency,
+                                        Algorithm::kCms, 4096,
+                                        TaskFilter::src(0x0A00'0000u, 8)));
+  ASSERT_TRUE(r.ok) << r.error;
+  auto plan = control::cross_stack(dataplane::TofinoModel::kNumStages,
+                                   dp.group(0).config());
+  verify::MutableWorld world{dp, ctl, plan};
+  const auto catalogue = verify::mutation_catalogue();
+  const auto orphan =
+      std::find_if(catalogue.begin(), catalogue.end(),
+                   [](const auto& m) { return m.name == "orphaned-placement"; });
+  ASSERT_NE(orphan, catalogue.end());
+  orphan->apply(world);  // the victim's: the gate rejects what follows
+  // A configured unit no entry reads: the next reconfiguration clears it.
+  CompressionStage& comp = dp.group(dp.num_groups() - 1).compression();
+  const auto spare = comp.free_unit();
+  ASSERT_TRUE(spare.has_value());
+  comp.configure(*spare, FlowKeySpec::dst_ip());
+
+  const std::string before = dataplane_fingerprint(dp, ctl);
+  EXPECT_FALSE(ctl.resize_task(r.task_id, 8192).ok);
+  EXPECT_EQ(dataplane_fingerprint(dp, ctl), before);
+  ASSERT_TRUE(comp.spec_of(*spare).has_value());
+  EXPECT_EQ(*comp.spec_of(*spare), FlowKeySpec::dst_ip());
+}
+
 // Only one half of a split fits: the split fails with no other trace — no
 // deploy or removal counted, no plan published, the next id not consumed.
 TEST(VerifyRollback, FailedSplitMovesOnlyTheFailureCounter) {
@@ -647,7 +723,7 @@ long long resident_bytes() {
 }
 
 // Register banks are lazily mapped, so the live pipeline, two worker
-// shards and the paranoid gate's shadow worlds (20.25 MB of registers
+// shards and the dry-run planner's shadow world (20.25 MB of registers
 // between the live banks and the shards alone) cost resident memory only
 // for the cells a task writes — none here.
 TEST(VerifyParanoid, GatedSetUpLeavesUnwrittenBanksNonResident) {

@@ -11,9 +11,10 @@
 //
 // --check verifies the tracing contract the DESIGN doc promises: every
 // reconfiguration's end-to-end span must decompose into >= 95% covered
-// plan/verify/compile/publish/fence/merge children (exit 1 otherwise).
-// The summary also counts each reconfiguration's exec.fence (one per live
-// publish) and ctl.verify_gate spans.
+// deploy/compile/verify/reclaim/publish/fence/merge children, and must
+// compile, gate and fence exactly once (exit 1 otherwise).  The summary
+// counts each reconfiguration's exec.compile, ctl.verify_gate and
+// exec.fence spans.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -34,8 +35,9 @@ struct ReconfigSummary {
   std::uint64_t gen = 0;
   std::uint64_t dur_ns = 0;
   double coverage = 0.0;
-  std::size_t fences = 0;
+  std::size_t compiles = 0;
   std::size_t verify_gates = 0;
+  std::size_t fences = 0;
 };
 
 TaskSpec cms_spec(std::uint32_t buckets) {
@@ -101,6 +103,10 @@ int main(int argc, char** argv) {
 
   trace::set_enabled(true);
   telemetry::set_enabled(true);
+  // Register this thread's span ring now: its one-time allocation is the
+  // tracer's own cost and would otherwise open an unexplained gap in the
+  // first reconfiguration.
+  trace::instant("flymon_trace.start");
 
   CmuGroupConfig cfg;
   cfg.register_buckets = 65536;
@@ -157,6 +163,7 @@ int main(int argc, char** argv) {
   // Every top-level reconfiguration span must decompose into children.
   std::vector<ReconfigSummary> reconfigs;
   double min_coverage = 1.0;
+  bool one_of_each = true;
   for (const trace::SpanEvent& e : events) {
     if (e.kind != trace::EventKind::kSpan || e.depth != 0 || e.gen == 0) {
       continue;
@@ -169,10 +176,12 @@ int main(int argc, char** argv) {
     r.coverage = trace::child_coverage(events, e);
     for (const trace::SpanEvent& c : events) {
       if (c.gen != e.gen || c.kind != trace::EventKind::kSpan) continue;
-      r.fences += std::strcmp(c.name, "exec.fence") == 0;
+      r.compiles += std::strcmp(c.name, "exec.compile") == 0;
       r.verify_gates += std::strcmp(c.name, "ctl.verify_gate") == 0;
+      r.fences += std::strcmp(c.name, "exec.fence") == 0;
     }
     if (r.coverage < min_coverage) min_coverage = r.coverage;
+    one_of_each &= r.compiles == 1 && r.verify_gates == 1 && r.fences == 1;
     reconfigs.push_back(r);
   }
 
@@ -188,12 +197,12 @@ int main(int argc, char** argv) {
               events.size(), stats.threads,
               static_cast<unsigned long long>(stats.dropped),
               static_cast<unsigned long long>(trace::latest_reconfig()));
-  std::printf("%-18s %6s %12s %9s %7s %6s\n", "reconfiguration", "gen",
-              "dur (us)", "coverage", "fences", "gates");
+  std::printf("%-18s %6s %12s %9s %9s %6s %7s\n", "reconfiguration", "gen",
+              "dur (us)", "coverage", "compiles", "gates", "fences");
   for (const ReconfigSummary& r : reconfigs) {
-    std::printf("%-18s %6llu %12.1f %8.1f%% %7zu %6zu\n", r.name,
+    std::printf("%-18s %6llu %12.1f %8.1f%% %9zu %6zu %7zu\n", r.name,
                 static_cast<unsigned long long>(r.gen), r.dur_ns / 1000.0,
-                r.coverage * 100.0, r.fences, r.verify_gates);
+                r.coverage * 100.0, r.compiles, r.verify_gates, r.fences);
   }
   if (!out_path.empty()) {
     std::printf("wrote %s (load in ui.perfetto.dev)\n", out_path.c_str());
@@ -212,8 +221,9 @@ int main(int argc, char** argv) {
            "\", \"gen\": " + std::to_string(r.gen) +
            ", \"dur_us\": " + telemetry::format_number(r.dur_ns / 1000.0) +
            ", \"coverage\": " + telemetry::format_number(r.coverage) +
-           ", \"fences\": " + std::to_string(r.fences) +
-           ", \"verify_gates\": " + std::to_string(r.verify_gates) + "}";
+           ", \"compiles\": " + std::to_string(r.compiles) +
+           ", \"verify_gates\": " + std::to_string(r.verify_gates) +
+           ", \"fences\": " + std::to_string(r.fences) + "}";
       j += i + 1 < reconfigs.size() ? ",\n" : "\n";
     }
     j += "  ]\n}\n";
@@ -235,7 +245,14 @@ int main(int argc, char** argv) {
                    min_coverage * 100.0);
       return 1;
     }
-    std::printf("check OK: %zu reconfigurations, min coverage %.1f%%\n",
+    if (!one_of_each) {
+      std::fprintf(stderr,
+                   "check FAILED: a reconfiguration did not compile, gate "
+                   "and fence exactly once\n");
+      return 1;
+    }
+    std::printf("check OK: %zu reconfigurations, 1 compile, 1 gate and 1 "
+                "fence each, min coverage %.1f%%\n",
                 reconfigs.size(), min_coverage * 100.0);
   }
   return 0;
