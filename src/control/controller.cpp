@@ -94,6 +94,18 @@ double quantize_probability_pow2(double p) {
   return q;
 }
 
+/// Chained algorithms spread each row over CMUs of strictly later groups.
+bool is_chained(Algorithm a) {
+  return a == Algorithm::kSuMaxSum || a == Algorithm::kMaxInterarrival ||
+         a == Algorithm::kCounterBraids || a == Algorithm::kOddSketch;
+}
+
+/// Algorithms whose estimate reads one register array (one row).
+bool single_array(Algorithm a) {
+  return a == Algorithm::kMrac || a == Algorithm::kHyperLogLog ||
+         a == Algorithm::kLinearCounting;
+}
+
 std::uint8_t rho_of_slice(std::uint32_t v, unsigned width) {
   if (v == 0) return 0;
   const std::uint32_t aligned = v << (32 - width);
@@ -446,17 +458,167 @@ DeployResult Controller::deploy(const TaskSpec& spec, std::uint32_t public_id) {
   }
 }
 
+bool Controller::lower_entry(const DeployedTask& t, unsigned idx, const Selectors& sel,
+                             ChainIds ch, Cmu& cmu, CmuTaskEntry& e) {
+  switch (t.algorithm) {
+    case Algorithm::kCms:
+    case Algorithm::kMrac:
+      e.op = StatefulOp::kCondAdd;
+      e.p1 = lower_param(t.spec.param, sel.param);
+      e.p2 = ParamSelect::constant(0xFFFF'FFFFu);
+      return true;
+    case Algorithm::kSuMaxSum:  // conservative update along the chain
+      e.op = StatefulOp::kCondAdd;
+      e.p1 = lower_param(t.spec.param, sel.param);
+      e.p2 = idx == 0 ? ParamSelect::constant(0xFFFF'FFFFu) : ParamSelect::chain(ch.a);
+      e.chain_out = ch.a;
+      e.chain_fallback = idx != 0;  // keep running min on no-update
+      return true;
+    case Algorithm::kCounterBraids:
+      e.op = StatefulOp::kCondAdd;
+      e.p1 = lower_param(t.spec.param, sel.param);
+      if (idx == 0) {
+        e.p2 = ParamSelect::constant(kBraidsLayer1Cap);
+        e.chain_out = ch.a;
+      } else {
+        e.p2 = ParamSelect::constant(0xFFFF'FFFFu);
+        e.prep = PrepFn::kKeepOnChainZero;
+        e.chain_gate = ch.a;
+      }
+      return true;
+    case Algorithm::kSuMaxMax:
+      e.op = StatefulOp::kMax;
+      e.p1 = lower_param(t.spec.param, sel.param);
+      return true;
+    case Algorithm::kTowerSketch:
+      e.op = StatefulOp::kCondAdd;
+      e.p1 = ParamSelect::constant(1u << (32 - kTowerWidths[idx]));
+      e.p2 = ParamSelect::constant(low_mask32(kTowerWidths[idx]) << (32 - kTowerWidths[idx]));
+      return true;
+    case Algorithm::kBloomFilter:
+    case Algorithm::kLinearCounting:
+      e.op = StatefulOp::kAndOr;
+      if (t.spec.bloom_bit_packed) {
+        e.prep = PrepFn::kBitSelectOneHot;
+        e.p1 = ParamSelect::compressed(
+            sel.param, KeySlice{static_cast<std::uint8_t>(16 + 5 * (idx % 3)), 5});
+      } else {
+        e.p1 = ParamSelect::constant(1);
+        e.p2 = ParamSelect::constant(1);
+      }
+      return true;
+    case Algorithm::kHyperLogLog:
+      e.op = StatefulOp::kMax;
+      e.p1 = ParamSelect::compressed(sel.param, KeySlice{16, 16});
+      return true;
+    case Algorithm::kBeauCoup:
+      e.op = StatefulOp::kAndOr;
+      e.prep = PrepFn::kCouponOneHot;
+      e.coupon = CouponPrep{t.coupon_count, t.coupon_probability};
+      e.p1 = ParamSelect::compressed(sel.param, KeySlice{0, 32});
+      return true;
+    case Algorithm::kOddSketch:
+      if (idx == 0) {  // dedup gate: has this flow toggled already?
+        e.op = StatefulOp::kAndOr;
+        e.prep = PrepFn::kBitSelectOneHot;
+        e.p1 = ParamSelect::compressed(sel.key, KeySlice{17, 5});
+        e.output_old_value = true;
+        e.chain_out = ch.a;
+        return true;
+      }
+      // The parity toggle needs the SALU's fourth action slot for XOR.
+      if (!cmu.salu().has_op(StatefulOp::kXor) &&
+          cmu.salu().loaded_ops() >= dataplane::TofinoModel::kMaxRegisterActions) {
+        return false;
+      }
+      cmu.preload_op(StatefulOp::kXor);
+      e.op = StatefulOp::kXor;
+      e.prep = PrepFn::kBitSelectOneHotGated;
+      e.chain_gate = ch.a;
+      e.p1 = ParamSelect::compressed(sel.key, KeySlice{22, 5});
+      return true;
+    case Algorithm::kMaxInterarrival:
+      if (idx == 0) {  // Bloom filter: have we seen this flow?
+        e.op = StatefulOp::kAndOr;
+        e.prep = PrepFn::kBitSelectOneHot;
+        e.p1 = ParamSelect::compressed(sel.key, KeySlice{17, 5});
+        e.output_old_value = true;
+        e.chain_out = ch.a;  // gate: 1 = seen before
+      } else if (idx == 1) {  // last-arrival timestamp
+        e.op = StatefulOp::kMax;
+        e.p1 = ParamSelect::metadata(MetaField::kTimestamp);
+        e.output_old_value = true;
+        e.chain_out = ch.b;  // previous timestamp
+      } else {  // max inter-arrival
+        e.op = StatefulOp::kMax;
+        e.prep = PrepFn::kSubtractGated;
+        e.chain_gate = ch.a;
+        e.p1 = ParamSelect::metadata(MetaField::kTimestamp);
+        e.p2 = ParamSelect::chain(ch.b);
+      }
+      return true;
+    case Algorithm::kAuto:  // resolved before placement
+      break;
+  }
+  return false;
+}
+
+std::optional<Controller::Selectors> Controller::selectors(unsigned g,
+                                                          const TaskSpec& spec,
+                                                          unsigned& mask_rules) {
+  const FlowKeySpec key_spec = effective_key(spec);
+  const auto key = ensure_selector(g, key_spec, mask_rules);
+  if (!key) return std::nullopt;
+  if (spec.param.source != ParamSource::kCompressedKey || spec.param.key_spec == key_spec) {
+    return Selectors{*key, *key};  // the parameter, if any, is the key itself
+  }
+  const auto param = ensure_selector(g, spec.param.key_spec, mask_rules);
+  if (!param) return std::nullopt;
+  return Selectors{*key, *param};
+}
+
+std::optional<UnitPlacement> Controller::place_unit(const DeployedTask& t, unsigned g,
+                                                    unsigned c, unsigned idx,
+                                                    const Selectors& sel, ChainIds ch) {
+  Cmu& cmu = dp_->group(g).cmu(c);
+  if (!cmu.admits(t.spec.filter, t.spec.sample_probability)) return std::nullopt;
+  const auto part = allocator(g, c).allocate(t.buckets);
+  if (!part) return std::nullopt;
+  CmuTaskEntry e;
+  e.task_id = next_phys_;
+  e.filter = t.spec.filter;
+  e.priority = t.id;
+  e.sample_probability = t.spec.sample_probability;
+  e.key_sel = sel.key;
+  // Rows slice different sub-parts of the 32-bit compressed key; widen
+  // the slice when the partition needs more than 16 address bits.
+  const std::uint8_t offset = kRowSliceOffset[idx % 3];
+  const unsigned size_log = part->size > 1 ? log2_floor(part->size) : 1;
+  e.key_slice = KeySlice{offset, static_cast<std::uint8_t>(std::min<unsigned>(
+                                     32u - offset, std::max<unsigned>(kKeySliceWidth, size_log)))};
+  e.partition = *part;
+  if (!lower_entry(t, idx, sel, ch, cmu, e)) {
+    allocator(g, c).release(*part);
+    return std::nullopt;
+  }
+  // A freed partition can still hold counts: a batch submitted between a
+  // removal's merge and its publish fence folds into it after the
+  // removal's clear.  A new task starts from zero regardless.
+  cmu.clear_partition(*part);
+  cmu.install(e);
+  ref_units(g, e, true);
+  return UnitPlacement{g, c, next_phys_++, *part};
+}
+
 DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_id,
                                      DeployedTask& t) {
   DeployResult result;
-  const Algorithm algo = resolve_algorithm(spec);
-  const FlowKeySpec key_spec = effective_key(spec);
-  if (key_spec.empty()) {
+  if (effective_key(spec).empty()) {
     result.error = "task has neither a key nor a key-valued parameter";
     return result;
   }
-  unsigned rows = std::max(1u, spec.rows);
-
+  const Algorithm algo = resolve_algorithm(spec);
+  const unsigned rows = std::min(std::max(1u, spec.rows), 3u);
   t.id = public_id;
   t.spec = spec;
   t.algorithm = algo;
@@ -485,327 +647,61 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
     t.coupon_threshold = best_ct;
   }
 
-  // ------- entry construction helpers -------
-  auto base_entry = [&](const CompressedKeySelector& key_sel, unsigned row_idx,
-                        const MemoryPartition& part) {
-    CmuTaskEntry e;
-    e.task_id = 0;  // filled at install
-    e.filter = spec.filter;
-    e.priority = public_id;
-    e.sample_probability = spec.sample_probability;
-    e.key_sel = key_sel;
-    // Rows slice different sub-parts of the 32-bit compressed key; widen
-    // the slice when the partition needs more than 16 address bits.
-    const std::uint8_t offset = kRowSliceOffset[row_idx % 3];
-    const unsigned size_log = part.size > 1 ? log2_floor(part.size) : 1;
-    const auto width = static_cast<std::uint8_t>(
-        std::min<unsigned>(32u - offset, std::max<unsigned>(kKeySliceWidth, size_log)));
-    e.key_slice = KeySlice{offset, width};
-    e.partition = part;
-    return e;
-  };
-
-  auto install_unit = [&](unsigned g, unsigned c, CmuTaskEntry e,
-                          const MemoryPartition& part) -> std::optional<UnitPlacement> {
-    e.task_id = next_phys_;
-    Cmu& cmu = dp_->group(g).cmu(c);
-    // A freed partition can still hold counts: a batch submitted between a
-    // removal's merge and its publish fence folds into it after the
-    // removal's clear.  A new task starts from zero regardless.
-    cmu.clear_partition(part);
-    try {
-      cmu.install(e);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-    ref_units(g, e, true);
-    UnitPlacement up{g, c, next_phys_, part};
-    ++next_phys_;
-    return up;
-  };
-
-  // Per-unit rule count: init (key+param select) + param preparation +
-  // operation select + address translation.
-  auto unit_rules = [&](unsigned group, const MemoryPartition& part) {
-    const std::uint32_t total = dp_->group(group).config().register_buckets;
-    unsigned addr = 1;
-    if (strategy_ == TranslationStrategy::kTcam && part.size != 0) {
-      addr = (total / part.size - 1) + 1;
-    }
-    return 3u + addr;
-  };
-
-  // ------- placement -------
-  const bool chained = algo == Algorithm::kSuMaxSum ||
-                       algo == Algorithm::kMaxInterarrival ||
-                       algo == Algorithm::kCounterBraids ||
-                       algo == Algorithm::kOddSketch;
-
+  const unsigned groups = dp_->num_groups();
+  unsigned masks = 0;
   bool placed = false;
-  if (!chained) {
-    // All rows in one CMU Group, one CMU per row.
-    if (rows > 3) rows = 3;
-    if (algo == Algorithm::kMrac || algo == Algorithm::kHyperLogLog ||
-        algo == Algorithm::kLinearCounting) {
-      rows = 1;  // single-array algorithms
-    }
-    for (unsigned g = 0; g < dp_->num_groups() && !placed; ++g) {
+  if (!is_chained(algo)) {
+    // All rows in the first group that has a CMU for each, one per row.
+    const unsigned want = single_array(algo) ? 1 : rows;
+    for (unsigned g = 0; g < groups && !placed; ++g) {
+      const std::uint32_t phys = next_phys_;
       unsigned mask_rules = 0;
-      const auto key_sel = ensure_selector(g, key_spec, mask_rules);
-      if (!key_sel) {
-        undo_deployment(t);
-        continue;
-      }
-      CompressedKeySelector param_sel{};
-      if (spec.param.source == ParamSource::kCompressedKey &&
-          !(spec.param.key_spec == key_spec)) {
-        const auto ps = ensure_selector(g, spec.param.key_spec, mask_rules);
-        if (!ps) {
-          undo_deployment(t);
-          continue;
+      if (const auto sel = selectors(g, spec, mask_rules)) {
+        for (unsigned c = 0; c < dp_->group(g).num_cmus() && t.rows.size() < want; ++c) {
+          const auto up = place_unit(t, g, c, static_cast<unsigned>(t.rows.size()), *sel, {});
+          if (up) t.rows.push_back(RowPlacement{{*up}});
         }
-        param_sel = *ps;
+      }
+      placed = t.rows.size() == want;
+      if (placed) {
+        masks = mask_rules;
       } else {
-        param_sel = *key_sel;  // parameter derived from the key itself
+        undo_deployment(t);  // this group's rows and hash units
+        next_phys_ = phys;
       }
-
-      // Pick `rows` CMUs with space and no filter conflict.
-      std::vector<unsigned> chosen;
-      std::vector<MemoryPartition> parts;
-      for (unsigned c = 0; c < dp_->group(g).num_cmus() && chosen.size() < rows; ++c) {
-        bool conflict = false;
-        for (const CmuTaskEntry& e : dp_->group(g).cmu(c).entries()) {
-          if (e.filter.intersects(spec.filter) && e.sample_probability >= 1.0 &&
-              spec.sample_probability >= 1.0) {
-            conflict = true;
-            break;
-          }
-        }
-        if (conflict) continue;
-        if (auto part = allocator(g, c).allocate(t.buckets)) {
-          chosen.push_back(c);
-          parts.push_back(*part);
-        }
-      }
-      if (chosen.size() < rows) {
-        for (std::size_t i = 0; i < chosen.size(); ++i) {
-          allocator(g, chosen[i]).release(parts[i]);
-        }
-        undo_deployment(t);
-        continue;
-      }
-
-      // Build and install one entry per row.
-      bool ok = true;
-      for (unsigned r = 0; r < rows && ok; ++r) {
-        CmuTaskEntry e = base_entry(*key_sel, r, parts[r]);
-        switch (algo) {
-          case Algorithm::kCms:
-          case Algorithm::kMrac:
-            e.op = StatefulOp::kCondAdd;
-            e.p1 = lower_param(spec.param, param_sel);
-            e.p2 = ParamSelect::constant(0xFFFF'FFFFu);
-            break;
-          case Algorithm::kSuMaxMax:
-            e.op = StatefulOp::kMax;
-            e.p1 = lower_param(spec.param, param_sel);
-            break;
-          case Algorithm::kTowerSketch:
-            e.op = StatefulOp::kCondAdd;
-            e.p1 = ParamSelect::constant(1u << (32 - kTowerWidths[r]));
-            e.p2 = ParamSelect::constant(
-                low_mask32(kTowerWidths[r]) << (32 - kTowerWidths[r]));
-            break;
-          case Algorithm::kBloomFilter:
-          case Algorithm::kLinearCounting:
-            e.op = StatefulOp::kAndOr;
-            if (spec.bloom_bit_packed) {
-              e.prep = PrepFn::kBitSelectOneHot;
-              e.p1 = ParamSelect::compressed(
-                  param_sel, KeySlice{static_cast<std::uint8_t>(16 + 5 * (r % 3)), 5});
-            } else {
-              e.p1 = ParamSelect::constant(1);
-              e.p2 = ParamSelect::constant(1);
-            }
-            break;
-          case Algorithm::kHyperLogLog:
-            e.op = StatefulOp::kMax;
-            e.p1 = ParamSelect::compressed(param_sel, KeySlice{16, 16});
-            break;
-          case Algorithm::kBeauCoup:
-            e.op = StatefulOp::kAndOr;
-            e.prep = PrepFn::kCouponOneHot;
-            e.coupon = CouponPrep{t.coupon_count, t.coupon_probability};
-            e.p1 = ParamSelect::compressed(param_sel, KeySlice{0, 32});
-            break;
-          default:
-            ok = false;
-            continue;
-        }
-        const auto up = install_unit(g, chosen[r], e, parts[r]);
-        if (!up) {
-          ok = false;
-          break;
-        }
-        RowPlacement row;
-        row.units.push_back(*up);
-        t.rows.push_back(row);
-        t.report.table_rules += unit_rules(g, parts[r]);
-      }
-      if (!ok) {
-        // Release partitions not yet bound into t.rows (the bound ones are
-        // reclaimed by undo_deployment below).
-        for (std::size_t i = t.rows.size(); i < chosen.size(); ++i) {
-          allocator(g, chosen[i]).release(parts[i]);
-        }
-        undo_deployment(t);
-        t.report = DeploymentReport{};
-        continue;
-      }
-      if (algo == Algorithm::kBeauCoup) {
-        t.report.table_rules += t.coupon_count + 1;  // one-hot window entries
-      }
-      t.report.hash_mask_rules += mask_rules;
-      t.report.groups_used = 1;
-      t.report.cmus_used = rows;
-      placed = true;
     }
   } else {
-    // Chained algorithms: units spread over distinct groups in pipeline
-    // order.  SuMaxSum: `rows` arrays = `rows` units, one chain.
-    // CounterBraids: 2 units.  MaxInterarrival: per row, 3 units.
-    const unsigned units_per_chain =
-        (algo == Algorithm::kCounterBraids || algo == Algorithm::kOddSketch) ? 2
-        : algo == Algorithm::kSuMaxSum ? std::min(rows, 3u)
-                                       : 3;
-    const unsigned num_chains = algo == Algorithm::kMaxInterarrival ? std::min(rows, 3u) : 1;
-
-    std::vector<RowPlacement> chains;
-    unsigned total_mask_rules = 0;
+    // Chained algorithms: each row is one chain whose units sit in strictly
+    // later groups, in pipeline order.  SuMaxSum: `rows` units in one
+    // chain.  CounterBraids, OddSketch: 2 units.  MaxInterarrival: `rows`
+    // chains of 3 units.
+    const unsigned units = algo == Algorithm::kSuMaxSum ? rows
+                           : algo == Algorithm::kMaxInterarrival ? 3
+                                                                 : 2;
+    const unsigned chains = algo == Algorithm::kMaxInterarrival ? rows : 1;
     unsigned next_group = 0;
-    bool ok = true;
-    for (unsigned chain_idx = 0; chain_idx < num_chains && ok; ++chain_idx) {
-      const std::uint32_t ch_a = next_chain_++;
-      const std::uint32_t ch_b = next_chain_++;
-      RowPlacement row;
-      for (unsigned u = 0; u < units_per_chain && ok; ++u) {
-        bool unit_placed = false;
-        for (unsigned g = next_group; g < dp_->num_groups() && !unit_placed; ++g) {
+    placed = true;
+    for (unsigned chain = 0; chain < chains && placed; ++chain) {
+      const ChainIds ch{next_chain_++, next_chain_++};
+      t.rows.emplace_back();
+      for (unsigned u = 0; u < units && placed; ++u) {
+        std::optional<UnitPlacement> up;
+        for (unsigned g = next_group; g < groups && !up; ++g) {
           unsigned mask_rules = 0;
-          const auto key_sel = ensure_selector(g, key_spec, mask_rules);
-          if (!key_sel) continue;
-          for (unsigned c = 0; c < dp_->group(g).num_cmus() && !unit_placed; ++c) {
-            bool conflict = false;
-            for (const CmuTaskEntry& e : dp_->group(g).cmu(c).entries()) {
-              if (e.filter.intersects(spec.filter) && e.sample_probability >= 1.0 &&
-                  spec.sample_probability >= 1.0) {
-                conflict = true;
-                break;
-              }
-            }
-            if (conflict) continue;
-            auto part = allocator(g, c).allocate(t.buckets);
-            if (!part) continue;
-
-            CmuTaskEntry e = base_entry(*key_sel, u, *part);
-            switch (algo) {
-              case Algorithm::kSuMaxSum:
-                e.op = StatefulOp::kCondAdd;
-                e.p1 = lower_param(spec.param, *key_sel);
-                e.p2 = u == 0 ? ParamSelect::constant(0xFFFF'FFFFu)
-                              : ParamSelect::chain(ch_a);
-                e.chain_out = ch_a;
-                e.chain_fallback = u != 0;  // keep running min on no-update
-                break;
-              case Algorithm::kCounterBraids:
-                e.op = StatefulOp::kCondAdd;
-                e.p1 = lower_param(spec.param, *key_sel);
-                if (u == 0) {
-                  e.p2 = ParamSelect::constant(kBraidsLayer1Cap);
-                  e.chain_out = ch_a;
-                } else {
-                  e.p2 = ParamSelect::constant(0xFFFF'FFFFu);
-                  e.prep = PrepFn::kKeepOnChainZero;
-                  e.chain_gate = ch_a;
-                }
-                break;
-              case Algorithm::kOddSketch:
-                if (u == 0) {  // dedup gate: has this flow toggled already?
-                  e.op = StatefulOp::kAndOr;
-                  e.prep = PrepFn::kBitSelectOneHot;
-                  e.p1 = ParamSelect::compressed(*key_sel, KeySlice{17, 5});
-                  e.output_old_value = true;
-                  e.chain_out = ch_a;
-                } else {  // parity toggle in the reserved XOR slot
-                  // The toggle needs the fourth SALU action slot; skip CMUs
-                  // whose slot is already taken by another preload instead
-                  // of letting preload_op throw mid-deployment.
-                  if (!dp_->group(g).cmu(c).salu().has_op(StatefulOp::kXor) &&
-                      dp_->group(g).cmu(c).salu().loaded_ops() >=
-                          dataplane::TofinoModel::kMaxRegisterActions) {
-                    allocator(g, c).release(*part);
-                    continue;
-                  }
-                  dp_->group(g).cmu(c).preload_op(StatefulOp::kXor);
-                  e.op = StatefulOp::kXor;
-                  e.prep = PrepFn::kBitSelectOneHotGated;
-                  e.chain_gate = ch_a;
-                  e.p1 = ParamSelect::compressed(*key_sel, KeySlice{22, 5});
-                }
-                break;
-              case Algorithm::kMaxInterarrival:
-                if (u == 0) {  // Bloom filter: have we seen this flow?
-                  e.op = StatefulOp::kAndOr;
-                  e.prep = PrepFn::kBitSelectOneHot;
-                  e.p1 = ParamSelect::compressed(*key_sel, KeySlice{17, 5});
-                  e.output_old_value = true;
-                  e.chain_out = ch_a;  // gate: 1 = seen before
-                } else if (u == 1) {  // last-arrival timestamp
-                  e.op = StatefulOp::kMax;
-                  e.p1 = ParamSelect::metadata(MetaField::kTimestamp);
-                  e.output_old_value = true;
-                  e.chain_out = ch_b;  // previous timestamp
-                } else {  // max inter-arrival
-                  e.op = StatefulOp::kMax;
-                  e.prep = PrepFn::kSubtractGated;
-                  e.chain_gate = ch_a;
-                  e.p1 = ParamSelect::metadata(MetaField::kTimestamp);
-                  e.p2 = ParamSelect::chain(ch_b);
-                }
-                break;
-              default:
-                break;
-            }
-            const auto up = install_unit(g, c, e, *part);
-            if (!up) {
-              allocator(g, c).release(*part);
-              continue;
-            }
-            row.units.push_back(*up);
-            t.report.table_rules += unit_rules(g, *part);
-            total_mask_rules += mask_rules;
-            next_group = g + 1;  // chain flows strictly forward
-            unit_placed = true;
+          const auto sel = selectors(g, spec, mask_rules);
+          for (unsigned c = 0; sel && c < dp_->group(g).num_cmus() && !up; ++c) {
+            up = place_unit(t, g, c, u, *sel, ch);
           }
+          if (up) masks += mask_rules;
         }
-        if (!unit_placed) ok = false;
-      }
-      if (ok) {
-        chains.push_back(row);
-        next_group = algo == Algorithm::kMaxInterarrival ? next_group : 0;
+        placed = up.has_value();
+        if (placed) {
+          t.rows.back().units.push_back(*up);
+          next_group = up->group + 1;
+        }
       }
     }
-    if (ok && !chains.empty()) {
-      t.rows = std::move(chains);
-      t.report.hash_mask_rules = total_mask_rules;
-      unsigned cmus = 0;
-      for (const auto& r : t.rows) cmus += static_cast<unsigned>(r.units.size());
-      t.report.cmus_used = cmus;
-      t.report.groups_used = cmus;  // one group per chained unit
-      placed = true;
-    } else {
-      undo_deployment(t);
-    }
+    if (!placed) undo_deployment(t);
   }
 
   gc_unreferenced_units();
@@ -813,6 +709,22 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
     result.error = "insufficient resources (keys / CMUs / memory)";
     return result;
   }
+  // Per-unit rules: init (key+param select) + param preparation + operation
+  // select + address translation (one TCAM entry per partition-sized
+  // window under kTcam).
+  for (const RowPlacement& row : t.rows) {
+    for (const UnitPlacement& up : row.units) {
+      const std::uint32_t total = dp_->group(up.group).config().register_buckets;
+      const bool tcam = strategy_ == TranslationStrategy::kTcam && up.partition.size != 0;
+      t.report.table_rules += 3u + (tcam ? total / up.partition.size : 1u);
+      ++t.report.cmus_used;
+    }
+  }
+  if (algo == Algorithm::kBeauCoup) {
+    t.report.table_rules += t.coupon_count + 1;  // one-hot window entries
+  }
+  t.report.hash_mask_rules = masks;
+  t.report.groups_used = is_chained(algo) ? t.report.cmus_used : 1;  // one per chained unit
   t.cumulative_delay_ms = t.report.delay_ms();
   tasks_[public_id] = t;
   result.ok = true;

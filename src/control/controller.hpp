@@ -243,12 +243,6 @@ class Controller {
   void collect_telemetry() const;
 
  private:
-  struct PendingMask {  // hash-mask rules staged during one deployment
-    unsigned group;
-    unsigned unit;
-    FlowKeySpec spec;
-  };
-
   /// Ownership labels of every installed entry, derived from tasks_ (used
   /// to tag compiled-plan entries with public task ids).
   std::vector<exec::EntryOwnership> entry_ownership() const;
@@ -266,10 +260,39 @@ class Controller {
   std::vector<DeployResult> reconfigure(const std::vector<TaskSpec>& stage,
                                         std::uint32_t retire);
   DeployResult deploy(const TaskSpec& spec, std::uint32_t public_id);
-  /// Placement/installation body of deploy().  `t` is the staged task the
-  /// exception-safe wrapper rolls back if this throws mid-operation.
+  /// Placement body of deploy() (paper §3.4).  A plain task puts its rows,
+  /// one CMU each, in the first group that has a CMU for every row; a
+  /// chained task puts each unit of a row in a strictly later group than
+  /// the one before.  Both place every unit through place_unit().  A
+  /// group that cannot take the whole task is undone before the next is
+  /// tried.  `t` is the staged task the exception-safe wrapper undoes if
+  /// this throws mid-operation.
   DeployResult deploy_impl(const TaskSpec& spec, std::uint32_t public_id,
                            DeployedTask& t);
+
+  /// A task's key and parameter selectors in one group.
+  struct Selectors {
+    CompressedKeySelector key, param;
+  };
+  /// Chain channels of one chained row.
+  struct ChainIds {
+    std::uint32_t a = 0, b = 0;
+  };
+  /// Configure (or reuse) the hash units `spec` reads in group `g`; the
+  /// parameter shares the key's selector unless it names another key.
+  std::optional<Selectors> selectors(unsigned g, const TaskSpec& spec,
+                                     unsigned& mask_rules);
+  /// The placement probe: unit `idx` of `t` (a plain row, or a unit of a
+  /// chain) on CMU (g, c).  Skips a CMU that does not admit the task's
+  /// filter, allocates the partition, lowers the entry and installs it
+  /// under the next phys id.  Nothing changes when it returns nullopt.
+  std::optional<UnitPlacement> place_unit(const DeployedTask& t, unsigned g, unsigned c,
+                                          unsigned idx, const Selectors& sel, ChainIds ch);
+  /// The lowering table of every algorithm: unit `idx`'s stateful op,
+  /// parameters, preparation and chain wiring.  False when `cmu` cannot
+  /// run the unit (the Odd Sketch toggle needs the fourth SALU slot).
+  static bool lower_entry(const DeployedTask& t, unsigned idx, const Selectors& sel,
+                          ChainIds ch, Cmu& cmu, CmuTaskEntry& e);
   /// Uninstall `t`'s CMU entries and drop its selector references; its
   /// partitions, register cells and hash units stay until release().
   std::vector<DetachedEntry> detach(const DeployedTask& t);

@@ -973,11 +973,16 @@ std::string Shell::cmd_ingest(const std::vector<std::string>& args) {
     }
     if (source_->produced() != 0) source_->rewind();  // fresh run on restart
     last_drain_ = {};
+    drain_error_.clear();
     pump_ = std::make_unique<ingest::IngestPump>(*source_, pump_cfg_);
     pump_->start();
     drain_thread_ = std::thread([this] {
       ingest::RingSource ring_source(*pump_);
-      last_drain_ = ctl_->dataplane().drain(ring_source);
+      try {
+        last_drain_ = ctl_->dataplane().drain(ring_source);
+      } catch (const std::exception& e) {
+        drain_error_ = e.what();
+      }
     });
     return "ingest streaming started (ring " +
            std::to_string(pump_cfg_.ring_capacity) + ", " +
@@ -990,6 +995,7 @@ std::string Shell::cmd_ingest(const std::vector<std::string>& args) {
   if (sub == "stop") {
     if (pump_ == nullptr && !running) return "ingest: nothing to stop";
     stop_ingest();
+    if (!drain_error_.empty()) return "error: ingest source failed: " + drain_error_;
     std::ostringstream out;
     out << "ingest stopped: drained " << last_drain_.packets << " packets in "
         << last_drain_.batches << " batches";

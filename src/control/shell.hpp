@@ -73,6 +73,7 @@ class Shell {
   std::unique_ptr<ingest::IngestPump> pump_;
   std::thread drain_thread_;
   FlyMonDataPlane::DrainStats last_drain_;  ///< valid after stop_ingest()
+  std::string drain_error_;  ///< what the source threw, valid after stop_ingest()
 };
 
 }  // namespace flymon::control

@@ -63,20 +63,22 @@ double Cmu::register_occupancy() const noexcept {
   return static_cast<double>(nonzero) / static_cast<double>(reg_.size());
 }
 
+bool Cmu::admits(const TaskFilter& filter, double sample_probability) const noexcept {
+  if (sample_probability < 1.0) return true;
+  return std::none_of(entries_.begin(), entries_.end(), [&](const CmuTaskEntry& e) {
+    return e.sample_probability >= 1.0 && e.filter.intersects(filter);
+  });
+}
+
 void Cmu::install(const CmuTaskEntry& entry) {
   if (!entry.key_sel.valid()) throw std::invalid_argument("Cmu::install: no key selected");
   if (entry.partition.size == 0 || entry.partition.end() > reg_.size())
     throw std::invalid_argument("Cmu::install: partition outside register");
-  for (const CmuTaskEntry& e : entries_) {
-    if (e.task_id == entry.task_id)
-      throw std::invalid_argument("Cmu::install: duplicate task id");
-    // One memory access per packet: intersecting traffic may only coexist
-    // under probabilistic execution (paper §3.3 / §6).
-    if (e.filter.intersects(entry.filter) && e.sample_probability >= 1.0 &&
-        entry.sample_probability >= 1.0) {
-      throw std::invalid_argument(
-          "Cmu::install: task filters intersect on one CMU (use sampling)");
-    }
+  if (find(entry.task_id) != nullptr)
+    throw std::invalid_argument("Cmu::install: duplicate task id");
+  if (!admits(entry.filter, entry.sample_probability)) {
+    throw std::invalid_argument(
+        "Cmu::install: task filters intersect on one CMU (use sampling)");
   }
   entries_.push_back(entry);
   std::stable_sort(entries_.begin(), entries_.end(),

@@ -147,9 +147,14 @@ class Cmu {
   /// (e.g. XOR for Odd Sketch, paper §6).  Throws when slots are exhausted.
   void preload_op(dataplane::StatefulOp op);
 
-  /// Install / remove task rules.  Installation rejects tasks whose filter
-  /// intersects an already-installed task (a SALU performs only one access
-  /// per packet, paper §3.3).
+  /// The co-location rule: a SALU performs one memory access per packet
+  /// (paper §3.3), so a task may join this CMU only when its filter misses
+  /// every installed full-rate task's, unless it or they run sampled (§6).
+  bool admits(const TaskFilter& filter, double sample_probability) const noexcept;
+
+  /// Install / remove task rules.  Installation throws on an entry
+  /// admits() rejects, a duplicate id, no key or a partition outside the
+  /// register.
   void install(const CmuTaskEntry& entry);
   bool remove(std::uint32_t task_id);
 

@@ -398,9 +398,7 @@ void ExecPlan::start_records(std::span<const Packet> pkts, BatchScratch& s,
       gk.group = static_cast<unsigned>(gi);
       gk.unit_keys.resize(g.num_units);
       for (std::size_t u = 0; u < g.num_units; ++u) {
-        const std::size_t sl = g.unit_slot[u];
-        gk.unit_keys[u] = sl < lane_slots_ ? s.lanes[sl * n + p]
-                                           : slots_[sl].unit.compute(s.keys[p]);
+        gk.unit_keys[u] = s.lanes[g.unit_slot[u] * n + p];
       }
     }
   }
@@ -424,7 +422,7 @@ void ExecPlan::batch_passes(std::span<const Packet> pkts, BatchScratch& s,
   // "unconfigured unit / no selector" lane); `lanes[slot * n + p]` so each
   // lane is a contiguous per-packet array for the SoA address pass.
   s.keys.resize(n);
-  s.lanes.assign(lane_slots_ * n, 0u);
+  s.lanes.assign(slots_.size() * n, 0u);
   s.src_ip.resize(n);
   s.dst_ip.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
@@ -432,7 +430,7 @@ void ExecPlan::batch_passes(std::span<const Packet> pkts, BatchScratch& s,
     s.src_ip[p] = pkts[p].ft.src_ip;
     s.dst_ip[p] = pkts[p].ft.dst_ip;
   }
-  for (std::size_t sl = 1; sl < lane_slots_; ++sl) {
+  for (std::size_t sl = 1; sl < slots_.size(); ++sl) {
     const dataplane::HashUnit& unit = slots_[sl].unit;
     std::uint32_t* lane = &s.lanes[sl * n];
     for (std::size_t p = 0; p < n; ++p) lane[p] = unit.compute(s.keys[p]);

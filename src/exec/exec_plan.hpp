@@ -173,11 +173,9 @@ struct CompiledGroup {
   telemetry::Counter* hashes = nullptr;
 };
 
-/// One compiled hash lane: a snapshot copy of a configured hash unit.
-/// Lane 0 is the constant-zero lane (unconfigured / absent selectors).
-/// Slots in ExecPlan::lane_slots() are units some entry references
-/// and are hashed for every packet; the rest are configured units no entry
-/// references, hashed only for traced packets' records.
+/// One compiled hash lane: a snapshot copy of a configured hash unit,
+/// hashed for every packet.  Lane 0 is the constant-zero lane
+/// (unconfigured / absent selectors).
 struct HashSlot {
   dataplane::HashUnit unit;
   unsigned group = 0;
@@ -379,10 +377,6 @@ class ExecPlan {
     return groups_;
   }
   std::span<const HashSlot> hash_slots() const noexcept { return slots_; }
-  /// The slots entries may reference: the per-batch lanes.
-  std::span<const HashSlot> lane_slots() const noexcept {
-    return std::span<const HashSlot>(slots_).first(lane_slots_);
-  }
 
   /// The SoA twin of entries(): what the batch filter/address passes
   /// actually execute from.  The translation validator proves it congruent
@@ -435,7 +429,6 @@ class ExecPlan {
   std::uint64_t generation_ = 0;
   EntryHot hot_;                      ///< SoA twin of entries_
   std::vector<HashSlot> slots_;       ///< slot 0 = constant-zero lane
-  std::size_t lane_slots_ = 1;        ///< slots_[0, lane_slots_) hash per batch
   std::vector<CompiledGroup> groups_;
   std::vector<CompiledCmu> cmus_;
   std::vector<CompiledEntry> entries_;

@@ -140,21 +140,18 @@ std::shared_ptr<const ExecPlan> PlanCompiler::compile(
     cg.packets = grp.packets_counter();
     cg.hashes = grp.hash_counter();
     cg.num_units = comp.num_units();
+    // Hash lanes: one slot per configured unit.  The controller clears
+    // units no entry references before it compiles, so each lane feeds
+    // some entry (and every traced record's unit keys).
     for (unsigned u = 0; u < comp.num_units(); ++u) {
-      if (comp.spec_of(u)) ++cg.configured_units;
-    }
-
-    // Hash lanes: one slot per configured unit *referenced by some entry*.
-    // Unreferenced units never influence state; they get trace-only slots
-    // after every group's lanes (below).
-    const auto slot_of = [&](std::int8_t unit) -> std::uint16_t {
-      if (unit < 0) return 0;
-      const auto u = static_cast<unsigned>(unit);
-      if (u >= comp.num_units() || !comp.spec_of(u)) return 0;
-      if (cg.unit_slot[u] != 0) return cg.unit_slot[u];
+      if (!comp.spec_of(u)) continue;
+      ++cg.configured_units;
       cg.unit_slot[u] = static_cast<std::uint16_t>(plan->slots_.size());
       plan->slots_.push_back(HashSlot{comp.unit(u), g, u});
-      return cg.unit_slot[u];
+    }
+    const auto slot_of = [&](std::int8_t unit) -> std::uint16_t {
+      const auto u = static_cast<unsigned>(unit);
+      return unit < 0 || u >= comp.num_units() ? 0 : cg.unit_slot[u];
     };
 
     for (unsigned c = 0; c < grp.num_cmus(); ++c) {
@@ -354,19 +351,6 @@ std::shared_ptr<const ExecPlan> PlanCompiler::compile(
   }
 
   plan->chain_count_ = chain_index.size() + 1;
-
-  // Trace-only slots: configured units no entry references, hashed only
-  // for traced packets so their records list every configured unit.
-  plan->lane_slots_ = plan->slots_.size();
-  for (unsigned g = 0; g < dp.num_groups(); ++g) {
-    const CompressionStage& comp = dp.group(g).compression();
-    CompiledGroup& cg = plan->groups_[g];
-    for (unsigned u = 0; u < comp.num_units(); ++u) {
-      if (!comp.spec_of(u) || cg.unit_slot[u] != 0) continue;
-      cg.unit_slot[u] = static_cast<std::uint16_t>(plan->slots_.size());
-      plan->slots_.push_back(HashSlot{comp.unit(u), g, u});
-    }
-  }
 
   // Collapse duplicate merge windows (several filter entries of one task
   // share a partition) and reject overlapping windows that disagree on the

@@ -3,10 +3,16 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "packet/trace_io.hpp"
-
 namespace flymon::ingest {
 namespace {
+
+// FMTR: 16-byte header (magic "FMTR", version, record count), then packed
+// 33-byte records in little-endian field order (read by next_fmtr, written
+// by write_fmtr).
+constexpr std::uint32_t kFmtrMagic = 0x464D'5452;  // "FMTR"
+constexpr std::uint32_t kFmtrVersion = 1;
+constexpr std::size_t kFmtrRecordBytes = 4 + 4 + 2 + 2 + 1 + 4 + 8 + 4 + 4;
+constexpr std::size_t kFmtrHeaderBytes = 16;
 
 // pcap magics, native byte order as read from the file.
 constexpr std::uint32_t kPcapMagicUs = 0xA1B2'C3D4;
@@ -40,9 +46,6 @@ std::uint32_t be32(const std::uint8_t* p) {
          (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
-// FMTR record layout (packet/trace_io.cpp): 33 little-endian bytes.
-constexpr std::size_t kFmtrRecordBytes = 33;
-constexpr std::size_t kFmtrHeaderBytes = 16;
 constexpr std::size_t kPcapFileHeaderBytes = 24;
 constexpr std::size_t kPcapRecordHeaderBytes = 16;
 
@@ -86,7 +89,7 @@ void FileReplaySource::open_and_sniff() {
   }
   const std::uint32_t magic_le = le32(magic_bytes);
 
-  const bool looks_fmtr = magic_le == TraceIo::kMagic;
+  const bool looks_fmtr = magic_le == kFmtrMagic;
   const bool looks_pcap = magic_le == kPcapMagicUs || magic_le == kPcapMagicNs ||
                           magic_le == kPcapMagicUsSwapped ||
                           magic_le == kPcapMagicNsSwapped;
@@ -99,7 +102,7 @@ void FileReplaySource::open_and_sniff() {
     if (std::fread(rest, 1, sizeof rest, f_.get()) != sizeof rest) {
       throw std::runtime_error("FileReplaySource: truncated header in " + path_);
     }
-    if (le32(rest) != TraceIo::kVersion) {
+    if (le32(rest) != kFmtrVersion) {
       throw std::runtime_error("FileReplaySource: unsupported FMTR version");
     }
     fmtr_remaining_ = le64(rest + 4);
@@ -236,6 +239,34 @@ std::size_t FileReplaySource::pull(std::span<Packet> out) {
 bool FileReplaySource::rewind() {
   open_and_sniff();
   return true;
+}
+
+void FileReplaySource::write_fmtr(const std::string& path,
+                                  const std::vector<Packet>& trace) {
+  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
+  if (!f) throw std::runtime_error("FileReplaySource::write_fmtr: cannot open " + path);
+  std::vector<std::uint8_t> buf;
+  buf.reserve(kFmtrHeaderBytes + trace.size() * kFmtrRecordBytes);
+  auto put_le = [&buf](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put_le(kFmtrMagic, 4);
+  put_le(kFmtrVersion, 4);
+  put_le(trace.size(), 8);
+  for (const Packet& p : trace) {
+    put_le(p.ft.src_ip, 4);
+    put_le(p.ft.dst_ip, 4);
+    put_le(p.ft.src_port, 2);
+    put_le(p.ft.dst_port, 2);
+    put_le(p.ft.protocol, 1);
+    put_le(p.wire_bytes, 4);
+    put_le(p.ts_ns, 8);
+    put_le(p.queue_len, 4);
+    put_le(p.queue_delay_ns, 4);
+  }
+  if (std::fwrite(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
+    throw std::runtime_error("FileReplaySource::write_fmtr: short write to " + path);
+  }
 }
 
 void FileReplaySource::write_pcap(const std::string& path,

@@ -1,6 +1,6 @@
 // File replay source: streams packets out of a capture file without
 // materialising the trace.  Two on-disk formats:
-//   - FMTR    the repo's own fixed-record format (packet/trace_io.hpp) —
+//   - FMTR    the repo's own fixed-record format (write_fmtr) —
 //             lossless round-trip of the full Packet struct;
 //   - pcap    classic libpcap captures (magic 0xa1b2c3d4 usec or
 //             0xa1b23c4d nsec, either endianness), linktype 1 (Ethernet,
@@ -39,6 +39,10 @@ class FileReplaySource final : public PacketSource {
   Format format() const noexcept { return format_; }
   /// pcap records skipped (non-IPv4 payload, truncated record).
   std::uint64_t skipped() const noexcept { return skipped_; }
+
+  /// Write `trace` as an FMTR file; throws std::runtime_error on I/O
+  /// failure.
+  static void write_fmtr(const std::string& path, const std::vector<Packet>& trace);
 
   /// Write `trace` as a pcap file (nanosecond or microsecond timestamps),
   /// synthesising minimal Ethernet+IPv4+TCP/UDP frames — so generated

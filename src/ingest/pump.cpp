@@ -22,6 +22,7 @@ IngestPump::~IngestPump() { stop(); }
 void IngestPump::start() {
   if (started_) return;
   started_ = true;
+  error_ = nullptr;
   finished_.store(false, std::memory_order_relaxed);
   thread_ = std::jthread([this](std::stop_token stop) { run(stop); });
 }
@@ -49,41 +50,47 @@ void IngestPump::run(std::stop_token stop) {
   std::uint64_t first_ts = 0;
   bool have_first_ts = false;
 
-  for_each_batch(source_, buf, [&](std::span<const Packet> batch) {
-    produced_.fetch_add(batch.size(), std::memory_order_relaxed);
+  // A source that throws ends the stream: the consumer rethrows the error
+  // once it has drained what the ring already holds.
+  try {
+    for_each_batch(source_, buf, [&](std::span<const Packet> batch) {
+      produced_.fetch_add(batch.size(), std::memory_order_relaxed);
 
-    if (cfg_.pace == PumpConfig::Pace::kReal) {
-      if (!have_first_ts) {
-        first_ts = batch[0].ts_ns;
-        have_first_ts = true;
+      if (cfg_.pace == PumpConfig::Pace::kReal) {
+        if (!have_first_ts) {
+          first_ts = batch[0].ts_ns;
+          have_first_ts = true;
+        }
+        // Pace the batch by its first packet: sleep until that packet is
+        // due on the (scaled) wall clock.  Batch-granular pacing bounds
+        // the error at one batch of inter-packet gaps.
+        const auto due = wall_start + std::chrono::nanoseconds(pace_delay_ns(
+                                          first_ts, batch[0].ts_ns, cfg_.time_scale));
+        std::this_thread::sleep_until(due);
       }
-      // Pace the batch by its first packet: sleep until that packet is
-      // due on the (scaled) wall clock.  Batch-granular pacing bounds
-      // the error at one batch of inter-packet gaps.
-      const auto due = wall_start + std::chrono::nanoseconds(pace_delay_ns(
-                                        first_ts, batch[0].ts_ns, cfg_.time_scale));
-      std::this_thread::sleep_until(due);
-    }
 
-    std::span<const Packet> rest = batch;
-    while (!rest.empty()) {
-      const std::size_t pushed = ring_.try_push(rest);
-      if (pushed != 0) {
-        enqueued_.fetch_add(pushed, std::memory_order_relaxed);
-        packets_ctr_->inc(pushed);
-        rest = rest.subspan(pushed);
-        continue;
+      std::span<const Packet> rest = batch;
+      while (!rest.empty()) {
+        const std::size_t pushed = ring_.try_push(rest);
+        if (pushed != 0) {
+          enqueued_.fetch_add(pushed, std::memory_order_relaxed);
+          packets_ctr_->inc(pushed);
+          rest = rest.subspan(pushed);
+          continue;
+        }
+        if (cfg_.on_full == PumpConfig::FullPolicy::kDrop) {
+          dropped_.fetch_add(rest.size(), std::memory_order_relaxed);
+          drops_ctr_->inc(rest.size());
+          break;
+        }
+        if (stop.stop_requested()) break;  // unblock stop()
+        std::this_thread::yield();  // backpressure: wait for the consumer
       }
-      if (cfg_.on_full == PumpConfig::FullPolicy::kDrop) {
-        dropped_.fetch_add(rest.size(), std::memory_order_relaxed);
-        drops_ctr_->inc(rest.size());
-        break;
-      }
-      if (stop.stop_requested()) break;  // unblock stop()
-      std::this_thread::yield();  // backpressure: wait for the consumer
-    }
-    occupancy_gauge_->set(static_cast<double>(ring_.occupancy()));
-  }, stop);
+      occupancy_gauge_->set(static_cast<double>(ring_.occupancy()));
+    }, stop);
+  } catch (...) {
+    error_ = std::current_exception();
+  }
   occupancy_gauge_->set(static_cast<double>(ring_.occupancy()));
   finished_.store(true, std::memory_order_release);
 }

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <stop_token>
 #include <string>
 #include <thread>
@@ -91,9 +92,16 @@ class IngestPump {
   /// source is dry.  Packets already published to the ring stay poppable.
   void stop();
 
-  /// True once the producer thread has exited (source drained or stop).
+  /// True once the producer thread has exited (source drained, stop, or
+  /// the source threw).
   bool finished() const noexcept {
     return finished_.load(std::memory_order_acquire);
+  }
+
+  /// What the source's pull threw on the producer thread, or null.  Valid
+  /// once finished() returned true (stored before that flag is released).
+  std::exception_ptr error() const noexcept {
+    return finished() ? error_ : nullptr;
   }
 
   PacketRing& ring() noexcept { return ring_; }
@@ -110,6 +118,7 @@ class IngestPump {
   std::jthread thread_;
 
   std::atomic<bool> finished_{false};
+  std::exception_ptr error_;
   bool started_ = false;
   std::atomic<std::uint64_t> produced_{0};
   std::atomic<std::uint64_t> enqueued_{0};
@@ -126,7 +135,9 @@ class IngestPump {
 /// share one consumption path.  done() only turns true after the producer
 /// has finished AND the ring is empty; a dry-but-live ring returns 0 from
 /// pull (temporarily dry), which for_each_batch treats as "yield, don't
-/// exit".
+/// exit".  When the producer's source threw, pull rethrows that exception
+/// where it would otherwise report done(): every packet pulled before the
+/// failure has been handed out first.
 class RingSource final : public PacketSource {
  public:
   explicit RingSource(IngestPump& pump) : pump_(pump) {}
@@ -136,6 +147,9 @@ class RingSource final : public PacketSource {
   std::size_t pull(std::span<Packet> out) override {
     const std::size_t n = pump_.ring().try_pop(out);
     popped_ += n;
+    if (n == 0 && done()) {
+      if (const std::exception_ptr error = pump_.error()) std::rethrow_exception(error);
+    }
     return n;
   }
 

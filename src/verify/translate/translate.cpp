@@ -193,11 +193,10 @@ struct EntryChecker {
 
     bool oob = false;
     const SymWord compiled_key =
-        slot_word(lanes, plan.lane_slots(), ce.key_slot_a, oob) ^
-        slot_word(lanes, plan.lane_slots(), ce.key_slot_b, oob);
+        slot_word(lanes, plan.hash_slots(), ce.key_slot_a, oob) ^
+        slot_word(lanes, plan.hash_slots(), ce.key_slot_b, oob);
     if (oob) {
-      fail("key", "compiled key references a hash slot outside the plan's "
-                  "per-batch lanes");
+      fail("key", "compiled key references a hash slot outside the plan");
       return false;
     }
     compiled_sliced = (compiled_key >> ce.key_shift) & ce.key_mask;
@@ -288,13 +287,12 @@ struct EntryChecker {
             sel.slice);
         bool oob = false;
         const SymWord compiled =
-            ((slot_word(lanes, plan.lane_slots(), p.slot_a, oob) ^
-              slot_word(lanes, plan.lane_slots(), p.slot_b, oob)) >>
+            ((slot_word(lanes, plan.hash_slots(), p.slot_a, oob) ^
+              slot_word(lanes, plan.hash_slots(), p.slot_b, oob)) >>
              p.shift) &
             p.mask;
         if (oob) {
-          mismatch("parameter references a hash slot outside the plan's "
-                   "per-batch lanes");
+          mismatch("parameter references a hash slot outside the plan");
           break;
         }
         const int bit = SymWord::first_divergent_bit(interp, compiled);

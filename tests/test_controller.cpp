@@ -2,7 +2,13 @@
 // lifecycle, and readout plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <sstream>
+
 #include "control/controller.hpp"
+#include "control/shell.hpp"
+#include "exec/exec_plan.hpp"
 #include "packet/trace_gen.hpp"
 
 namespace flymon::control {
@@ -17,47 +23,58 @@ TaskSpec freq_spec(std::uint32_t buckets = 8192, unsigned rows = 3) {
   return s;
 }
 
+constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::kCms,         Algorithm::kSuMaxSum,       Algorithm::kMrac,
+    Algorithm::kTowerSketch, Algorithm::kCounterBraids,  Algorithm::kBeauCoup,
+    Algorithm::kHyperLogLog, Algorithm::kLinearCounting, Algorithm::kBloomFilter,
+    Algorithm::kSuMaxMax,    Algorithm::kMaxInterarrival, Algorithm::kOddSketch};
+
+/// A deployable single-task spec for each algorithm.
+TaskSpec algorithm_spec(Algorithm a) {
+  TaskSpec s;
+  s.name = to_string(a);
+  s.algorithm = a;
+  s.memory_buckets = 8192;
+  s.rows = 3;
+  s.report_threshold = 512;
+  switch (a) {
+    case Algorithm::kBeauCoup:
+      s.key = FlowKeySpec::dst_ip();
+      s.attribute = AttributeKind::kDistinct;
+      s.param = ParamSpec::compressed(FlowKeySpec::src_ip());
+      break;
+    case Algorithm::kHyperLogLog:
+    case Algorithm::kLinearCounting:
+      s.attribute = AttributeKind::kDistinct;
+      s.param = ParamSpec::compressed(FlowKeySpec::five_tuple());
+      break;
+    case Algorithm::kBloomFilter:
+      s.key = FlowKeySpec::five_tuple();
+      s.attribute = AttributeKind::kExistence;
+      s.param = ParamSpec::compressed(FlowKeySpec::five_tuple());
+      break;
+    case Algorithm::kSuMaxMax:
+    case Algorithm::kMaxInterarrival:
+      s.key = FlowKeySpec::five_tuple();
+      s.attribute = AttributeKind::kMax;
+      s.param = ParamSpec::metadata(MetaField::kQueueLen);
+      break;
+    case Algorithm::kOddSketch:
+      s.key = FlowKeySpec::five_tuple();
+      s.attribute = AttributeKind::kSimilarity;
+      break;
+    default:
+      s.key = FlowKeySpec::five_tuple();
+      s.attribute = AttributeKind::kFrequency;
+  }
+  return s;
+}
+
 TEST(Controller, DeploysEveryAlgorithm) {
-  const Algorithm algos[] = {
-      Algorithm::kCms,        Algorithm::kSuMaxSum,       Algorithm::kMrac,
-      Algorithm::kTowerSketch, Algorithm::kCounterBraids, Algorithm::kBeauCoup,
-      Algorithm::kHyperLogLog, Algorithm::kLinearCounting, Algorithm::kBloomFilter,
-      Algorithm::kSuMaxMax,   Algorithm::kMaxInterarrival};
-  for (Algorithm a : algos) {
+  for (Algorithm a : kAllAlgorithms) {
     FlyMonDataPlane dp(9);
     Controller ctl(dp);
-    TaskSpec s;
-    s.algorithm = a;
-    s.memory_buckets = 8192;
-    s.rows = 3;
-    s.report_threshold = 512;
-    switch (a) {
-      case Algorithm::kBeauCoup:
-        s.key = FlowKeySpec::dst_ip();
-        s.attribute = AttributeKind::kDistinct;
-        s.param = ParamSpec::compressed(FlowKeySpec::src_ip());
-        break;
-      case Algorithm::kHyperLogLog:
-      case Algorithm::kLinearCounting:
-        s.attribute = AttributeKind::kDistinct;
-        s.param = ParamSpec::compressed(FlowKeySpec::five_tuple());
-        break;
-      case Algorithm::kBloomFilter:
-        s.key = FlowKeySpec::five_tuple();
-        s.attribute = AttributeKind::kExistence;
-        s.param = ParamSpec::compressed(FlowKeySpec::five_tuple());
-        break;
-      case Algorithm::kSuMaxMax:
-      case Algorithm::kMaxInterarrival:
-        s.key = FlowKeySpec::five_tuple();
-        s.attribute = AttributeKind::kMax;
-        s.param = ParamSpec::metadata(MetaField::kQueueLen);
-        break;
-      default:
-        s.key = FlowKeySpec::five_tuple();
-        s.attribute = AttributeKind::kFrequency;
-    }
-    const auto r = ctl.add_task(s);
+    const auto r = ctl.add_task(algorithm_spec(a));
     EXPECT_TRUE(r.ok) << to_string(a) << ": " << r.error;
     EXPECT_GT(r.report.table_rules, 0u) << to_string(a);
     EXPECT_GT(r.report.delay_ms(), 0.0) << to_string(a);
@@ -271,6 +288,58 @@ TEST(Controller, ChainedAlgorithmsSpanDistinctGroups) {
   EXPECT_LT(t->rows[0].units[1].group, t->rows[0].units[2].group);
 }
 
+// A chained task whose compressed-key parameter names another key must
+// read that key: `add ... algo=SuMaxSum key=SrcIP param=key:DstIP`.
+TEST(Controller, ChainedTasksReadTheParameterKey) {
+  for (const Algorithm a : {Algorithm::kSuMaxSum, Algorithm::kCounterBraids}) {
+    SCOPED_TRACE(to_string(a));
+    FlyMonDataPlane dp(9);
+    Controller ctl(dp);
+    TaskSpec s = freq_spec(4096, 3);
+    s.algorithm = a;
+    s.param = ParamSpec::compressed(FlowKeySpec::dst_ip());
+    const auto r = ctl.add_task(s);
+    ASSERT_TRUE(r.ok) << r.error;
+    unsigned units = 0;
+    for (const RowPlacement& row : ctl.task(r.task_id)->rows) {
+      for (const UnitPlacement& up : row.units) {
+        const CmuTaskEntry* e = dp.group(up.group).cmu(up.cmu).find(up.phys_id);
+        ASSERT_NE(e, nullptr);
+        ASSERT_EQ(e->p1.source, ParamSelect::Source::kCompressedKey);
+        const auto sel =
+            dp.group(up.group).compression().find_selector(s.param.key_spec);
+        ASSERT_TRUE(sel.has_value()) << "group " << up.group;
+        EXPECT_EQ(e->p1.key_sel, *sel) << "group " << up.group;
+        ++units;
+      }
+    }
+    EXPECT_GT(units, 0u);
+  }
+}
+
+// A chain that runs out of groups halfway fails without leaving the
+// units it already placed installed, allocated or hashed.
+TEST(Controller, FailedChainLeavesNothingBehind) {
+  FlyMonDataPlane dp(2);
+  Controller ctl(dp);
+  TaskSpec s = freq_spec(4096, 3);
+  s.algorithm = Algorithm::kSuMaxSum;  // three units, one group each
+  EXPECT_FALSE(ctl.add_task(s).ok);
+  const std::uint32_t total = dp.group(0).config().register_buckets;
+  for (unsigned g = 0; g < dp.num_groups(); ++g) {
+    for (unsigned c = 0; c < dp.group(g).num_cmus(); ++c) {
+      EXPECT_TRUE(dp.group(g).cmu(c).entries().empty()) << "g" << g << "/c" << c;
+      EXPECT_EQ(ctl.free_buckets(g, c), total) << "g" << g << "/c" << c;
+    }
+    const CompressionStage& comp = dp.group(g).compression();
+    for (unsigned u = 0; u < comp.num_units(); ++u) {
+      EXPECT_FALSE(comp.spec_of(u).has_value()) << "g" << g << " unit " << u;
+    }
+  }
+  // The pipeline is still fully usable.
+  EXPECT_TRUE(ctl.add_task(freq_spec(total, 3)).ok);
+}
+
 TEST(Controller, MaxInterarrivalUsesThreeCmusPerRow) {
   FlyMonDataPlane dp(9);
   Controller ctl(dp);
@@ -322,6 +391,486 @@ TEST(Controller, NinetySixTasksOnOneGroup) {
     if (ctl.add_task(t).ok) ++deployed;
   }
   EXPECT_EQ(deployed, 96u);
+}
+
+// ---- placement golden ----
+// Each deployment below is pinned line by line: the published plan's
+// signature, every task's DeploymentReport and its UnitPlacements (group,
+// CMU, phys id, partition).  Any change in CMU choice, phys or chain ids,
+// key slices, partitions or rule counts shows up as the first line that
+// differs from the expected text.
+
+std::string placement_dump(const Controller& ctl) {
+  std::ostringstream os;
+  if (const auto plan = ctl.dataplane().current_plan()) {
+    for (const std::string& line : plan->signature()) os << line << '\n';
+  }
+  for (const std::uint32_t id : ctl.task_ids()) {
+    const DeployedTask& t = *ctl.task(id);
+    const DeploymentReport& r = t.report;
+    os << "task " << id << ' ' << to_string(t.algorithm) << " buckets=" << t.buckets
+       << " rules=" << r.table_rules << " masks=" << r.hash_mask_rules
+       << " groups=" << r.groups_used << " cmus=" << r.cmus_used << '\n';
+    for (std::size_t ri = 0; ri < t.rows.size(); ++ri) {
+      for (std::size_t ui = 0; ui < t.rows[ri].units.size(); ++ui) {
+        const UnitPlacement& up = t.rows[ri].units[ui];
+        os << "  row " << ri << " unit " << ui << ": g" << up.group << "/c" << up.cmu
+           << " phys " << up.phys_id << " mem[" << up.partition.base << '+'
+           << up.partition.size << "]\n";
+      }
+    }
+  }
+  return os.str();
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TaskSpec named(TaskSpec s, const char* name, TaskFilter filter = TaskFilter::any()) {
+  s.name = name;
+  s.filter = filter;
+  return s;
+}
+
+/// Expected placement text per case, captured from the placement code
+/// these deployments were first pinned against.
+const std::pair<const char*, const char*> kPlacementGolden[] = {
+    {"CMS", R"golden(add CMS -> 1
+task 1 "CMS" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "CMS" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "CMS" row 2 unit 0 @g0/c2: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 CMS buckets=8192 rules=33 masks=1 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 1 unit 0: g0/c1 phys 2 mem[0+8192]
+  row 2 unit 0: g0/c2 phys 3 mem[0+8192]
+)golden"},
+    {"SuMax(Sum)", R"golden(add SuMax(Sum) -> 1
+task 1 "SuMax(Sum)" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD chain_out=1
+task 1 "SuMax(Sum)" row 0 unit 1 @g1/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=const:1 p2=chain:1 prep=none op=Cond-ADD chain_out=1 fallback
+task 1 "SuMax(Sum)" row 0 unit 2 @g2/c0: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=const:1 p2=chain:1 prep=none op=Cond-ADD chain_out=1 fallback
+task 1 SuMax(Sum) buckets=8192 rules=33 masks=3 groups=3 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 0 unit 1: g1/c0 phys 2 mem[0+8192]
+  row 0 unit 2: g2/c0 phys 3 mem[0+8192]
+)golden"},
+    {"MRAC", R"golden(add MRAC -> 1
+task 1 "MRAC" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 MRAC buckets=8192 rules=11 masks=1 groups=1 cmus=1
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+)golden"},
+    {"TowerSketch", R"golden(add TowerSketch -> 1
+task 1 "TowerSketch" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "TowerSketch" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=const:65536 p2=const:4294901760 prep=none op=Cond-ADD
+task 1 "TowerSketch" row 2 unit 0 @g0/c2: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=const:16777216 p2=const:4278190080 prep=none op=Cond-ADD
+task 1 TowerSketch buckets=8192 rules=33 masks=1 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 1 unit 0: g0/c1 phys 2 mem[0+8192]
+  row 2 unit 0: g0/c2 phys 3 mem[0+8192]
+)golden"},
+    {"CounterBraids", R"golden(add CounterBraids -> 1
+task 1 "CounterBraids" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:1024 prep=none op=Cond-ADD chain_out=1
+task 1 "CounterBraids" row 0 unit 1 @g1/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=keep0 gate=1 op=Cond-ADD
+task 1 CounterBraids buckets=8192 rules=22 masks=2 groups=2 cmus=2
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 0 unit 1: g1/c0 phys 2 mem[0+8192]
+)golden"},
+    {"BeauCoup", R"golden(add BeauCoup -> 1
+task 1 "BeauCoup" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=coupon(32,0.0078125) op=AND-OR
+task 1 "BeauCoup" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=coupon(32,0.0078125) op=AND-OR
+task 1 "BeauCoup" row 2 unit 0 @g0/c2: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=coupon(32,0.0078125) op=AND-OR
+task 1 BeauCoup buckets=8192 rules=66 masks=2 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 1 unit 0: g0/c1 phys 2 mem[0+8192]
+  row 2 unit 0: g0/c2 phys 3 mem[0+8192]
+)golden"},
+    {"HyperLogLog", R"golden(add HyperLogLog -> 1
+task 1 "HyperLogLog" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[16+16] p2=const:4294967295 prep=none op=MAX
+task 1 HyperLogLog buckets=8192 rules=11 masks=1 groups=1 cmus=1
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+)golden"},
+    {"LinearCounting", R"golden(add LinearCounting -> 1
+task 1 "LinearCounting" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[16+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 1 LinearCounting buckets=8192 rules=11 masks=1 groups=1 cmus=1
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+)golden"},
+    {"BloomFilter", R"golden(add BloomFilter -> 1
+task 1 "BloomFilter" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[16+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 1 "BloomFilter" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=key:u0^u-1[21+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 1 "BloomFilter" row 2 unit 0 @g0/c2: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=key:u0^u-1[26+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 1 BloomFilter buckets=8192 rules=33 masks=1 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 1 unit 0: g0/c1 phys 2 mem[0+8192]
+  row 2 unit 0: g0/c2 phys 3 mem[0+8192]
+)golden"},
+    {"SuMax(Max)", R"golden(add SuMax(Max) -> 1
+task 1 "SuMax(Max)" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=meta:2 p2=const:4294967295 prep=none op=MAX
+task 1 "SuMax(Max)" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=meta:2 p2=const:4294967295 prep=none op=MAX
+task 1 "SuMax(Max)" row 2 unit 0 @g0/c2: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=meta:2 p2=const:4294967295 prep=none op=MAX
+task 1 SuMax(Max) buckets=8192 rules=33 masks=1 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 1 unit 0: g0/c1 phys 2 mem[0+8192]
+  row 2 unit 0: g0/c2 phys 3 mem[0+8192]
+)golden"},
+    {"MaxInterarrival", R"golden(add MaxInterarrival -> 1
+task 1 "MaxInterarrival" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=1
+task 1 "MaxInterarrival" row 0 unit 1 @g1/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=meta:4 p2=const:4294967295 prep=none op=MAX old chain_out=2
+task 1 "MaxInterarrival" row 0 unit 2 @g2/c0: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=meta:4 p2=chain:2 prep=subgate gate=1 op=MAX
+task 1 "MaxInterarrival" row 1 unit 0 @g3/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=3
+task 1 "MaxInterarrival" row 1 unit 1 @g4/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=meta:4 p2=const:4294967295 prep=none op=MAX old chain_out=4
+task 1 "MaxInterarrival" row 1 unit 2 @g5/c0: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=meta:4 p2=chain:4 prep=subgate gate=3 op=MAX
+task 1 "MaxInterarrival" row 2 unit 0 @g6/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=5
+task 1 "MaxInterarrival" row 2 unit 1 @g7/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=meta:4 p2=const:4294967295 prep=none op=MAX old chain_out=6
+task 1 "MaxInterarrival" row 2 unit 2 @g8/c0: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=meta:4 p2=chain:6 prep=subgate gate=5 op=MAX
+task 1 MaxInterarrival buckets=8192 rules=99 masks=9 groups=9 cmus=9
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 0 unit 1: g1/c0 phys 2 mem[0+8192]
+  row 0 unit 2: g2/c0 phys 3 mem[0+8192]
+  row 1 unit 0: g3/c0 phys 4 mem[0+8192]
+  row 1 unit 1: g4/c0 phys 5 mem[0+8192]
+  row 1 unit 2: g5/c0 phys 6 mem[0+8192]
+  row 2 unit 0: g6/c0 phys 7 mem[0+8192]
+  row 2 unit 1: g7/c0 phys 8 mem[0+8192]
+  row 2 unit 2: g8/c0 phys 9 mem[0+8192]
+)golden"},
+    {"OddSketch", R"golden(add OddSketch -> 1
+task 1 "OddSketch" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=1
+task 1 "OddSketch" row 0 unit 1 @g1/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=key:u0^u-1[22+5] p2=const:4294967295 prep=onehot-gated gate=1 op=XOR
+task 1 OddSketch buckets=8192 rules=22 masks=2 groups=2 cmus=2
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 0 unit 1: g1/c0 phys 2 mem[0+8192]
+)golden"},
+    {"intersecting-filters", R"golden(add any -> 1
+add ten -> 2
+add eleven -> 3
+task 1 "any" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "any" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 3 "eleven" row 0 unit 0 @g0/c2: filter=184549376/8->0/0 prio=3 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "ten" row 0 unit 0 @g1/c0: filter=167772160/8->0/0 prio=2 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "ten" row 1 unit 0 @g1/c1: filter=167772160/8->0/0 prio=2 key=u0^u-1[8+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 CMS buckets=4096 rules=38 masks=1 groups=1 cmus=2
+  row 0 unit 0: g0/c0 phys 1 mem[0+4096]
+  row 1 unit 0: g0/c1 phys 2 mem[0+4096]
+task 2 CMS buckets=4096 rules=38 masks=1 groups=1 cmus=2
+  row 0 unit 0: g1/c0 phys 3 mem[0+4096]
+  row 1 unit 0: g1/c1 phys 4 mem[0+4096]
+task 3 CMS buckets=4096 rules=19 masks=0 groups=1 cmus=1
+  row 0 unit 0: g0/c2 phys 5 mem[0+4096]
+)golden"},
+    {"sampled-beside-intersecting", R"golden(add full-rate -> 1
+add sampled -> 2
+add second-full-rate -> 3
+task 1 "full-rate" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "sampled" row 0 unit 0 @g0/c0: filter=any prio=2 sample=0.5 key=u0^u-1[0+16] mem[8192+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "full-rate" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "sampled" row 1 unit 0 @g0/c1: filter=any prio=2 sample=0.5 key=u0^u-1[8+16] mem[8192+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "full-rate" row 2 unit 0 @g0/c2: filter=any prio=1 key=u0^u-1[16+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "sampled" row 2 unit 0 @g0/c2: filter=any prio=2 sample=0.5 key=u0^u-1[16+16] mem[8192+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 3 "second-full-rate" row 0 unit 0 @g1/c0: filter=0/0->3232235520/16 prio=3 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 3 "second-full-rate" row 1 unit 0 @g1/c1: filter=0/0->3232235520/16 prio=3 key=u0^u-1[8+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 3 "second-full-rate" row 2 unit 0 @g1/c2: filter=0/0->3232235520/16 prio=3 key=u0^u-1[16+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 CMS buckets=4096 rules=57 masks=1 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+4096]
+  row 1 unit 0: g0/c1 phys 2 mem[0+4096]
+  row 2 unit 0: g0/c2 phys 3 mem[0+4096]
+task 2 CMS buckets=8192 rules=33 masks=0 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 4 mem[8192+8192]
+  row 1 unit 0: g0/c1 phys 5 mem[8192+8192]
+  row 2 unit 0: g0/c2 phys 6 mem[8192+8192]
+task 3 CMS buckets=4096 rules=57 masks=1 groups=1 cmus=3
+  row 0 unit 0: g1/c0 phys 7 mem[0+4096]
+  row 1 unit 0: g1/c1 phys 8 mem[0+4096]
+  row 2 unit 0: g1/c2 phys 9 mem[0+4096]
+)golden"},
+    {"parameter-key-differs", R"golden(add max-dst -> 1
+add cms-pair -> 2
+task 1 "max-dst" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=none op=MAX
+task 1 "max-dst" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=none op=MAX
+task 2 "cms-pair" row 0 unit 0 @g1/c0: filter=167772160/8->0/0 prio=2 key=u0^u-1[0+16] mem[0+4096] p1=key:u0^u1[0+32] p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "cms-pair" row 1 unit 0 @g1/c1: filter=167772160/8->0/0 prio=2 key=u0^u-1[8+16] mem[0+4096] p1=key:u0^u1[0+32] p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "cms-pair" row 2 unit 0 @g1/c2: filter=167772160/8->0/0 prio=2 key=u0^u-1[16+16] mem[0+4096] p1=key:u0^u1[0+32] p2=const:4294967295 prep=none op=Cond-ADD
+task 1 SuMax(Max) buckets=8192 rules=22 masks=2 groups=1 cmus=2
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 1 unit 0: g0/c1 phys 2 mem[0+8192]
+task 2 CMS buckets=4096 rules=57 masks=2 groups=1 cmus=3
+  row 0 unit 0: g1/c0 phys 3 mem[0+4096]
+  row 1 unit 0: g1/c1 phys 4 mem[0+4096]
+  row 2 unit 0: g1/c2 phys 5 mem[0+4096]
+)golden"},
+    {"max-interarrival-three-rows", R"golden(add MaxInterarrival -> 1
+add after -> insufficient resources (keys / CMUs / memory)
+task 1 "MaxInterarrival" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=1
+task 1 "MaxInterarrival" row 0 unit 1 @g1/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=meta:4 p2=const:4294967295 prep=none op=MAX old chain_out=2
+task 1 "MaxInterarrival" row 0 unit 2 @g2/c0: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=meta:4 p2=chain:2 prep=subgate gate=1 op=MAX
+task 1 "MaxInterarrival" row 1 unit 0 @g3/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=3
+task 1 "MaxInterarrival" row 1 unit 1 @g4/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=meta:4 p2=const:4294967295 prep=none op=MAX old chain_out=4
+task 1 "MaxInterarrival" row 1 unit 2 @g5/c0: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=meta:4 p2=chain:4 prep=subgate gate=3 op=MAX
+task 1 "MaxInterarrival" row 2 unit 0 @g6/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=5
+task 1 "MaxInterarrival" row 2 unit 1 @g7/c0: filter=any prio=1 key=u0^u-1[8+16] mem[0+8192] p1=meta:4 p2=const:4294967295 prep=none op=MAX old chain_out=6
+task 1 "MaxInterarrival" row 2 unit 2 @g8/c0: filter=any prio=1 key=u0^u-1[16+16] mem[0+8192] p1=meta:4 p2=chain:6 prep=subgate gate=5 op=MAX
+task 1 MaxInterarrival buckets=8192 rules=99 masks=9 groups=9 cmus=9
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 0 unit 1: g1/c0 phys 2 mem[0+8192]
+  row 0 unit 2: g2/c0 phys 3 mem[0+8192]
+  row 1 unit 0: g3/c0 phys 4 mem[0+8192]
+  row 1 unit 1: g4/c0 phys 5 mem[0+8192]
+  row 1 unit 2: g5/c0 phys 6 mem[0+8192]
+  row 2 unit 0: g6/c0 phys 7 mem[0+8192]
+  row 2 unit 1: g7/c0 phys 8 mem[0+8192]
+  row 2 unit 2: g8/c0 phys 9 mem[0+8192]
+)golden"},
+    {"odd-sketch-xor-slot", R"golden(add set-a -> 1
+add set-b -> 2
+add set-any -> 3
+task 1 "set-a" row 0 unit 0 @g0/c0: filter=0/0->3232235520/16 prio=1 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=1
+task 2 "set-b" row 0 unit 0 @g0/c0: filter=0/0->167772160/8 prio=2 key=u0^u-1[0+16] mem[8192+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=3
+task 3 "set-any" row 0 unit 0 @g0/c1: filter=any prio=3 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[17+5] p2=const:4294967295 prep=onehot op=AND-OR old chain_out=5
+task 1 "set-a" row 0 unit 1 @g1/c1: filter=0/0->3232235520/16 prio=1 key=u0^u-1[8+16] mem[0+8192] p1=key:u0^u-1[22+5] p2=const:4294967295 prep=onehot-gated gate=1 op=XOR
+task 2 "set-b" row 0 unit 1 @g1/c1: filter=0/0->167772160/8 prio=2 key=u0^u-1[8+16] mem[8192+8192] p1=key:u0^u-1[22+5] p2=const:4294967295 prep=onehot-gated gate=3 op=XOR
+task 3 "set-any" row 0 unit 1 @g1/c2: filter=any prio=3 key=u0^u-1[8+16] mem[0+8192] p1=key:u0^u-1[22+5] p2=const:4294967295 prep=onehot-gated gate=5 op=XOR
+task 1 OddSketch buckets=8192 rules=22 masks=2 groups=2 cmus=2
+  row 0 unit 0: g0/c0 phys 1 mem[0+8192]
+  row 0 unit 1: g1/c1 phys 2 mem[0+8192]
+task 2 OddSketch buckets=8192 rules=22 masks=0 groups=2 cmus=2
+  row 0 unit 0: g0/c0 phys 3 mem[8192+8192]
+  row 0 unit 1: g1/c1 phys 4 mem[8192+8192]
+task 3 OddSketch buckets=8192 rules=22 masks=0 groups=2 cmus=2
+  row 0 unit 0: g0/c1 phys 5 mem[0+8192]
+  row 0 unit 1: g1/c2 phys 6 mem[0+8192]
+)golden"},
+    {"resize-into-fragments", R"golden(add T -> 1
+add X -> 2
+add Y1 -> 3
+add Y2 -> 4
+add Y3 -> 5
+remove 3 -> 1
+remove 5 -> 1
+resize 1 -> ok
+add Z -> 7
+task 2 "X" row 0 unit 0 @g0/c0: filter=184549376/8->0/0 prio=2 key=u0^u-1[0+16] mem[32768+32768] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 7 "Z" row 0 unit 0 @g0/c0: filter=201326592/8->0/0 prio=7 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 4 "Y2" row 0 unit 0 @g0/c1: filter=184680448/16->0/0 prio=4 key=u0^u-1[0+16] mem[8192+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "T" row 0 unit 0 @g0/c1: filter=167772160/8->0/0 prio=6 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 CMS buckets=8192 rules=11 masks=0 groups=1 cmus=1
+  row 0 unit 0: g0/c1 phys 6 mem[0+8192]
+task 2 CMS buckets=32768 rules=5 masks=0 groups=1 cmus=1
+  row 0 unit 0: g0/c0 phys 2 mem[32768+32768]
+task 4 CMS buckets=8192 rules=11 masks=0 groups=1 cmus=1
+  row 0 unit 0: g0/c1 phys 4 mem[8192+8192]
+task 7 CMS buckets=4096 rules=19 masks=0 groups=1 cmus=1
+  row 0 unit 0: g0/c0 phys 7 mem[0+4096]
+)golden"},
+    {"full-capacity-27-cmus", R"golden(task 1 deployed: 57 table rules, 1 hash masks, 3 CMUs, 76.92 ms
+task 2 deployed: 33 table rules, 1 hash masks, 3 CMUs, 45.24 ms
+task 3 deployed: 21 table rules, 1 hash masks, 3 CMUs, 29.4 ms
+task 4 deployed: 57 table rules, 1 hash masks, 3 CMUs, 76.92 ms
+task 5 deployed: 66 table rules, 2 hash masks, 3 CMUs, 88.8 ms
+task 6 deployed: 57 table rules, 1 hash masks, 3 CMUs, 76.92 ms
+task 7 deployed: 33 table rules, 1 hash masks, 3 CMUs, 45.24 ms
+task 8 deployed: 33 table rules, 1 hash masks, 3 CMUs, 45.24 ms
+task 9 deployed: 57 table rules, 1 hash masks, 3 CMUs, 76.92 ms
+task 1 "heavy-hitter" row 0 unit 0 @g0/c0: filter=any prio=1 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "heavy-hitter" row 1 unit 0 @g0/c1: filter=any prio=1 key=u0^u-1[8+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 1 "heavy-hitter" row 2 unit 0 @g0/c2: filter=any prio=1 key=u0^u-1[16+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "size-dist" row 0 unit 0 @g1/c0: filter=any prio=2 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 2 "size-dist" row 1 unit 0 @g1/c1: filter=any prio=2 key=u0^u-1[8+16] mem[0+8192] p1=const:65536 p2=const:4294901760 prep=none op=Cond-ADD
+task 2 "size-dist" row 2 unit 0 @g1/c2: filter=any prio=2 key=u0^u-1[16+16] mem[0+8192] p1=const:16777216 p2=const:4278190080 prep=none op=Cond-ADD
+task 3 "blacklist" row 0 unit 0 @g2/c0: filter=any prio=3 key=u0^u-1[0+16] mem[0+16384] p1=key:u0^u-1[16+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 3 "blacklist" row 1 unit 0 @g2/c1: filter=any prio=3 key=u0^u-1[8+16] mem[0+16384] p1=key:u0^u-1[21+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 3 "blacklist" row 2 unit 0 @g2/c2: filter=any prio=3 key=u0^u-1[16+16] mem[0+16384] p1=key:u0^u-1[26+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 4 "congestion" row 0 unit 0 @g3/c0: filter=any prio=4 key=u0^u-1[0+16] mem[0+4096] p1=meta:2 p2=const:4294967295 prep=none op=MAX
+task 4 "congestion" row 1 unit 0 @g3/c1: filter=any prio=4 key=u0^u-1[8+16] mem[0+4096] p1=meta:2 p2=const:4294967295 prep=none op=MAX
+task 4 "congestion" row 2 unit 0 @g3/c2: filter=any prio=4 key=u0^u-1[16+16] mem[0+4096] p1=meta:2 p2=const:4294967295 prep=none op=MAX
+task 5 "port-scan" row 0 unit 0 @g4/c0: filter=any prio=5 key=u0^u-1[0+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=coupon(32,0.03125) op=AND-OR
+task 5 "port-scan" row 1 unit 0 @g4/c1: filter=any prio=5 key=u0^u-1[8+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=coupon(32,0.03125) op=AND-OR
+task 5 "port-scan" row 2 unit 0 @g4/c2: filter=any prio=5 key=u0^u-1[16+16] mem[0+8192] p1=key:u1^u-1[0+32] p2=const:4294967295 prep=coupon(32,0.03125) op=AND-OR
+task 6 "heavy-hitter-10" row 0 unit 0 @g5/c0: filter=167772160/8->0/0 prio=6 key=u0^u-1[0+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 6 "heavy-hitter-10" row 1 unit 0 @g5/c1: filter=167772160/8->0/0 prio=6 key=u0^u-1[8+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 6 "heavy-hitter-10" row 2 unit 0 @g5/c2: filter=167772160/8->0/0 prio=6 key=u0^u-1[16+16] mem[0+4096] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 7 "flow-size" row 0 unit 0 @g6/c0: filter=any prio=7 key=u0^u-1[0+16] mem[0+8192] p1=const:1 p2=const:4294967295 prep=none op=Cond-ADD
+task 7 "flow-size" row 1 unit 0 @g6/c1: filter=any prio=7 key=u0^u-1[8+16] mem[0+8192] p1=const:65536 p2=const:4294901760 prep=none op=Cond-ADD
+task 7 "flow-size" row 2 unit 0 @g6/c2: filter=any prio=7 key=u0^u-1[16+16] mem[0+8192] p1=const:16777216 p2=const:4278190080 prep=none op=Cond-ADD
+task 8 "seen-sources" row 0 unit 0 @g7/c0: filter=any prio=8 key=u0^u-1[0+16] mem[0+8192] p1=key:u0^u-1[16+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 8 "seen-sources" row 1 unit 0 @g7/c1: filter=any prio=8 key=u0^u-1[8+16] mem[0+8192] p1=key:u0^u-1[21+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 8 "seen-sources" row 2 unit 0 @g7/c2: filter=any prio=8 key=u0^u-1[16+16] mem[0+8192] p1=key:u0^u-1[26+5] p2=const:4294967295 prep=onehot op=AND-OR
+task 9 "max-bytes" row 0 unit 0 @g8/c0: filter=any prio=9 key=u0^u-1[0+16] mem[0+4096] p1=meta:1 p2=const:4294967295 prep=none op=MAX
+task 9 "max-bytes" row 1 unit 0 @g8/c1: filter=any prio=9 key=u0^u-1[8+16] mem[0+4096] p1=meta:1 p2=const:4294967295 prep=none op=MAX
+task 9 "max-bytes" row 2 unit 0 @g8/c2: filter=any prio=9 key=u0^u-1[16+16] mem[0+4096] p1=meta:1 p2=const:4294967295 prep=none op=MAX
+task 1 CMS buckets=4096 rules=57 masks=1 groups=1 cmus=3
+  row 0 unit 0: g0/c0 phys 1 mem[0+4096]
+  row 1 unit 0: g0/c1 phys 2 mem[0+4096]
+  row 2 unit 0: g0/c2 phys 3 mem[0+4096]
+task 2 TowerSketch buckets=8192 rules=33 masks=1 groups=1 cmus=3
+  row 0 unit 0: g1/c0 phys 4 mem[0+8192]
+  row 1 unit 0: g1/c1 phys 5 mem[0+8192]
+  row 2 unit 0: g1/c2 phys 6 mem[0+8192]
+task 3 BloomFilter buckets=16384 rules=21 masks=1 groups=1 cmus=3
+  row 0 unit 0: g2/c0 phys 7 mem[0+16384]
+  row 1 unit 0: g2/c1 phys 8 mem[0+16384]
+  row 2 unit 0: g2/c2 phys 9 mem[0+16384]
+task 4 SuMax(Max) buckets=4096 rules=57 masks=1 groups=1 cmus=3
+  row 0 unit 0: g3/c0 phys 10 mem[0+4096]
+  row 1 unit 0: g3/c1 phys 11 mem[0+4096]
+  row 2 unit 0: g3/c2 phys 12 mem[0+4096]
+task 5 BeauCoup buckets=8192 rules=66 masks=2 groups=1 cmus=3
+  row 0 unit 0: g4/c0 phys 13 mem[0+8192]
+  row 1 unit 0: g4/c1 phys 14 mem[0+8192]
+  row 2 unit 0: g4/c2 phys 15 mem[0+8192]
+task 6 CMS buckets=4096 rules=57 masks=1 groups=1 cmus=3
+  row 0 unit 0: g5/c0 phys 16 mem[0+4096]
+  row 1 unit 0: g5/c1 phys 17 mem[0+4096]
+  row 2 unit 0: g5/c2 phys 18 mem[0+4096]
+task 7 TowerSketch buckets=8192 rules=33 masks=1 groups=1 cmus=3
+  row 0 unit 0: g6/c0 phys 19 mem[0+8192]
+  row 1 unit 0: g6/c1 phys 20 mem[0+8192]
+  row 2 unit 0: g6/c2 phys 21 mem[0+8192]
+task 8 BloomFilter buckets=8192 rules=33 masks=1 groups=1 cmus=3
+  row 0 unit 0: g7/c0 phys 22 mem[0+8192]
+  row 1 unit 0: g7/c1 phys 23 mem[0+8192]
+  row 2 unit 0: g7/c2 phys 24 mem[0+8192]
+task 9 SuMax(Max) buckets=4096 rules=57 masks=1 groups=1 cmus=3
+  row 0 unit 0: g8/c0 phys 25 mem[0+4096]
+  row 1 unit 0: g8/c1 phys 26 mem[0+4096]
+  row 2 unit 0: g8/c2 phys 27 mem[0+4096]
+)golden"},
+};
+
+struct PlacementCase {
+  std::string name;
+  unsigned groups;
+  std::function<void(Controller&, std::ostringstream&)> deploy;
+};
+
+void add(Controller& ctl, std::ostringstream& log, const TaskSpec& s) {
+  const DeployResult r = ctl.add_task(s);
+  log << "add " << s.name << " -> " << (r.ok ? std::to_string(r.task_id) : r.error)
+      << '\n';
+}
+
+std::vector<PlacementCase> placement_cases() {
+  std::vector<PlacementCase> cases;
+  for (const Algorithm a : kAllAlgorithms) {
+    cases.push_back({to_string(a), 9,
+                     [a](Controller& ctl, std::ostringstream& log) {
+                       add(ctl, log, algorithm_spec(a));
+                     }});
+  }
+  // Two rows each: the second task finds one CMU in group 0 that admits it,
+  // so it moves on to group 1; the third fits beside the second's absence.
+  cases.push_back({"intersecting-filters", 2,
+                   [](Controller& ctl, std::ostringstream& log) {
+                     add(ctl, log, named(freq_spec(4096, 2), "any"));
+                     add(ctl, log,
+                         named(freq_spec(4096, 2), "ten", TaskFilter::src(0x0A000000, 8)));
+                     add(ctl, log,
+                         named(freq_spec(4096, 1), "eleven", TaskFilter::src(0x0B000000, 8)));
+                   }});
+  cases.push_back({"sampled-beside-intersecting", 9,
+                   [](Controller& ctl, std::ostringstream& log) {
+                     add(ctl, log, named(freq_spec(4096, 3), "full-rate"));
+                     TaskSpec sampled = named(freq_spec(8192, 3), "sampled");
+                     sampled.sample_probability = 0.5;
+                     add(ctl, log, sampled);
+                     add(ctl, log, named(freq_spec(4096, 3), "second-full-rate",
+                                         TaskFilter::dst(0xC0A80000, 16)));
+                   }});
+  cases.push_back({"parameter-key-differs", 9,
+                   [](Controller& ctl, std::ostringstream& log) {
+                     TaskSpec max = named(algorithm_spec(Algorithm::kSuMaxMax), "max-dst");
+                     max.key = FlowKeySpec::src_ip();
+                     max.param = ParamSpec::compressed(FlowKeySpec::dst_ip());
+                     max.rows = 2;
+                     add(ctl, log, max);
+                     TaskSpec cms = named(freq_spec(4096, 3), "cms-pair",
+                                          TaskFilter::src(0x0A000000, 8));
+                     cms.param = ParamSpec::compressed(FlowKeySpec::ip_pair());
+                     add(ctl, log, cms);
+                   }});
+  cases.push_back({"max-interarrival-three-rows", 9,
+                   [](Controller& ctl, std::ostringstream& log) {
+                     add(ctl, log, algorithm_spec(Algorithm::kMaxInterarrival));
+                     add(ctl, log, named(freq_spec(4096, 3), "after"));
+                   }});
+  // The fourth SALU action slot of g1/c0 is taken, so the first toggle
+  // skips that CMU; the second task shares the first's XOR slot.
+  cases.push_back({"odd-sketch-xor-slot", 9,
+                   [](Controller& ctl, std::ostringstream& log) {
+                     ctl.dataplane().group(1).cmu(0).preload_op(dataplane::StatefulOp::kNop);
+                     const TaskSpec odd = algorithm_spec(Algorithm::kOddSketch);
+                     add(ctl, log, named(odd, "set-a", TaskFilter::dst(0xC0A80000, 16)));
+                     add(ctl, log, named(odd, "set-b", TaskFilter::dst(0x0A000000, 8)));
+                     add(ctl, log, named(odd, "set-any"));
+                   }});
+  // Y1..Y3 intersect X, so they fill g0/c1; removing Y1 and Y3 leaves that
+  // allocator fragmented, and the resized T (which cannot share c0 with
+  // its old instance) lands in one of the holes.
+  cases.push_back({"resize-into-fragments", 1,
+                   [](Controller& ctl, std::ostringstream& log) {
+                     add(ctl, log, named(freq_spec(16384, 1), "T", TaskFilter::src(0x0A000000, 8)));
+                     add(ctl, log, named(freq_spec(32768, 1), "X", TaskFilter::src(0x0B000000, 8)));
+                     add(ctl, log,
+                         named(freq_spec(8192, 1), "Y1", TaskFilter::src(0x0B010000, 16)));
+                     add(ctl, log,
+                         named(freq_spec(8192, 1), "Y2", TaskFilter::src(0x0B020000, 16)));
+                     add(ctl, log,
+                         named(freq_spec(16384, 1), "Y3", TaskFilter::src(0x0B030000, 16)));
+                     log << "remove 3 -> " << ctl.remove_task(3) << '\n';
+                     log << "remove 5 -> " << ctl.remove_task(5) << '\n';
+                     const DeployResult r = ctl.resize_task(1, 8192);
+                     log << "resize 1 -> " << (r.ok ? "ok" : r.error) << '\n';
+                     add(ctl, log, named(freq_spec(4096, 1), "Z", TaskFilter::src(0x0C000000, 8)));
+                   }});
+  cases.push_back({"full-capacity-27-cmus", 9,
+                   [](Controller& ctl, std::ostringstream& log) {
+                     Shell shell(ctl);
+                     const char* const scenario[] = {
+                         "add name=heavy-hitter key=SrcIP attr=Frequency algo=CMS mem=4096",
+                         "add name=size-dist key=SrcIP+DstIP attr=Frequency algo=Tower "
+                         "mem=8192",
+                         "add name=blacklist key=IPPair attr=Existence algo=BloomFilter "
+                         "mem=16384",
+                         "add name=congestion key=DstIP attr=Max algo=SuMaxMax "
+                         "param=QueueLen mem=4096",
+                         "add name=port-scan key=SrcIP attr=Distinct algo=BeauCoup "
+                         "param=key:DstPort threshold=100 mem=8192",
+                         "add name=heavy-hitter-10 key=DstIP attr=Frequency algo=CMS "
+                         "mem=4096 filter=10.0.0.0/8",
+                         "add name=flow-size key=5Tuple attr=Frequency algo=Tower mem=8192",
+                         "add name=seen-sources key=SrcIP attr=Existence algo=BloomFilter "
+                         "mem=8192",
+                         "add name=max-bytes key=SrcIP attr=Max algo=SuMaxMax param=Bytes "
+                         "mem=4096",
+                     };
+                     for (const char* line : scenario) log << shell.execute(line) << '\n';
+                   }});
+  return cases;
+}
+
+TEST(Controller, PlacementGolden) {
+  for (const PlacementCase& pc : placement_cases()) {
+    SCOPED_TRACE(pc.name);
+    FlyMonDataPlane dp(pc.groups);
+    Controller ctl(dp);
+    std::ostringstream log;
+    pc.deploy(ctl, log);
+    const std::vector<std::string> got = split_lines(log.str() + placement_dump(ctl));
+    const auto golden = std::find_if(std::begin(kPlacementGolden), std::end(kPlacementGolden),
+                                     [&](const auto& g) { return pc.name == g.first; });
+    ASSERT_NE(golden, std::end(kPlacementGolden)) << "no expected text for " << pc.name;
+    const std::vector<std::string> want = split_lines(golden->second);
+    for (std::size_t i = 0; i < std::max(got.size(), want.size()); ++i) {
+      const std::string g = i < got.size() ? got[i] : "<missing>";
+      const std::string w = i < want.size() ? want[i] : "<missing>";
+      if (g != w) {
+        ADD_FAILURE() << pc.name << ": line " << i + 1 << " differs\n  want: " << w
+                      << "\n  got:  " << g;
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace

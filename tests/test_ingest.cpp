@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +36,6 @@
 #include "ingest/pump.hpp"
 #include "ingest/ring.hpp"
 #include "packet/trace_gen.hpp"
-#include "packet/trace_io.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace flymon {
@@ -696,6 +696,57 @@ TEST(IngestDrops, BlockingPumpNeverDropsUnderBackpressure) {
 }
 
 // ---------------------------------------------------------------------------
+// A source that throws on the pump thread: the consumer processes every
+// packet the source handed out, then raises the error where it would have
+// seen the stream end.
+// ---------------------------------------------------------------------------
+
+class FailingSource final : public ingest::PacketSource {
+ public:
+  explicit FailingSource(std::span<const Packet> good) : good_(good) {}
+  const char* name() const noexcept override { return "failing"; }
+  std::size_t pull(std::span<Packet> out) override {
+    if (good_.done()) throw std::runtime_error("capture device lost");
+    return good_.pull(out);
+  }
+  bool done() const override { return false; }
+  std::uint64_t produced() const override { return good_.produced(); }
+
+ private:
+  ingest::MemorySource good_;
+};
+
+TEST(IngestPump, SourceErrorReachesTheConsumerAfterItsPackets) {
+  const std::vector<Packet> trace = make_trace(300, 3'000, 11);
+  World streamed;
+  const MixIds sid = deploy_mix(streamed.ctl);
+  FailingSource source{std::span<const Packet>(trace)};
+  ingest::PumpConfig cfg;
+  cfg.ring_capacity = 256;  // the producer fails while the ring still holds packets
+  cfg.batch = 64;
+  cfg.registry = &streamed.registry;
+  ingest::IngestPump pump(source, cfg);
+  pump.start();
+  ingest::RingSource ring(pump);
+  try {
+    streamed.dp.drain(ring);
+    ADD_FAILURE() << "drain returned although the source threw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "capture device lost");
+  }
+  pump.stop();
+  EXPECT_TRUE(ring.done());
+  EXPECT_EQ(pump.stats().produced, trace.size());
+  EXPECT_EQ(ring.produced(), trace.size());
+  EXPECT_EQ(streamed.dp.packets_processed(), trace.size());
+
+  World batched;
+  const MixIds bid = deploy_mix(batched.ctl);
+  batched.dp.process_batch(trace);
+  expect_identical_queries(streamed, batched, sid, bid, trace);
+}
+
+// ---------------------------------------------------------------------------
 // Churn: ring producer/consumer traffic during RCU republish + fence.
 // TSan referees the interesting assertions (the CI tsan leg runs this).
 // ---------------------------------------------------------------------------
@@ -750,7 +801,7 @@ TEST(IngestChurn, RingTrafficDuringRepublishAndFenceIsRaceFree) {
 TEST(IngestFiles, FmtrRoundTrip) {
   const std::vector<Packet> trace = make_trace(200, 3'000, 6);
   const std::string path = testing::TempDir() + "ingest_roundtrip.fmtr";
-  TraceIo::save(path, trace);
+  ingest::FileReplaySource::write_fmtr(path, trace);
 
   ingest::FileReplaySource source(path);
   EXPECT_EQ(source.format(), ingest::FileReplaySource::Format::kFmtr);

@@ -8,7 +8,6 @@
 #include "ingest/file_source.hpp"
 #include "packet/exact.hpp"
 #include "packet/trace_gen.hpp"
-#include "packet/trace_io.hpp"
 
 namespace flymon {
 namespace {
@@ -212,7 +211,7 @@ TEST_F(TraceIoTest, RoundTrip) {
   cfg.num_flows = 50;
   cfg.num_packets = 500;
   const auto original = TraceGenerator::generate(cfg);
-  TraceIo::save(path_, original);
+  ingest::FileReplaySource::write_fmtr(path_, original);
   ingest::FileReplaySource source(path_, ingest::FileReplaySource::Format::kFmtr);
   const auto loaded = replay(source);
   ASSERT_EQ(loaded.size(), original.size());
@@ -227,7 +226,7 @@ TEST_F(TraceIoTest, RoundTrip) {
 }
 
 TEST_F(TraceIoTest, EmptyTrace) {
-  TraceIo::save(path_, {});
+  ingest::FileReplaySource::write_fmtr(path_, {});
   ingest::FileReplaySource source(path_, ingest::FileReplaySource::Format::kFmtr);
   EXPECT_TRUE(source.done());
   EXPECT_TRUE(replay(source).empty());
@@ -256,7 +255,7 @@ TEST_F(TraceIoTest, TruncatedFileRejected) {
   cfg.num_flows = 10;
   cfg.num_packets = 100;
   const auto original = TraceGenerator::generate(cfg);
-  TraceIo::save(path_, original);
+  ingest::FileReplaySource::write_fmtr(path_, original);
   // Truncate in the middle of the records: one whole 33-byte record and 17
   // bytes of the next.
   ASSERT_EQ(truncate(path_.c_str(), 16 + 50), 0);
