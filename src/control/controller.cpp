@@ -106,6 +106,23 @@ bool single_array(Algorithm a) {
          a == Algorithm::kLinearCounting;
 }
 
+/// Whether lower_entry reads the parameter selector.  Tower and unpacked
+/// Bloom/LinearCounting add constants; Odd Sketch and MaxInterarrival read
+/// only the key.
+bool reads_param(Algorithm a, const TaskSpec& spec) {
+  switch (a) {
+    case Algorithm::kTowerSketch:
+    case Algorithm::kOddSketch:
+    case Algorithm::kMaxInterarrival:
+      return false;
+    case Algorithm::kBloomFilter:
+    case Algorithm::kLinearCounting:
+      return spec.bloom_bit_packed;
+    default:
+      return true;
+  }
+}
+
 std::uint8_t rho_of_slice(std::uint32_t v, unsigned width) {
   if (v == 0) return 0;
   const std::uint32_t aligned = v << (32 - width);
@@ -564,13 +581,15 @@ bool Controller::lower_entry(const DeployedTask& t, unsigned idx, const Selector
 }
 
 std::optional<Controller::Selectors> Controller::selectors(unsigned g,
-                                                          const TaskSpec& spec,
+                                                          const DeployedTask& t,
                                                           unsigned& mask_rules) {
+  const TaskSpec& spec = t.spec;
   const FlowKeySpec key_spec = effective_key(spec);
   const auto key = ensure_selector(g, key_spec, mask_rules);
   if (!key) return std::nullopt;
-  if (spec.param.source != ParamSource::kCompressedKey || spec.param.key_spec == key_spec) {
-    return Selectors{*key, *key};  // the parameter, if any, is the key itself
+  if (spec.param.source != ParamSource::kCompressedKey || spec.param.key_spec == key_spec ||
+      !reads_param(t.algorithm, spec)) {
+    return Selectors{*key, *key};  // the parameter, if read, is the key itself
   }
   const auto param = ensure_selector(g, spec.param.key_spec, mask_rules);
   if (!param) return std::nullopt;
@@ -656,7 +675,7 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
     for (unsigned g = 0; g < groups && !placed; ++g) {
       const std::uint32_t phys = next_phys_;
       unsigned mask_rules = 0;
-      if (const auto sel = selectors(g, spec, mask_rules)) {
+      if (const auto sel = selectors(g, t, mask_rules)) {
         for (unsigned c = 0; c < dp_->group(g).num_cmus() && t.rows.size() < want; ++c) {
           const auto up = place_unit(t, g, c, static_cast<unsigned>(t.rows.size()), *sel, {});
           if (up) t.rows.push_back(RowPlacement{{*up}});
@@ -688,7 +707,7 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
         std::optional<UnitPlacement> up;
         for (unsigned g = next_group; g < groups && !up; ++g) {
           unsigned mask_rules = 0;
-          const auto sel = selectors(g, spec, mask_rules);
+          const auto sel = selectors(g, t, mask_rules);
           for (unsigned c = 0; sel && c < dp_->group(g).num_cmus() && !up; ++c) {
             up = place_unit(t, g, c, u, *sel, ch);
           }

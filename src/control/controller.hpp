@@ -278,9 +278,10 @@ class Controller {
   struct ChainIds {
     std::uint32_t a = 0, b = 0;
   };
-  /// Configure (or reuse) the hash units `spec` reads in group `g`; the
-  /// parameter shares the key's selector unless it names another key.
-  std::optional<Selectors> selectors(unsigned g, const TaskSpec& spec,
+  /// Configure (or reuse) the hash units `t` reads in group `g`; the
+  /// parameter shares the key's selector unless lower_entry reads it and
+  /// it names another key.
+  std::optional<Selectors> selectors(unsigned g, const DeployedTask& t,
                                      unsigned& mask_rules);
   /// The placement probe: unit `idx` of `t` (a plain row, or a unit of a
   /// chain) on CMU (g, c).  Skips a CMU that does not admit the task's

@@ -86,17 +86,21 @@ void FlyMonDataPlane::interpret(const Packet& pkt,
   for (CmuGroup& g : groups_) g.process(pkt, ctx);
 }
 
-void FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
-                               std::span<const Packet> pkts,
-                               telemetry::TraceSample sample,
-                               telemetry::PacketTracer* tracer) {
+std::size_t FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
+                                     std::span<const Packet> pkts,
+                                     telemetry::TraceSample sample,
+                                     telemetry::PacketTracer* tracer,
+                                     const exec::WorkerPool* pool) {
   // Bounded chunks keep the scratch (hash lanes, chain channels) hot in
   // cache for arbitrarily long traces.  Same size as the sharded pool's
-  // work-queue chunk, so the two paths process equal-sized units of work.
-  for (std::size_t off = 0; off < pkts.size(); off += exec::kBatchChunk) {
-    plan.run_batch(
-        pkts.subspan(off, std::min(exec::kBatchChunk, pkts.size() - off)),
-        *scratch_, sample.at(off));
+  // work-queue chunk, so the two paths process equal-sized units of work,
+  // and a control thread waiting for the pool preempts both at a seam.
+  std::size_t off = 0;
+  while (off < pkts.size()) {
+    const std::size_t len = std::min(exec::kBatchChunk, pkts.size() - off);
+    plan.run_batch(pkts.subspan(off, len), *scratch_, sample.at(off));
+    off += len;
+    if (pool != nullptr && pool->control_waiting()) break;
   }
   if (tracer != nullptr) {
     for (telemetry::TraceRecord& rec : scratch_->records) {
@@ -104,46 +108,61 @@ void FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
     }
     scratch_->records.clear();
   }
+  return off;
 }
 
 std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
   if (pkts.empty()) return plan_generation();
-  const std::uint64_t generation =
-      pool_ != nullptr ? process_pooled(*pool_, pkts)
-                       : run_sequential(plan_.load().get(), pkts);
+  // One tracer and one sampling decision per batch, however many pieces
+  // preemption splits it into.
+  telemetry::PacketTracer* const tracer = this->tracer();
+  const telemetry::TraceSample sample =
+      tracer != nullptr ? tracer->sample_batch(pkts.size())
+                        : telemetry::TraceSample{};
+  std::uint64_t generation = 0;
+  if (pool_ != nullptr) {
+    generation = process_pooled(*pool_, pkts, sample, tracer);
+  } else {
+    const std::shared_ptr<const exec::ExecPlan> plan = plan_.load();
+    run_sequential(plan.get(), pkts, sample, tracer, nullptr);
+    if (plan != nullptr) generation = plan->generation();
+  }
   packets_.fetch_add(pkts.size(), std::memory_order_relaxed);
   packets_counter_->inc(pkts.size());
   return generation;
 }
 
 std::uint64_t FlyMonDataPlane::process_pooled(exec::WorkerPool& pool,
-                                              std::span<const Packet> pkts) {
-  // Hold the submission lock for the whole batch: a fence then never
-  // folds shards into live cells this batch is writing.
-  exec::WorkerPool::Submission submit(pool);
-  std::shared_ptr<const exec::ExecPlan> plan = plan_.load();
-  if (plan == nullptr || !plan->shard_mergeable()) {
-    pool.count_fallback(plan.get());
-    return run_sequential(plan.get(), pkts);
+                                              std::span<const Packet> pkts,
+                                              telemetry::TraceSample sample,
+                                              telemetry::PacketTracer* tracer) {
+  // Each piece holds the submission lock, so a fence never folds shards
+  // into live cells a piece is writing.  A control thread waiting for the
+  // lock cuts the piece at a chunk seam; the next piece runs the rest under
+  // whatever plan is published by then.
+  std::uint64_t generation = 0;
+  for (std::size_t done = 0; done < pkts.size();) {
+    exec::WorkerPool::Submission submit(pool);
+    const std::shared_ptr<const exec::ExecPlan> plan = plan_.load();
+    const std::span<const Packet> rest = pkts.subspan(done);
+    if (plan != nullptr && plan->shard_mergeable()) {
+      done += pool.run(plan, rest, sample.at(done), tracer);
+    } else {
+      pool.count_fallback(plan.get());
+      done += run_sequential(plan.get(), rest, sample.at(done), tracer, &pool);
+    }
+    if (done < pkts.size()) pool.count_preemption();
+    generation = plan != nullptr ? plan->generation() : 0;
   }
-  telemetry::PacketTracer* const tracer = this->tracer();
-  pool.run(plan, pkts,
-           tracer != nullptr ? tracer->sample_batch(pkts.size())
-                             : telemetry::TraceSample{},
-           tracer);
-  return plan->generation();
+  return generation;
 }
 
-std::uint64_t FlyMonDataPlane::run_sequential(const exec::ExecPlan* plan,
-                                              std::span<const Packet> pkts) {
-  telemetry::PacketTracer* const tracer = this->tracer();
-  const telemetry::TraceSample sample =
-      tracer != nullptr ? tracer->sample_batch(pkts.size())
-                        : telemetry::TraceSample{};
-  if (plan != nullptr) {
-    run_plan(*plan, pkts, sample, tracer);
-    return plan->generation();
-  }
+std::size_t FlyMonDataPlane::run_sequential(const exec::ExecPlan* plan,
+                                            std::span<const Packet> pkts,
+                                            telemetry::TraceSample sample,
+                                            telemetry::PacketTracer* tracer,
+                                            const exec::WorkerPool* pool) {
+  if (plan != nullptr) return run_plan(*plan, pkts, sample, tracer, pool);
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     if (!sample.traced(i)) {
       interpret(pkts[i], nullptr);
@@ -153,7 +172,7 @@ std::uint64_t FlyMonDataPlane::run_sequential(const exec::ExecPlan* plan,
     interpret(pkts[i], &rec);
     tracer->publish(std::move(rec));
   }
-  return 0;
+  return pkts.size();
 }
 
 void FlyMonDataPlane::clear_registers() {

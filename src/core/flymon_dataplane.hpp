@@ -57,9 +57,11 @@ class FlyMonDataPlane {
   void process(const Packet& pkt) { process_batch({&pkt, 1}); }
 
   /// Process a batch on the path the published plan picks.  With a pool it
-  /// holds the submission lock for the whole batch, so a fence waits for
-  /// it.  Single submitter.  Returns the plan generation the batch ran
-  /// under (0 = interpreted).
+  /// runs under the submission lock, and a fence waiting for that lock
+  /// preempts it at the next chunk seam; the rest of the batch then runs
+  /// under the plan the fence's holder published.  Single submitter.
+  /// Returns the plan generation the batch's last packets ran under
+  /// (0 = interpreted).
   std::uint64_t process_batch(std::span<const Packet> pkts);
   /// Old name of process_batch; it stays until the next benchmark change.
   std::uint64_t process_batch_parallel(std::span<const Packet> pkts) {
@@ -168,16 +170,25 @@ class FlyMonDataPlane {
  private:
   /// Per-packet path against the mutable objects; fills `trace` when set.
   void interpret(const Packet& pkt, telemetry::TraceRecord* trace);
-  /// process_batch with a pool, under the pool's submission lock.
+  /// process_batch with a pool: one piece per hold of the pool's
+  /// submission lock, until every packet has run.
   std::uint64_t process_pooled(exec::WorkerPool& pool,
-                               std::span<const Packet> pkts);
+                               std::span<const Packet> pkts,
+                               telemetry::TraceSample sample,
+                               telemetry::PacketTracer* tracer);
   /// Run on the live registers: interpreted without a plan, else compiled.
-  std::uint64_t run_sequential(const exec::ExecPlan* plan,
-                               std::span<const Packet> pkts);
+  /// Under `pool`, a compiled run stops at the first chunk seam where a
+  /// control thread waits.  Returns the packets run.
+  std::size_t run_sequential(const exec::ExecPlan* plan,
+                             std::span<const Packet> pkts,
+                             telemetry::TraceSample sample,
+                             telemetry::PacketTracer* tracer,
+                             const exec::WorkerPool* pool);
   /// Run `pkts` through `plan` in bounded chunks (reusing scratch_).
-  void run_plan(const exec::ExecPlan& plan, std::span<const Packet> pkts,
-                telemetry::TraceSample sample,
-                telemetry::PacketTracer* tracer);
+  std::size_t run_plan(const exec::ExecPlan& plan, std::span<const Packet> pkts,
+                       telemetry::TraceSample sample,
+                       telemetry::PacketTracer* tracer,
+                       const exec::WorkerPool* pool);
 
   std::vector<CmuGroup> groups_;
   std::atomic<std::uint64_t> packets_{0};

@@ -131,7 +131,9 @@ class BasicPlanCell {
 /// Work-claim / completion core of one pool job.  Executors claim chunk
 /// indices with claim() until it runs past the chunk count, and report
 /// each finished chunk with complete(); the submitter spins the condition
-/// variable on all_done().
+/// variable on all_done().  A control thread waiting for the submission
+/// lock preempts the job: cancel() stops all further claims and retires
+/// the unclaimed chunks, so the job ends having run the prefix ran().
 ///
 /// Memory-order contract (audited in DESIGN.md §14, each order proven
 /// load-bearing or safely weak by the model checker):
@@ -148,13 +150,23 @@ class BasicPlanCell {
 ///     condvar.  Weakening this to relaxed is the model checker's
 ///     kRelaxedCompletion mutation; it manifests as a data race between a
 ///     worker's shard write and the submitter's fold.
+///   - cancel() exchanges the cursor RELAXED (like claim(), it only
+///     partitions: every claim before the exchange got an index below the
+///     returned one, every claim after it an index past the end) and
+///     retires the unclaimed chunks with one ACQ_REL fetch_sub, so the
+///     prefix it writes to `ran` reaches the submitter with the count.
 template <class Sync>
 struct JobControl {
   typename Sync::template Atomic<std::size_t> next{0};
   typename Sync::template Atomic<std::size_t> remaining{0};
+  std::size_t chunks = 0;  ///< written by arm(), before the job is published
+  /// Chunks run, a prefix; read it once all_done().
+  typename Sync::template Cell<std::size_t> ran{"job.ran", 0};
 
   // Not noexcept: see BasicPlanCell::store — sim primitives may throw.
   void arm(std::size_t num_chunks) {
+    chunks = num_chunks;
+    ran.write(num_chunks);
     next.store(0, std::memory_order_relaxed);
     remaining.store(num_chunks, std::memory_order_relaxed);
   }
@@ -165,9 +177,44 @@ struct JobControl {
   bool complete() {
     return remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
   }
+  /// Cut the job at the claim cursor: no chunk is claimed after this, and
+  /// the unclaimed ones leave the completion count in one step.  Only the
+  /// first cut of a job retires anything.  True when that retired the last
+  /// outstanding chunk (the caller then wakes the submitter, as after
+  /// complete()).
+  bool cancel() {
+    const std::size_t at = next.exchange(chunks, std::memory_order_relaxed);
+    if (at >= chunks) return false;  // every chunk claimed, or already cut
+    ran.write(at);
+    const std::size_t retired = chunks - at;
+    return remaining.fetch_sub(retired, std::memory_order_acq_rel) == retired;
+  }
   bool all_done() const {
     return remaining.load(std::memory_order_acquire) == 0;
   }
+};
+
+/// The control side's claim on a lock that packet batches hold for long
+/// stretches (the pool's submission lock).  lock() takes the lock at once
+/// when it is free, which every uncontended query does; otherwise it
+/// announces itself in `waiting` for as long as it blocks.  While a waiter
+/// is announced, executors cut the running job at the next chunk seam and
+/// the submitter takes no new submission, so the waiter gets the lock
+/// within about one chunk instead of one batch.
+///
+/// `waiting` is RELAXED throughout: it is a hint that shortens the wait,
+/// never what makes the lock exclusive.
+template <class Sync>
+struct ControlWaiters {
+  typename Sync::template Atomic<unsigned> waiting{0};
+
+  void lock(typename Sync::Mutex& mu) FLYMON_ACQUIRE(mu) {
+    if (mu.try_lock()) return;
+    waiting.fetch_add(1, std::memory_order_relaxed);
+    mu.lock();
+    waiting.fetch_sub(1, std::memory_order_relaxed);
+  }
+  bool any() const { return waiting.load(std::memory_order_relaxed) != 0; }
 };
 
 /// Fold every dirty shard into the live registers under `plan` — the

@@ -43,10 +43,10 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkerPool::run(std::shared_ptr<const ExecPlan> plan,
-                     std::span<const Packet> pkts,
-                     telemetry::TraceSample sample,
-                     telemetry::PacketTracer* tracer) {
+std::size_t WorkerPool::run(std::shared_ptr<const ExecPlan> plan,
+                            std::span<const Packet> pkts,
+                            telemetry::TraceSample sample,
+                            telemetry::PacketTracer* tracer) {
   // One plan per job, and publishers fence on submit_mu_, so shard deltas
   // never straddle a reconfiguration.  `sample` was taken in arrival order,
   // so the shards trace exactly the packets the sequential path would.
@@ -82,8 +82,10 @@ void WorkerPool::run(std::shared_ptr<const ExecPlan> plan,
   }
 
   if (tracer != nullptr) publish_records(*job, *tracer);
+  const std::size_t ran = job->ctl.ran.read();
   parallel_batches_.fetch_add(1, std::memory_order_relaxed);
-  chunks_.fetch_add(job->num_chunks, std::memory_order_relaxed);
+  chunks_.fetch_add(ran, std::memory_order_relaxed);
+  return std::min(pkts.size(), ran * kBatchChunk);
 }
 
 std::uint32_t WorkerPool::sequential_value(const Job& job, std::size_t wi,
@@ -201,15 +203,20 @@ void WorkerPool::run_chunks(Job& job, std::size_t shard_idx) {
     w.shard.mark_dirty();
     // ctl.complete() releases this executor's shard writes to whoever
     // observes the count hit zero (see protocol.hpp for the contract).
-    if (job.ctl.complete()) {
+    bool last = job.ctl.complete();
+    // A control thread waiting for submit_mu_ cuts the job at this seam.
+    const bool cut = control_.any();
+    if (cut) last = job.ctl.cancel() || last;
+    if (last) {
       common::MutexLock lk(done_mu_);
       done_cv_.notify_all();
     }
+    if (cut) return;
   }
 }
 
 void WorkerPool::quiesce_and_merge() {
-  common::MutexLock submit(submit_mu_);
+  ControlLock submit(control_, submit_mu_);
   // Every controller query lands here: with clean shards there is nothing
   // to fold, so skip the span, the clocks and the plan load.  (A Fence
   // still merges through merge_locked, so its merge span always nests.)
@@ -220,7 +227,7 @@ void WorkerPool::quiesce_and_merge() {
 }
 
 void WorkerPool::discard_shards() {
-  common::MutexLock submit(submit_mu_);
+  ControlLock submit(control_, submit_mu_);
   // Under submit_mu_ no publish can intervene, so a dirty shard's deltas
   // belong to this plan (the fencing invariant) and its merge regions
   // bound them.
@@ -258,7 +265,7 @@ void WorkerPool::merge_locked() {
 WorkerPool::Fence::Fence(WorkerPool& pool) : pool_(pool) {
   trace::Span span("exec.fence");
   const std::uint64_t t0 = trace::monotonic_now_ns();
-  pool_.submit_mu_.lock();
+  pool_.control_.lock(pool_.submit_mu_);
   pool_.note_fence_wait(trace::monotonic_now_ns() - t0);
   pool_.merge_locked();
 }
@@ -282,11 +289,17 @@ void WorkerPool::count_fallback(const ExecPlan* plan) {
   }
 }
 
+void WorkerPool::count_preemption() {
+  preemptions_.fetch_add(1, std::memory_order_relaxed);
+  if (preemption_counter_ != nullptr) preemption_counter_->inc();
+}
+
 void WorkerPool::bind_telemetry(telemetry::Registry* registry) {
-  common::MutexLock submit(submit_mu_);
+  ControlLock submit(control_, submit_mu_);
   if (registry == nullptr) {
     for (auto*& c : fallback_counters_) c = nullptr;
     for (auto*& c : blocker_counters_) c = nullptr;
+    preemption_counter_ = nullptr;
     fence_wait_us_ = nullptr;
     shard_merge_us_ = nullptr;
     return;
@@ -301,6 +314,7 @@ void WorkerPool::bind_telemetry(telemetry::Registry* registry) {
         "flymon_sharded_merge_blocker_total",
         {{"kind", to_string(static_cast<MergeBlockerKind>(i))}});
   }
+  preemption_counter_ = &registry->counter("flymon_sharded_preemptions_total");
   // 0.25us .. ~4s, same spacing as the span-duration histograms.
   const auto bounds = telemetry::Histogram::exponential_bounds(0.25, 4.0, 17);
   fence_wait_us_ = &registry->histogram("flymon_fence_wait_us", {}, bounds);
@@ -312,6 +326,7 @@ ParallelStats WorkerPool::stats() const noexcept {
   s.parallel_batches = parallel_batches_.load(std::memory_order_relaxed);
   s.chunks = chunks_.load(std::memory_order_relaxed);
   s.merges = merges_.load(std::memory_order_relaxed);
+  s.preemptions = preemptions_.load(std::memory_order_relaxed);
   s.fallback_no_plan = fallbacks_[0].load(std::memory_order_relaxed);
   s.fallback_unmergeable = fallbacks_[1].load(std::memory_order_relaxed);
   s.fallback_batches = s.fallback_no_plan + s.fallback_unmergeable;

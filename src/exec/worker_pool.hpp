@@ -7,12 +7,21 @@
 // itself and no shared state is written on the hot path except the
 // claim/completion atomics.
 //
-// FlyMonDataPlane::process_batch picks the path under a Submission held
-// for the whole batch, handing run() only shard-mergeable plans.  Fence
-// takes the same lock to fold every dirty shard into the live registers,
-// and the data plane holds one across compile+publish, so no delta
-// straddles a plan change (RegisterShard::merge_into relies on this) and
-// no fold lands in a cell a batch is writing.
+// FlyMonDataPlane::process_batch picks the path under a Submission,
+// handing run() only shard-mergeable plans.  Fence takes the same lock to
+// fold every dirty shard into the live registers, and the data plane
+// holds one across the plan store, so no delta straddles a plan change
+// (RegisterShard::merge_into relies on this) and no fold lands in a cell
+// a batch is writing.
+//
+// Preemption: a Submission is held for one piece of a batch, not the
+// whole batch.  A control thread (Fence, quiesce, discard, telemetry
+// rebind) that finds the lock taken announces itself; executors then cut
+// the job at the next kBatchChunk seam (JobControl::cancel), run() reports
+// the prefix it ran, and process_batch releases the lock, lets the control
+// thread in, and runs the rest of the batch under whatever plan is then
+// published.  A chunk seam is a batch seam like any ring seam, so the
+// registers end exactly as one uninterrupted run would leave them.
 //
 // Tracing: the dispatcher takes the batch's sampling decision once, before
 // the job runs; each executor writes the records of the traced packets it
@@ -45,9 +54,11 @@ namespace flymon::exec {
 
 /// Pool observability (all monotonic since enable_parallel).
 struct ParallelStats {
-  std::uint64_t parallel_batches = 0;  ///< batches executed across shards
-  std::uint64_t fallback_batches = 0;  ///< sequential fallbacks (no plan or unmergeable plan)
-  std::uint64_t chunks = 0;            ///< work-queue chunks claimed
+  // A preempted batch runs in pieces, and each piece counts here once.
+  std::uint64_t parallel_batches = 0;  ///< pieces executed across shards
+  std::uint64_t fallback_batches = 0;  ///< sequential pieces (no plan or unmergeable plan)
+  std::uint64_t chunks = 0;            ///< work-queue chunks run
+  std::uint64_t preemptions = 0;       ///< batches cut short for a control thread
   std::uint64_t merges = 0;            ///< quiesce/fence merges that folded a dirty shard
   // Fallback causes (sum == fallback_batches): a silent sequential run is
   // indistinguishable from a fast parallel one without these.
@@ -67,11 +78,15 @@ class WorkerPool {
 
   unsigned num_workers() const noexcept { return num_executors_; }
 
-  /// Submission lock: process_batch holds one across a whole batch.
+  /// Submission lock: process_batch holds one per piece of a batch.  It
+  /// is not taken while a control thread is waiting for the lock.
   class FLYMON_SCOPED_CAPABILITY Submission {
    public:
     explicit Submission(WorkerPool& pool) FLYMON_ACQUIRE(pool.submit_mu_)
-        : pool_(pool) { pool_.submit_mu_.lock(); }
+        : pool_(pool) {
+      while (pool_.control_.any()) std::this_thread::yield();
+      pool_.submit_mu_.lock();
+    }
     ~Submission() FLYMON_RELEASE() { pool_.submit_mu_.unlock(); }
 
    private:
@@ -80,16 +95,24 @@ class WorkerPool {
 
   /// Run a non-empty batch across all executors under a shard-mergeable
   /// `plan`, tracing the packets `sample` picks into `tracer` (if any).
-  void run(std::shared_ptr<const ExecPlan> plan, std::span<const Packet> pkts,
-           telemetry::TraceSample sample, telemetry::PacketTracer* tracer)
-      FLYMON_REQUIRES(submit_mu_);
+  /// Returns the packets run: all of them, or the whole-chunk prefix run
+  /// before a waiting control thread cut the job.
+  std::size_t run(std::shared_ptr<const ExecPlan> plan,
+                  std::span<const Packet> pkts, telemetry::TraceSample sample,
+                  telemetry::PacketTracer* tracer) FLYMON_REQUIRES(submit_mu_);
+
+  /// True while a control thread waits for the submission lock: a
+  /// sequential run under the pool stops at its next chunk seam.
+  bool control_waiting() const { return control_.any(); }
 
   /// Record a sequential batch: no plan (nullptr) or an unmergeable one.
   void count_fallback(const ExecPlan* plan) FLYMON_REQUIRES(submit_mu_);
+  /// Record a batch cut short for a waiting control thread.
+  void count_preemption() FLYMON_REQUIRES(submit_mu_);
 
-  /// Block new submissions, wait out the in-flight job, and fold every
-  /// dirty shard into the live registers under the current plan.  With
-  /// every shard clean this is one lock and a dirty check.
+  /// Block new submissions, cut the in-flight job at its next chunk seam,
+  /// and fold every dirty shard into the live registers under the current
+  /// plan.  With every shard clean this is one lock and a dirty check.
   void quiesce_and_merge();
 
   /// Drop all shard state without merging (epoch clear).
@@ -106,8 +129,9 @@ class WorkerPool {
   /// RAII reconfiguration fence: holds the submission lock and merges all
   /// dirty shards under the (old) published plan, so the holder can
   /// compile and publish a new plan with no deltas straddling the change.
-  /// Records the lock-wait time (how long the reconfiguration stalled on
-  /// in-flight traffic) and emits an "exec.fence" span.
+  /// Preempts the in-flight batch at its next chunk seam.  Records the
+  /// lock-wait time (how long the reconfiguration stalled on in-flight
+  /// traffic) and emits an "exec.fence" span.
   class FLYMON_SCOPED_CAPABILITY Fence {
    public:
     explicit Fence(WorkerPool& pool) FLYMON_ACQUIRE(pool.submit_mu_);
@@ -139,6 +163,18 @@ class WorkerPool {
     std::vector<std::uint32_t> snaps;
   };
 
+  /// A control thread's hold of submit_mu_ (quiesce, discard, telemetry
+  /// rebind): preempts the in-flight batch like Fence.
+  class FLYMON_SCOPED_CAPABILITY ControlLock {
+   public:
+    ControlLock(ControlWaiters<common::StdSync>& waiters, common::Mutex& mu)
+        FLYMON_ACQUIRE(mu) : mu_(mu) { waiters.lock(mu_); }
+    ~ControlLock() FLYMON_RELEASE() { mu_.unlock(); }
+
+   private:
+    common::Mutex& mu_;
+  };
+
   void worker_main(std::size_t shard_idx);
   void run_chunks(Job& job, std::size_t shard_idx);
   void merge_locked() FLYMON_REQUIRES(submit_mu_);
@@ -157,8 +193,10 @@ class WorkerPool {
   std::vector<std::unique_ptr<Worker>> workers_;  ///< one per executor
   std::vector<std::thread> threads_;              ///< num_executors_ - 1
 
-  /// Serialises batches (Submission) / quiesce / Fence.
+  /// Serialises batch pieces (Submission) / quiesce / Fence.
   common::Mutex submit_mu_{"exec.submit_mu"};
+  /// Control threads waiting for submit_mu_ (see ControlWaiters).
+  ControlWaiters<common::StdSync> control_;
 
   // Job hand-off: the submitter publishes job_/job_seq_ under job_mu_ and
   // wakes every worker; each worker copies the shared_ptr once per
@@ -176,6 +214,7 @@ class WorkerPool {
   std::atomic<std::uint64_t> parallel_batches_{0};
   std::atomic<std::uint64_t> chunks_{0};
   std::atomic<std::uint64_t> merges_{0};
+  std::atomic<std::uint64_t> preemptions_{0};
   std::atomic<std::uint64_t> fallbacks_[2]{};  ///< no_plan, unmergeable
 
   // Telemetry handles, cached under submit_mu_ (written only by
@@ -184,6 +223,8 @@ class WorkerPool {
       {};  ///< no_plan, unmergeable
   telemetry::Counter* blocker_counters_[4] FLYMON_GUARDED_BY(submit_mu_) =
       {};  ///< per MergeBlockerKind
+  telemetry::Counter* preemption_counter_ FLYMON_GUARDED_BY(submit_mu_) =
+      nullptr;
   telemetry::Histogram* fence_wait_us_ FLYMON_GUARDED_BY(submit_mu_) = nullptr;
   telemetry::Histogram* shard_merge_us_ FLYMON_GUARDED_BY(submit_mu_) = nullptr;
 };

@@ -1,5 +1,7 @@
 #include "ingest/pump.hpp"
 
+#include <condition_variable>
+#include <mutex>
 #include <vector>
 
 namespace flymon::ingest {
@@ -66,7 +68,13 @@ void IngestPump::run(std::stop_token stop) {
         // the error at one batch of inter-packet gaps.
         const auto due = wall_start + std::chrono::nanoseconds(pace_delay_ns(
                                           first_ts, batch[0].ts_ns, cfg_.time_scale));
-        std::this_thread::sleep_until(due);
+        // Wait on the stop token, not a plain sleep: a capture whose
+        // timestamps jump forward must not hold stop() for the jump.
+        std::mutex mu;
+        std::unique_lock lock(mu);
+        std::condition_variable_any().wait_until(lock, stop, due,
+                                                 [] { return false; });
+        if (stop.stop_requested()) return;
       }
 
       std::span<const Packet> rest = batch;

@@ -25,6 +25,7 @@ struct ModelPlan {
 
 using SimPlanCell = exec::BasicPlanCell<SimSync, const ModelPlan>;
 using SimJobControl = exec::JobControl<SimSync>;
+using SimControlWaiters = exec::ControlWaiters<SimSync>;
 
 /// Ghost accounting: plain fields on purpose — they are the *spec*, not
 /// part of the modelled program, so they must not add happens-before or
@@ -34,6 +35,15 @@ struct Ghost {
   std::uint64_t merged = 0;
   std::uint64_t discarded = 0;
   bool published = false;  ///< some plan has been stored
+  std::uint64_t serving = 0;  ///< generation of the stored plan
+  /// Per job: its batch, its first chunk within the batch, its plan.
+  struct Job {
+    int batch = 0;
+    std::size_t base = 0;
+    std::uint64_t gen = 0;
+  };
+  std::vector<Job> jobs;
+  std::vector<int> runs;  ///< per chunk of every batch: times it ran
 };
 
 /// The per-executor shard: race-checked delta/dirty state plus the
@@ -92,10 +102,14 @@ struct Model {
       shards.push_back(std::make_unique<ModelShard>(ghost));
     }
     for (auto& s : shards) shard_ptrs.push_back(s.get());
-    ctls.reserve(static_cast<std::size_t>(cfg.batches));
-    for (int i = 0; i < cfg.batches; ++i) {
+    // A batch preempted after every chunk runs as one job per chunk.
+    const int max_jobs = cfg.batches * cfg.chunks;
+    ctls.reserve(static_cast<std::size_t>(max_jobs));
+    for (int i = 0; i < max_jobs; ++i) {
       ctls.push_back(std::make_unique<SimJobControl>());
     }
+    ghost.jobs.resize(static_cast<std::size_t>(max_jobs));
+    ghost.runs.assign(static_cast<std::size_t>(cfg.batches * cfg.chunks), 0);
   }
 
   const ModelConfig cfg;
@@ -104,16 +118,17 @@ struct Model {
   SimPlanCell cell{"exec.plan_cell"};
   sim::mutex publish_mu{"core.publish_mu"};
   sim::mutex submit_mu{"exec.submit_mu"};
+  /// The fence announces itself here while it waits for submit_mu.
+  SimControlWaiters control;
   sim::mutex job_mu{"exec.job_mu"};
   sim::condvar job_cv{"exec.job_cv"};
   sim::mutex done_mu{"exec.done_mu"};
   sim::condvar done_cv{"exec.done_cv"};
 
   // Job hand-off state (guarded by job_mu, like WorkerPool).  One
-  // JobControl per batch mirrors the real pool's fresh Job allocation — a
+  // JobControl per job mirrors the real pool's fresh Job allocation — a
   // straggler's late claim() must hit the OLD job's cursor.
   sim::var<std::uint64_t> job_seq{"job.seq", 0};
-  sim::var<std::uint64_t> job_gen{"job.gen", 0};
   sim::var<bool> stop{"job.stop", false};
   /// A job field read by every executor per chunk; the normal path
   /// initialises it before publishing the job (kRelaxedJobPublish flips
@@ -130,16 +145,37 @@ struct Model {
   std::vector<ModelShard*> shard_ptrs;
 };
 
+/// Mutated JobControl::cancel(): kCutDropsClaimedChunk retires the last
+/// claimed chunk with the unclaimed ones; kCancelNeverRetires stops the
+/// claims but never takes the unclaimed chunks off the completion count.
+bool mutated_cancel(Model& m, SimJobControl& ctl) {
+  const std::size_t at = ctl.next.exchange(ctl.chunks, std::memory_order_relaxed);
+  if (at >= ctl.chunks) return false;
+  if (m.cfg.mutation == Mutation::kCancelNeverRetires) {
+    ctl.ran.write(at);
+    return false;
+  }
+  const std::size_t cut = at - 1;  // the canceller ran a chunk, so at >= 1
+  ctl.ran.write(cut);
+  const std::size_t retired = ctl.chunks - cut;
+  return ctl.remaining.fetch_sub(retired, std::memory_order_acq_rel) == retired;
+}
+
 /// The executor loop shared by the submitter and every worker — mirrors
 /// WorkerPool::run_chunks line for line against JobControl.
-void run_chunks(Model& m, SimJobControl& ctl, ModelShard& shard,
-                std::uint64_t gen, bool is_worker, bool* probed) {
-  const auto chunks = static_cast<std::size_t>(m.cfg.chunks);
+void run_chunks(Model& m, std::size_t job, ModelShard& shard, bool is_worker,
+                bool* probed) {
+  SimJobControl& ctl = *m.ctls[job];
+  const Ghost::Job& info = m.ghost.jobs[job];
   for (;;) {
     const std::size_t i = ctl.claim();
-    if (i >= chunks) return;
+    if (i >= ctl.chunks) return;
     (void)m.job_payload.read();  // job geometry read, per chunk
-    shard.produce(gen);
+    sim::check(m.ghost.serving == info.gen,
+               "a job ran a chunk under a plan other than its own");
+    m.ghost.runs[static_cast<std::size_t>(info.batch * m.cfg.chunks) +
+                 info.base + i] += 1;
+    shard.produce(info.gen);
     if (m.cfg.mutation == Mutation::kInvertedLockOrder && is_worker &&
         probed != nullptr && !*probed) {
       *probed = true;
@@ -152,15 +188,25 @@ void run_chunks(Model& m, SimJobControl& ctl, ModelShard& shard,
       m.submit_mu.unlock();
       m.done_mu.unlock();
     }
-    const bool last = m.cfg.mutation == Mutation::kRelaxedCompletion
-                          ? ctl.remaining.fetch_sub(
-                                1, std::memory_order_relaxed) == 1
-                          : ctl.complete();
+    bool last = m.cfg.mutation == Mutation::kRelaxedCompletion
+                    ? ctl.remaining.fetch_sub(
+                          1, std::memory_order_relaxed) == 1
+                    : ctl.complete();
+    const bool cut = m.control.any();
+    if (cut) {
+      const bool retired_last =
+          m.cfg.mutation == Mutation::kCutDropsClaimedChunk ||
+                  m.cfg.mutation == Mutation::kCancelNeverRetires
+              ? mutated_cancel(m, ctl)
+              : ctl.cancel();
+      last = retired_last || last;
+    }
     if (last && m.cfg.mutation != Mutation::kDroppedDoneNotify) {
       m.done_mu.lock();
       m.done_cv.notify_all();
       m.done_mu.unlock();
     }
+    if (cut) return;
   }
 }
 
@@ -175,9 +221,8 @@ void worker_main(Model& m, ModelShard& shard) {
       return;
     }
     seen = m.job_seq.read();
-    const std::uint64_t gen = m.job_gen.read();
     m.job_mu.unlock();
-    run_chunks(m, *m.ctls[static_cast<std::size_t>(seen - 1)], shard, gen,
+    run_chunks(m, static_cast<std::size_t>(seen - 1), shard,
                /*is_worker=*/true, &probed);
   }
 }
@@ -194,8 +239,9 @@ void publisher_main(Model& m) {
       continue;  // never stored: the previous plan keeps serving (I5)
     }
     m.publish_mu.lock();
-    // --- Fence: block submissions, fold dirty shards under the OLD plan.
-    m.submit_mu.lock();
+    // --- Fence: block submissions (preempting the running job at a chunk
+    // seam), fold dirty shards under the OLD plan.
+    m.control.lock(m.submit_mu);
     std::shared_ptr<const ModelPlan> old = m.cell.load();
     switch (m.cfg.mutation) {
       case Mutation::kDroppedFenceFold:
@@ -227,6 +273,7 @@ void publisher_main(Model& m) {
       m.cell.store(old);
     } else {
       m.ghost.published = true;
+      m.ghost.serving = gen;
     }
     m.submit_mu.unlock();
     m.publish_mu.unlock();
@@ -254,48 +301,56 @@ void collector_main(Model& m) {
   }
 }
 
+/// process_pooled: each batch runs as one job per hold of submit_mu, until
+/// a preempting fence stops cutting it short.
 void submitter_and_shutdown(Model& m) {
   std::uint64_t last_gen = 0;
   std::uint64_t published_jobs = 0;
+  const auto chunks = static_cast<std::size_t>(m.cfg.chunks);
   for (int b = 0; b < m.cfg.batches; ++b) {
-    m.submit_mu.lock();
-    std::shared_ptr<const ModelPlan> plan = m.cell.load();
-    if (plan == nullptr) {
-      // Bootstrap before the first publish: the batch is interpreted and
-      // bypasses the shards entirely.
-      sim::check(!m.ghost.published,
-                 "batch found no plan after one was published");
+    int* const runs = &m.ghost.runs[static_cast<std::size_t>(b) * chunks];
+    for (std::size_t done = 0; done < chunks;) {
+      m.submit_mu.lock();
+      std::shared_ptr<const ModelPlan> plan = m.cell.load();
+      if (plan == nullptr) {
+        // Bootstrap before the first publish: the rest of the batch is
+        // interpreted and bypasses the shards entirely.
+        sim::check(!m.ghost.published,
+                   "batch found no plan after one was published");
+        for (; done < chunks; ++done) runs[done] += 1;
+        m.submit_mu.unlock();
+        continue;
+      }
+      sim::check(!plan->bad, "batch executed under a rejected plan");
+      sim::check(plan->generation() >= last_gen,
+                 "submitter saw the plan generation move backwards");
+      last_gen = plan->generation();
+
+      const auto job = static_cast<std::size_t>(published_jobs);
+      m.ghost.jobs[job] = {b, done, plan->generation()};
+      SimJobControl& ctl = *m.ctls[job];
+      ctl.arm(chunks - done);
+      if (m.cfg.mutation != Mutation::kRelaxedJobPublish) {
+        m.job_payload.write(plan->generation());
+      }
+      m.job_mu.lock();
+      m.job_seq.write(++published_jobs);
+      m.job_mu.unlock();
+      m.job_cv.notify_all();
+      if (m.cfg.mutation == Mutation::kRelaxedJobPublish) {
+        // Seeded: job field initialised after the hand-off — races every
+        // worker's payload read.
+        m.job_payload.write(plan->generation());
+      }
+
+      run_chunks(m, job, *m.shards[0], /*is_worker=*/false, nullptr);
+
+      m.done_mu.lock();
+      while (!ctl.all_done()) m.done_cv.wait(m.done_mu);
+      m.done_mu.unlock();
+      done += ctl.ran.read();
       m.submit_mu.unlock();
-      continue;
     }
-    sim::check(!plan->bad, "batch executed under a rejected plan");
-    sim::check(plan->generation() >= last_gen,
-               "submitter saw the plan generation move backwards");
-    last_gen = plan->generation();
-
-    SimJobControl& ctl = *m.ctls[static_cast<std::size_t>(published_jobs)];
-    ctl.arm(static_cast<std::size_t>(m.cfg.chunks));
-    if (m.cfg.mutation != Mutation::kRelaxedJobPublish) {
-      m.job_payload.write(plan->generation());
-    }
-    m.job_mu.lock();
-    m.job_seq.write(++published_jobs);
-    m.job_gen.write(plan->generation());
-    m.job_mu.unlock();
-    m.job_cv.notify_all();
-    if (m.cfg.mutation == Mutation::kRelaxedJobPublish) {
-      // Seeded: job field initialised after the hand-off — races every
-      // worker's payload read.
-      m.job_payload.write(plan->generation());
-    }
-
-    run_chunks(m, ctl, *m.shards[0], plan->generation(),
-               /*is_worker=*/false, nullptr);
-
-    m.done_mu.lock();
-    while (!ctl.all_done()) m.done_cv.wait(m.done_mu);
-    m.done_mu.unlock();
-    m.submit_mu.unlock();
   }
 }
 
@@ -327,7 +382,7 @@ void model_body(const ModelConfig& cfg) {
 
   // Final quiesce (WorkerPool::quiesce_and_merge): fold what is left under
   // the current plan, then audit the ghost ledger.
-  m.submit_mu.lock();
+  m.control.lock(m.submit_mu);
   {
     std::shared_ptr<const ModelPlan> plan = m.cell.load();
     exec::fold_dirty_shards<ModelShard, const ModelPlan>(m.shard_ptrs,
@@ -341,6 +396,9 @@ void model_body(const ModelConfig& cfg) {
              "counter deltas lost (produced != merged)");
   for (ModelShard* s : m.shard_ptrs) {
     sim::check(!s->dirty(), "shard left dirty after quiesce");
+  }
+  for (int runs : m.ghost.runs) {
+    sim::check(runs == 1, "a packet of a preempted batch ran other than once");
   }
 }
 
@@ -358,6 +416,8 @@ const char* to_string(Mutation m) noexcept {
     case Mutation::kTornPublish: return "torn_publish";
     case Mutation::kDoubleFold: return "double_fold";
     case Mutation::kDroppedDoneNotify: return "dropped_done_notify";
+    case Mutation::kCutDropsClaimedChunk: return "cut_drops_claimed_chunk";
+    case Mutation::kCancelNeverRetires: return "cancel_never_retires";
   }
   return "?";
 }
@@ -384,6 +444,10 @@ const char* mutation_description(Mutation m) noexcept {
       return "fence folds every shard twice";
     case Mutation::kDroppedDoneNotify:
       return "last executor skips the done_cv notify";
+    case Mutation::kCutDropsClaimedChunk:
+      return "preempting cut retires the last claimed chunk too";
+    case Mutation::kCancelNeverRetires:
+      return "preempting cut never retires the unclaimed chunks";
   }
   return "?";
 }
@@ -394,7 +458,8 @@ std::vector<Mutation> all_mutations() {
       Mutation::kMergeAfterClear,    Mutation::kInvertedLockOrder,
       Mutation::kRelaxedCompletion,  Mutation::kRelaxedJobPublish,
       Mutation::kTornPublish,        Mutation::kDoubleFold,
-      Mutation::kDroppedDoneNotify,
+      Mutation::kDroppedDoneNotify,  Mutation::kCutDropsClaimedChunk,
+      Mutation::kCancelNeverRetires,
   };
 }
 
@@ -403,12 +468,14 @@ ModelConfig clean_acceptance_config() {
   cfg.workers = 2;
   cfg.publishes = 2;
   // One batch keeps the sleep-set-reduced state space exhaustively
-  // explorable inside the CI budget (~376k executions, ~30 s); a second
-  // batch pushes it past 900k executions for no new protocol shapes — the
-  // fence, fold and re-publish all occur per publish, not per batch.
+  // explorable inside the CI budget (142,810 executions, ~25 s); the fence,
+  // fold, cut and re-publish all occur per publish, not per batch.  The
+  // collector stays out: with the preempting fence it pushes this
+  // scenario past 1.7M executions.  ConcurModel's tests run it against
+  // the preempting fence with one worker instead.
   cfg.batches = 1;
   cfg.chunks = 2;
-  cfg.collector = true;
+  cfg.collector = false;
   cfg.reject_last = false;
   return cfg;
 }
@@ -449,6 +516,13 @@ ModelConfig scenario_for(Mutation m) {
       break;
     case Mutation::kDroppedDoneNotify:
       cfg.workers = 1; cfg.publishes = 1; cfg.batches = 1; cfg.chunks = 1;
+      break;
+    // The first publish gives the batch a plan; the second one preempts it.
+    case Mutation::kCutDropsClaimedChunk:
+      cfg.workers = 1; cfg.publishes = 2; cfg.batches = 1; cfg.chunks = 3;
+      break;
+    case Mutation::kCancelNeverRetires:
+      cfg.workers = 0; cfg.publishes = 2; cfg.batches = 1; cfg.chunks = 2;
       break;
   }
   return cfg;

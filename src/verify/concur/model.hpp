@@ -1,14 +1,16 @@
 // The bounded model of FlyMon's hot reconfiguration protocol, explored by
 // the deterministic scheduler (sim.hpp): one publisher (compile + validate,
-// then fence + RCU publish), one submitter plus N pool workers (job
-// hand-off, chunk claim, shard writes, completion), and one collector
+// then a preempting fence + RCU publish), one submitter plus N pool
+// workers (job hand-off, chunk claim, shard writes, completion, and the
+// cut a waiting fence causes at a chunk seam), and one collector
 // (the span-collector / current_plan() observer class of threads, which
 // read the published plan with no pool lock held).
 //
 // The protocol cores are NOT re-implemented here: the model instantiates
 // the exact templates the data plane ships — exec::BasicPlanCell<SimSync>,
-// exec::JobControl<SimSync>, exec::fold_dirty_shards — so every verdict is
-// about the shipped publish/claim/complete/fold code (protocol.hpp).
+// exec::JobControl<SimSync>, exec::ControlWaiters<SimSync>,
+// exec::fold_dirty_shards — so every verdict is about the shipped
+// publish/claim/complete/cancel/fold code (protocol.hpp).
 //
 // Checked invariants (DESIGN.md §14 maps each to the code it guards):
 //   I1  no torn plan observation — any observer sees a whole snapshot;
@@ -21,7 +23,9 @@
 //       a plan is published the previous one keeps serving through a
 //       rejection (no batch ever finds the cell empty again);
 //   I6  no data race on any shard or job field (vector-clock checked);
-//   I7  no deadlock and no lost wakeup (structural, from the scheduler).
+//   I7  no deadlock and no lost wakeup (structural, from the scheduler);
+//   I8  every packet of a batch runs exactly once however often fences
+//       preempt it, and every job runs all its chunks under one plan.
 //
 // Seeded mutations weaken one protocol line each; the self-test proves
 // every one is caught by the model checker or the lock-order analyzer.
@@ -57,6 +61,12 @@ enum class Mutation {
   kDoubleFold,
   /// The last executor skips the done_cv notify (lost wakeup).
   kDroppedDoneNotify,
+  /// JobControl::cancel() retires the last claimed chunk with the
+  /// unclaimed ones, so the continuation runs it a second time.
+  kCutDropsClaimedChunk,
+  /// JobControl::cancel() stops the claims but never retires the
+  /// unclaimed chunks from the completion count (deadlock).
+  kCancelNeverRetires,
 };
 
 const char* to_string(Mutation m) noexcept;
@@ -77,9 +87,9 @@ struct ModelConfig {
   Mutation mutation = Mutation::kNone;
 };
 
-/// The acceptance-gate scenario: 2 workers x 2 publishes with a fence,
-/// one 2-chunk batch, plus the collector — sized so CI explores it
-/// exhaustively in well under 60 s (see clean_acceptance_config()).
+/// The acceptance-gate scenario: 2 workers x 2 publishes with a preempting
+/// fence and one 2-chunk batch — sized so CI explores it exhaustively in
+/// well under 60 s (see clean_acceptance_config()).
 ModelConfig clean_acceptance_config();
 
 /// The smallest scenario known to manifest `m` (used by the self-test so

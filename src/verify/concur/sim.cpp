@@ -263,7 +263,10 @@ class Scheduler {
     f.pending.obj = &st;
     f.pending.label = st.name != nullptr ? st.name : "mutex";
     f.pending.aop = AtomicOp::kRmw;
-    f.pending.mo = std::memory_order_acq_rel;
+    // Relaxed, so the atomic transition leaves `obj` alone: it is a
+    // MutexState, not an AtomicState.  Success synchronises through
+    // grant_mutex below; a failed try_lock synchronises with nothing.
+    f.pending.mo = std::memory_order_relaxed;
     yield_from_fiber();
     if (st.owner != -1) return false;
     grant_mutex(self_tid_, st);

@@ -156,6 +156,21 @@ TEST(ConcurModel, TwoWorkerScenarioWithCollectorIsClean) {
   EXPECT_TRUE(r.ok()) << r.error;
 }
 
+// The second publish's fence finds the batch running and preempts it: the
+// lock-free plan observer runs against every cut and continuation.
+TEST(ConcurModel, PreemptingFenceWithCollectorIsClean) {
+  if (!verify::concur::checker_supported()) GTEST_SKIP() << "TSan build";
+  ModelConfig cfg;
+  cfg.workers = 1;
+  cfg.publishes = 2;
+  cfg.batches = 1;
+  cfg.chunks = 2;
+  cfg.collector = true;
+  const ExploreResult r =
+      verify::concur::check_protocol(cfg, ExploreOptions{});
+  EXPECT_TRUE(r.ok()) << r.error;
+}
+
 TEST(ConcurModel, PublishVetoLeavesNoVetoedPlanObservable) {
   if (!verify::concur::checker_supported()) GTEST_SKIP() << "TSan build";
   ModelConfig cfg;

@@ -126,6 +126,28 @@ TEST(Controller, GreedyKeyReuseAvoidsMaskRules) {
   EXPECT_EQ(r2.report.hash_mask_rules, 0u) << "second task reuses the compressed key";
 }
 
+// A compressed-key parameter costs a hash mask only where the algorithm
+// reads it: Tower, unpacked Bloom/LinearCounting, Odd Sketch and
+// MaxInterarrival key their cells on the flow key alone.
+TEST(Controller, UnreadParameterKeyConfiguresNoHashMask) {
+  for (Algorithm a : {Algorithm::kTowerSketch, Algorithm::kBloomFilter,
+                      Algorithm::kLinearCounting, Algorithm::kOddSketch,
+                      Algorithm::kMaxInterarrival, Algorithm::kCms}) {
+    FlyMonDataPlane dp(9);
+    Controller ctl(dp);
+    TaskSpec s = algorithm_spec(a);
+    s.key = FlowKeySpec::src_ip();
+    s.param = ParamSpec::compressed(FlowKeySpec::dst_ip());
+    s.bloom_bit_packed = false;
+    const auto r = ctl.add_task(s);
+    ASSERT_TRUE(r.ok) << to_string(a) << ": " << r.error;
+    // One SrcIP mask per group the task uses; CMS also reads DstIP.
+    const unsigned per_group = a == Algorithm::kCms ? 2u : 1u;
+    EXPECT_EQ(r.report.hash_mask_rules, per_group * r.report.groups_used)
+        << to_string(a);
+  }
+}
+
 TEST(Controller, ComposesIpPairFromExistingKeys) {
   FlyMonDataPlane dp(9);
   Controller ctl(dp);

@@ -373,6 +373,36 @@ TEST(IngestPump, StopIsPromptWhileSourceIsDry) {
   EXPECT_EQ(pump.stats().produced, 0u);
 }
 
+// A capture whose timestamps jump forward must not hold stop() for the
+// jump: the pacing wait ends when stop is requested.
+TEST(IngestPump, StopIsPromptDuringAPacingSleep) {
+  telemetry::Registry registry;
+  std::vector<Packet> pkts(2);
+  pkts[0].ts_ns = 0;
+  pkts[1].ts_ns = 30'000'000'000;  // 30 s later
+  ingest::MemorySource source{std::span<const Packet>(pkts)};
+  ingest::PumpConfig cfg;
+  cfg.registry = &registry;
+  cfg.batch = 1;
+  cfg.pace = ingest::PumpConfig::Pace::kReal;
+  ingest::IngestPump pump(source, cfg);
+  pump.start();
+  // Wait until the first packet is through and the pump sleeps for the
+  // second one.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pump.stats().produced < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(pump.stats().produced, 2u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  pump.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_TRUE(pump.finished());
+  EXPECT_EQ(pump.stats().enqueued, 1u) << "the stopped pump never paced in "
+                                          "the second packet";
+}
+
 // ---------------------------------------------------------------------------
 // Golden equivalence: streaming drain vs batched process_batch.
 // ---------------------------------------------------------------------------

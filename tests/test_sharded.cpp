@@ -789,11 +789,6 @@ TEST(ShardedChurn, ReconfigureWhileProcessingIsRaceFree) {
       last_gen = gen;
       ++batches;
       if (stop.load(std::memory_order_acquire) && batches >= 8) break;
-      // submit_mu_ is not fair: this loop re-takes it before the woken
-      // control thread's fence gets a turn, which starves the control
-      // thread under TSan.  A bare yield() does not open a long enough
-      // window; a short pause does.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   });
 
@@ -879,6 +874,164 @@ TEST(ShardedChurn, TracerToggleDuringDrainIsRaceFree) {
       EXPECT_LT(recs[i - 1].seq, recs[i].seq);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Preempting fences: a control thread waiting for the pool cuts the batch in
+// flight at a chunk seam instead of waiting it out.
+// ---------------------------------------------------------------------------
+
+/// A task whose filter (11.0.0.0/8) matches none of make_trace's traffic
+/// (10.0.0.0/8), so adding it mid-batch changes no register the batch
+/// writes and a referee may add it at any point.
+TaskSpec idle_task(Algorithm algo) {
+  TaskSpec s;
+  s.name = "idle";
+  s.filter = TaskFilter::src(0x0B00'0000, 8);
+  s.key = FlowKeySpec::five_tuple();
+  s.algorithm = algo;
+  s.attribute = algo == Algorithm::kMaxInterarrival ? AttributeKind::kMax
+                                                    : AttributeKind::kFrequency;
+  s.memory_buckets = 4096;
+  s.rows = 1;
+  return s;
+}
+
+void expect_same_answers(World& ref, const MixIds& ref_ids, World& w,
+                         const MixIds& ids, const std::vector<Packet>& trace) {
+  for (std::size_t i = 0; i < trace.size(); i += trace.size() / 50) {
+    const Packet& probe = trace[i];
+    EXPECT_EQ(ref.ctl.query_value(ref_ids.cms, probe),
+              w.ctl.query_value(ids.cms, probe));
+    EXPECT_EQ(ref.ctl.query_existence(ref_ids.bloom, probe),
+              w.ctl.query_existence(ids.bloom, probe));
+    EXPECT_EQ(ref.ctl.query_value(ref_ids.maxq, probe),
+              w.ctl.query_value(ids.maxq, probe));
+    EXPECT_DOUBLE_EQ(ref.ctl.estimate_distinct(ref_ids.beaucoup, probe),
+                     w.ctl.estimate_distinct(ids.beaucoup, probe));
+  }
+}
+
+/// Runs `trace` as ONE process_batch on `w` while a controller thread adds
+/// `task` once the batch is under way.  True when the add returned first.
+bool add_during_batch(World& w, const std::vector<Packet>& trace,
+                      const TaskSpec& task) {
+  std::atomic<bool> started{false}, added{false};
+  std::thread controller([&] {
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto r = w.ctl.add_task(task);
+    EXPECT_TRUE(r.ok) << r.error;
+    added.store(true, std::memory_order_release);
+  });
+  started.store(true, std::memory_order_release);
+  w.dp.process_batch(trace);
+  const bool add_first = added.load(std::memory_order_acquire);
+  controller.join();
+  return add_first;
+}
+
+TEST(ShardedFence, AddReturnsBeforeTheBatchInFlight) {
+  EnabledGuard on(true);  // the preemption counter counts while enabled
+  const std::vector<Packet> trace = make_trace(2000, 1'000'000, 61);
+  World ref, w;
+  const MixIds ref_ids = deploy_mergeable_mix(ref.ctl);
+  const MixIds ids = deploy_mergeable_mix(w.ctl);
+  w.dp.enable_parallel(2);
+
+  const TaskSpec task = idle_task(Algorithm::kCms);
+  EXPECT_TRUE(add_during_batch(w, trace, task))
+      << "the add waited out the whole batch";
+  const exec::ParallelStats stats = w.dp.parallel_stats();
+  EXPECT_GE(stats.preemptions, 1u);
+  EXPECT_GE(stats.parallel_batches, 2u) << "a preempted batch runs in pieces";
+  EXPECT_EQ(w.dp.packets_processed(), trace.size());
+  EXPECT_EQ(w.registry.counter("flymon_sharded_preemptions_total").value(),
+            stats.preemptions);
+
+  ref.dp.process_batch(trace);
+  ASSERT_TRUE(ref.ctl.add_task(task).ok);
+  w.dp.merge_shards();
+  expect_identical_registers(ref.dp, w.dp, "add during a 1M-packet batch");
+  expect_same_answers(ref, ref_ids, w, ids, trace);
+}
+
+// Controller queries preempt a traced batch again and again: every piece
+// continues the batch's one sampling decision, and the records reach the
+// tracer in seq order with the sequential run's values.
+TEST(ShardedFence, TracedBatchContinuesItsSample) {
+  EnabledGuard on(false);
+  const std::vector<Packet> trace = make_trace(1000, 200'000, 67);
+  World ref, w;
+  const MixIds ref_ids = deploy_mergeable_mix(ref.ctl);
+  const MixIds ids = deploy_mergeable_mix(w.ctl);
+  w.dp.enable_parallel(2);
+  telemetry::PacketTracer ref_tracer(1 << 12, 64), tracer(1 << 12, 64);
+  ref.dp.set_tracer(&ref_tracer);
+  w.dp.set_tracer(&tracer);
+
+  std::atomic<bool> started{false}, done{false};
+  std::thread controller([&] {
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+    // A bounded number of cuts: each piece recomputes the traced cells of
+    // the rest of the batch.
+    for (int q = 0; q < 32 && !done.load(std::memory_order_acquire); ++q) {
+      (void)w.ctl.query_value(ids.cms, trace[0]);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  started.store(true, std::memory_order_release);
+  w.dp.process_batch(trace);
+  done.store(true, std::memory_order_release);
+  controller.join();
+  ref.dp.process_batch(trace);
+  w.dp.set_tracer(nullptr);
+  ref.dp.set_tracer(nullptr);
+
+  EXPECT_GE(w.dp.parallel_stats().preemptions, 1u);
+  w.dp.merge_shards();
+  expect_identical_registers(ref.dp, w.dp, "traced batch under queries");
+  expect_same_answers(ref, ref_ids, w, ids, trace);
+  const auto want = ref_tracer.records();
+  const auto got = tracer.records();
+  ASSERT_EQ(got.size(), (trace.size() + 63) / 64);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "record " << i);
+    EXPECT_EQ(got[i].seq, want[i].seq);
+    ASSERT_EQ(got[i].steps.size(), want[i].steps.size());
+    for (std::size_t j = 0; j < got[i].steps.size(); ++j) {
+      EXPECT_EQ(got[i].steps[j].address, want[i].steps[j].address);
+      EXPECT_EQ(got[i].steps[j].result, want[i].steps[j].result);
+    }
+  }
+}
+
+// The fence publishes a plan with a chained (unmergeable) task: the rest
+// of the batch runs sequentially on the live registers, still exactly.
+TEST(ShardedFence, ContinuationRunsUnderAnUnmergeablePlan) {
+  EnabledGuard on(false);
+  const std::vector<Packet> trace = make_trace(2000, 1'000'000, 71);
+  World ref, w;
+  const MixIds ref_ids = deploy_mergeable_mix(ref.ctl);
+  const MixIds ids = deploy_mergeable_mix(w.ctl);
+  w.dp.enable_parallel(2);
+
+  const TaskSpec task = idle_task(Algorithm::kMaxInterarrival);
+  EXPECT_TRUE(add_during_batch(w, trace, task))
+      << "the add waited out the whole batch";
+  ASSERT_FALSE(w.dp.current_plan()->shard_mergeable());
+  const exec::ParallelStats stats = w.dp.parallel_stats();
+  EXPECT_GE(stats.preemptions, 1u);
+  EXPECT_GE(stats.parallel_batches, 1u);
+  EXPECT_GE(stats.fallback_unmergeable, 1u);
+  EXPECT_EQ(w.dp.packets_processed(), trace.size());
+
+  ref.dp.process_batch(trace);
+  ASSERT_TRUE(ref.ctl.add_task(task).ok);
+  w.dp.merge_shards();
+  expect_identical_registers(ref.dp, w.dp, "unmergeable continuation");
+  expect_same_answers(ref, ref_ids, w, ids, trace);
 }
 
 }  // namespace

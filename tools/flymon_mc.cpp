@@ -2,7 +2,7 @@
 //
 //   flymon_mc --check           exhaustively explore the clean acceptance
 //                               scenario (2 workers x 2 publishes with a
-//                               fence, plus the collector); exit 0 only when
+//                               preempting fence); exit 0 only when
 //                               every inequivalent interleaving passed and
 //                               the lock-order analyzer reports no errors
 //   flymon_mc --selftest        run every seeded concurrency mutation on its
@@ -24,6 +24,7 @@
 //                               data race
 //   flymon_mc --ring-mutate NAME   run one ring mutation (exit 1 = caught)
 //   flymon_mc --workers N --publishes N --batches N --chunks N
+//             [--collector | --no-collector]
 //                               override the --check scenario bounds
 //   flymon_mc --max-executions N / --max-steps N
 //                               exploration limits (defaults in sim.hpp)
@@ -315,6 +316,8 @@ int main(int argc, char** argv) {
       cfg.batches = static_cast<int>(int_arg(i));
     } else if (arg == "--chunks" && has_next) {
       cfg.chunks = static_cast<int>(int_arg(i));
+    } else if (arg == "--collector") {
+      cfg.collector = true;
     } else if (arg == "--no-collector") {
       cfg.collector = false;
     } else if (arg == "--max-executions" && has_next) {
@@ -325,7 +328,7 @@ int main(int argc, char** argv) {
       std::cout << "usage: flymon_mc [--check] [--selftest] [--mutate <name>] "
                    "[--ring] [--ring-selftest] [--ring-mutate <name>] "
                    "[--list] [--workers N] [--publishes N] [--batches N] "
-                   "[--chunks N] [--no-collector] [--max-executions N] "
+                   "[--chunks N] [--collector] [--no-collector] [--max-executions N] "
                    "[--max-steps N] [--json <path>]\n";
       return 0;
     } else {
