@@ -118,11 +118,11 @@ void BM_FullPipelineInterpreted(benchmark::State& state) {
   FlyMonDataPlane dp(9);
   control::Controller ctl(dp);
   deploy_mixed_workload(ctl);
-  dp.unpublish_plan();  // legacy per-packet walk of the mutable objects
   const auto trace = small_trace();
   std::size_t i = 0;
   for (auto _ : state) {
-    dp.process(trace[i++ % trace.size()]);
+    // The referee: per-packet walk of the mutable objects.
+    dp.interpret_batch({&trace[i++ % trace.size()], 1});
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -23,21 +23,32 @@ FlyMonDataPlane::FlyMonDataPlane(unsigned num_groups, const CmuGroupConfig& cfg)
     : scratch_(std::make_unique<exec::BatchScratch>()) {
   groups_.reserve(num_groups);
   for (unsigned g = 0; g < num_groups; ++g) groups_.emplace_back(g, cfg);
-  bind_telemetry(telemetry::Registry::global());
+  bind_counters(telemetry::Registry::global());
+  // The empty deployment's plan, generation 0: packets never walk the Cmu
+  // objects the controller stages into, not even before the first task.
+  plan_.store(exec::PlanCompiler::compile(*this, {}, 0));
 }
 
 FlyMonDataPlane::~FlyMonDataPlane() = default;
 
-void FlyMonDataPlane::bind_telemetry(telemetry::Registry& registry) {
+void FlyMonDataPlane::bind_counters(telemetry::Registry& registry) {
   registry_ = &registry;
   packets_counter_ = &registry.counter("flymon_packets_total");
   for (CmuGroup& g : groups_) g.bind_telemetry(registry);
-  if (pool_ != nullptr) pool_->bind_telemetry(&registry);
-  // A published plan caches counter handles: recompile it against the new
-  // registry so compiled execution keeps feeding the bound counters.
-  if (const auto cur = plan_.load(); cur != nullptr) {
-    publish_plan(compile_plan(cur->ownership()));
-  }
+  if (pool_ != nullptr) pool_->bind_telemetry(registry);
+}
+
+void FlyMonDataPlane::bind_telemetry(telemetry::Registry& registry) {
+  bind_counters(registry);
+  // The published plan caches counter handles: recompile its deployment
+  // against the new registry.  Same deployment, same generation.
+  common::MutexLock publish(publish_mu_);
+  const auto cur = plan_.load();
+  auto rebound =
+      exec::PlanCompiler::compile(*this, cur->ownership(), cur->generation());
+  std::optional<exec::WorkerPool::Fence> fence;
+  if (pool_ != nullptr) fence.emplace(*pool_);
+  plan_.store(std::move(rebound));
 }
 
 std::shared_ptr<const exec::ExecPlan> FlyMonDataPlane::compile_plan(
@@ -61,29 +72,32 @@ std::uint64_t FlyMonDataPlane::publish_plan(
   return generation;
 }
 
-void FlyMonDataPlane::unpublish_plan() noexcept {
-  trace::Span span("exec.unpublish");
-  common::MutexLock publish(publish_mu_);
-  // Merge under the plan the deltas belong to before it goes away.
-  std::optional<exec::WorkerPool::Fence> fence;
-  if (pool_ != nullptr) fence.emplace(*pool_);
-  plan_.store(nullptr);
-}
-
 std::shared_ptr<const exec::ExecPlan> FlyMonDataPlane::current_plan() const noexcept {
   return plan_.load();
 }
 
 std::uint64_t FlyMonDataPlane::plan_generation() const noexcept {
-  const auto plan = plan_.load();
-  return plan != nullptr ? plan->generation() : 0;
+  return plan_.load()->generation();
 }
 
-void FlyMonDataPlane::interpret(const Packet& pkt,
-                                telemetry::TraceRecord* trace) {
-  PhvContext ctx;
-  ctx.trace = trace;
-  for (CmuGroup& g : groups_) g.process(pkt, ctx);
+void FlyMonDataPlane::interpret_batch(std::span<const Packet> pkts,
+                                      telemetry::PacketTracer* tracer) {
+  const telemetry::TraceSample sample =
+      tracer != nullptr ? tracer->sample_batch(pkts.size())
+                        : telemetry::TraceSample{};
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    PhvContext ctx;
+    if (!sample.traced(i)) {
+      for (CmuGroup& g : groups_) g.process(pkts[i], ctx);
+      continue;
+    }
+    auto rec = telemetry::TraceRecord::start(sample.first_seq + i, pkts[i]);
+    ctx.trace = &rec;
+    for (CmuGroup& g : groups_) g.process(pkts[i], ctx);
+    tracer->publish(std::move(rec));
+  }
+  packets_.fetch_add(pkts.size(), std::memory_order_relaxed);
+  packets_counter_->inc(pkts.size());
 }
 
 std::size_t FlyMonDataPlane::run_plan(const exec::ExecPlan& plan,
@@ -124,8 +138,8 @@ std::uint64_t FlyMonDataPlane::process_batch(std::span<const Packet> pkts) {
     generation = process_pooled(*pool_, pkts, sample, tracer);
   } else {
     const std::shared_ptr<const exec::ExecPlan> plan = plan_.load();
-    run_sequential(plan.get(), pkts, sample, tracer, nullptr);
-    if (plan != nullptr) generation = plan->generation();
+    run_plan(*plan, pkts, sample, tracer, nullptr);
+    generation = plan->generation();
   }
   packets_.fetch_add(pkts.size(), std::memory_order_relaxed);
   packets_counter_->inc(pkts.size());
@@ -139,40 +153,33 @@ std::uint64_t FlyMonDataPlane::process_pooled(exec::WorkerPool& pool,
   // Each piece holds the submission lock, so a fence never folds shards
   // into live cells a piece is writing.  A control thread waiting for the
   // lock cuts the piece at a chunk seam; the next piece runs the rest under
-  // whatever plan is published by then.
+  // whatever plan is published by then.  A traced batch finds the cells
+  // its sampled packets touch once per plan: pieces under the same plan
+  // watch the cells of the whole remainder the first one saw.
   std::uint64_t generation = 0;
+  std::shared_ptr<const exec::ExecPlan> watched;
+  std::vector<exec::Cell> watch;
   for (std::size_t done = 0; done < pkts.size();) {
     exec::WorkerPool::Submission submit(pool);
     const std::shared_ptr<const exec::ExecPlan> plan = plan_.load();
     const std::span<const Packet> rest = pkts.subspan(done);
-    if (plan != nullptr && plan->shard_mergeable()) {
-      done += pool.run(plan, rest, sample.at(done), tracer);
+    if (plan->shard_mergeable() && plan->num_entries() != 0) {
+      if (tracer != nullptr && plan != watched) {
+        watch = plan->traced_cells(rest, sample.at(done), *scratch_);
+        watched = plan;
+      }
+      done += pool.run(plan, rest, sample.at(done), tracer, watch);
     } else {
-      pool.count_fallback(plan.get());
-      done += run_sequential(plan.get(), rest, sample.at(done), tracer, &pool);
+      // Unmergeable plans run on the live registers, and so does a plan
+      // with no entries (the construction-time one): it writes no
+      // register, so there is nothing to shard.
+      if (!plan->shard_mergeable()) pool.count_fallback(*plan);
+      done += run_plan(*plan, rest, sample.at(done), tracer, &pool);
     }
     if (done < pkts.size()) pool.count_preemption();
-    generation = plan != nullptr ? plan->generation() : 0;
+    generation = plan->generation();
   }
   return generation;
-}
-
-std::size_t FlyMonDataPlane::run_sequential(const exec::ExecPlan* plan,
-                                            std::span<const Packet> pkts,
-                                            telemetry::TraceSample sample,
-                                            telemetry::PacketTracer* tracer,
-                                            const exec::WorkerPool* pool) {
-  if (plan != nullptr) return run_plan(*plan, pkts, sample, tracer, pool);
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    if (!sample.traced(i)) {
-      interpret(pkts[i], nullptr);
-      continue;
-    }
-    auto rec = telemetry::TraceRecord::start(sample.first_seq + i, pkts[i]);
-    interpret(pkts[i], &rec);
-    tracer->publish(std::move(rec));
-  }
-  return pkts.size();
 }
 
 void FlyMonDataPlane::clear_registers() {
@@ -184,8 +191,7 @@ void FlyMonDataPlane::clear_registers() {
 
 void FlyMonDataPlane::enable_parallel(unsigned num_workers) {
   disable_parallel();
-  pool_ = std::make_unique<exec::WorkerPool>(*this, num_workers);
-  if (registry_ != nullptr) pool_->bind_telemetry(registry_);
+  pool_ = std::make_unique<exec::WorkerPool>(*this, num_workers, *registry_);
 }
 
 void FlyMonDataPlane::disable_parallel() {

@@ -3,17 +3,21 @@
 // groups can consume results of earlier ones (SuMax chaining, max
 // inter-arrival, Counter Braids carries).
 //
-// process_batch is the one batch entry point; the published plan picks
-// the path, and all paths share the same registers and counters:
-//   - interpreted (no plan): walks the mutable Cmu/Compression objects per
-//     packet; the referee the golden tests compare against;
+// A compiled plan is always published: construction publishes the empty
+// deployment's plan (generation 0), and each reconfiguration replaces it
+// after its gate.  process_batch is the one batch entry point; the
+// published plan picks the path, and both share the same registers and
+// counters:
 //   - compiled: runs the immutable exec::ExecPlan snapshot held behind an
-//     RCU-style atomic shared_ptr, which the controller publishes once per
-//     reconfiguration, after its gate; in-flight batches keep the plan they
-//     loaded;
-//   - sharded: with a pool and a shard-mergeable plan, the batch fans out
-//     across per-executor register replicas (exec/worker_pool.hpp).
-// Attaching a tracer never changes which path runs.
+//     RCU-style atomic shared_ptr; in-flight batches keep the plan they
+//     loaded, so entries the controller stages are invisible to packets
+//     until their plan is published;
+//   - sharded: with a pool and a shard-mergeable plan that has entries,
+//     the batch fans out across per-executor register replicas
+//     (exec/worker_pool.hpp).
+// Attaching a tracer never changes which path runs.  interpret_batch is
+// the referee the golden tests and micro_throughput compare against: it
+// walks the mutable Cmu/Compression objects packet by packet.
 #pragma once
 
 #include <atomic>
@@ -60,13 +64,20 @@ class FlyMonDataPlane {
   /// runs under the submission lock, and a fence waiting for that lock
   /// preempts it at the next chunk seam; the rest of the batch then runs
   /// under the plan the fence's holder published.  Single submitter.
-  /// Returns the plan generation the batch's last packets ran under
-  /// (0 = interpreted).
+  /// Returns the plan generation the batch's last packets ran under.
   std::uint64_t process_batch(std::span<const Packet> pkts);
   /// Old name of process_batch; it stays until the next benchmark change.
   std::uint64_t process_batch_parallel(std::span<const Packet> pkts) {
     return process_batch(pkts);
   }
+
+  /// The referee: run `pkts` through the mutable Cmu/Compression objects
+  /// one packet at a time, tracing the packets `tracer` samples, and count
+  /// them like process_batch.  Golden tests and micro_throughput compare
+  /// the compiled paths against it.  Requires no pool and no concurrent
+  /// reconfiguration: it reads the objects the controller stages into.
+  void interpret_batch(std::span<const Packet> pkts,
+                       telemetry::PacketTracer* tracer = nullptr);
 
   std::uint64_t packets_processed() const noexcept {
     return packets_.load(std::memory_order_relaxed);
@@ -137,29 +148,26 @@ class FlyMonDataPlane {
   /// new one.  Returns its generation.
   std::uint64_t publish_plan(std::shared_ptr<const exec::ExecPlan> plan);
 
-  /// Drop the published plan: processing reverts to the interpreted path
-  /// (the referee switch of tests and micro_throughput).
-  void unpublish_plan() noexcept;
-
-  /// The currently published plan (nullptr = interpreted execution).
+  /// The currently published plan; never null.
   std::shared_ptr<const exec::ExecPlan> current_plan() const noexcept;
 
-  /// Generation of the published plan, 0 when none.
+  /// Generation of the published plan (0 = the construction-time plan).
   std::uint64_t plan_generation() const noexcept;
 
   /// Rebind all instrumentation counters (groups, CMUs, pipeline totals)
-  /// into `registry` and, when a plan is published, recompile and publish
-  /// it against the new counter handles.  This is the only publish outside
-  /// Controller::reconfigure; no production caller rebinds after the first
-  /// publish.  Construction binds to telemetry::Registry::global().
+  /// into `registry`, then recompile the published plan's deployment
+  /// against the new counter handles and publish it under the same
+  /// generation.  This is the only publish outside Controller::reconfigure;
+  /// no production caller rebinds after the first reconfiguration.
+  /// Construction binds to telemetry::Registry::global().
   void bind_telemetry(telemetry::Registry& registry);
   telemetry::Registry& registry() const noexcept { return *registry_; }
 
   /// Attach / detach a sampled-packet tracer (not owned).  While attached,
   /// 1-in-N packets record their PHV transformations into the ring, on
-  /// whichever path runs them (interpreted, compiled or sharded).  Safe to
-  /// call while another thread processes: each batch loads the tracer once,
-  /// so a detached tracer must outlive the batch in flight.
+  /// whichever path runs them (compiled or sharded).  Safe to call while
+  /// another thread processes: each batch loads the tracer once, so a
+  /// detached tracer must outlive the batch in flight.
   void set_tracer(telemetry::PacketTracer* tracer) noexcept {
     tracer_.store(tracer, std::memory_order_release);
   }
@@ -168,23 +176,17 @@ class FlyMonDataPlane {
   }
 
  private:
-  /// Per-packet path against the mutable objects; fills `trace` when set.
-  void interpret(const Packet& pkt, telemetry::TraceRecord* trace);
+  /// Point every instrumentation counter at `registry`.
+  void bind_counters(telemetry::Registry& registry);
   /// process_batch with a pool: one piece per hold of the pool's
   /// submission lock, until every packet has run.
   std::uint64_t process_pooled(exec::WorkerPool& pool,
                                std::span<const Packet> pkts,
                                telemetry::TraceSample sample,
                                telemetry::PacketTracer* tracer);
-  /// Run on the live registers: interpreted without a plan, else compiled.
-  /// Under `pool`, a compiled run stops at the first chunk seam where a
-  /// control thread waits.  Returns the packets run.
-  std::size_t run_sequential(const exec::ExecPlan* plan,
-                             std::span<const Packet> pkts,
-                             telemetry::TraceSample sample,
-                             telemetry::PacketTracer* tracer,
-                             const exec::WorkerPool* pool);
-  /// Run `pkts` through `plan` in bounded chunks (reusing scratch_).
+  /// Run `pkts` through `plan` on the live registers in bounded chunks
+  /// (reusing scratch_).  Under `pool`, stop at the first chunk seam where
+  /// a control thread waits.  Returns the packets run.
   std::size_t run_plan(const exec::ExecPlan& plan, std::span<const Packet> pkts,
                        telemetry::TraceSample sample,
                        telemetry::PacketTracer* tracer,

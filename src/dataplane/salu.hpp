@@ -91,7 +91,6 @@ class RegisterArray {
 
   /// Control-plane reset of [begin, end) to zero.
   void clear_range(std::uint32_t begin, std::uint32_t end);
-  void clear() { clear_range(0, size()); }
 
   /// SRAM blocks this register occupies in the resource model.
   unsigned sram_blocks() const noexcept {

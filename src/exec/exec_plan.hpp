@@ -270,9 +270,9 @@ struct ShardBinding {
 
 class ExecPlan {
  public:
-  /// Monotonic publish generation (0 is reserved for "no plan /
-  /// interpreted"); exposed so tests can prove every batch executed
-  /// against exactly one coherent snapshot.
+  /// Monotonic publish generation (0 is the empty plan a data plane is
+  /// built with); exposed so tests can prove every batch executed against
+  /// exactly one coherent snapshot.
   std::uint64_t generation() const noexcept { return generation_; }
 
   std::size_t num_entries() const noexcept { return entries_.size(); }

@@ -84,14 +84,15 @@ class BasicPlanCell {
   /// Names the internal mutex as a lock-witness capability.
   explicit BasicPlanCell(const char* name) : mu_(name) {}
 
-  /// Acquire the current snapshot (nullptr = no plan published).
+  /// Acquire the current snapshot (nullptr only before the owner's first
+  /// store, which the data plane makes at construction).
   std::shared_ptr<PlanT> load() const {
     typename Sync::Lock lk(mu_);
     return plan_;
   }
 
-  /// Publish `next` (may be nullptr to unpublish).  The displaced
-  /// snapshot's reference is dropped after the lock is released.
+  /// Publish `next`, which must not be null.  The displaced snapshot's
+  /// reference is dropped after the lock is released.
   ///
   /// Not noexcept (here and below): the Sync backend's primitives may
   /// throw — the model checker's sim::mutex/sim::atomic unwind aborted
@@ -105,20 +106,18 @@ class BasicPlanCell {
     // `next` now holds the old snapshot; it dies here, outside the lock.
   }
 
-  /// Publish `next` only if its generation is strictly newer than the
-  /// current snapshot's (an empty cell always accepts; a nullptr `next`
-  /// always unpublishes).  Defense in depth for concurrent publishers that
-  /// race compile-then-store: the published generation can never move
-  /// backwards.  Returns whether `next` was installed.
+  /// Publish non-null `next` only if its generation is strictly newer
+  /// than the current snapshot's, which must exist.  Defense in depth for
+  /// concurrent publishers that race compile-then-store: the published
+  /// generation can never move backwards.  Returns whether `next` was
+  /// installed.
   bool store_if_newer(std::shared_ptr<PlanT> next) {
     {
       typename Sync::Lock lk(mu_);
-      if (plan_ == nullptr || next == nullptr ||
-          next->generation() > plan_->generation()) {
-        plan_.swap(next);  // `next` now carries the displaced snapshot
-      } else {
+      if (next->generation() <= plan_->generation()) {
         return false;  // stale publish: keep the newer snapshot
       }
+      plan_.swap(next);  // `next` now carries the displaced snapshot
     }
     return true;
   }
@@ -222,22 +221,16 @@ struct ControlWaiters {
 /// serialises submissions (the pool's submit_mu_; the model's sim
 /// equivalent) so no executor is writing a shard concurrently, and `plan`
 /// must be the plan the deltas were produced under (the fencing
-/// invariant).  A null plan cannot happen under that invariant (unpublish
-/// merges first); shards are then discarded rather than folded blind.
-/// Returns the number of shards folded.
+/// invariant).  Returns the number of shards folded.
 ///
-/// Shard needs dirty() / merge_into(plan) / discard().
+/// Shard needs dirty() / merge_into(plan).
 template <class Shard, class PlanT>
 std::size_t fold_dirty_shards(std::span<Shard* const> shards,
-                              const PlanT* plan) {
+                              const PlanT& plan) {
   std::size_t folded = 0;
   for (Shard* shard : shards) {
     if (!shard->dirty()) continue;
-    if (plan == nullptr) {
-      shard->discard();
-      continue;
-    }
-    shard->merge_into(*plan);
+    shard->merge_into(plan);
     ++folded;
   }
   return folded;

@@ -68,14 +68,10 @@ void RegisterShard::merge_into(const ExecPlan& plan) {
   dirty_ = false;
 }
 
-void RegisterShard::discard(const ExecPlan* plan) {
+void RegisterShard::discard(const ExecPlan& plan) {
   if (!dirty_) return;
-  if (plan != nullptr) {
-    for (const MergeRegion& region : plan->merge_regions()) {
-      regs_[region.cmu].clear_range(region.base, region.base + region.size);
-    }
-  } else {
-    for (dataplane::RegisterArray& r : regs_) r.clear();
+  for (const MergeRegion& region : plan.merge_regions()) {
+    regs_[region.cmu].clear_range(region.base, region.base + region.size);
   }
   std::fill(counters_.begin(), counters_.end(), 0);
   dirty_ = false;

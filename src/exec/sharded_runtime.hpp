@@ -67,13 +67,12 @@ class RegisterShard {
   /// shard's deltas were produced under `plan` (pool fencing does).
   void merge_into(const ExecPlan& plan);
 
-  /// Drop all shard state without merging (epoch clear).  With a plan,
-  /// zero only the cells its merge regions cover — the ones merge_into
-  /// folds.  That takes merge_into's contract: the deltas were produced
-  /// under `plan`, whose regions cover every state-writing entry (the
-  /// merge prover checks this), so no other cell can be non-zero.  With
-  /// no plan (fold_dirty_shards' null-plan case), zero every bank.
-  void discard(const ExecPlan* plan = nullptr);
+  /// Drop all shard state without merging (epoch clear), zeroing only the
+  /// cells `plan`'s merge regions cover — the ones merge_into folds.  That
+  /// takes merge_into's contract: the deltas were produced under `plan`,
+  /// whose regions cover every state-writing entry (the merge prover
+  /// checks this), so no other cell can be non-zero.
+  void discard(const ExecPlan& plan);
 
  private:
   std::vector<dataplane::RegisterArray> regs_;   ///< flat CMU order

@@ -22,8 +22,10 @@ FLYMON_DECLARE_LOCK_ORDER("exec.submit_mu", "telemetry.tracer");
 
 namespace flymon::exec {
 
-WorkerPool::WorkerPool(FlyMonDataPlane& dp, unsigned num_workers)
+WorkerPool::WorkerPool(FlyMonDataPlane& dp, unsigned num_workers,
+                       telemetry::Registry& registry)
     : dp_(&dp), num_executors_(std::max(1u, num_workers)) {
+  bind_telemetry(registry);
   workers_.reserve(num_executors_);
   for (unsigned i = 0; i < num_executors_; ++i) {
     workers_.push_back(std::make_unique<Worker>(dp));
@@ -46,7 +48,8 @@ WorkerPool::~WorkerPool() {
 std::size_t WorkerPool::run(std::shared_ptr<const ExecPlan> plan,
                             std::span<const Packet> pkts,
                             telemetry::TraceSample sample,
-                            telemetry::PacketTracer* tracer) {
+                            telemetry::PacketTracer* tracer,
+                            std::span<const Cell> watch) {
   // One plan per job, and publishers fence on submit_mu_, so shard deltas
   // never straddle a reconfiguration.  `sample` was taken in arrival order,
   // so the shards trace exactly the packets the sequential path would.
@@ -54,11 +57,7 @@ std::size_t WorkerPool::run(std::shared_ptr<const ExecPlan> plan,
   job->plan = std::move(plan);
   job->pkts = pkts;
   job->sample = sample;
-  if (tracer != nullptr) {
-    // The submitter's own executor is idle until the job is published.
-    job->watch =
-        job->plan->traced_cells(pkts, sample, workers_.back()->scratch);
-  }
+  job->watch = watch;
   job->num_chunks = (pkts.size() + kBatchChunk - 1) / kBatchChunk;
   job->ctl.arm(job->num_chunks);
 
@@ -232,7 +231,7 @@ void WorkerPool::discard_shards() {
   // belong to this plan (the fencing invariant) and its merge regions
   // bound them.
   const std::shared_ptr<const ExecPlan> plan = dp_->current_plan();
-  for (auto& w : workers_) w->shard.discard(plan.get());
+  for (auto& w : workers_) w->shard.discard(*plan);
 }
 
 void WorkerPool::merge_locked() {
@@ -248,14 +247,12 @@ void WorkerPool::merge_locked() {
   // The fold itself is the shared protocol core (exercised under the
   // model checker's fence invariants); see protocol.hpp.
   const std::size_t folded =
-      fold_dirty_shards<RegisterShard, ExecPlan>(shards, plan.get());
+      fold_dirty_shards<RegisterShard, ExecPlan>(shards, *plan);
   const bool any = folded > 0;
   if (any) {
     merges_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t dt = trace::monotonic_now_ns() - t0;
-    if (shard_merge_us_ != nullptr) {
-      shard_merge_us_->observe(static_cast<double>(dt) / 1000.0);
-    }
+    shard_merge_us_->observe(static_cast<double>(dt) / 1000.0);
     if (profiled) {
       prof.record(trace::Stage::kMerge, trace::now_cycles() - c0, folded);
     }
@@ -273,52 +270,36 @@ WorkerPool::Fence::Fence(WorkerPool& pool) : pool_(pool) {
 WorkerPool::Fence::~Fence() { pool_.submit_mu_.unlock(); }
 
 void WorkerPool::note_fence_wait(std::uint64_t wait_ns) {
-  if (fence_wait_us_ != nullptr) {
-    fence_wait_us_->observe(static_cast<double>(wait_ns) / 1000.0);
-  }
+  fence_wait_us_->observe(static_cast<double>(wait_ns) / 1000.0);
 }
 
-void WorkerPool::count_fallback(const ExecPlan* plan) {
-  const std::size_t reason = plan == nullptr ? 0 : 1;  // kReasons index
-  fallbacks_[reason].fetch_add(1, std::memory_order_relaxed);
-  if (fallback_counters_[reason] != nullptr) fallback_counters_[reason]->inc();
-  if (plan == nullptr) return;
-  for (MergeBlockerKind k : plan->merge_blocker_kinds()) {
-    telemetry::Counter* c = blocker_counters_[static_cast<std::size_t>(k)];
-    if (c != nullptr) c->inc();
+void WorkerPool::count_fallback(const ExecPlan& plan) {
+  fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  fallback_counter_->inc();
+  for (MergeBlockerKind k : plan.merge_blocker_kinds()) {
+    blocker_counters_[static_cast<std::size_t>(k)]->inc();
   }
 }
 
 void WorkerPool::count_preemption() {
   preemptions_.fetch_add(1, std::memory_order_relaxed);
-  if (preemption_counter_ != nullptr) preemption_counter_->inc();
+  preemption_counter_->inc();
 }
 
-void WorkerPool::bind_telemetry(telemetry::Registry* registry) {
+void WorkerPool::bind_telemetry(telemetry::Registry& registry) {
   ControlLock submit(control_, submit_mu_);
-  if (registry == nullptr) {
-    for (auto*& c : fallback_counters_) c = nullptr;
-    for (auto*& c : blocker_counters_) c = nullptr;
-    preemption_counter_ = nullptr;
-    fence_wait_us_ = nullptr;
-    shard_merge_us_ = nullptr;
-    return;
-  }
-  static const char* kReasons[2] = {"no_plan", "unmergeable"};
-  for (std::size_t i = 0; i < 2; ++i) {
-    fallback_counters_[i] = &registry->counter("flymon_sharded_fallback_total",
-                                               {{"reason", kReasons[i]}});
-  }
+  fallback_counter_ = &registry.counter("flymon_sharded_fallback_total",
+                                        {{"reason", "unmergeable"}});
   for (std::size_t i = 0; i < 4; ++i) {
-    blocker_counters_[i] = &registry->counter(
+    blocker_counters_[i] = &registry.counter(
         "flymon_sharded_merge_blocker_total",
         {{"kind", to_string(static_cast<MergeBlockerKind>(i))}});
   }
-  preemption_counter_ = &registry->counter("flymon_sharded_preemptions_total");
+  preemption_counter_ = &registry.counter("flymon_sharded_preemptions_total");
   // 0.25us .. ~4s, same spacing as the span-duration histograms.
   const auto bounds = telemetry::Histogram::exponential_bounds(0.25, 4.0, 17);
-  fence_wait_us_ = &registry->histogram("flymon_fence_wait_us", {}, bounds);
-  shard_merge_us_ = &registry->histogram("flymon_shard_merge_us", {}, bounds);
+  fence_wait_us_ = &registry.histogram("flymon_fence_wait_us", {}, bounds);
+  shard_merge_us_ = &registry.histogram("flymon_shard_merge_us", {}, bounds);
 }
 
 ParallelStats WorkerPool::stats() const noexcept {
@@ -327,9 +308,7 @@ ParallelStats WorkerPool::stats() const noexcept {
   s.chunks = chunks_.load(std::memory_order_relaxed);
   s.merges = merges_.load(std::memory_order_relaxed);
   s.preemptions = preemptions_.load(std::memory_order_relaxed);
-  s.fallback_no_plan = fallbacks_[0].load(std::memory_order_relaxed);
-  s.fallback_unmergeable = fallbacks_[1].load(std::memory_order_relaxed);
-  s.fallback_batches = s.fallback_no_plan + s.fallback_unmergeable;
+  s.fallback_batches = fallbacks_.load(std::memory_order_relaxed);
   return s;
 }
 

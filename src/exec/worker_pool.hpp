@@ -56,21 +56,18 @@ namespace flymon::exec {
 struct ParallelStats {
   // A preempted batch runs in pieces, and each piece counts here once.
   std::uint64_t parallel_batches = 0;  ///< pieces executed across shards
-  std::uint64_t fallback_batches = 0;  ///< sequential pieces (no plan or unmergeable plan)
+  std::uint64_t fallback_batches = 0;  ///< sequential pieces (merge blockers)
   std::uint64_t chunks = 0;            ///< work-queue chunks run
   std::uint64_t preemptions = 0;       ///< batches cut short for a control thread
   std::uint64_t merges = 0;            ///< quiesce/fence merges that folded a dirty shard
-  // Fallback causes (sum == fallback_batches): a silent sequential run is
-  // indistinguishable from a fast parallel one without these.
-  std::uint64_t fallback_no_plan = 0;      ///< no compiled plan published
-  std::uint64_t fallback_unmergeable = 0;  ///< plan has merge blockers
 };
 
 class WorkerPool {
  public:
   /// Spawns `num_workers - 1` threads (the caller is the last executor);
-  /// `num_workers` is clamped to at least 1.
-  WorkerPool(FlyMonDataPlane& dp, unsigned num_workers);
+  /// `num_workers` is clamped to at least 1.  Reports into `registry`.
+  WorkerPool(FlyMonDataPlane& dp, unsigned num_workers,
+             telemetry::Registry& registry);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -95,18 +92,21 @@ class WorkerPool {
 
   /// Run a non-empty batch across all executors under a shard-mergeable
   /// `plan`, tracing the packets `sample` picks into `tracer` (if any).
-  /// Returns the packets run: all of them, or the whole-chunk prefix run
-  /// before a waiting control thread cut the job.
+  /// A traced run snapshots the replicas' `watch` cells at every chunk: a
+  /// sorted superset of plan.traced_cells(pkts, sample).  Returns the
+  /// packets run: all of them, or the whole-chunk prefix run before a
+  /// waiting control thread cut the job.
   std::size_t run(std::shared_ptr<const ExecPlan> plan,
                   std::span<const Packet> pkts, telemetry::TraceSample sample,
-                  telemetry::PacketTracer* tracer) FLYMON_REQUIRES(submit_mu_);
+                  telemetry::PacketTracer* tracer,
+                  std::span<const Cell> watch) FLYMON_REQUIRES(submit_mu_);
 
   /// True while a control thread waits for the submission lock: a
   /// sequential run under the pool stops at its next chunk seam.
   bool control_waiting() const { return control_.any(); }
 
-  /// Record a sequential batch: no plan (nullptr) or an unmergeable one.
-  void count_fallback(const ExecPlan* plan) FLYMON_REQUIRES(submit_mu_);
+  /// Record a sequential batch under an unmergeable `plan`.
+  void count_fallback(const ExecPlan& plan) FLYMON_REQUIRES(submit_mu_);
   /// Record a batch cut short for a waiting control thread.
   void count_preemption() FLYMON_REQUIRES(submit_mu_);
 
@@ -120,11 +120,11 @@ class WorkerPool {
 
   ParallelStats stats() const noexcept;
 
-  /// Cache handles into `registry` (fallback-reason counters, fence-wait
-  /// and shard-merge histograms) so the pool reports without per-event
-  /// registry lookups.  Pass nullptr to detach.  Serialises on the
-  /// submission lock, so it is safe against in-flight batches.
-  void bind_telemetry(telemetry::Registry* registry);
+  /// Cache handles into `registry` (fallback and merge-blocker counters,
+  /// fence-wait and shard-merge histograms) so the pool reports without
+  /// per-event registry lookups.  Serialises on the submission lock, so it
+  /// is safe against in-flight batches.  Construction binds once.
+  void bind_telemetry(telemetry::Registry& registry);
 
   /// RAII reconfiguration fence: holds the submission lock and merges all
   /// dirty shards under the (old) published plan, so the holder can
@@ -146,7 +146,7 @@ class WorkerPool {
     std::shared_ptr<const ExecPlan> plan;
     std::span<const Packet> pkts;
     telemetry::TraceSample sample;  ///< the batch's tracing decision
-    std::vector<Cell> watch;        ///< ExecPlan::traced_cells
+    std::span<const Cell> watch;    ///< traced cells; the submitter owns them
     std::size_t num_chunks = 0;
     /// Claim cursor + completion count; the memory-order contract lives
     /// with the template (protocol.hpp), shared with the model checker.
@@ -215,12 +215,12 @@ class WorkerPool {
   std::atomic<std::uint64_t> chunks_{0};
   std::atomic<std::uint64_t> merges_{0};
   std::atomic<std::uint64_t> preemptions_{0};
-  std::atomic<std::uint64_t> fallbacks_[2]{};  ///< no_plan, unmergeable
+  std::atomic<std::uint64_t> fallbacks_{0};
 
   // Telemetry handles, cached under submit_mu_ (written only by
   // bind_telemetry; read only by code already holding the lock).
-  telemetry::Counter* fallback_counters_[2] FLYMON_GUARDED_BY(submit_mu_) =
-      {};  ///< no_plan, unmergeable
+  telemetry::Counter* fallback_counter_ FLYMON_GUARDED_BY(submit_mu_) =
+      nullptr;
   telemetry::Counter* blocker_counters_[4] FLYMON_GUARDED_BY(submit_mu_) =
       {};  ///< per MergeBlockerKind
   telemetry::Counter* preemption_counter_ FLYMON_GUARDED_BY(submit_mu_) =

@@ -52,6 +52,12 @@ void IngestPump::run(std::stop_token stop) {
   std::uint64_t first_ts = 0;
   bool have_first_ts = false;
 
+  // Packets the pump pulled but will not enqueue: a full ring under kDrop,
+  // or a stop that cuts a batch short.
+  const auto drop = [&](std::size_t n) {
+    dropped_.fetch_add(n, std::memory_order_relaxed);
+    drops_ctr_->inc(n);
+  };
   // A source that throws ends the stream: the consumer rethrows the error
   // once it has drained what the ring already holds.
   try {
@@ -74,7 +80,10 @@ void IngestPump::run(std::stop_token stop) {
         std::unique_lock lock(mu);
         std::condition_variable_any().wait_until(lock, stop, due,
                                                  [] { return false; });
-        if (stop.stop_requested()) return;
+        if (stop.stop_requested()) {
+          drop(batch.size());
+          return;
+        }
       }
 
       std::span<const Packet> rest = batch;
@@ -86,12 +95,12 @@ void IngestPump::run(std::stop_token stop) {
           rest = rest.subspan(pushed);
           continue;
         }
-        if (cfg_.on_full == PumpConfig::FullPolicy::kDrop) {
-          dropped_.fetch_add(rest.size(), std::memory_order_relaxed);
-          drops_ctr_->inc(rest.size());
+        // kDrop sheds the tail; a stop unblocks stop() and sheds it too.
+        if (cfg_.on_full == PumpConfig::FullPolicy::kDrop ||
+            stop.stop_requested()) {
+          drop(rest.size());
           break;
         }
-        if (stop.stop_requested()) break;  // unblock stop()
         std::this_thread::yield();  // backpressure: wait for the consumer
       }
       occupancy_gauge_->set(static_cast<double>(ring_.occupancy()));

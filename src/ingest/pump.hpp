@@ -12,9 +12,11 @@
 //     the CI soak where zero drops are asserted), or
 //   - kDrop: counts the overflow tail as dropped and moves on — the
 //     behaviour of a real capture port with a slow consumer.
-// Either way the conservation law  produced == enqueued + dropped  holds
-// exactly at all times the producer is quiescent, and all three counts
-// are exported as telemetry (flymon_ingest_packets / _drops /
+// A stop() that cuts a batch short (during a pacing wait or kBlock
+// backpressure) counts the packets it leaves behind as dropped.  So the
+// conservation law  produced == enqueued + dropped  holds exactly at all
+// times the producer is quiescent, stopped early or not, and all three
+// counts are exported as telemetry (flymon_ingest_packets / _drops /
 // _ring_occupancy, labelled by source).
 #pragma once
 
@@ -59,7 +61,7 @@ struct PumpConfig {
 struct PumpStats {
   std::uint64_t produced = 0;   ///< pulled from the source
   std::uint64_t enqueued = 0;   ///< accepted by the ring
-  std::uint64_t dropped = 0;    ///< rejected by a full ring (kDrop only)
+  std::uint64_t dropped = 0;    ///< full ring (kDrop), or cut off by stop()
   std::size_t ring_occupancy = 0;
   bool running = false;         ///< producer thread alive
   bool finished = false;        ///< source drained (or stop() requested)

@@ -58,7 +58,8 @@ struct TraceRecord {
 /// One batch's sampling decision, taken once before the batch runs: its
 /// packets are seq first_seq, first_seq + 1, ... in arrival order, and
 /// packet seq is traced when seq % every == 0.  Every execution path of
-/// the batch (interpreted, compiled, sharded) reads the same decision.
+/// the batch (compiled, sharded, the interpreted referee) reads the same
+/// decision.
 struct TraceSample {
   std::uint64_t first_seq = 0;
   std::uint64_t every = 0;  ///< 0 = no tracer attached

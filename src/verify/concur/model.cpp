@@ -16,11 +16,14 @@ namespace {
 /// on.  Immutable after construction; publication order is what the
 /// model probes, so the fields need no instrumentation of their own (the
 /// kTornPublish mutation demonstrates tearing through dedicated vars).
+/// Generation 0 is the construction-time plan, the only one with no
+/// entries.
 struct ModelPlan {
   ModelPlan(std::uint64_t g, bool b) : gen(g), bad(b) {}
   std::uint64_t gen;
   bool bad;
   std::uint64_t generation() const noexcept { return gen; }
+  bool empty() const noexcept { return gen == 0; }
 };
 
 using SimPlanCell = exec::BasicPlanCell<SimSync, const ModelPlan>;
@@ -34,7 +37,6 @@ struct Ghost {
   std::uint64_t produced = 0;
   std::uint64_t merged = 0;
   std::uint64_t discarded = 0;
-  bool published = false;  ///< some plan has been stored
   std::uint64_t serving = 0;  ///< generation of the stored plan
   /// Per job: its batch, its first chunk within the batch, its plan.
   struct Job {
@@ -110,6 +112,8 @@ struct Model {
     }
     ghost.jobs.resize(static_cast<std::size_t>(max_jobs));
     ghost.runs.assign(static_cast<std::size_t>(cfg.batches * cfg.chunks), 0);
+    // The data plane publishes the empty deployment's plan at construction.
+    cell.store(std::make_shared<const ModelPlan>(0, false));
   }
 
   const ModelConfig cfg;
@@ -255,9 +259,9 @@ void publisher_main(Model& m) {
         [[fallthrough]];
       default:
         exec::fold_dirty_shards<ModelShard, const ModelPlan>(m.shard_ptrs,
-                                                             old.get());
+                                                             *old);
     }
-    if (m.cfg.mutation == Mutation::kDoubleFold && old != nullptr) {
+    if (m.cfg.mutation == Mutation::kDoubleFold) {
       for (ModelShard* s : m.shard_ptrs) s->merge_into(*old);
     }
     // --- RCU publish of the checked plan.
@@ -272,7 +276,6 @@ void publisher_main(Model& m) {
       // the rollback restores the previous one.
       m.cell.store(old);
     } else {
-      m.ghost.published = true;
       m.ghost.serving = gen;
     }
     m.submit_mu.unlock();
@@ -292,17 +295,19 @@ void collector_main(Model& m) {
       sim::check(lo == hi, "torn plan publication observed");
     }
     std::shared_ptr<const ModelPlan> p = m.cell.load();
-    if (p != nullptr) {
-      sim::check(!p->bad, "rejected plan observed by a reader");
-      sim::check(p->generation() >= last_seen,
-                 "observer saw the plan generation move backwards");
-      last_seen = p->generation();
-    }
+    sim::check(p != nullptr, "observer found no plan");
+    sim::check(!p->bad, "rejected plan observed by a reader");
+    sim::check(p->generation() >= last_seen,
+               "observer saw the plan generation move backwards");
+    last_seen = p->generation();
   }
 }
 
-/// process_pooled: each batch runs as one job per hold of submit_mu, until
-/// a preempting fence stops cutting it short.
+/// process_pooled: each batch runs as one piece per hold of submit_mu,
+/// until a preempting fence stops cutting it short.  A piece under the
+/// empty plan runs inline on the live registers (run_plan), stopping at
+/// the first chunk seam where a control thread waits; any other piece is
+/// a job across the executors.
 void submitter_and_shutdown(Model& m) {
   std::uint64_t last_gen = 0;
   std::uint64_t published_jobs = 0;
@@ -312,19 +317,18 @@ void submitter_and_shutdown(Model& m) {
     for (std::size_t done = 0; done < chunks;) {
       m.submit_mu.lock();
       std::shared_ptr<const ModelPlan> plan = m.cell.load();
-      if (plan == nullptr) {
-        // Bootstrap before the first publish: the rest of the batch is
-        // interpreted and bypasses the shards entirely.
-        sim::check(!m.ghost.published,
-                   "batch found no plan after one was published");
-        for (; done < chunks; ++done) runs[done] += 1;
-        m.submit_mu.unlock();
-        continue;
-      }
+      sim::check(plan != nullptr, "batch found no plan");
       sim::check(!plan->bad, "batch executed under a rejected plan");
       sim::check(plan->generation() >= last_gen,
                  "submitter saw the plan generation move backwards");
       last_gen = plan->generation();
+      if (plan->empty()) {
+        do {
+          runs[done++] += 1;
+        } while (done < chunks && !m.control.any());
+        m.submit_mu.unlock();
+        continue;
+      }
 
       const auto job = static_cast<std::size_t>(published_jobs);
       m.ghost.jobs[job] = {b, done, plan->generation()};
@@ -386,7 +390,7 @@ void model_body(const ModelConfig& cfg) {
   {
     std::shared_ptr<const ModelPlan> plan = m.cell.load();
     exec::fold_dirty_shards<ModelShard, const ModelPlan>(m.shard_ptrs,
-                                                         plan.get());
+                                                         *plan);
   }
   m.submit_mu.unlock();
 
@@ -468,7 +472,7 @@ ModelConfig clean_acceptance_config() {
   cfg.workers = 2;
   cfg.publishes = 2;
   // One batch keeps the sleep-set-reduced state space exhaustively
-  // explorable inside the CI budget (142,810 executions, ~25 s); the fence,
+  // explorable inside the CI budget (147,273 executions, ~16 s); the fence,
   // fold, cut and re-publish all occur per publish, not per batch.  The
   // collector stays out: with the preempting fence it pushes this
   // scenario past 1.7M executions.  ConcurModel's tests run it against

@@ -19,9 +19,10 @@
 //       shard is folded exactly once, under the plan its deltas were
 //       produced under (never discarded on the publish path);
 //   I4  counter-delta conservation — every produced delta is merged;
-//   I5  a rejected plan is never stored, so nobody observes it, and once
-//       a plan is published the previous one keeps serving through a
-//       rejection (no batch ever finds the cell empty again);
+//   I5  a rejected plan is never stored, so nobody observes it, and the
+//       previous plan keeps serving through a rejection; the cell starts
+//       with the construction-time plan (generation 0), so every batch
+//       and observer finds a plan;
 //   I6  no data race on any shard or job field (vector-clock checked);
 //   I7  no deadlock and no lost wakeup (structural, from the scheduler);
 //   I8  every packet of a batch runs exactly once however often fences

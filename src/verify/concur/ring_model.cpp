@@ -56,6 +56,7 @@ void ring_body(const RingModelConfig& cfg) {
   ingest::BasicSpscRing<SimSync, std::uint64_t, O> ring(cfg.capacity);
   Ghost ghost;
   SimPlanCell cell{"exec.plan_cell"};
+  cell.store(std::make_shared<const RingPlan>(0));  // construction-time plan
 
   sim::thread producer([&] {
     std::uint64_t next = 1;
@@ -96,12 +97,10 @@ void ring_body(const RingModelConfig& cfg) {
     for (std::size_t i = 0; i < n; ++i) ghost.popped.push_back(buf[i]);
     if (cfg.republish) {
       std::shared_ptr<const RingPlan> p = cell.load();
-      if (p != nullptr) {
-        sim::check(p->generation() >= last_gen,
-                   "consumer saw the plan generation move backwards while "
-                   "the ring churned");
-        last_gen = p->generation();
-      }
+      sim::check(p->generation() >= last_gen,
+                 "consumer saw the plan generation move backwards while "
+                 "the ring churned");
+      last_gen = p->generation();
     }
   }
 

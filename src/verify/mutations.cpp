@@ -450,9 +450,6 @@ VerifyReport verify_mutated_plan(const PlanMutation& m) {
   deploy_base_scenario(ctl);  // every add_task republishes the plan
   const auto plan =
       std::const_pointer_cast<exec::ExecPlan>(dp.current_plan());
-  if (plan == nullptr) {
-    throw std::logic_error("plan mutation harness: no published plan");
-  }
   m.apply(*plan);
   // Re-sync the SoA hot arrays so the miscompile lands in the layout the
   // batch path executes — the validator must catch it there too, not only
@@ -475,9 +472,7 @@ SelfTestResult run_mutation_self_test(std::string_view name_prefix) {
     // The published compiled plan must also translate clean — the plan
     // mutations below only prove detection if the unmutated plan doesn't
     // already diagnose.
-    if (const auto compiled = dp.current_plan(); compiled != nullptr) {
-      report.merge(validate_plan(dp, *compiled));
-    }
+    report.merge(validate_plan(dp, *dp.current_plan()));
     result.baseline_clean = report.empty();
     result.baseline_diagnostics = report.format();
   }

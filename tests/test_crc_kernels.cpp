@@ -252,9 +252,8 @@ TEST(CrcKernelGolden, ForcedScalarBatchMatchesDispatchedByteForByte) {
   ASSERT_NO_FATAL_FAILURE(deploy_mix(wd.ctl));
   ASSERT_NO_FATAL_FAILURE(deploy_mix(ws.ctl));
 
-  // Interpreted, CPU-default dispatch.
-  wi.dp.unpublish_plan();
-  for (const Packet& p : trace) wi.dp.process(p);
+  // The interpreted referee, CPU-default dispatch.
+  wi.dp.interpret_batch(trace);
 
   // Compiled + batched, CPU-default dispatch.
   ASSERT_GT(wd.dp.process_batch(trace), 0u);

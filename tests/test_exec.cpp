@@ -52,12 +52,9 @@ struct World {
 };
 
 /// Recompile the deployment with the published plan's ownership labels
-/// (none when nothing is published) and publish it; returns its generation.
+/// and publish it; returns its generation.
 std::uint64_t republish(FlyMonDataPlane& dp) {
-  const auto cur = dp.current_plan();
-  return dp.publish_plan(dp.compile_plan(
-      cur != nullptr ? std::span<const exec::EntryOwnership>(cur->ownership())
-                     : std::span<const exec::EntryOwnership>{}));
+  return dp.publish_plan(dp.compile_plan(dp.current_plan()->ownership()));
 }
 
 std::vector<Packet> make_trace(std::size_t flows, std::size_t pkts,
@@ -237,10 +234,8 @@ TEST(ExecGolden, CompiledAndBatchedMatchInterpretedByteForByte) {
   ASSERT_NO_FATAL_FAILURE(deploy_mix(wc.ctl));
   ASSERT_NO_FATAL_FAILURE(deploy_mix(wb.ctl));
 
-  // World A: interpreted per-packet path (plan dropped).
-  wi.dp.unpublish_plan();
-  ASSERT_EQ(wi.dp.plan_generation(), 0u);
-  for (const Packet& p : trace) wi.dp.process(p);
+  // World A: the interpreted referee, per packet.
+  for (const Packet& p : trace) wi.dp.interpret_batch({&p, 1});
 
   // World B: compiled path, one packet at a time.
   ASSERT_GT(wc.dp.plan_generation(), 0u);
@@ -376,9 +371,8 @@ TEST(ExecTracer, RecordsMatchInterpretedRefereeOnEveryPath) {
 
   for (const Case& tc : cases) {
     SCOPED_TRACE(tc.name);
-    // The interpreted referee, one packet at a time with no plan.  Before
-    // dropping its plan, the translation validator (lane audit included)
-    // must accept it.
+    // The interpreted referee, one packet at a time.  The translation
+    // validator (lane audit included) must accept the world's plan.
     World wi;
     ASSERT_NO_FATAL_FAILURE(tc.deploy(wi.ctl));
     const auto plan = wi.dp.current_plan();
@@ -387,10 +381,8 @@ TEST(ExecTracer, RecordsMatchInterpretedRefereeOnEveryPath) {
     verify::translate::validate_translation(wi.dp, *plan, report);
     EXPECT_FALSE(report.has_errors()) << report.format();
     EXPECT_FALSE(report.has_check("translate.lane")) << report.format();
-    wi.dp.unpublish_plan();
     telemetry::PacketTracer ti(1024, kEvery);
-    wi.dp.set_tracer(&ti);
-    for (const Packet& p : trace) wi.dp.process(p);
+    for (const Packet& p : trace) wi.dp.interpret_batch({&p, 1}, &ti);
     const auto referee = ti.records();
     ASSERT_EQ(referee.size(), (trace.size() + kEvery - 1) / kEvery);
 
@@ -442,14 +434,16 @@ TEST(ExecTracer, RecordsMatchInterpretedRefereeOnEveryPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan lifecycle: generations advance with every reconfiguration, unpublish
-// reverts to interpreted execution.
+// Plan lifecycle: an empty generation-0 plan serves from construction, and
+// generations advance with every reconfiguration.
 // ---------------------------------------------------------------------------
 
 TEST(ExecPlanApi, GenerationAdvancesAcrossReconfiguration) {
   World w;
   EXPECT_EQ(w.dp.plan_generation(), 0u);
-  EXPECT_EQ(w.dp.current_plan(), nullptr);
+  ASSERT_NE(w.dp.current_plan(), nullptr);
+  EXPECT_EQ(w.dp.current_plan()->generation(), 0u);
+  EXPECT_EQ(w.dp.current_plan()->num_entries(), 0u);
 
   ASSERT_NO_FATAL_FAILURE(deploy_cms(w.ctl, "first"));
   const std::uint64_t g1 = w.dp.plan_generation();
@@ -490,10 +484,10 @@ TEST(ExecPlanApi, GenerationAdvancesAcrossReconfiguration) {
   // publishes, readers holding it keep a consistent view.
   EXPECT_EQ(plan->generation(), g1);
 
-  w.dp.unpublish_plan();
-  EXPECT_EQ(w.dp.plan_generation(), 0u);
+  // The referee runs beside the plan without touching it.
   const std::vector<Packet> trace = make_trace(10, 32, 5);
-  EXPECT_EQ(w.dp.process_batch(trace), 0u);  // interpreted fallback
+  w.dp.interpret_batch(trace);
+  EXPECT_EQ(w.dp.plan_generation(), g4);
   EXPECT_EQ(w.dp.packets_processed(), trace.size());
 
   EXPECT_GT(republish(w.dp), g4);
@@ -565,6 +559,37 @@ TEST(ExecRcu, PlanSwapUnderConcurrentReconfigIsRaceFree) {
   // Deploy + kChurn * (add publish + remove publish) at minimum.
   EXPECT_GE(w.dp.plan_generation(), 1u + 2u * kChurn);
   EXPECT_EQ(w.dp.packets_processed(), batches * trace.size());
+}
+
+// The first tasks land while traffic runs on an unpooled data plane.  The
+// packet thread only ever runs published plans, so it never reads the Cmu
+// entries and hash masks the controller stages (ThreadSanitizer checks
+// this).  Batches that start after the adds return match the referee.
+TEST(ExecRcu, FirstTasksAddedUnderTrafficAreRaceFree) {
+  World w, ref;
+  const std::vector<Packet> trace = make_trace(256, 2048, 21);
+  constexpr int kAfter = 4;
+
+  std::atomic<bool> running{false}, added{false};
+  std::thread proc([&] {
+    for (int after = 0; after < kAfter;) {
+      if (added.load(std::memory_order_acquire)) {
+        // Every batch from here on runs under the final plan.
+        if (after == 0) w.dp.clear_registers();
+        ++after;
+      }
+      w.dp.process_batch(trace);
+      running.store(true, std::memory_order_release);
+    }
+  });
+  while (!running.load(std::memory_order_acquire)) std::this_thread::yield();
+  EXPECT_NO_FATAL_FAILURE(deploy_mix(w.ctl));
+  added.store(true, std::memory_order_release);
+  proc.join();
+
+  ASSERT_NO_FATAL_FAILURE(deploy_mix(ref.ctl));
+  for (int i = 0; i < kAfter; ++i) ref.dp.interpret_batch(trace);
+  expect_identical_registers(ref.dp, w.dp, "batches after the first adds");
 }
 
 // ---------------------------------------------------------------------------

@@ -399,8 +399,45 @@ TEST(IngestPump, StopIsPromptDuringAPacingSleep) {
   pump.stop();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
   EXPECT_TRUE(pump.finished());
-  EXPECT_EQ(pump.stats().enqueued, 1u) << "the stopped pump never paced in "
-                                          "the second packet";
+  const ingest::PumpStats s = pump.stats();
+  EXPECT_EQ(s.enqueued, 1u) << "the stopped pump never paced in the second "
+                               "packet";
+  EXPECT_EQ(s.dropped, 1u) << "the packet the stop cut off counts as dropped";
+  EXPECT_EQ(s.produced, s.enqueued + s.dropped) << "conservation law";
+}
+
+// A stop while kBlock backpressure holds a batch: the pump returns at once,
+// and the part of the batch the full ring never took counts as dropped.
+TEST(IngestPump, StopDuringBackpressureCountsTheRestAsDropped) {
+  EnabledGuard on(true);
+  telemetry::Registry registry;
+  const std::vector<Packet> trace = make_trace(64, 64, 2);
+  ingest::MemorySource source{std::span<const Packet>(trace)};
+  ingest::PumpConfig cfg;
+  cfg.registry = &registry;
+  cfg.ring_capacity = 8;
+  cfg.batch = 12;  // the first batch overfills the ring by 4
+  cfg.source_label = "blocked";
+  ingest::IngestPump pump(source, cfg);
+  pump.start();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((pump.stats().produced < 12 || pump.stats().enqueued < 8) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(pump.stats().enqueued, 8u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  pump.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_TRUE(pump.finished());
+  const ingest::PumpStats s = pump.stats();
+  EXPECT_EQ(s.produced, 12u);
+  EXPECT_EQ(s.enqueued, 8u);
+  EXPECT_EQ(s.dropped, 4u);
+  EXPECT_EQ(s.produced, s.enqueued + s.dropped) << "conservation law";
+  const telemetry::Labels labels{{"source", "blocked"}};
+  EXPECT_EQ(registry.counter("flymon_ingest_drops", labels).value(), 4u);
 }
 
 // ---------------------------------------------------------------------------

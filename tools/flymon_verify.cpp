@@ -271,10 +271,6 @@ int main(int argc, char** argv) {
     // deploys above recompiled after every add, so current_plan() is the
     // plan that would serve traffic right now.
     const auto plan = dp.current_plan();
-    if (plan == nullptr) {
-      std::cerr << "error: scenario published no compiled plan\n";
-      return 1;
-    }
     const flymon::verify::VerifyReport report =
         flymon::verify::validate_plan(dp, *plan);
     std::cout << report.format();
