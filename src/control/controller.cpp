@@ -188,7 +188,7 @@ std::optional<CompressedKeySelector> Controller::ensure_selector(
 
 void Controller::ref_units(unsigned group, const CmuTaskEntry& e, bool add) {
   // A unit whose count drops to zero stays configured until
-  // gc_unreferenced_units(), so a rollback can reattach an entry reading it.
+  // gc_unreferenced_units().
   const bool param = e.p1.source == ParamSelect::Source::kCompressedKey;
   for (const std::int8_t unit : {e.key_sel.unit_a, e.key_sel.unit_b,
                                  param ? e.p1.key_sel.unit_a : std::int8_t{-1},
@@ -246,9 +246,7 @@ DeployResult Controller::resize_task(std::uint32_t id, std::uint32_t new_buckets
   trace::Span span("ctl.resize_task", id);
   TaskSpec spec = it->second.spec;
   spec.memory_buckets = new_buckets;
-  DeployResult r = reconfigure({spec}, id).front();
-  if (r.ok) resizes_counter_->inc();
-  return r;
+  return reconfigure({spec}, id).front();
 }
 
 std::pair<DeployResult, DeployResult> Controller::split_task(std::uint32_t id) {
@@ -281,16 +279,15 @@ std::pair<DeployResult, DeployResult> Controller::split_task(std::uint32_t id) {
   return {r[0], r[1]};
 }
 
-ApplyResult Controller::apply(const PlanOp& op, std::string_view label) {
-  const std::string task = std::string(label) + " ";
+ApplyResult Controller::apply(const PlanOp& op) {
   DeployResult r;
   switch (op.kind) {
     case PlanOp::Kind::kAdd:
       r = add_task(op.spec);
-      return {r.ok, r.ok ? "deployed as " + task + std::to_string(r.task_id) : r.error};
+      return {r.ok, r.ok ? "deployed as task " + std::to_string(r.task_id) : r.error};
     case PlanOp::Kind::kRemove:
       if (tasks_.count(op.task_id) == 0) {
-        return {false, "unknown " + task + std::to_string(op.task_id)};
+        return {false, "unknown task " + std::to_string(op.task_id)};
       }
       if (remove_task(op.task_id)) return {true, "removed"};
       return {false, "paranoid verify rejected removal:\n" + last_verify_errors_};
@@ -300,8 +297,7 @@ ApplyResult Controller::apply(const PlanOp& op, std::string_view label) {
                          : r.error};
     case PlanOp::Kind::kSplit: {
       const auto [lo, hi] = split_task(op.task_id);
-      return {lo.ok, lo.ok ? "split into " + std::string(label) + "s " +
-                                 std::to_string(lo.task_id) + " + " +
+      return {lo.ok, lo.ok ? "split into tasks " + std::to_string(lo.task_id) + " + " +
                                  std::to_string(hi.task_id)
                            : lo.error};
     }
@@ -309,63 +305,78 @@ ApplyResult Controller::apply(const PlanOp& op, std::string_view label) {
   return {false, "unknown op"};
 }
 
-std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& stage,
-                                                  std::uint32_t retire) {
-  // Fold outstanding shard deltas before staging clears or reuses cells:
-  // merge-after-clear would resurrect pre-reconfiguration state.  Deltas
-  // that traffic adds later target only the published plan's cells, and
-  // the publish fence folds them.
-  dp_->merge_shards();
-  const std::uint32_t first_id = next_id_;
-  std::vector<DeployResult> results;
-  decltype(tasks_)::node_type retired;
-  std::vector<DetachedEntry> detached;
-  // The hash-unit configuration a rollback restores: staging and the sweep
-  // before the compile both clear units nothing references.
-  std::vector<std::optional<FlowKeySpec>> units;
+Controller::Checkpoint Controller::checkpoint() const {
+  Checkpoint cp{tasks_, allocators_, unit_refs_, next_id_, next_phys_, next_chain_,
+                last_verify_errors_, {}, {}};
   for (unsigned g = 0; g < dp_->num_groups(); ++g) {
-    const CompressionStage& comp = dp_->group(g).compression();
-    for (unsigned u = 0; u < comp.num_units(); ++u) units.push_back(comp.spec_of(u));
-  }
-
-  // Undo everything in reverse: reinstall the retired task while the
-  // staged instances still reference any hash unit it shares, unwind the
-  // staged instances, then restore the hash units.  The data plane ends
-  // byte-identical and the published plan keeps serving.
-  const auto rollback = [&](std::string error) {
-    reattach(detached);
-    tasks_.insert(std::move(retired));
-    for (std::uint32_t id = next_id_; id-- > first_id;) {
-      undo_deployment(tasks_.at(id));
-      tasks_.erase(id);
+    const CmuGroup& grp = dp_->group(g);
+    auto& units = cp.units.emplace_back();
+    for (unsigned u = 0; u < grp.compression().num_units(); ++u) {
+      units.push_back(grp.compression().spec_of(u));
     }
-    std::size_t i = 0;
-    for (unsigned g = 0; g < dp_->num_groups(); ++g) {
-      CompressionStage& comp = dp_->group(g).compression();
-      for (unsigned u = 0; u < comp.num_units(); ++u, ++i) {
-        if (units[i]) {
-          comp.configure(u, *units[i]);
-        } else {
-          comp.clear_unit(u);
-        }
+    auto& cmus = cp.cmus.emplace_back();
+    for (unsigned c = 0; c < grp.num_cmus(); ++c) cmus.push_back(grp.cmu(c).staging());
+  }
+  return cp;
+}
+
+void Controller::restore(Checkpoint cp) {
+  tasks_ = std::move(cp.tasks);
+  allocators_ = std::move(cp.allocators);
+  unit_refs_ = std::move(cp.unit_refs);
+  next_id_ = cp.next_id;
+  next_phys_ = cp.next_phys;
+  next_chain_ = cp.next_chain;
+  last_verify_errors_ = std::move(cp.last_verify_errors);
+  for (unsigned g = 0; g < dp_->num_groups(); ++g) {
+    CmuGroup& grp = dp_->group(g);
+    CompressionStage& comp = grp.compression();
+    for (unsigned u = 0; u < comp.num_units(); ++u) {
+      const std::optional<FlowKeySpec>& spec = cp.units[g][u];
+      if (spec == comp.spec_of(u)) continue;
+      if (spec) {
+        comp.configure(u, *spec);
+      } else {
+        comp.clear_unit(u);
       }
     }
-    next_id_ = first_id;
-    deploy_failures_counter_->inc();
+    for (unsigned c = 0; c < grp.num_cmus(); ++c) grp.cmu(c).restore(std::move(cp.cmus[g][c]));
+  }
+}
+
+std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& stage,
+                                                  std::uint32_t retire) {
+  const std::uint32_t first_id = next_id_;
+  trace::Span saving("ctl.checkpoint");
+  Checkpoint cp = checkpoint();
+  saving.close();
+  // Every exit that does not publish restores the checkpoint: the data
+  // plane ends byte-identical and the published plan keeps serving.
+  const auto reject = [&](std::string error) {
+    restore(std::move(cp));
+    if (!dry_run_) deploy_failures_counter_->inc();
     DeployResult r;
     r.error = std::move(error);
     return std::vector<DeployResult>{r};
   };
 
+  std::vector<DeployResult> results;
   for (const TaskSpec& spec : stage) {
-    DeployResult r = deploy(spec, next_id_);
-    if (!r.ok) return rollback(std::move(r.error));
+    DeployResult r;
+    try {
+      r = deploy(spec, next_id_);
+    } catch (const std::exception& ex) {
+      // No task-mutation path may leak an exception mid-operation.
+      return reject(std::string("deployment aborted: ") + ex.what());
+    }
+    if (!r.ok) return reject(std::move(r.error));
     ++next_id_;
     results.push_back(std::move(r));
   }
+  decltype(tasks_)::node_type retired;
   if (retire != 0) {
     retired = tasks_.extract(retire);
-    detached = detach(retired.mapped());
+    detach(retired.mapped());
   }
   // The candidate plan is the final deployment, exactly as it will be
   // published: no unreferenced hash unit, and a one-for-one replacement
@@ -376,7 +387,9 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
   for (exec::EntryOwnership& o : owners) {
     if (rekey && o.task_id == first_id) o.task_id = retire;
   }
-  std::shared_ptr<const exec::ExecPlan> candidate = dp_->compile_plan(owners);
+  // A dry run compiles outside the generation sequence.
+  std::shared_ptr<const exec::ExecPlan> candidate =
+      dry_run_ ? exec::PlanCompiler::compile(*dp_, owners, 0) : dp_->compile_plan(owners);
   if (paranoid_) {
     // One gate on the final state and its plan covers the whole
     // reconfiguration.  A pure removal stages nothing to undo, so its
@@ -386,15 +399,36 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     gate.close();
     last_verify_errors_ = verdict.errors;
     if (!verdict.errors.empty() && (!stage.empty() || verdict.plan_errors)) {
-      return rollback("paranoid verify rejected deployment:\n" + last_verify_errors_);
+      cp.last_verify_errors = verdict.errors;  // the verdict outlives the rollback
+      return reject("paranoid verify rejected deployment:\n" + verdict.errors);
     }
   }
 
+  if (!dry_run_) {
+    // Zero cells only here, past every exit that does not publish, after
+    // folding outstanding shard deltas (merge-after-clear would resurrect
+    // them).  The publish fence folds deltas traffic adds meanwhile into
+    // the retired cells, so a freed partition can still hold counts; a
+    // staged one starts from zero regardless.
+    trace::Span zeroing("ctl.zero");
+    dp_->merge_shards();
+    const auto zero = [&](const DeployedTask& t) {
+      for (const RowPlacement& row : t.rows) {
+        for (const UnitPlacement& up : row.units) {
+          dp_->group(up.group).cmu(up.cmu).clear_partition(up.partition,
+                                                           cp.cmus[up.group][up.cmu]);
+        }
+      }
+    };
+    if (retired) zero(retired.mapped());
+    for (std::uint32_t id = first_id; id < next_id_; ++id) zero(tasks_.at(id));
+  }
+  // The commit's bookkeeping, which a dry run shares so that later ops of
+  // its batch see the same memory and ids.
   if (retired) {
     trace::Span reclaim("ctl.reclaim", retire);
     release(retired.mapped());
     reclaim.close();
-    removals_counter_->inc();
     if (rekey) {
       auto node = tasks_.extract(first_id);
       node.key() = retire;
@@ -404,40 +438,30 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
       results.front().task_id = retire;
     }
   }
+  if (dry_run_) return results;
+  if (retired) removals_counter_->inc();
+  if (rekey) resizes_counter_->inc();
   deploys_counter_->inc(stage.size());
   dp_->publish_plan(std::move(candidate));
   return results;
 }
 
-std::vector<Controller::DetachedEntry> Controller::detach(const DeployedTask& t) {
-  std::vector<DetachedEntry> out;
+void Controller::detach(const DeployedTask& t) {
   for (const RowPlacement& row : t.rows) {
     for (const UnitPlacement& up : row.units) {
       Cmu& cmu = dp_->group(up.group).cmu(up.cmu);
       const CmuTaskEntry* e = cmu.find(up.phys_id);
       if (e == nullptr) continue;
       ref_units(up.group, *e, false);
-      out.push_back({up.group, up.cmu, *e});
       cmu.remove(up.phys_id);
     }
-  }
-  return out;
-}
-
-void Controller::reattach(const std::vector<DetachedEntry>& entries) {
-  for (const DetachedEntry& d : entries) {
-    dp_->group(d.group).cmu(d.cmu).install(d.entry);
-    ref_units(d.group, d.entry, true);
   }
 }
 
 void Controller::release(DeployedTask& t) {
   for (const RowPlacement& row : t.rows) {
     for (const UnitPlacement& up : row.units) {
-      if (up.partition.size == 0) continue;
-      dp_->group(up.group).cmu(up.cmu).reg().clear_range(up.partition.base,
-                                                         up.partition.end());
-      allocator(up.group, up.cmu).release(up.partition);
+      if (up.partition.size != 0) allocator(up.group, up.cmu).release(up.partition);
     }
   }
   t.rows.clear();
@@ -455,23 +479,6 @@ void Controller::gc_unreferenced_units() {
         comp.clear_unit(u);
       }
     }
-  }
-}
-
-DeployResult Controller::deploy(const TaskSpec& spec, std::uint32_t public_id) {
-  trace::Span span("ctl.deploy", public_id);
-  DeployedTask staged;
-  try {
-    return deploy_impl(spec, public_id, staged);
-  } catch (const std::exception& ex) {
-    // No task-mutation path may leak an exception mid-operation: undo every
-    // unit/partition staged so far so the data plane is byte-identical to
-    // its pre-deploy state, then fail the result instead.
-    undo_deployment(staged);
-    tasks_.erase(public_id);
-    DeployResult result;
-    result.error = std::string("deployment aborted: ") + ex.what();
-    return result;
   }
 }
 
@@ -620,17 +627,13 @@ std::optional<UnitPlacement> Controller::place_unit(const DeployedTask& t, unsig
     allocator(g, c).release(*part);
     return std::nullopt;
   }
-  // A freed partition can still hold counts: a batch submitted between a
-  // removal's merge and its publish fence folds into it after the
-  // removal's clear.  A new task starts from zero regardless.
-  cmu.clear_partition(*part);
   cmu.install(e);
   ref_units(g, e, true);
   return UnitPlacement{g, c, next_phys_++, *part};
 }
 
-DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_id,
-                                     DeployedTask& t) {
+DeployResult Controller::deploy(const TaskSpec& spec, std::uint32_t public_id) {
+  trace::Span span("ctl.deploy", public_id);
   DeployResult result;
   if (effective_key(spec).empty()) {
     result.error = "task has neither a key nor a key-valued parameter";
@@ -638,6 +641,7 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
   }
   const Algorithm algo = resolve_algorithm(spec);
   const unsigned rows = std::min(std::max(1u, spec.rows), 3u);
+  DeployedTask t;
   t.id = public_id;
   t.spec = spec;
   t.algorithm = algo;
@@ -745,10 +749,10 @@ DeployResult Controller::deploy_impl(const TaskSpec& spec, std::uint32_t public_
   t.report.hash_mask_rules = masks;
   t.report.groups_used = is_chained(algo) ? t.report.cmus_used : 1;  // one per chained unit
   t.cumulative_delay_ms = t.report.delay_ms();
-  tasks_[public_id] = t;
   result.ok = true;
   result.task_id = public_id;
   result.report = t.report;
+  tasks_[public_id] = std::move(t);
   return result;
 }
 

@@ -9,7 +9,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -79,10 +78,10 @@ struct DeployResult {
   DeploymentReport report;
 };
 
-/// One staged reconfiguration operation for Controller::plan() — the
-/// dry-run planner replays it against a shadow world without touching the
-/// live data plane; Controller::apply() runs it for real.  `task_id` refers
-/// to a *live* public task id; the planner maps it onto the shadow replica.
+/// One staged reconfiguration operation.  Controller::apply() runs it;
+/// Controller::plan() runs a batch of them the same way and then undoes
+/// it.  `task_id` is a public task id, which may be one an earlier op of
+/// the same batch minted.
 struct PlanOp {
   enum class Kind : std::uint8_t { kAdd, kRemove, kResize, kSplit };
   Kind kind = Kind::kAdd;
@@ -129,8 +128,8 @@ class Controller {
   std::pair<DeployResult, DeployResult> split_task(std::uint32_t id);
 
   /// Run one PlanOp through the matching operation above.  `detail` names
-  /// the tasks the op created "<label> N" ("deployed as task 4").
-  ApplyResult apply(const PlanOp& op, std::string_view label = "task");
+  /// the tasks the op created ("deployed as task 4").
+  ApplyResult apply(const PlanOp& op);
 
   const DeployedTask* task(std::uint32_t id) const noexcept;
   std::size_t num_tasks() const noexcept { return tasks_.size(); }
@@ -176,12 +175,14 @@ class Controller {
   /// failed (empty when the last check was clean or paranoid mode is off).
   const std::string& last_verify_errors() const noexcept { return last_verify_errors_; }
 
-  /// Dry-run a batch of reconfiguration ops against a cloned shadow world:
-  /// replay the live tasks, apply the ops, run every analyzer, and return
-  /// the combined diagnostics.  The live data plane is never touched — the
-  /// shadow has its own FlyMonDataPlane, Controller and telemetry registry
-  /// (implemented in src/verify/planner.cpp).
-  verify::PlanResult plan(const std::vector<PlanOp>& ops) const;
+  /// Dry-run a batch of reconfiguration ops: apply them on this controller
+  /// exactly as a commit would, up to and including the paranoid gate,
+  /// stopping at the first failure; compile the result once and run every
+  /// analyzer on it; then restore the controller from one checkpoint.  A
+  /// dry run writes no register cell, moves no counter, consumes no task
+  /// id or plan generation and publishes nothing, so traffic may run
+  /// throughout (implemented in src/verify/planner.cpp).
+  verify::PlanResult plan(const std::vector<PlanOp>& ops);
 
   // ---- control-plane readout ----
   /// Frequency / Max estimate for one flow (min across rows).
@@ -246,29 +247,42 @@ class Controller {
   /// Ownership labels of every installed entry, derived from tasks_ (used
   /// to tag compiled-plan entries with public task ids).
   std::vector<exec::EntryOwnership> entry_ownership() const;
-  /// A CMU entry detach() uninstalled, kept so a rollback can reinstall it.
-  struct DetachedEntry { unsigned group, cmu; CmuTaskEntry entry; };
+  /// Everything a reconfiguration changes outside the register banks: the
+  /// task table, allocators, hash-unit references and specs, every CMU's
+  /// installed entries and SALU slots, the id counters and the last gate
+  /// verdict.
+  struct Checkpoint {
+    std::map<std::uint32_t, DeployedTask> tasks;
+    std::map<std::pair<unsigned, unsigned>, BuddyAllocator> allocators;
+    std::map<std::pair<unsigned, unsigned>, unsigned> unit_refs;
+    std::uint32_t next_id = 0, next_phys = 0, next_chain = 0;
+    std::string last_verify_errors;
+    std::vector<std::vector<std::optional<FlowKeySpec>>> units;  ///< [group][unit]
+    std::vector<std::vector<Cmu::Staging>> cmus;                 ///< [group][cmu]
+  };
+  Checkpoint checkpoint() const;
+  /// Put the controller and the data plane's staging state back exactly.
+  /// The published plan and the register banks are not part of it.
+  void restore(Checkpoint cp);
 
-  /// The transaction behind add/remove/resize/split: merge shards; deploy
-  /// `stage` under fresh ids; detach task `retire` (0 = none) and clear the
-  /// hash units nothing references any more; compile the candidate plan
-  /// once; run the paranoid gate on it; then either roll back exactly (the
-  /// published plan keeps serving) or release the retired partitions and
-  /// publish that same plan.  A one-for-one replacement (resize) takes over
-  /// the retired public id.  Returns one result per staged spec, or a
-  /// single failed result.
+  /// The transaction behind add/remove/resize/split: deploy `stage` under
+  /// fresh ids; detach task `retire` (0 = none) and clear the hash units
+  /// nothing references any more; compile the candidate plan once; run the
+  /// paranoid gate on it; on a rejection restore the checkpoint taken on
+  /// entry (the published plan keeps serving).  Otherwise free the retired
+  /// partitions, let a one-for-one replacement (resize) take over the
+  /// retired public id and, unless this is a dry run, merge shards, zero
+  /// the retired and staged partitions and publish that same plan.
+  /// Returns one result per staged spec, or a single failed result.
   std::vector<DeployResult> reconfigure(const std::vector<TaskSpec>& stage,
                                         std::uint32_t retire);
+  /// Placement (paper §3.4).  A plain task puts its rows, one CMU each, in
+  /// the first group that has a CMU for every row; a chained task puts
+  /// each unit of a row in a strictly later group than the one before.
+  /// Both place every unit through place_unit().  A group that cannot take
+  /// the whole task is undone before the next is tried.  May throw
+  /// mid-operation; reconfigure() then restores its checkpoint.
   DeployResult deploy(const TaskSpec& spec, std::uint32_t public_id);
-  /// Placement body of deploy() (paper §3.4).  A plain task puts its rows,
-  /// one CMU each, in the first group that has a CMU for every row; a
-  /// chained task puts each unit of a row in a strictly later group than
-  /// the one before.  Both place every unit through place_unit().  A
-  /// group that cannot take the whole task is undone before the next is
-  /// tried.  `t` is the staged task the exception-safe wrapper undoes if
-  /// this throws mid-operation.
-  DeployResult deploy_impl(const TaskSpec& spec, std::uint32_t public_id,
-                           DeployedTask& t);
 
   /// A task's key and parameter selectors in one group.
   struct Selectors {
@@ -286,7 +300,9 @@ class Controller {
   /// The placement probe: unit `idx` of `t` (a plain row, or a unit of a
   /// chain) on CMU (g, c).  Skips a CMU that does not admit the task's
   /// filter, allocates the partition, lowers the entry and installs it
-  /// under the next phys id.  Nothing changes when it returns nullopt.
+  /// under the next phys id.  Nothing changes when it returns nullopt.  It
+  /// writes no register cell: reconfigure() zeroes staged partitions only
+  /// when it publishes.
   std::optional<UnitPlacement> place_unit(const DeployedTask& t, unsigned g, unsigned c,
                                           unsigned idx, const Selectors& sel, ChainIds ch);
   /// The lowering table of every algorithm: unit `idx`'s stateful op,
@@ -295,10 +311,10 @@ class Controller {
   static bool lower_entry(const DeployedTask& t, unsigned idx, const Selectors& sel,
                           ChainIds ch, Cmu& cmu, CmuTaskEntry& e);
   /// Uninstall `t`'s CMU entries and drop its selector references; its
-  /// partitions, register cells and hash units stay until release().
-  std::vector<DetachedEntry> detach(const DeployedTask& t);
-  void reattach(const std::vector<DetachedEntry>& entries);
-  /// Clear and free `t`'s partitions, then clear unreferenced hash units.
+  /// partitions and hash units stay until release().
+  void detach(const DeployedTask& t);
+  /// Free `t`'s partitions in the allocators (their cells are not
+  /// touched), then clear unreferenced hash units.
   void release(DeployedTask& t);
   void undo_deployment(DeployedTask& t) { detach(t); release(t); }
   void gc_unreferenced_units();
@@ -318,6 +334,9 @@ class Controller {
   TranslationStrategy strategy_;
   AllocMode mode_;
   bool paranoid_ = false;
+  /// Set only for the duration of plan(): reconfigure() stops short of
+  /// writing registers, counting and publishing.
+  bool dry_run_ = false;
   std::string last_verify_errors_;
   telemetry::Registry* registry_ = nullptr;
   telemetry::Counter* deploys_counter_ = nullptr;

@@ -203,7 +203,7 @@ std::string Shell::help() {
       "  plan [show]            list the staged reconfiguration batch\n"
       "  plan add <add-args>    stage a deploy (same arguments as 'add')\n"
       "  plan remove <id> | resize <id> <buckets> | split <id>\n"
-      "  plan run               dry-run the batch on a shadow world + verify\n"
+      "  plan run               dry-run the batch on the live world + verify\n"
       "  plan diff              compiled-entry diff the batch would cause\n"
       "  plan commit            apply the batch for real (only if clean)\n"
       "  plan clear             drop the staged batch\n"

@@ -104,9 +104,16 @@ void Cmu::clear_register() {
   for (const CmuTaskEntry& e : entries_) extend_hull(e.partition);
 }
 
-void Cmu::clear_partition(const MemoryPartition& p) {
-  const std::uint32_t begin = std::max(p.base, hull_begin_);
-  const std::uint32_t end = std::min(p.end(), hull_end_);
+void Cmu::restore(Staging s) {
+  entries_ = std::move(s.entries);
+  hull_begin_ = s.hull_begin;
+  hull_end_ = s.hull_end;
+  salu_ = std::move(s.salu);
+}
+
+void Cmu::clear_partition(const MemoryPartition& p, const Staging& before) {
+  const std::uint32_t begin = std::max(p.base, before.hull_begin);
+  const std::uint32_t end = std::min(p.end(), before.hull_end);
   if (begin < end) reg_.clear_range(begin, end);
 }
 

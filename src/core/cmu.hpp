@@ -164,10 +164,24 @@ class Cmu {
   /// partition in the hull: a publish fence may still fold deltas into it.
   void clear_register();
 
-  /// Zero the cells of `p` that lie in the hull.  Cells outside it are
-  /// already zero, so a partition about to be installed starts empty at a
-  /// cost bounded by what earlier entries used.
-  void clear_partition(const MemoryPartition& p);
+  /// The control-plane state a controller checkpoint saves: the installed
+  /// entries, the hull and the SALU's pre-loaded operations (installing an
+  /// Odd Sketch toggle loads XOR).
+  struct Staging {
+    std::vector<CmuTaskEntry> entries;
+    std::uint32_t hull_begin = 0, hull_end = 0;
+    dataplane::Salu salu;
+  };
+  Staging staging() const { return {entries_, hull_begin_, hull_end_, salu_}; }
+  /// Put a staging() snapshot back exactly (no install() check runs).
+  void restore(Staging s);
+
+  /// Zero the cells of `p` that lay in the hull when `before` was taken.
+  /// Cells outside it were zero then, and entries installed since write
+  /// nothing until a plan holding them is published, so a partition staged
+  /// since `before` starts empty at a cost bounded by what earlier entries
+  /// used.
+  void clear_partition(const MemoryPartition& p, const Staging& before);
 
   const CmuTaskEntry* find(std::uint32_t task_id) const noexcept;
   const std::vector<CmuTaskEntry>& entries() const noexcept { return entries_; }

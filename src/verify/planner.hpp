@@ -1,12 +1,11 @@
-// Dry-run reconfiguration planner: Controller::plan() stages a batch of
-// deploy/resize/split/remove operations against a cloned shadow world,
-// runs every analyzer over the result, and returns the combined
-// diagnostics.  The live data plane is untouched by construction — the
-// shadow has its own FlyMonDataPlane, Controller and telemetry registry.
+// Dry-run reconfiguration planner: Controller::plan() runs a batch of
+// deploy/resize/split/remove operations on the live controller through the
+// same path a commit takes, runs every analyzer over the result and the
+// plan it compiles to, and then restores the controller from one
+// checkpoint.  Its verdict, ids and compiled entries are the commit's; the
+// registers, counters and published plan are never touched.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,7 @@
 
 namespace flymon::verify {
 
-/// Outcome of one staged op as replayed on the shadow world.
+/// Outcome of one staged op in the dry run.
 struct PlanOpResult {
   control::PlanOp op{};
   bool ok = false;
@@ -27,21 +26,18 @@ struct PlanResult {
   /// Every op applied cleanly AND the post-batch verification has no
   /// errors (warnings do not fail a plan).
   bool ok = false;
-  /// First failure: replay error, op error, or "verification failed".
+  /// First failure: op error, or "verification failed".
   std::string error;
   /// Per-op outcomes, in order; stops at the first failed op.
   std::vector<PlanOpResult> ops;
-  /// Full analyzer report over the shadow world after the batch.  When an
-  /// op fails the report covers the shadow state up to that op.
+  /// Full analyzer report over the deployment after the batch, with its
+  /// compiled plan as the translation validator's subject.  When an op
+  /// fails the report covers the state up to that op.
   VerifyReport report;
-  /// Live public task id -> shadow task id for tasks that survived the
-  /// batch (replayed and not removed/split).
-  std::map<std::uint32_t, std::uint32_t> id_map;
 
   /// Compiled-entry signature lines (exec::ExecPlan::signature) of the
-  /// live world before the batch and of the post-batch shadow world,
-  /// shadow ids translated back to live ids where a mapping exists (tasks
-  /// minted by the batch are tagged "(new)").  Render with
+  /// published plan before the batch and of the plan a commit of the batch
+  /// would publish, under the task ids the commit would mint.  Render with
   /// format_plan_diff().
   std::vector<std::string> compiled_before;
   std::vector<std::string> compiled_after;

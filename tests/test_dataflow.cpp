@@ -1,12 +1,13 @@
 // Semantic dataflow analysis (src/ir + src/verify/dataflow_*) and the
 // dry-run reconfiguration planner: IR extraction ground truth, hash-bit
 // provenance, SALU interval analysis, accuracy-feasibility bounds,
-// hash-unit masking edge cases, Controller::plan() shadow semantics, the
+// hash-unit masking edge cases, Controller::plan() dry-run semantics, the
 // shell `plan` command family, and the machine-readable JSON report
 // encoders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -20,6 +21,8 @@
 #include "control/shell.hpp"
 #include "core/flymon_dataplane.hpp"
 #include "ir/ir.hpp"
+#include "packet/trace_gen.hpp"
+#include "telemetry/telemetry.hpp"
 #include "verify/diagnostics.hpp"
 #include "verify/mutations.hpp"
 #include "verify/planner.hpp"
@@ -550,14 +553,19 @@ TEST(Planner, EmptyPlanOnCleanWorldVerifiesAndMapsEveryTask) {
   const verify::PlanResult res = ctl.plan({});
   EXPECT_TRUE(res.ok) << res.format();
   EXPECT_TRUE(res.error.empty());
-  EXPECT_EQ(res.id_map.size(), 2u);
-  EXPECT_TRUE(res.id_map.count(a.task_id));
-  EXPECT_TRUE(res.id_map.count(b.task_id));
+  // Every live task keeps its own id in the post-batch plan.
+  EXPECT_EQ(res.compiled_after, res.compiled_before);
+  for (const std::uint32_t id : {a.task_id, b.task_id}) {
+    const std::string label = "task " + std::to_string(id) + " ";
+    EXPECT_TRUE(std::any_of(res.compiled_after.begin(), res.compiled_after.end(),
+                            [&](const std::string& line) { return line.rfind(label, 0) == 0; }))
+        << label;
+  }
   EXPECT_FALSE(res.report.has_errors()) << res.report.format();
   EXPECT_NE(res.format().find("plan OK"), std::string::npos);
 }
 
-TEST(Planner, AddOpDeploysOnTheShadowOnly) {
+TEST(Planner, AddOpRunsOnTheLiveControllerAndIsUndone) {
   FlyMonDataPlane dp(9);
   Controller ctl(dp);
   const verify::PlanResult res = ctl.plan({PlanOp::add(
@@ -566,9 +574,14 @@ TEST(Planner, AddOpDeploysOnTheShadowOnly) {
   EXPECT_TRUE(res.ok) << res.format();
   ASSERT_EQ(res.ops.size(), 1u);
   EXPECT_TRUE(res.ops[0].ok);
-  EXPECT_NE(res.ops[0].detail.find("deployed as shadow task"),
-            std::string::npos);
-  EXPECT_EQ(ctl.num_tasks(), 0u);  // the live world never saw the op
+  EXPECT_EQ(res.ops[0].detail, "deployed as task 1");
+  EXPECT_EQ(ctl.num_tasks(), 0u);  // the live world does not keep the op
+  EXPECT_EQ(dp.plan_generation(), 0u);
+  EXPECT_EQ(ctl.add_task(make_spec("hh", FlowKeySpec::src_ip(),
+                                   AttributeKind::kFrequency, Algorithm::kCms,
+                                   4096))
+                .task_id,
+            1u);  // the dry run consumed no id
 }
 
 TEST(Planner, FailingBatchLeavesDataPlaneByteIdentical) {
@@ -582,14 +595,18 @@ TEST(Planner, FailingBatchLeavesDataPlaneByteIdentical) {
   const verify::PlanResult res = ctl.plan(
       {PlanOp::add(make_spec("ok", FlowKeySpec::dst_ip(),
                              AttributeKind::kFrequency, Algorithm::kCms, 4096)),
+       // Its parity toggle loads XOR into a SALU's spare action slot.
+       PlanOp::add(make_spec("odd", FlowKeySpec::ip_pair(),
+                             AttributeKind::kSimilarity, Algorithm::kOddSketch, 4096)),
        PlanOp::add(make_spec("whale", FlowKeySpec::ip_pair(),
                              AttributeKind::kFrequency, Algorithm::kCms,
                              1u << 30))});
   EXPECT_FALSE(res.ok);
   EXPECT_FALSE(res.error.empty());
-  ASSERT_EQ(res.ops.size(), 2u);
+  ASSERT_EQ(res.ops.size(), 3u);
   EXPECT_TRUE(res.ops[0].ok);
-  EXPECT_FALSE(res.ops[1].ok);
+  EXPECT_TRUE(res.ops[1].ok) << res.format();
+  EXPECT_FALSE(res.ops[2].ok);
   EXPECT_EQ(dataplane_fingerprint(dp, ctl), before);
   EXPECT_NE(res.format().find("plan FAILED"), std::string::npos);
 }
@@ -604,14 +621,23 @@ TEST(Planner, RemoveAndResizeTranslateLiveIds) {
                                         AttributeKind::kFrequency,
                                         Algorithm::kCms, 4096));
   ASSERT_TRUE(a.ok && b.ok);
+  const std::string before = dataplane_fingerprint(dp, ctl);
   const verify::PlanResult res = ctl.plan(
       {PlanOp::remove(a.task_id), PlanOp::resize(b.task_id, 8192)});
   EXPECT_TRUE(res.ok) << res.format();
-  EXPECT_EQ(res.id_map.count(a.task_id), 0u);  // removed from the shadow
-  EXPECT_EQ(res.id_map.count(b.task_id), 1u);
   ASSERT_EQ(res.ops.size(), 2u);
   EXPECT_NE(res.ops[1].detail.find("resized to 8192"), std::string::npos);
+  // The resize keeps b's id; a is gone from the plan a commit would publish.
+  const auto owned_by = [&](std::uint32_t id) {
+    const std::string label = "task " + std::to_string(id) + " ";
+    return std::count_if(res.compiled_after.begin(), res.compiled_after.end(),
+                         [&](const std::string& line) { return line.rfind(label, 0) == 0; });
+  };
+  EXPECT_EQ(owned_by(a.task_id), 0);
+  EXPECT_GT(owned_by(b.task_id), 0);
   EXPECT_EQ(ctl.num_tasks(), 2u);
+  EXPECT_EQ(ctl.task(b.task_id)->buckets, 4096u);
+  EXPECT_EQ(dataplane_fingerprint(dp, ctl), before);
 }
 
 TEST(Planner, SplitOpRetiresTheParentId) {
@@ -625,10 +651,12 @@ TEST(Planner, SplitOpRetiresTheParentId) {
   const verify::PlanResult res = ctl.plan({PlanOp::split(r.task_id)});
   EXPECT_TRUE(res.ok) << res.format();
   ASSERT_EQ(res.ops.size(), 1u);
-  EXPECT_NE(res.ops[0].detail.find("split into shadow tasks"),
-            std::string::npos);
-  EXPECT_EQ(res.id_map.count(r.task_id), 0u);
+  EXPECT_EQ(res.ops[0].detail, "split into tasks 2 + 3");
+  const std::string parent = "task " + std::to_string(r.task_id) + " ";
+  EXPECT_TRUE(std::none_of(res.compiled_after.begin(), res.compiled_after.end(),
+                           [&](const std::string& line) { return line.rfind(parent, 0) == 0; }));
   EXPECT_EQ(ctl.num_tasks(), 1u);  // live task untouched
+  EXPECT_NE(ctl.task(r.task_id), nullptr);
 }
 
 TEST(Planner, UnknownLiveIdFailsTheBatch) {
@@ -636,8 +664,136 @@ TEST(Planner, UnknownLiveIdFailsTheBatch) {
   Controller ctl(dp);
   const verify::PlanResult res = ctl.plan({PlanOp::remove(999)});
   EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.error.find("unknown live task id 999"), std::string::npos)
-      << res.error;
+  EXPECT_NE(res.error.find("unknown task 999"), std::string::npos) << res.error;
+}
+
+// An op may address a task an earlier op of the same batch minted.
+TEST(Planner, LaterOpsAddressIdsEarlierOpsMinted) {
+  FlyMonDataPlane dp(9);
+  Controller ctl(dp);
+  const verify::PlanResult res = ctl.plan(
+      {PlanOp::add(make_spec("hh", FlowKeySpec::src_ip(), AttributeKind::kFrequency,
+                             Algorithm::kCms, 4096, TaskFilter::src(0x0A000000u, 8))),
+       PlanOp::resize(1, 8192), PlanOp::split(1), PlanOp::remove(3)});
+  EXPECT_TRUE(res.ok) << res.format();
+  ASSERT_EQ(res.ops.size(), 4u);
+  // The resize staged its replacement as task 2 and handed it id 1.
+  EXPECT_EQ(res.ops[2].detail, "split into tasks 3 + 4");
+  EXPECT_EQ(ctl.num_tasks(), 0u);
+}
+
+/// Four 3-row CMS tasks, each a quarter of every CMU of one group; the 1st
+/// and 3rd are removed, so the free memory is two quarters that are not
+/// buddies and a half-CMU task cannot be placed.
+void build_fragmented_world(Controller& ctl) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    TaskSpec s = make_spec("q" + std::to_string(i), FlowKeySpec::src_ip(),
+                           AttributeKind::kFrequency, Algorithm::kCms, 16384,
+                           TaskFilter::src((10u + i) << 24, 8));
+    s.rows = 3;
+    const auto r = ctl.add_task(s);
+    ASSERT_TRUE(r.ok) << r.error;
+    ids.push_back(r.task_id);
+  }
+  ASSERT_TRUE(ctl.remove_task(ids[0]));
+  ASSERT_TRUE(ctl.remove_task(ids[2]));
+}
+
+TEST(Planner, FragmentedWorldVerdictIsTheCommits) {
+  FlyMonDataPlane dp(1);
+  Controller ctl(dp);
+  ASSERT_NO_FATAL_FAILURE(build_fragmented_world(ctl));
+  TaskSpec big = make_spec("big", FlowKeySpec::src_ip(), AttributeKind::kFrequency,
+                           Algorithm::kCms, 32768, TaskFilter::src(20u << 24, 8));
+  big.rows = 3;
+  const verify::PlanResult res = ctl.plan({PlanOp::add(big)});
+  const control::ApplyResult committed = ctl.apply(PlanOp::add(big));
+  EXPECT_FALSE(committed.ok);
+  EXPECT_NE(committed.detail.find("insufficient resources"), std::string::npos);
+  EXPECT_FALSE(res.ok) << res.format();
+  ASSERT_EQ(res.ops.size(), 1u);
+  EXPECT_EQ(res.ops[0].ok, committed.ok);
+  EXPECT_EQ(res.ops[0].detail, committed.detail);
+}
+
+TEST(Planner, EmptyBatchAfterRemovalDiffsToNothing) {
+  FlyMonDataPlane dp(9);
+  Controller ctl(dp);
+  const auto a = ctl.add_task(make_spec("a", FlowKeySpec::src_ip(),
+                                        AttributeKind::kFrequency, Algorithm::kCms,
+                                        4096, TaskFilter::src(10u << 24, 8)));
+  const auto b = ctl.add_task(make_spec("b", FlowKeySpec::src_ip(),
+                                        AttributeKind::kFrequency, Algorithm::kCms,
+                                        4096, TaskFilter::src(11u << 24, 8)));
+  ASSERT_TRUE(a.ok && b.ok);
+  ASSERT_TRUE(ctl.remove_task(a.task_id));
+  const verify::PlanResult res = ctl.plan({});
+  EXPECT_TRUE(res.ok) << res.format();
+  const std::string diff = verify::format_plan_diff(res.compiled_before, res.compiled_after);
+  EXPECT_NE(diff.find("no compiled-entry changes"), std::string::npos) << diff;
+}
+
+/// The controller's reconfiguration counters.
+std::array<std::uint64_t, 4> task_counters(telemetry::Registry& reg) {
+  return {reg.counter("flymon_task_deploys_total").value(),
+          reg.counter("flymon_task_removals_total").value(),
+          reg.counter("flymon_task_resizes_total").value(),
+          reg.counter("flymon_task_deploy_failures_total").value()};
+}
+
+// A dry run of [remove A, add B] places B in the partitions A fills.  It
+// writes none of their cells, counts nothing, consumes no id or plan
+// generation, and names the ids the commit then mints.
+TEST(Planner, DryRunReusingALivePartitionLeavesNoTrace) {
+  const bool telemetry_was = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::Registry reg;
+  FlyMonDataPlane dp(1);
+  Controller ctl(dp);
+  ctl.bind_telemetry(reg);
+  ctl.set_paranoid(true);
+  TaskSpec a = make_spec("a", FlowKeySpec::src_ip(), AttributeKind::kFrequency,
+                         Algorithm::kCms, 65536);
+  a.rows = 3;  // every cell of all three CMUs
+  const auto ra = ctl.add_task(a);
+  ASSERT_TRUE(ra.ok) << ra.error;
+
+  TraceConfig cfg;
+  cfg.num_flows = 200;
+  cfg.num_packets = 4000;
+  const std::vector<Packet> trace = TraceGenerator::generate(cfg);
+  dp.process_batch(trace);
+  const auto answers = [&] {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < 64; ++i) out.push_back(ctl.query_value(ra.task_id, trace[i]));
+    return out;
+  };
+  const std::vector<std::uint64_t> answers_before = answers();
+  ASSERT_GT(*std::max_element(answers_before.begin(), answers_before.end()), 0u);
+  const std::string before = dataplane_fingerprint(dp, ctl);
+  const std::uint64_t gen = dp.plan_generation();
+  const auto counters = task_counters(reg);
+
+  TaskSpec b = a;
+  b.name = "b";
+  const verify::PlanResult res = ctl.plan({PlanOp::remove(ra.task_id), PlanOp::add(b)});
+  ASSERT_TRUE(res.ok) << res.format();
+  ASSERT_EQ(res.ops.size(), 2u);
+
+  EXPECT_EQ(answers(), answers_before);
+  EXPECT_EQ(dataplane_fingerprint(dp, ctl), before);
+  EXPECT_EQ(dp.plan_generation(), gen);
+  EXPECT_EQ(task_counters(reg), counters);
+  EXPECT_TRUE(ctl.last_verify_errors().empty()) << ctl.last_verify_errors();
+
+  // The commit mints the ids the dry run named and publishes its plan.
+  ASSERT_TRUE(ctl.apply(PlanOp::remove(ra.task_id)).ok);
+  const control::ApplyResult added = ctl.apply(PlanOp::add(b));
+  ASSERT_TRUE(added.ok) << added.detail;
+  EXPECT_EQ(added.detail, res.ops[1].detail);
+  EXPECT_EQ(res.compiled_after, dp.current_plan()->signature());
+  telemetry::set_enabled(telemetry_was);
 }
 
 // ---- shell `plan` command family ----
@@ -684,6 +840,19 @@ TEST(ShellPlan, CommitAbortsOnFailedDryRunAndKeepsTheBatch) {
   EXPECT_EQ(ctl.num_tasks(), 0u);
   EXPECT_NE(shell.execute("plan show").find("1 op(s) staged"),
             std::string::npos);
+}
+
+TEST(ShellPlan, CommitOnAFragmentedWorldFailsLikeTheCommit) {
+  FlyMonDataPlane dp(1);
+  Controller ctl(dp);
+  ASSERT_NO_FATAL_FAILURE(build_fragmented_world(ctl));
+  control::Shell shell(ctl);
+  shell.execute("plan add name=big key=SrcIP attr=Frequency algo=CMS "
+                "mem=32768 rows=3 filter=20.0.0.0/8");
+  const std::string committed = shell.execute("plan commit");
+  EXPECT_NE(committed.find("plan FAILED"), std::string::npos) << committed;
+  EXPECT_NE(committed.find("insufficient resources"), std::string::npos) << committed;
+  EXPECT_EQ(ctl.num_tasks(), 2u);
 }
 
 TEST(ShellPlan, StagingValidatesLiveTaskIds) {

@@ -592,6 +592,49 @@ TEST(ExecRcu, FirstTasksAddedUnderTrafficAreRaceFree) {
   expect_identical_registers(ref.dp, w.dp, "batches after the first adds");
 }
 
+// Dry runs while a pool runs traffic: plan() stages, compiles and gates on
+// the live controller but never publishes, writes a cell or merges a
+// shard, so executors only ever see the published plan (ThreadSanitizer
+// checks this) and the registers end exactly as a referee's that ran the
+// same batches without any dry run.
+TEST(ExecRcu, DryRunPlansUnderPooledTrafficAreRaceFree) {
+  World w, ref;
+  ASSERT_NO_FATAL_FAILURE(deploy_mix(w.ctl));
+  ASSERT_NO_FATAL_FAILURE(deploy_mix(ref.ctl));
+  w.dp.enable_parallel(2);
+  w.ctl.set_paranoid(true);
+  const std::vector<Packet> trace = make_trace(256, 2048, 23);
+  const std::uint64_t gen = w.dp.plan_generation();
+  const std::uint32_t victim = w.ctl.task_ids().front();
+  TaskSpec replacement = w.ctl.task(victim)->spec;
+  replacement.name = "replacement";
+  constexpr int kBatches = 6;
+
+  std::atomic<bool> running{false}, done{false};
+  std::thread proc([&] {
+    for (int i = 0; i < kBatches; ++i) {
+      w.dp.process_batch(trace);
+      running.store(true, std::memory_order_release);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  while (!running.load(std::memory_order_acquire)) std::this_thread::yield();
+  int plans = 0;
+  do {
+    const auto res = w.ctl.plan({control::PlanOp::remove(victim),
+                                 control::PlanOp::add(replacement)});
+    EXPECT_TRUE(res.ok) << res.format();
+    ++plans;
+  } while (!done.load(std::memory_order_acquire));
+  proc.join();
+
+  EXPECT_GE(plans, 1);
+  EXPECT_EQ(w.dp.plan_generation(), gen);
+  w.dp.merge_shards();
+  for (int i = 0; i < kBatches; ++i) ref.dp.interpret_batch(trace);
+  expect_identical_registers(ref.dp, w.dp, "batches under dry runs");
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent publishers: compile_plan + publish_plan from several threads
 // must keep the published generation monotone (publish_mu_ numbers the

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "control/shell.hpp"
 #include "packet/trace_gen.hpp"
+#include "verify/planner.hpp"
 
 namespace flymon {
 namespace {
@@ -110,7 +111,22 @@ TEST(Stress, TinyAndHugeRegisters) {
 TEST(Stress, RandomizedLifecycleScenario) {
   FlyMonDataPlane dp(9);
   control::Controller ctl(dp);
+  ctl.set_paranoid(true);
   Rng rng(20260706);
+
+  // Every reconfiguration is dry-run first: the plan's verdict is the
+  // commit's, and its compiled plan is the one the commit publishes.
+  const auto dry_run = [&](const control::PlanOp& op) {
+    verify::PlanResult res = ctl.plan({op});
+    EXPECT_EQ(res.ops.size(), 1u) << res.format();
+    return res;
+  };
+  const auto expect_committed_as_planned = [&](const verify::PlanResult& planned,
+                                               bool committed, const char* op) {
+    ASSERT_FALSE(planned.ops.empty());
+    EXPECT_EQ(planned.ops[0].ok, committed) << op << ": " << planned.format();
+    EXPECT_EQ(planned.compiled_after, dp.current_plan()->signature()) << op;
+  };
 
   TraceConfig cfg;
   cfg.num_flows = 500;
@@ -137,23 +153,33 @@ TEST(Stress, RandomizedLifecycleScenario) {
       }
       s.memory_buckets = 1u << (10 + rng.next_below(4));
       s.rows = 1 + static_cast<unsigned>(rng.next_below(3));
+      const verify::PlanResult planned = dry_run(control::PlanOp::add(s));
       const auto r = ctl.add_task(s);
+      expect_committed_as_planned(planned, r.ok, "add");
       if (r.ok) {
+        EXPECT_EQ(planned.ops[0].detail, "deployed as task " + std::to_string(r.task_id));
         live.push_back(r.task_id);
         ++deploys;
       }
     } else if (dice < 0.55 && !live.empty()) {
       const std::size_t i = rng.next_below(live.size());
+      const verify::PlanResult planned = dry_run(control::PlanOp::remove(live[i]));
       EXPECT_TRUE(ctl.remove_task(live[i]));
+      expect_committed_as_planned(planned, true, "remove");
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
       ++removals;
     } else if (dice < 0.7 && !live.empty()) {
       const std::uint32_t id = live[rng.next_below(live.size())];
-      const auto r = ctl.resize_task(id, 1u << (10 + rng.next_below(5)));
+      const std::uint32_t buckets = 1u << (10 + rng.next_below(5));
+      const verify::PlanResult planned = dry_run(control::PlanOp::resize(id, buckets));
+      const auto r = ctl.resize_task(id, buckets);
+      expect_committed_as_planned(planned, r.ok, "resize");
       resizes += r.ok;
     } else if (dice < 0.8 && !live.empty()) {
       const std::size_t i = rng.next_below(live.size());
+      const verify::PlanResult planned = dry_run(control::PlanOp::split(live[i]));
       const auto [lo, hi] = ctl.split_task(live[i]);
+      expect_committed_as_planned(planned, lo.ok && hi.ok, "split");
       if (lo.ok && hi.ok) {
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
         live.push_back(lo.task_id);

@@ -494,7 +494,7 @@ TEST(VerifyParanoid, ResizeAndSplitGateOnceAndPublishOnce) {
 }
 
 // Each operation compiles, gates and fences exactly once; no dry-run
-// planner (whose shadow world compiles twice) runs on the way.
+// planner runs on the way.
 TEST(VerifyParanoid, EveryReconfigurationCompilesOnceAndGatesOnce) {
   TraceOn on;
   FlyMonDataPlane dp(9);

@@ -11,8 +11,8 @@
 //   flymon_verify --mutate NAME   corrupt a fresh world with one mutation and
 //                                 report its diagnostics (exit 1 when any
 //                                 diagnostic fires — the expected outcome)
-//   flymon_verify --dataflow      verify through the dry-run planner
-//                                 (Controller::plan with an empty batch)
+//   flymon_verify --dataflow      verify the scenario deployment without the
+//                                 cross-stack forwarding plan
 //   flymon_verify --translate     translation-validate the scenario's
 //                                 compiled ExecPlan: symbolically check every
 //                                 compiled entry against the interpreted CMU
@@ -53,7 +53,6 @@
 #include "packet/trace_gen.hpp"
 #include "telemetry/export.hpp"
 #include "verify/mutations.hpp"
-#include "verify/planner.hpp"
 #include "verify/translate/translate.hpp"
 #include "verify/verifier.hpp"
 
@@ -284,22 +283,10 @@ int main(int argc, char** argv) {
     return report.has_errors() ? 1 : 0;
   }
 
-  flymon::verify::VerifyReport report;
-  if (dataflow) {
-    // Route through the dry-run planner: replay the deployment on a shadow
-    // world, run all analyzers there, leave the live pipeline untouched.
-    const flymon::verify::PlanResult plan_result = ctl.plan({});
-    if (!plan_result.error.empty() &&
-        plan_result.error != "verification failed") {
-      std::cerr << "plan replay failed: " << plan_result.error << '\n';
-      return 1;
-    }
-    report = plan_result.report;
-  } else {
-    const auto plan = flymon::control::cross_stack(
-        flymon::dataplane::TofinoModel::kNumStages, dp.group(0).config());
-    report = flymon::verify::verify_deployment(ctl, &plan);
-  }
+  const auto plan = flymon::control::cross_stack(
+      flymon::dataplane::TofinoModel::kNumStages, dp.group(0).config());
+  const flymon::verify::VerifyReport report =
+      flymon::verify::verify_deployment(ctl, dataflow ? nullptr : &plan);
   std::cout << report.format();
   std::cout << ctl.num_tasks() << " task(s), "
             << report.count(flymon::verify::Severity::kError) << " error(s), "
