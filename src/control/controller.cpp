@@ -142,6 +142,14 @@ void Controller::bind_telemetry(telemetry::Registry& registry) {
   deploy_failures_counter_ = &registry.counter("flymon_task_deploy_failures_total");
   removals_counter_ = &registry.counter("flymon_task_removals_total");
   resizes_counter_ = &registry.counter("flymon_task_resizes_total");
+  // 0.25us .. ~4s, the spacing of the pool's fence/merge histograms.
+  const auto bounds = telemetry::Histogram::exponential_bounds(0.25, 4.0, 17);
+  constexpr std::array<const char*, kPhases> kNames = {"checkpoint", "compile",
+                                                       "validate", "zero", "publish"};
+  for (unsigned p = 0; p < kPhases; ++p) {
+    phase_us_[p] =
+        &registry.histogram("flymon_reconfig_phase_us", {{"phase", kNames[p]}}, bounds);
+  }
 }
 
 BuddyAllocator& Controller::allocator(unsigned group, unsigned cmu) {
@@ -347,9 +355,16 @@ void Controller::restore(Checkpoint cp) {
 std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& stage,
                                                   std::uint32_t retire) {
   const std::uint32_t first_id = next_id_;
+  // Each phase a commit reaches is one flymon_reconfig_phase_us sample,
+  // timed on the span clock; a dry run records none.
+  const auto observe = [&](Phase p, std::uint64_t since) {
+    if (!dry_run_) phase_us_[p]->observe(static_cast<double>(trace::now_ns() - since) / 1e3);
+  };
+  std::uint64_t since = trace::now_ns();
   trace::Span saving("ctl.checkpoint");
   Checkpoint cp = checkpoint();
   saving.close();
+  observe(kCheckpoint, since);
   // Every exit that does not publish restores the checkpoint: the data
   // plane ends byte-identical and the published plan keeps serving.
   const auto reject = [&](std::string error) {
@@ -388,15 +403,19 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     if (rekey && o.task_id == first_id) o.task_id = retire;
   }
   // A dry run compiles outside the generation sequence.
+  since = trace::now_ns();
   std::shared_ptr<const exec::ExecPlan> candidate =
       dry_run_ ? exec::PlanCompiler::compile(*dp_, owners, 0) : dp_->compile_plan(owners);
+  observe(kCompile, since);
   if (paranoid_) {
     // One gate on the final state and its plan covers the whole
     // reconfiguration.  A pure removal stages nothing to undo, so its
     // deployment findings only report; a wrong plan is never published.
+    since = trace::now_ns();
     trace::Span gate("ctl.verify_gate");
     const GateResult verdict = run_verify_gate(*candidate);
     gate.close();
+    observe(kValidate, since);
     last_verify_errors_ = verdict.errors;
     if (!verdict.errors.empty() && (!stage.empty() || verdict.plan_errors)) {
       cp.last_verify_errors = verdict.errors;  // the verdict outlives the rollback
@@ -410,6 +429,7 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     // them).  The publish fence folds deltas traffic adds meanwhile into
     // the retired cells, so a freed partition can still hold counts; a
     // staged one starts from zero regardless.
+    since = trace::now_ns();
     trace::Span zeroing("ctl.zero");
     dp_->merge_shards();
     const auto zero = [&](const DeployedTask& t) {
@@ -422,6 +442,8 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     };
     if (retired) zero(retired.mapped());
     for (std::uint32_t id = first_id; id < next_id_; ++id) zero(tasks_.at(id));
+    zeroing.close();
+    observe(kZero, since);
   }
   // The commit's bookkeeping, which a dry run shares so that later ops of
   // its batch see the same memory and ids.
@@ -442,7 +464,9 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
   if (retired) removals_counter_->inc();
   if (rekey) resizes_counter_->inc();
   deploys_counter_->inc(stage.size());
+  since = trace::now_ns();
   dp_->publish_plan(std::move(candidate));
+  observe(kPublish, since);
   return results;
 }
 

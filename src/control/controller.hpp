@@ -5,6 +5,7 @@
 // algorithm.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -234,8 +235,12 @@ class Controller {
   TaskHealth task_health(std::uint32_t id) const;
   std::vector<TaskHealth> health() const;
 
-  /// Rebind the controller's own counters (deploys, failures, delay) into
-  /// `registry`.  Construction binds to telemetry::Registry::global().
+  /// Rebind the controller's own counters (deploys, failures, delay) and the
+  /// per-phase reconfiguration latency histograms
+  /// (flymon_reconfig_phase_us{phase=checkpoint|compile|validate|zero|
+  /// publish}, one sample per phase a non-dry-run reconfiguration reaches,
+  /// timed on the span clock) into `registry`.  Construction binds to
+  /// telemetry::Registry::global().
   void bind_telemetry(telemetry::Registry& registry);
   telemetry::Registry& registry() const noexcept { return *registry_; }
 
@@ -343,6 +348,8 @@ class Controller {
   telemetry::Counter* deploy_failures_counter_ = nullptr;
   telemetry::Counter* removals_counter_ = nullptr;
   telemetry::Counter* resizes_counter_ = nullptr;
+  enum Phase : unsigned { kCheckpoint, kCompile, kValidate, kZero, kPublish, kPhases };
+  std::array<telemetry::Histogram*, kPhases> phase_us_{};
   std::uint32_t next_id_ = 1;
   std::uint32_t next_phys_ = 1;
   std::uint32_t next_chain_ = 1;

@@ -263,10 +263,10 @@ std::string Shell::cmd_plan(const std::vector<std::string>& args) {
   }
   if (sub == "remove" || sub == "split") {
     if (rest.size() != 1) return "error: usage: plan " + sub + " <id>";
+    // Ids are checked by `plan run`, not here: an earlier staged op may
+    // mint the id this one names.
     const auto id = parse_u64(rest[0]);
-    if (!id || ctl_->task(static_cast<std::uint32_t>(*id)) == nullptr) {
-      return "error: unknown task";
-    }
+    if (!id) return "error: bad arguments";
     pending_.push_back(sub == "remove"
                            ? PlanOp::remove(static_cast<std::uint32_t>(*id))
                            : PlanOp::split(static_cast<std::uint32_t>(*id)));
@@ -277,9 +277,6 @@ std::string Shell::cmd_plan(const std::vector<std::string>& args) {
     const auto id = parse_u64(rest[0]);
     const auto buckets = parse_u64(rest[1]);
     if (!id || !buckets) return "error: bad arguments";
-    if (ctl_->task(static_cast<std::uint32_t>(*id)) == nullptr) {
-      return "error: unknown task";
-    }
     pending_.push_back(PlanOp::resize(static_cast<std::uint32_t>(*id),
                                       static_cast<std::uint32_t>(*buckets)));
     return "staged op " + std::to_string(pending_.size()) + ": resize";

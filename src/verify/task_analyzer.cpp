@@ -1,12 +1,12 @@
 // Task-plane consistency analyzer: every installed entry must name a
 // configured compressed key and a pre-loaded SALU operation; every deployed
-// task's rendered rules must reference live table entries; composite rows
+// task's placements must reference live table entries; composite rows
 // must chain forward across distinct groups on wired channels; co-resident
-// hash units must not alias one another's key spec.
+// hash units must not alias one another's key spec.  Sites and messages are
+// formatted only when a check fails.
 #include <set>
 #include <string>
 
-#include "control/rules.hpp"
 #include "verify/verifier.hpp"
 
 namespace flymon::verify {
@@ -15,6 +15,8 @@ namespace {
 std::string cmu_site(unsigned g, unsigned c) {
   return "g" + std::to_string(g) + ".cmu" + std::to_string(c);
 }
+
+std::string task_who(std::uint32_t id) { return "task " + std::to_string(id); }
 
 class TaskAnalyzer final : public Analyzer {
  public:
@@ -38,44 +40,47 @@ class TaskAnalyzer final : public Analyzer {
       const auto& comp = dp.group(g).compression();
       for (unsigned c = 0; c < dp.group(g).num_cmus(); ++c) {
         const Cmu& cmu = dp.group(g).cmu(c);
-        const std::string site = cmu_site(g, c);
         for (const CmuTaskEntry& e : cmu.entries()) {
-          const std::string who = "task " + std::to_string(e.task_id);
           if (!cmu.salu().has_op(e.op)) {
-            report.add(Severity::kError, "task.op", site,
-                       who + " selects " + dataplane::to_string(e.op) +
+            report.add(Severity::kError, "task.op", cmu_site(g, c),
+                       task_who(e.task_id) + " selects " +
+                           dataplane::to_string(e.op) +
                            " but the SALU has no such register action",
                        "pre-load the operation before installing the entry");
           }
-          check_selector(comp, e.key_sel, site, who + " key", report);
+          check_selector(comp, e.key_sel, g, c, e.task_id, "key", report);
           if (e.p1.source == ParamSelect::Source::kCompressedKey) {
-            check_selector(comp, e.p1.key_sel, site, who + " p1", report);
+            check_selector(comp, e.p1.key_sel, g, c, e.task_id, "p1", report);
           }
           if (e.p2.source == ParamSelect::Source::kCompressedKey) {
-            check_selector(comp, e.p2.key_sel, site, who + " p2", report);
+            check_selector(comp, e.p2.key_sel, g, c, e.task_id, "p2", report);
           }
         }
       }
     }
   }
 
+  /// `what` names the selector ("key", "p1", "p2") of `task_id`'s entry
+  /// in g<g>.cmu<c>.
   void check_selector(const CompressionStage& comp,
-                      const CompressedKeySelector& sel, const std::string& site,
-                      const std::string& who, VerifyReport& report) const {
+                      const CompressedKeySelector& sel, unsigned g, unsigned c,
+                      std::uint32_t task_id, const char* what,
+                      VerifyReport& report) const {
+    const auto who = [&] { return task_who(task_id) + " " + what; };
     if (!sel.valid()) {
-      report.add(Severity::kError, "task.selector", site,
-                 who + " has no compressed-key selector");
+      report.add(Severity::kError, "task.selector", cmu_site(g, c),
+                 who() + " has no compressed-key selector");
       return;
     }
     for (const std::int8_t u : {sel.unit_a, sel.unit_b}) {
       if (u < 0) continue;
       if (static_cast<unsigned>(u) >= comp.num_units()) {
-        report.add(Severity::kError, "task.selector", site,
-                   who + " names hash unit " + std::to_string(u) +
+        report.add(Severity::kError, "task.selector", cmu_site(g, c),
+                   who() + " names hash unit " + std::to_string(u) +
                        ", the group has " + std::to_string(comp.num_units()));
       } else if (!comp.spec_of(static_cast<unsigned>(u)).has_value()) {
-        report.add(Severity::kError, "task.selector", site,
-                   who + " reads hash unit " + std::to_string(u) +
+        report.add(Severity::kError, "task.selector", cmu_site(g, c),
+                   who() + " reads hash unit " + std::to_string(u) +
                        " which has no dynamic-hash mask configured",
                    "a cleared unit hashes nothing; re-install the mask rule");
       }
@@ -108,17 +113,18 @@ class TaskAnalyzer final : public Analyzer {
     for (const std::uint32_t id : ctl.task_ids()) {
       const control::DeployedTask* t = ctl.task(id);
       if (t == nullptr) continue;
-      const std::string who = "task " + std::to_string(id);
 
       // Every placement must resolve to a live installed entry — otherwise
-      // the rendered runtime rules reference tables that no longer exist.
+      // the task's runtime rules reference tables that no longer exist.
       bool all_live = true;
+      bool placed = false;
       for (const auto& row : t->rows) {
         for (const auto& up : row.units) {
+          placed = true;
           if (up.group >= dp.num_groups() ||
               up.cmu >= dp.group(up.group).num_cmus() ||
               dp.group(up.group).cmu(up.cmu).find(up.phys_id) == nullptr) {
-            report.add(Severity::kError, "task.placement", who,
+            report.add(Severity::kError, "task.placement", task_who(id),
                        "placement " + cmu_site(up.group, up.cmu) +
                            " has no installed entry for physical id " +
                            std::to_string(up.phys_id),
@@ -127,8 +133,10 @@ class TaskAnalyzer final : public Analyzer {
           }
         }
       }
-      if (all_live && control::render_rules(ctl, id).empty()) {
-        report.add(Severity::kError, "task.rules", who,
+      // A live placement renders at least its init and op-select rules,
+      // so a task renders none exactly when it has no placement.
+      if (all_live && !placed) {
+        report.add(Severity::kError, "task.rules", task_who(id),
                    "deployed task renders zero runtime rules");
       }
 
@@ -137,7 +145,9 @@ class TaskAnalyzer final : public Analyzer {
       for (std::size_t r = 0; r < t->rows.size(); ++r) {
         const auto& units = t->rows[r].units;
         if (units.size() < 2) continue;
-        const std::string row_site = who + " row " + std::to_string(r);
+        const auto row_site = [&] {
+          return task_who(id) + " row " + std::to_string(r);
+        };
         std::set<std::uint32_t> produced;
         unsigned prev_group = 0;
         for (std::size_t u = 0; u < units.size(); ++u) {
@@ -147,7 +157,7 @@ class TaskAnalyzer final : public Analyzer {
             continue;  // already reported as task.placement
           }
           if (u > 0 && up.group <= prev_group) {
-            report.add(Severity::kError, "task.chain", row_site,
+            report.add(Severity::kError, "task.chain", row_site(),
                        "unit " + std::to_string(u) + " sits in group " +
                            std::to_string(up.group) +
                            ", not after its upstream group " +
@@ -162,7 +172,7 @@ class TaskAnalyzer final : public Analyzer {
           auto consumed = [&](std::uint32_t channel, const char* what) {
             if (channel == 0) return;
             if (produced.find(channel) == produced.end()) {
-              report.add(Severity::kError, "task.chain", row_site,
+              report.add(Severity::kError, "task.chain", row_site(),
                          "unit " + std::to_string(u) + " " + what +
                              " reads chain channel " + std::to_string(channel) +
                              " which no upstream unit publishes");

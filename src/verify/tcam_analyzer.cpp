@@ -31,11 +31,34 @@ TernaryPattern filter_pattern(const TaskFilter& f) {
   return p;
 }
 
+/// What an initialization rule does once it matches: its SALU op on its
+/// partition.  Two rules conflict only when these differ.
+struct RuleAction {
+  dataplane::StatefulOp op;
+  std::uint32_t base;
+  std::uint32_t size;
+
+  friend bool operator==(const RuleAction&, const RuleAction&) = default;
+};
+
+/// An installed entry as the lint sees it; labels and action tags are
+/// rendered from the entry only for a finding.
+struct InitRule {
+  TernaryPattern pattern;
+  std::uint32_t priority;
+  RuleAction action;
+  bool terminal;
+};
+
 std::string action_tag(const CmuTaskEntry& e) {
   std::ostringstream out;
   out << dataplane::to_string(e.op) << "@[" << e.partition.base << "+"
       << e.partition.size << "]";
   return out.str();
+}
+
+std::string label(const CmuTaskEntry& e) {
+  return "task " + std::to_string(e.task_id);
 }
 
 class TcamAnalyzer final : public Analyzer {
@@ -51,6 +74,7 @@ class TcamAnalyzer final : public Analyzer {
     const bool tcam_translation =
         ctx.controller == nullptr ||
         ctx.controller->strategy() == TranslationStrategy::kTcam;
+    std::vector<InitRule> lint;  // reused across CMUs
 
     for (unsigned g = 0; g < dp.num_groups(); ++g) {
       const auto prep_budget =
@@ -62,31 +86,31 @@ class TcamAnalyzer final : public Analyzer {
 
       for (unsigned c = 0; c < dp.group(g).num_cmus(); ++c) {
         const Cmu& cmu = dp.group(g).cmu(c);
-        const std::string site = cmu_site(g, c);
+        const auto& entries = cmu.entries();
 
         // Entries are stored priority-sorted (install order breaking
         // ties) — exactly the order Cmu::process scans, so lint them as-is.
-        std::vector<LintEntry> lint;
-        lint.reserve(cmu.entries().size());
-        for (const CmuTaskEntry& e : cmu.entries()) {
-          lint.push_back(LintEntry{filter_pattern(e.filter), e.priority,
-                                   action_tag(e), e.sample_probability >= 1.0,
-                                   "task " + std::to_string(e.task_id)});
+        lint.clear();
+        for (const CmuTaskEntry& e : entries) {
+          lint.push_back(InitRule{filter_pattern(e.filter), e.priority,
+                                  {e.op, e.partition.base, e.partition.size},
+                                  e.sample_probability >= 1.0});
         }
         for (const LintFinding& f : lint_entries(lint)) {
+          const CmuTaskEntry& entry = entries[f.entry];
+          const CmuTaskEntry& blocker = entries[f.blocker];
           if (f.kind == LintFinding::Kind::kShadowed) {
-            report.add(Severity::kError, "tcam.shadow", site,
-                       lint[f.entry].label + " can never match: " +
-                           lint[f.blocker].label +
+            report.add(Severity::kError, "tcam.shadow", cmu_site(g, c),
+                       label(entry) + " can never match: " + label(blocker) +
                            " matches first and covers its filter",
                        "tighten the earlier filter or raise this priority");
           } else {
-            report.add(Severity::kWarning, "tcam.conflict", site,
-                       lint[f.entry].label + " and " + lint[f.blocker].label +
+            report.add(Severity::kWarning, "tcam.conflict", cmu_site(g, c),
+                       label(entry) + " and " + label(blocker) +
                            " overlap at priority " +
-                           std::to_string(lint[f.entry].priority) +
-                           " with different actions (" + lint[f.entry].action +
-                           " vs " + lint[f.blocker].action + ")",
+                           std::to_string(entry.priority) +
+                           " with different actions (" + action_tag(entry) +
+                           " vs " + action_tag(blocker) + ")",
                        "the winner depends on install order; use distinct "
                        "priorities");
           }
@@ -97,7 +121,7 @@ class TcamAnalyzer final : public Analyzer {
         if (!tcam_translation) continue;
         const std::uint32_t total = cmu.reg().size();
         addr_key_bits = total > 1 ? log2_floor(total) : 1;
-        for (const CmuTaskEntry& e : cmu.entries()) {
+        for (const CmuTaskEntry& e : entries) {
           const MemoryPartition& p = e.partition;
           if (p.size == 0 || !is_pow2(p.size) || p.size >= total) continue;
           const std::uint32_t blocks = total / p.size;
@@ -111,9 +135,8 @@ class TcamAnalyzer final : public Analyzer {
             const std::string defect =
                 check_range_reassembly(patterns, lo, hi, addr_key_bits);
             if (!defect.empty()) {
-              report.add(Severity::kError, "tcam.range", site,
-                         "task " + std::to_string(e.task_id) +
-                             " block " + std::to_string(b) +
+              report.add(Severity::kError, "tcam.range", cmu_site(g, c),
+                         label(e) + " block " + std::to_string(b) +
                              " expansion broken: " + defect);
             }
           }

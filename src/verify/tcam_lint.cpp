@@ -15,70 +15,46 @@ bool overlaps(const TernaryPattern& a, const TernaryPattern& b) noexcept {
   return ((a.value ^ b.value) & a.mask & b.mask) == 0;
 }
 
-std::vector<LintFinding> lint_entries(const std::vector<LintEntry>& entries) {
-  std::vector<LintFinding> findings;
-  for (std::size_t j = 0; j < entries.size(); ++j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      const LintEntry& a = entries[i];
-      const LintEntry& b = entries[j];
-      // Earlier terminal entry covering a later one: the later entry is
-      // unreachable.  Entries that sample (non-terminal) fall through on a
-      // coin skip, so they never fully shadow.
-      if (a.terminal && covers(a.pattern, b.pattern)) {
-        findings.push_back({LintFinding::Kind::kShadowed, j, i});
-        continue;  // a conflict report on a dead entry would be noise
-      }
-      // Same priority + overlapping patterns + divergent actions: which
-      // rule wins depends on install order, which reinstallation (resize,
-      // controller restart) does not preserve.
-      if (a.priority == b.priority && a.action != b.action &&
-          overlaps(a.pattern, b.pattern)) {
-        findings.push_back({LintFinding::Kind::kConflict, j, i});
-      }
-    }
-  }
-  return findings;
-}
-
 std::string check_range_reassembly(const std::vector<TernaryPattern>& patterns,
                                    std::uint64_t lo, std::uint64_t hi,
                                    unsigned width) {
   const std::uint64_t full =
       width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-  std::ostringstream err;
   std::uint64_t covered = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks;  // base, size
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const TernaryPattern& p = patterns[i];
     if ((p.mask & ~full) != 0) {
+      std::ostringstream err;
       err << "pattern " << i << " masks bits beyond the " << width << "-bit key";
       return err.str();
     }
     const std::uint64_t low_zeros = ~p.mask & full;
     if ((low_zeros & (low_zeros + 1)) != 0) {
-      err << "pattern " << i << " is not an aligned prefix block";
-      return err.str();
+      return "pattern " + std::to_string(i) + " is not an aligned prefix block";
     }
     const std::uint64_t size = low_zeros + 1;
     const std::uint64_t base = p.value & p.mask;
     if (base < lo || base + size - 1 > hi) {
+      std::ostringstream err;
       err << "pattern " << i << " block [" << base << ", " << (base + size - 1)
           << "] escapes the range [" << lo << ", " << hi << "]";
       return err.str();
     }
-    for (const auto& [obase, osize] : blocks) {
+    // Earlier patterns already passed the checks above, so each is an
+    // aligned block inside the range.
+    for (std::size_t k = 0; k < i; ++k) {
+      const std::uint64_t osize = (~patterns[k].mask & full) + 1;
+      const std::uint64_t obase = patterns[k].value & patterns[k].mask;
       if (base < obase + osize && obase < base + size) {
-        err << "pattern " << i << " overlaps an earlier expansion block";
-        return err.str();
+        return "pattern " + std::to_string(i) +
+               " overlaps an earlier expansion block";
       }
     }
-    blocks.emplace_back(base, size);
     covered += size;
   }
   if (covered != hi - lo + 1) {
-    err << "expansion covers " << covered << " keys, range holds "
-        << (hi - lo + 1);
-    return err.str();
+    return "expansion covers " + std::to_string(covered) +
+           " keys, range holds " + std::to_string(hi - lo + 1);
   }
   return {};
 }

@@ -42,8 +42,35 @@ struct LintFinding {
   std::size_t blocker = 0;  ///< index of the covering / conflicting entry
 };
 
-/// Lint `entries` given in effective match order.
-std::vector<LintFinding> lint_entries(const std::vector<LintEntry>& entries);
+/// Lint `entries` given in effective match order.  `Entry` is LintEntry or
+/// any rule type with its pattern/priority/action/terminal members whose
+/// actions compare with `!=`; the TCAM analyzer lints structural actions and
+/// formats labels only for the findings.
+template <class Entry>
+std::vector<LintFinding> lint_entries(const std::vector<Entry>& entries) {
+  std::vector<LintFinding> findings;
+  for (std::size_t j = 0; j < entries.size(); ++j) {
+    for (std::size_t i = 0; i < j; ++i) {
+      const Entry& a = entries[i];
+      const Entry& b = entries[j];
+      // Earlier terminal entry covering a later one: the later entry is
+      // unreachable.  Entries that sample (non-terminal) fall through on a
+      // coin skip, so they never fully shadow.
+      if (a.terminal && covers(a.pattern, b.pattern)) {
+        findings.push_back({LintFinding::Kind::kShadowed, j, i});
+        continue;  // a conflict report on a dead entry would be noise
+      }
+      // Same priority + overlapping patterns + divergent actions: which
+      // rule wins depends on install order, which reinstallation (resize,
+      // controller restart) does not preserve.
+      if (a.priority == b.priority && a.action != b.action &&
+          overlaps(a.pattern, b.pattern)) {
+        findings.push_back({LintFinding::Kind::kConflict, j, i});
+      }
+    }
+  }
+  return findings;
+}
 
 /// Check that `patterns` (as produced by range_to_ternary) reassemble the
 /// range [lo, hi] over a `width`-bit key exactly: every pattern is an

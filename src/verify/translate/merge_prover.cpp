@@ -104,66 +104,46 @@ std::string region_site(const MergeRegion& r) {
   return os.str();
 }
 
-/// Prove the region's fold is a commutative/associative monoid with
-/// identity 0 over the register's value domain: merging any multiset of
-/// shard values must yield one result regardless of merge order.  Probed
-/// exhaustively over representative triples; the first violated law is
-/// reported with its counterexample.
-void prove_monoid_laws(const MergeRegion& region, std::uint32_t domain_mask,
-                       VerifyReport& report) {
-  const std::vector<std::uint32_t> probes = probe_values(domain_mask);
-  const auto law_failed = [&](const char* law, std::uint32_t a,
-                              std::uint32_t b, std::uint32_t c,
-                              std::uint32_t lhs, std::uint32_t rhs) {
-    std::ostringstream os;
-    os << to_string(region.kind) << " fold violates " << law << " over [0, "
-       << domain_mask << "]: probes (" << a << ", " << b << ", " << c
-       << ") give " << lhs << " vs " << rhs;
-    report.add(Severity::kError, "translate.merge.law", region_site(region),
-               os.str(),
-               "shard merge order would change the register contents; the "
-               "fold is not an exact reduction over this domain");
-  };
+/// The first monoid law a fold breaks, with its counterexample.
+struct LawViolation {
+  const char* law;
+  std::uint32_t a, b, c, lhs, rhs;
+};
 
+/// Prove a region's fold is a commutative/associative monoid with identity
+/// 0 over the register's value domain: merging any multiset of shard values
+/// must yield one result regardless of merge order.  Probed exhaustively
+/// over representative triples; returns the first violated law.  The
+/// verdict depends only on (kind, domain mask, region value mask).
+std::optional<LawViolation> prove_monoid_laws(MergeKind kind,
+                                              std::uint32_t domain_mask,
+                                              std::uint32_t value_mask) {
+  const std::vector<std::uint32_t> probes = probe_values(domain_mask);
+  const auto f = [&](std::uint32_t cur, std::uint32_t v) {
+    return fold(kind, cur, v, value_mask);
+  };
   for (const std::uint32_t a : probes) {
     // Identity: folding one shard value into an untouched live cell must
     // reproduce the value, and folding a clean shard cell (0) must store
     // back the live value unchanged.
-    if (fold(region.kind, 0, a, region.value_mask) != a ||
-        fold(region.kind, a, 0, region.value_mask) != a) {
-      law_failed("the identity law", a, 0, 0,
-                 fold(region.kind, 0, a, region.value_mask),
-                 fold(region.kind, a, 0, region.value_mask));
-      return;
+    if (f(0, a) != a || f(a, 0) != a) {
+      return LawViolation{"the identity law", a, 0, 0, f(0, a), f(a, 0)};
     }
     for (const std::uint32_t b : probes) {
-      const std::uint32_t ab =
-          fold(region.kind, fold(region.kind, 0, a, region.value_mask), b,
-               region.value_mask);
-      const std::uint32_t ba =
-          fold(region.kind, fold(region.kind, 0, b, region.value_mask), a,
-               region.value_mask);
-      if (ab != ba) {
-        law_failed("commutativity", a, b, 0, ab, ba);
-        return;
-      }
+      const std::uint32_t ab = f(f(0, a), b);
+      const std::uint32_t ba = f(f(0, b), a);
+      if (ab != ba) return LawViolation{"commutativity", a, b, 0, ab, ba};
       for (const std::uint32_t c : probes) {
         // Merge-order exchange over three shards: (a then b then c) must
         // equal (c then b then a) — with commutativity above this covers
         // every merge order of three replicas.
-        const std::uint32_t abc = fold(region.kind, ab, c, region.value_mask);
-        const std::uint32_t cba = fold(
-            region.kind,
-            fold(region.kind, fold(region.kind, 0, c, region.value_mask), b,
-                 region.value_mask),
-            a, region.value_mask);
-        if (abc != cba) {
-          law_failed("associativity", a, b, c, abc, cba);
-          return;
-        }
+        const std::uint32_t abc = f(ab, c);
+        const std::uint32_t cba = f(f(f(0, c), b), a);
+        if (abc != cba) return LawViolation{"associativity", a, b, c, abc, cba};
       }
     }
   }
+  return std::nullopt;
 }
 
 /// Effective p2 range after the preparation stage, mirroring Cmu::process:
@@ -213,6 +193,15 @@ void prove_merge_soundness(const FlyMonDataPlane& dp, const ExecPlan& plan,
 
   // ---- Part A: region structure, monoid laws, entry coverage ----
 
+  // A task's rows share a kind and a mask: prove each distinct domain once
+  // per run and report its verdict at every region that uses it.
+  struct ProvedDomain {
+    MergeKind kind;
+    std::uint32_t domain_mask;
+    std::uint32_t value_mask;
+    std::optional<LawViolation> violation;
+  };
+  std::vector<ProvedDomain> proved;
   for (const MergeRegion& region : plan.merge_regions()) {
     if (region.cmu >= cmus.size()) {
       report.add(Severity::kError, "translate.merge.region",
@@ -247,7 +236,27 @@ void prove_merge_soundness(const FlyMonDataPlane& dp, const ExecPlan& plan,
     // Laws are probed over the REGISTER's domain: that is what shard cells
     // actually hold, so a region mask narrower than the register also
     // surfaces here as an identity violation.
-    prove_monoid_laws(region, reg->value_mask(), report);
+    const std::uint32_t domain_mask = reg->value_mask();
+    auto it = std::find_if(proved.begin(), proved.end(), [&](const ProvedDomain& d) {
+      return d.kind == region.kind && d.domain_mask == domain_mask &&
+             d.value_mask == region.value_mask;
+    });
+    if (it == proved.end()) {
+      proved.push_back({region.kind, domain_mask, region.value_mask,
+                        prove_monoid_laws(region.kind, domain_mask,
+                                          region.value_mask)});
+      it = proved.end() - 1;
+    }
+    if (const std::optional<LawViolation>& v = it->violation) {
+      std::ostringstream os;
+      os << to_string(region.kind) << " fold violates " << v->law << " over [0, "
+         << domain_mask << "]: probes (" << v->a << ", " << v->b << ", " << v->c
+         << ") give " << v->lhs << " vs " << v->rhs;
+      report.add(Severity::kError, "translate.merge.law", region_site(region),
+                 os.str(),
+                 "shard merge order would change the register contents; the "
+                 "fold is not an exact reduction over this domain");
+    }
   }
 
   // Coverage: every state-writing compiled entry must fold under exactly

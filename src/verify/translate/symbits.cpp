@@ -1,50 +1,89 @@
 #include "verify/translate/symbits.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace flymon::verify::translate {
 
-namespace {
-
-/// Symmetric difference of two sorted var sets: terms present in both
-/// cancel (x ^ x = 0).
-std::vector<std::uint32_t> xor_vars(const std::vector<std::uint32_t>& a,
-                                    const std::vector<std::uint32_t>& b) {
-  std::vector<std::uint32_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_symmetric_difference(a.begin(), a.end(), b.begin(), b.end(),
-                                std::back_inserter(out));
-  return out;
+bool SymWord::Lane::zero() const noexcept {
+  for (const std::uint32_t r : rows) {
+    if (r != 0) return false;
+  }
+  return true;
 }
 
-}  // namespace
+std::span<const SymWord::Lane> SymWord::lanes() const noexcept {
+  if (count_ <= kInlineLanes) return {inline_.data(), count_};
+  return spill_;
+}
+
+void SymWord::push(const Lane& lane) {
+  if (lane.zero()) return;  // canonical: no lane without a term
+  if (count_ < kInlineLanes) {
+    inline_[count_] = lane;
+  } else {
+    if (count_ == kInlineLanes) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(lane);
+  }
+  ++count_;
+}
+
+template <class F>
+void SymWord::zip(const SymWord& a, const SymWord& b, F f) {
+  const auto la = a.lanes();
+  const auto lb = b.lanes();
+  std::size_t i = 0, j = 0;
+  while (i < la.size() || j < lb.size()) {
+    if (j == lb.size() || (i < la.size() && la[i].id < lb[j].id)) {
+      f(&la[i++], nullptr);
+    } else if (i == la.size() || lb[j].id < la[i].id) {
+      f(nullptr, &lb[j++]);
+    } else {
+      f(&la[i++], &lb[j++]);
+    }
+  }
+}
 
 SymWord SymWord::constant(std::uint32_t v) {
   SymWord w;
-  for (unsigned i = 0; i < 32; ++i) w.bits_[i].constant = ((v >> i) & 1u) != 0;
+  w.constant_ = v;
   return w;
 }
 
 SymWord SymWord::lane(std::uint32_t lane_id) {
+  Lane l;
+  l.id = lane_id;
+  for (unsigned i = 0; i < 32; ++i) l.rows[i] = 1u << i;
   SymWord w;
-  for (unsigned i = 0; i < 32; ++i) w.bits_[i].vars = {lane_id * 32u + i};
+  w.push(l);
   return w;
 }
 
 SymWord SymWord::operator^(const SymWord& o) const {
   SymWord w;
-  for (unsigned i = 0; i < 32; ++i) {
-    w.bits_[i].constant = bits_[i].constant != o.bits_[i].constant;
-    w.bits_[i].vars = xor_vars(bits_[i].vars, o.bits_[i].vars);
-  }
+  w.constant_ = constant_ ^ o.constant_;
+  // Rows add per lane (x ^ x = 0, so equal terms cancel).
+  zip(*this, o, [&w](const Lane* x, const Lane* y) {
+    Lane l;
+    l.id = (x != nullptr ? x : y)->id;
+    for (unsigned r = 0; r < 32; ++r) {
+      l.rows[r] = (x != nullptr ? x->rows[r] : 0u) ^ (y != nullptr ? y->rows[r] : 0u);
+    }
+    w.push(l);
+  });
   return w;
 }
 
 SymWord SymWord::operator&(std::uint32_t mask) const {
   SymWord w;
-  for (unsigned i = 0; i < 32; ++i) {
-    if (((mask >> i) & 1u) != 0) w.bits_[i] = bits_[i];
+  w.constant_ = constant_ & mask;
+  for (const Lane& src : lanes()) {
+    Lane l;
+    l.id = src.id;
+    for (unsigned r = 0; r < 32; ++r) {
+      if (((mask >> r) & 1u) != 0) l.rows[r] = src.rows[r];
+    }
+    w.push(l);
   }
   return w;
 }
@@ -52,30 +91,52 @@ SymWord SymWord::operator&(std::uint32_t mask) const {
 SymWord SymWord::operator>>(unsigned n) const {
   SymWord w;
   if (n >= 32) return w;  // all bits constant 0
-  for (unsigned i = 0; i + n < 32; ++i) w.bits_[i] = bits_[i + n];
+  w.constant_ = constant_ >> n;
+  for (const Lane& src : lanes()) {
+    Lane l;
+    l.id = src.id;
+    for (unsigned r = 0; r + n < 32; ++r) l.rows[r] = src.rows[r + n];
+    w.push(l);
+  }
   return w;
 }
 
-int SymWord::first_divergent_bit(const SymWord& a, const SymWord& b) {
-  for (unsigned i = 0; i < 32; ++i) {
-    if (!(a.bits_[i] == b.bits_[i])) return static_cast<int>(i);
+SymBit SymWord::bit(unsigned i) const {
+  SymBit b;
+  b.constant = ((constant_ >> i) & 1u) != 0;
+  for (const Lane& l : lanes()) {
+    for (std::uint32_t row = l.rows[i]; row != 0; row &= row - 1) {
+      b.vars.push_back(l.id * 32u + static_cast<std::uint32_t>(std::countr_zero(row)));
+    }
   }
-  return -1;
+  return b;
+}
+
+int SymWord::first_divergent_bit(const SymWord& a, const SymWord& b) {
+  // Bit r diverges iff the constants or some lane's row r differ.
+  std::uint32_t diff = a.constant_ ^ b.constant_;
+  zip(a, b, [&diff](const Lane* x, const Lane* y) {
+    for (unsigned r = 0; r < 32; ++r) {
+      if ((x != nullptr ? x->rows[r] : 0u) != (y != nullptr ? y->rows[r] : 0u)) {
+        diff |= 1u << r;
+      }
+    }
+  });
+  return diff == 0 ? -1 : std::countr_zero(diff);
 }
 
 std::string SymWord::to_string() const {
-  std::uint32_t c = 0;
-  for (unsigned i = 0; i < 32; ++i) {
-    if (bits_[i].constant) c |= 1u << i;
-  }
+  // std::hex stays set: lane ids and bit indices print in hex too.
   std::ostringstream out;
-  out << "0x" << std::hex << c;
+  out << "0x" << std::hex << constant_;
   bool any = false;
   for (unsigned i = 0; i < 32; ++i) {
-    for (const std::uint32_t v : bits_[i].vars) {
-      out << (any ? "," : " ^ {");
-      any = true;
-      out << 'L' << (v / 32) << ".b" << (v % 32) << "->b" << i;
+    for (const Lane& l : lanes()) {
+      for (std::uint32_t row = l.rows[i]; row != 0; row &= row - 1) {
+        out << (any ? "," : " ^ {");
+        any = true;
+        out << 'L' << l.id << ".b" << std::countr_zero(row) << "->b" << i;
+      }
     }
   }
   if (any) out << '}';

@@ -12,9 +12,17 @@
 // lane (interned by hash-unit identity + configured mask, see
 // translate.cpp).  Two SymWords compare equal iff the concrete expressions
 // agree on every input valuation — no approximation, no false equalities.
+//
+// Storage is a GF(2) bit-matrix per lane: row i of a lane is the set of
+// that lane's bits XORed into output bit i.  Lanes are kept sorted by id
+// with all-zero lanes dropped, so the representation stays canonical.  The
+// first kInlineLanes lanes live inside the word; a word over more lanes
+// spills to the heap, so any number of variables stays exact.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +30,8 @@ namespace flymon::verify::translate {
 
 /// One bit as a GF(2) affine form: `constant ^ XOR(vars)`.  `vars` is a
 /// sorted, duplicate-free set of symbolic input-bit ids (XOR is idempotent
-/// on equal terms, so a set is canonical).
+/// on equal terms, so a set is canonical).  An inspection view built on
+/// demand by SymWord::bit.
 struct SymBit {
   bool constant = false;
   std::vector<std::uint32_t> vars;
@@ -31,7 +40,7 @@ struct SymBit {
   friend bool operator==(const SymBit&, const SymBit&) = default;
 };
 
-/// A 32-bit word of SymBits, bit 0 = LSB.
+/// A 32-bit word of GF(2) affine bits, bit 0 = LSB.
 class SymWord {
  public:
   /// All bits constant: the word `v`.
@@ -46,21 +55,44 @@ class SymWord {
   /// Logical right shift by `n` (n >= 32 yields constant 0).
   SymWord operator>>(unsigned n) const;
 
-  const SymBit& bit(unsigned i) const { return bits_[i]; }
+  /// Bit `i` as an explicit affine form (allocates; for inspection).
+  SymBit bit(unsigned i) const;
 
   /// Index of the lowest bit where the two words differ, or -1 when
   /// equivalent.  Equality here is semantic equality of the concrete
   /// functions (the representation is canonical).
   static int first_divergent_bit(const SymWord& a, const SymWord& b);
 
-  friend bool operator==(const SymWord&, const SymWord&) = default;
+  friend bool operator==(const SymWord& a, const SymWord& b) {
+    return first_divergent_bit(a, b) < 0;
+  }
 
   /// Compact rendering for diagnostics: constant part in hex plus the
   /// symbolic terms of the diverging bits, e.g. "0x00000000 ^ {L1.b3}".
   std::string to_string() const;
 
  private:
-  SymBit bits_[32];
+  /// One lane's contribution: rows[i] = the lane bits XORed into bit i.
+  struct Lane {
+    std::uint32_t id = 0;
+    std::array<std::uint32_t, 32> rows{};
+
+    bool zero() const noexcept;
+  };
+  static constexpr std::uint32_t kInlineLanes = 2;
+
+  std::span<const Lane> lanes() const noexcept;
+  /// Append a lane (ids ascending); an all-zero lane is dropped.
+  void push(const Lane& lane);
+  /// Walk two words' id-sorted lanes in step: f(x, y) per id, with nullptr
+  /// for the side that lacks it.
+  template <class F>
+  static void zip(const SymWord& a, const SymWord& b, F f);
+
+  std::uint32_t constant_ = 0;
+  std::uint32_t count_ = 0;
+  std::array<Lane, kInlineLanes> inline_{};
+  std::vector<Lane> spill_;  ///< every lane once count_ > kInlineLanes
 };
 
 }  // namespace flymon::verify::translate

@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "core/flymon_dataplane.hpp"
@@ -30,10 +31,10 @@ std::uint32_t prefix_mask(std::uint8_t len) noexcept {
   return ~((1u << (32 - len)) - 1u);
 }
 
-std::string entry_site(unsigned g, unsigned c, std::uint32_t phys) {
-  std::ostringstream os;
-  os << 'g' << g << "/c" << c << " phys " << phys;
-  return os.str();
+std::string group_site(unsigned g) { return "g" + std::to_string(g); }
+
+std::string cmu_site(unsigned g, unsigned c) {
+  return group_site(g) + "/c" + std::to_string(c);
 }
 
 /// Interns hash-lane identities into symbolic variable ids.  Two lanes get
@@ -45,17 +46,23 @@ class LaneTable {
  public:
   SymWord word(const dataplane::HashUnit& u) {
     if (!u.configured()) return SymWord::constant(0);
-    std::string key = std::to_string(u.unit_index());
-    key.push_back(':');
-    for (const std::uint8_t b : u.mask()) key.push_back(static_cast<char>(b));
-    const auto [it, fresh] = ids_.emplace(std::move(key), next_);
-    if (fresh) ++next_;
-    return SymWord::lane(it->second);
+    // Ids number lanes in first-seen order from 1 (id 0 is never used;
+    // constants need no id).
+    std::uint32_t id = 1;
+    for (const Key& k : ids_) {
+      if (k.unit_index == u.unit_index() && k.mask == u.mask()) break;
+      ++id;
+    }
+    if (id > ids_.size()) ids_.push_back({u.unit_index(), u.mask()});
+    return SymWord::lane(id);
   }
 
  private:
-  std::map<std::string, std::uint32_t> ids_;
-  std::uint32_t next_ = 1;  // id 0 is never used; constants need no id
+  struct Key {
+    unsigned unit_index;
+    CandidateKey mask;
+  };
+  std::vector<Key> ids_;  // a pipeline has a handful of lanes
 };
 
 /// Interpreted-side lane word: mirrors CompressionStage::compute (a cleared
@@ -91,29 +98,26 @@ class ChainMap {
   /// Empty string when consistent; a description of the violation otherwise.
   std::string note(std::uint32_t channel, std::uint32_t dense,
                    std::size_t chain_count) {
-    std::ostringstream os;
+    using std::to_string;
     if ((channel == 0) != (dense == 0)) {
-      os << "channel " << channel << " lowered to dense index " << dense
-         << " (0 must map to the never-written zero cell, and only 0 may)";
-      return os.str();
+      return "channel " + to_string(channel) + " lowered to dense index " +
+             to_string(dense) +
+             " (0 must map to the never-written zero cell, and only 0 may)";
     }
     if (channel == 0) return {};
     if (dense >= chain_count) {
-      os << "dense chain index " << dense << " out of range (plan has "
-         << chain_count << " channels)";
-      return os.str();
+      return "dense chain index " + to_string(dense) + " out of range (plan has " +
+             to_string(chain_count) + " channels)";
     }
     const auto f = fwd_.emplace(channel, dense);
     if (!f.second && f.first->second != dense) {
-      os << "channel " << channel << " lowered to dense indices "
-         << f.first->second << " and " << dense;
-      return os.str();
+      return "channel " + to_string(channel) + " lowered to dense indices " +
+             to_string(f.first->second) + " and " + to_string(dense);
     }
     const auto r = rev_.emplace(dense, channel);
     if (!r.second && r.first->second != channel) {
-      os << "dense chain index " << dense << " serves channels "
-         << r.first->second << " and " << channel;
-      return os.str();
+      return "dense chain index " + to_string(dense) + " serves channels " +
+             to_string(r.first->second) + " and " + to_string(channel);
     }
     return {};
   }
@@ -129,13 +133,16 @@ struct EntryChecker {
   ChainMap& chains;
   const ExecPlan& plan;
   const CompressionStage& comp;
-  const std::string site;
+  unsigned group;
+  unsigned cmu;
+  std::uint32_t phys;
   bool diverged = false;
 
   void fail(const std::string& check, const std::string& message,
             std::string hint = {}) {
     diverged = true;
-    report.add(Severity::kError, "translate." + check, site, message,
+    report.add(Severity::kError, "translate." + check,
+               cmu_site(group, cmu) + " phys " + std::to_string(phys), message,
                hint.empty()
                    ? "PlanCompiler lowering diverges from the interpreted "
                      "Cmu semantics for this entry"
@@ -412,12 +419,15 @@ void validate_translation(const FlyMonDataPlane& dp, const ExecPlan& plan,
   // outdated mask (slot 0 is the constant-zero lane, nothing to audit).
   for (std::size_t s = 1; s < plan.hash_slots().size(); ++s) {
     const HashSlot& slot = plan.hash_slots()[s];
-    std::ostringstream os;
-    os << "hash slot " << s << " (g" << slot.group << " unit "
-       << slot.unit_index << ")";
+    const auto site = [&] {
+      std::ostringstream os;
+      os << "hash slot " << s << " (g" << slot.group << " unit "
+         << slot.unit_index << ")";
+      return os.str();
+    };
     if (slot.group >= dp.num_groups() ||
         slot.unit_index >= dp.group(slot.group).compression().num_units()) {
-      report.add(Severity::kError, "translate.lane", os.str(),
+      report.add(Severity::kError, "translate.lane", site(),
                  "slot references a hash unit outside the pipeline");
       continue;
     }
@@ -426,7 +436,7 @@ void validate_translation(const FlyMonDataPlane& dp, const ExecPlan& plan,
     if (!comp.spec_of(slot.unit_index) || !live.configured() ||
         live.unit_index() != slot.unit.unit_index() ||
         live.mask() != slot.unit.mask()) {
-      report.add(Severity::kError, "translate.lane", os.str(),
+      report.add(Severity::kError, "translate.lane", site(),
                  "compiled lane snapshot diverges from the live hash unit "
                  "(mask or configuration changed since compile)",
                  "the plan is stale; recompile so compiled hashing matches "
@@ -438,12 +448,10 @@ void validate_translation(const FlyMonDataPlane& dp, const ExecPlan& plan,
   for (unsigned g = 0; g < dp.num_groups(); ++g) {
     const CmuGroup& grp = dp.group(g);
     const CompressionStage& comp = grp.compression();
-    std::ostringstream gsite;
-    gsite << 'g' << g;
 
     if (g >= groups.size() || groups[g].cmu_begin != flat_cmu ||
         groups[g].cmu_end - groups[g].cmu_begin != grp.num_cmus()) {
-      report.add(Severity::kError, "translate.entries", gsite.str(),
+      report.add(Severity::kError, "translate.entries", group_site(g),
                  "compiled group does not cover the group's CMUs "
                  "contiguously");
       return;  // flat indices are unusable past this point
@@ -453,7 +461,7 @@ void validate_translation(const FlyMonDataPlane& dp, const ExecPlan& plan,
       if (comp.spec_of(u)) ++configured;
     }
     if (groups[g].configured_units != configured) {
-      report.add(Severity::kWarning, "translate.lane", gsite.str(),
+      report.add(Severity::kWarning, "translate.lane", group_site(g),
                  "compiled hash-invocation count differs from the live "
                  "configured-unit count (telemetry skew only)");
     }
@@ -461,11 +469,9 @@ void validate_translation(const FlyMonDataPlane& dp, const ExecPlan& plan,
     for (unsigned c = 0; c < grp.num_cmus(); ++c, ++flat_cmu) {
       const Cmu& cmu = grp.cmu(c);
       const CompiledCmu& cc = cmus[flat_cmu];
-      std::ostringstream csite;
-      csite << 'g' << g << "/c" << c;
 
       if (cc.reg != &cmu.reg()) {
-        report.add(Severity::kError, "translate.register", csite.str(),
+        report.add(Severity::kError, "translate.register", cmu_site(g, c),
                    "compiled CMU is bound to a different register than the "
                    "live CMU it was lowered from");
       }
@@ -478,7 +484,7 @@ void validate_translation(const FlyMonDataPlane& dp, const ExecPlan& plan,
                                               : 0)
            << " differs from the " << installed.size()
            << " installed entries";
-        report.add(Severity::kError, "translate.entries", csite.str(), os.str(),
+        report.add(Severity::kError, "translate.entries", cmu_site(g, c), os.str(),
                    "an entry was dropped, duplicated or reordered during "
                    "compilation");
         continue;
@@ -489,8 +495,7 @@ void validate_translation(const FlyMonDataPlane& dp, const ExecPlan& plan,
       for (std::size_t i = 0; i < installed.size(); ++i) {
         const CmuTaskEntry& e = installed[i];
         const CompiledEntry& ce = entries[cc.entry_begin + i];
-        EntryChecker check{report,    lanes, chains, plan,
-                           comp,      entry_site(g, c, e.task_id)};
+        EntryChecker check{report, lanes, chains, plan, comp, g, c, e.task_id};
         check.check_filter(e, ce);
         check.check_sampling(e, ce);
         SymWord interp_sliced, compiled_sliced;

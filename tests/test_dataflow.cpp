@@ -856,13 +856,44 @@ TEST(ShellPlan, CommitOnAFragmentedWorldFailsLikeTheCommit) {
 }
 
 TEST(ShellPlan, StagingValidatesLiveTaskIds) {
+  // Staging checks only syntax; `plan run` is the one validator and
+  // reports an unknown id exactly as a commit would.
   FlyMonDataPlane dp(9);
   Controller ctl(dp);
   control::Shell shell(ctl);
-  EXPECT_EQ(shell.execute("plan remove 42"), "error: unknown task");
-  EXPECT_EQ(shell.execute("plan resize 42 8192"), "error: unknown task");
+  EXPECT_EQ(shell.execute("plan remove 42"), "staged op 1: remove");
+  const std::string run = shell.execute("plan run");
+  EXPECT_NE(run.find("plan FAILED: op 'remove task 42' failed: unknown task 42"),
+            std::string::npos)
+      << run;
+  EXPECT_NE(run.find("[FAIL] remove task 42: unknown task 42"),
+            std::string::npos)
+      << run;
+  EXPECT_EQ(shell.execute("plan resize 42"),
+            "error: usage: plan resize <id> <buckets>");
+  EXPECT_EQ(shell.execute("plan split x"), "error: bad arguments");
   EXPECT_NE(shell.execute("plan bogus").find("error: usage"),
             std::string::npos);
+}
+
+TEST(ShellPlan, LaterOpsMayNameIdsEarlierOpsMint) {
+  FlyMonDataPlane dp(9);
+  Controller ctl(dp);
+  control::Shell shell(ctl);
+  ASSERT_EQ(shell.execute(
+                "plan add name=hh key=SrcIP attr=Frequency algo=CMS mem=4096"),
+            "staged op 1: add");
+  const std::string minted = shell.execute("plan run");
+  const std::size_t at = minted.find("deployed as task ");
+  ASSERT_NE(at, std::string::npos) << minted;
+  const std::string id = minted.substr(at + 17, minted.find('\n', at) - at - 17);
+  EXPECT_EQ(shell.execute("plan resize " + id + " 8192"), "staged op 2: resize");
+  const std::string run = shell.execute("plan run");
+  EXPECT_EQ(run.rfind("plan OK", 0), 0u) << run;
+  EXPECT_NE(run.find("[ok] resize task " + id + " -> 8192 buckets"),
+            std::string::npos)
+      << run;
+  EXPECT_EQ(ctl.num_tasks(), 0u);
 }
 
 TEST(ShellPlan, AccuracyTargetArgumentsReachTheSpec) {

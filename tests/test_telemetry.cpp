@@ -17,6 +17,8 @@
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_ring.hpp"
+#include "trace/span.hpp"
+#include "verify/planner.hpp"
 
 namespace flymon {
 namespace {
@@ -361,11 +363,61 @@ TEST(EpochRunnerTelemetry, RecordsEpochsAndSaturation) {
   EXPECT_GT(reg.gauge("flymon_epoch_task_saturation", {{"task", id}}).value(), 0.0);
 }
 
+// ---- per-phase reconfiguration latency ----
+
+std::uint64_t phase_samples(Registry& reg, const char* phase) {
+  return reg.histogram("flymon_reconfig_phase_us", {{"phase", phase}}).snapshot().count;
+}
+
+TaskSpec phase_task() {
+  TaskSpec s;
+  s.key = FlowKeySpec::src_ip();
+  s.attribute = AttributeKind::kFrequency;
+  s.memory_buckets = 4096;
+  return s;
+}
+
+TEST(ReconfigPhaseTelemetry, ParanoidAddRecordsEachPhaseOnce) {
+  EnabledGuard on(true);
+  Registry reg;
+  FlyMonDataPlane dp(3);
+  control::Controller ctl(dp);
+  ctl.bind_telemetry(reg);
+  ctl.set_paranoid(true);
+  ASSERT_TRUE(ctl.add_task(phase_task()).ok);
+  for (const char* phase : {"checkpoint", "compile", "validate", "zero", "publish"}) {
+    EXPECT_EQ(phase_samples(reg, phase), 1u) << phase;
+  }
+  // A dry run is not a reconfiguration: it records nothing.
+  ASSERT_TRUE(ctl.plan({control::PlanOp::add(phase_task())}).ok);
+  for (const char* phase : {"checkpoint", "compile", "validate", "zero", "publish"}) {
+    EXPECT_EQ(phase_samples(reg, phase), 1u) << phase;
+  }
+}
+
+TEST(ReconfigPhaseTelemetry, NonParanoidAddRecordsNoValidateSample) {
+  EnabledGuard on(true);
+  Registry reg;
+  FlyMonDataPlane dp(3);
+  control::Controller ctl(dp);
+  ctl.bind_telemetry(reg);
+  ASSERT_TRUE(ctl.add_task(phase_task()).ok);
+  EXPECT_EQ(phase_samples(reg, "validate"), 0u);
+  for (const char* phase : {"checkpoint", "compile", "zero", "publish"}) {
+    EXPECT_EQ(phase_samples(reg, phase), 1u) << phase;
+  }
+}
+
 // ---- golden exporter output of a deployed-task scenario ----
 
 /// Small fully deterministic scenario: 1 group, 64-bucket registers, one
-/// 1-row CountMin task, 6 hand-built packets.
+/// 1-row CountMin task, 6 hand-built packets.  The span clock is frozen so
+/// the reconfiguration phase histograms read 0 us.
 std::string golden_scenario(Registry& reg, bool prometheus) {
+  struct FrozenClock {
+    FrozenClock() { trace::set_clock([]() -> std::uint64_t { return 0; }); }
+    ~FrozenClock() { trace::set_clock(nullptr); }
+  } frozen;
   FlyMonDataPlane dp(1, CmuGroupConfig{.register_buckets = 64});
   dp.bind_telemetry(reg);
   control::Controller ctl(dp);
@@ -426,6 +478,107 @@ flymon_group_packets_total{group="0"} 6
 flymon_hash_invocations_total{group="0"} 6
 # TYPE flymon_packets_total counter
 flymon_packets_total 6
+# TYPE flymon_reconfig_phase_us histogram
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="0.25"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="1"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="4"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="16"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="64"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="256"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="1024"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="4096"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="16384"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="65536"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="262144"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="1048576"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="4194304"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="16777216"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="67108864"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="268435456"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="1073741824"} 1
+flymon_reconfig_phase_us_bucket{phase="checkpoint",le="+Inf"} 1
+flymon_reconfig_phase_us_sum{phase="checkpoint"} 0
+flymon_reconfig_phase_us_count{phase="checkpoint"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="0.25"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="1"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="4"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="16"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="64"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="256"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="1024"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="4096"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="16384"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="65536"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="262144"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="1048576"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="4194304"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="16777216"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="67108864"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="268435456"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="1073741824"} 1
+flymon_reconfig_phase_us_bucket{phase="compile",le="+Inf"} 1
+flymon_reconfig_phase_us_sum{phase="compile"} 0
+flymon_reconfig_phase_us_count{phase="compile"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="0.25"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="1"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="4"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="16"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="64"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="256"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="1024"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="4096"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="16384"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="65536"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="262144"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="1048576"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="4194304"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="16777216"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="67108864"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="268435456"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="1073741824"} 1
+flymon_reconfig_phase_us_bucket{phase="publish",le="+Inf"} 1
+flymon_reconfig_phase_us_sum{phase="publish"} 0
+flymon_reconfig_phase_us_count{phase="publish"} 1
+flymon_reconfig_phase_us_bucket{phase="validate",le="0.25"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="1"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="4"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="16"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="64"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="256"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="1024"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="4096"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="16384"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="65536"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="262144"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="1048576"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="4194304"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="16777216"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="67108864"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="268435456"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="1073741824"} 0
+flymon_reconfig_phase_us_bucket{phase="validate",le="+Inf"} 0
+flymon_reconfig_phase_us_sum{phase="validate"} 0
+flymon_reconfig_phase_us_count{phase="validate"} 0
+flymon_reconfig_phase_us_bucket{phase="zero",le="0.25"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="1"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="4"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="16"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="64"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="256"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="1024"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="4096"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="16384"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="65536"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="262144"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="1048576"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="4194304"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="16777216"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="67108864"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="268435456"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="1073741824"} 1
+flymon_reconfig_phase_us_bucket{phase="zero",le="+Inf"} 1
+flymon_reconfig_phase_us_sum{phase="zero"} 0
+flymon_reconfig_phase_us_count{phase="zero"} 1
 # TYPE flymon_salu_op_total counter
 flymon_salu_op_total{group="0",cmu="0",op="Cond-ADD"} 6
 # TYPE flymon_task_buckets gauge
@@ -455,7 +608,7 @@ TEST(TelemetryGolden, JsonScenario) {
   EnabledGuard on(true);
   Registry reg;
   const std::string text = golden_scenario(reg, false);
-  EXPECT_EQ(text, R"({"metrics":[{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":0.03125},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":1},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":6},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_dataplane_groups","kind":"gauge","labels":{},"value":1},{"name":"flymon_group_hash_units_configured","kind":"gauge","labels":{"group":"0"},"value":1},{"name":"flymon_group_packets_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_hash_invocations_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_packets_total","kind":"counter","labels":{},"value":6},{"name":"flymon_salu_op_total","kind":"counter","labels":{"group":"0","cmu":"0","op":"Cond-ADD"},"value":6},{"name":"flymon_task_buckets","kind":"gauge","labels":{"task":"1"},"value":64},{"name":"flymon_task_deploy_delay_ms_total","kind":"gauge","labels":{"task":"1"},"value":16},{"name":"flymon_task_deploy_failures_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_deploys_total","kind":"counter","labels":{},"value":1},{"name":"flymon_task_max_saturation","kind":"gauge","labels":{"task":"1"},"value":0.03125},{"name":"flymon_task_removals_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_resizes_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_row_saturation","kind":"gauge","labels":{"task":"1","row":"0"},"value":0.03125},{"name":"flymon_task_rules","kind":"gauge","labels":{"task":"1"},"value":5},{"name":"flymon_tasks_active","kind":"gauge","labels":{},"value":1}]})");
+  EXPECT_EQ(text, R"({"metrics":[{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":0.03125},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":1},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":6},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_dataplane_groups","kind":"gauge","labels":{},"value":1},{"name":"flymon_group_hash_units_configured","kind":"gauge","labels":{"group":"0"},"value":1},{"name":"flymon_group_packets_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_hash_invocations_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_packets_total","kind":"counter","labels":{},"value":6},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"checkpoint"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"compile"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"publish"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"validate"},"count":0,"sum":0,"buckets":[{"le":0.25,"count":0},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"zero"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_salu_op_total","kind":"counter","labels":{"group":"0","cmu":"0","op":"Cond-ADD"},"value":6},{"name":"flymon_task_buckets","kind":"gauge","labels":{"task":"1"},"value":64},{"name":"flymon_task_deploy_delay_ms_total","kind":"gauge","labels":{"task":"1"},"value":16},{"name":"flymon_task_deploy_failures_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_deploys_total","kind":"counter","labels":{},"value":1},{"name":"flymon_task_max_saturation","kind":"gauge","labels":{"task":"1"},"value":0.03125},{"name":"flymon_task_removals_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_resizes_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_row_saturation","kind":"gauge","labels":{"task":"1","row":"0"},"value":0.03125},{"name":"flymon_task_rules","kind":"gauge","labels":{"task":"1"},"value":5},{"name":"flymon_tasks_active","kind":"gauge","labels":{},"value":1}]})");
 }
 
 // ---- shell commands ----

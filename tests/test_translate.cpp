@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <memory>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -47,6 +51,117 @@ TEST(SymBits, ShiftAndMaskMoveSymbolicBits) {
   EXPECT_TRUE(s.bit(8).is_constant());
   // Shifting by the full word width yields constant zero.
   EXPECT_EQ(w >> 32, SymWord::constant(0));
+}
+
+// A random expression over lanes 1..kLanes, built symbolically and as a
+// concrete function of the lane values at the same time.
+constexpr unsigned kLanes = 6;
+using LaneValues = std::array<std::uint32_t, kLanes + 1>;
+
+struct Expr {
+  SymWord sym;
+  std::function<std::uint32_t(const LaneValues&)> eval;
+};
+
+Expr operator^(const Expr& a, const Expr& b) {
+  return {a.sym ^ b.sym, [a, b](const LaneValues& v) { return a.eval(v) ^ b.eval(v); }};
+}
+Expr operator&(const Expr& a, std::uint32_t m) {
+  return {a.sym & m, [a, m](const LaneValues& v) { return a.eval(v) & m; }};
+}
+Expr operator>>(const Expr& a, unsigned n) {
+  return {a.sym >> n,
+          [a, n](const LaneValues& v) { return n >= 32 ? 0u : a.eval(v) >> n; }};
+}
+
+Expr random_expr(std::mt19937& rng, unsigned depth) {
+  const unsigned pick = depth == 0 ? rng() % 2 : rng() % 6;
+  switch (pick) {
+    case 0: {
+      const std::uint32_t id = 1 + rng() % kLanes;
+      return {SymWord::lane(id), [id](const LaneValues& v) { return v[id]; }};
+    }
+    case 1: {
+      const std::uint32_t c = rng();
+      return {SymWord::constant(c), [c](const LaneValues&) { return c; }};
+    }
+    case 2:
+      return random_expr(rng, depth - 1) & static_cast<std::uint32_t>(rng());
+    case 3:
+      return random_expr(rng, depth - 1) >> (rng() % 36);
+    default:  // XOR is the common case, so words span several lanes
+      return random_expr(rng, depth - 1) ^ random_expr(rng, depth - 1);
+  }
+}
+
+/// Evaluate a SymWord at concrete lane values through its bit view.
+std::uint32_t evaluate(const SymWord& w, const LaneValues& lanes) {
+  std::uint32_t out = 0;
+  for (unsigned i = 0; i < 32; ++i) {
+    const auto b = w.bit(i);
+    bool v = b.constant;
+    for (const std::uint32_t var : b.vars) v ^= ((lanes[var / 32] >> (var % 32)) & 1u) != 0;
+    if (v) out |= 1u << i;
+  }
+  return out;
+}
+
+TEST(SymBits, RandomExpressionsAgreeWithConcreteEvaluation) {
+  std::mt19937 rng(20221);
+  std::vector<LaneValues> points(64);
+  for (LaneValues& p : points) {
+    for (std::uint32_t& v : p) v = rng();
+  }
+  unsigned spilled = 0, equal_pairs = 0, unequal_pairs = 0;
+  for (unsigned trial = 0; trial < 300; ++trial) {
+    const Expr a = random_expr(rng, 5);
+    const Expr r = random_expr(rng, 4);
+    const unsigned n = rng() % 33;
+    const std::uint32_t m = rng();
+    // Half the pairs are rewrites that must compare equal; the rest pair
+    // unrelated expressions.
+    Expr x = a, y;
+    switch (trial % 6) {
+      case 0: y = (a ^ r) ^ r; break;
+      case 1: y = (a & m) ^ (a & ~m); break;
+      case 2:
+        x = a >> n;
+        y = ((a ^ r) >> n) ^ (r >> n);
+        break;
+      default: y = random_expr(rng, 5); break;
+    }
+    if (trial % 6 < 3) EXPECT_EQ(x.sym, y.sym) << "trial " << trial;
+
+    std::set<std::uint32_t> lanes;
+    for (unsigned i = 0; i < 32; ++i) {
+      for (const std::uint32_t var : (a ^ r).sym.bit(i).vars) lanes.insert(var / 32);
+    }
+    if (lanes.size() >= 3) ++spilled;
+
+    std::uint32_t diff_any = 0;
+    for (const LaneValues& p : points) {
+      ASSERT_EQ(evaluate(x.sym, p), x.eval(p)) << "trial " << trial;
+      ASSERT_EQ(evaluate(y.sym, p), y.eval(p)) << "trial " << trial;
+      diff_any |= x.eval(p) ^ y.eval(p);
+    }
+    const int bit = SymWord::first_divergent_bit(x.sym, y.sym);
+    if (x.sym == y.sym) {
+      ++equal_pairs;
+      EXPECT_EQ(bit, -1);
+      EXPECT_EQ(diff_any, 0u) << "trial " << trial;
+    } else {
+      ++unequal_pairs;
+      ASSERT_GE(bit, 0);
+      // Below the divergent bit the words agree everywhere; at it they
+      // differ on some point (a non-zero affine form is 1 on half of all
+      // inputs, so 64 random points miss it with probability 2^-64).
+      EXPECT_EQ(diff_any & ((1u << bit) - 1u), 0u) << "trial " << trial;
+      EXPECT_NE((diff_any >> bit) & 1u, 0u) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(spilled, 50u);
+  EXPECT_GT(equal_pairs, 100u);
+  EXPECT_GT(unequal_pairs, 100u);
 }
 
 // ---- world helpers ----
