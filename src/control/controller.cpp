@@ -423,27 +423,18 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
     }
   }
 
+  // The retired and staged partitions, zeroed under the publish fence
+  // (past every exit that does not publish), collected before a resize
+  // renames its staged task.
+  std::vector<UnitPlacement> zeroed;
   if (!dry_run_) {
-    // Zero cells only here, past every exit that does not publish, after
-    // folding outstanding shard deltas (merge-after-clear would resurrect
-    // them).  The publish fence folds deltas traffic adds meanwhile into
-    // the retired cells, so a freed partition can still hold counts; a
-    // staged one starts from zero regardless.
-    since = trace::now_ns();
-    trace::Span zeroing("ctl.zero");
-    dp_->merge_shards();
-    const auto zero = [&](const DeployedTask& t) {
+    const auto collect = [&](const DeployedTask& t) {
       for (const RowPlacement& row : t.rows) {
-        for (const UnitPlacement& up : row.units) {
-          dp_->group(up.group).cmu(up.cmu).clear_partition(up.partition,
-                                                           cp.cmus[up.group][up.cmu]);
-        }
+        zeroed.insert(zeroed.end(), row.units.begin(), row.units.end());
       }
     };
-    if (retired) zero(retired.mapped());
-    for (std::uint32_t id = first_id; id < next_id_; ++id) zero(tasks_.at(id));
-    zeroing.close();
-    observe(kZero, since);
+    if (retired) collect(retired.mapped());
+    for (std::uint32_t id = first_id; id < next_id_; ++id) collect(tasks_.at(id));
   }
   // The commit's bookkeeping, which a dry run shares so that later ops of
   // its batch see the same memory and ids.
@@ -464,9 +455,27 @@ std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& s
   if (retired) removals_counter_->inc();
   if (rekey) resizes_counter_->inc();
   deploys_counter_->inc(stage.size());
+  std::vector<exec::CellRange> cells;
+  cells.reserve(zeroed.size());
+  for (const UnitPlacement& up : zeroed) {
+    std::uint32_t flat = up.cmu;
+    for (unsigned g = 0; g < up.group; ++g) flat += dp_->group(g).num_cmus();
+    cells.push_back({flat, up.partition.base, up.partition.size});
+  }
+  std::uint64_t zero_ns = 0;
   since = trace::now_ns();
-  dp_->publish_plan(std::move(candidate));
-  observe(kPublish, since);
+  dp_->publish_plan(std::move(candidate), cells, [&] {
+    const std::uint64_t t0 = trace::now_ns();
+    trace::Span zeroing("ctl.zero");
+    for (const UnitPlacement& up : zeroed) {
+      dp_->group(up.group).cmu(up.cmu).clear_partition(up.partition,
+                                                       cp.cmus[up.group][up.cmu]);
+    }
+    zeroing.close();
+    observe(kZero, t0);
+    zero_ns = trace::now_ns() - t0;
+  });
+  observe(kPublish, since + zero_ns);  // the fence and the store
   return results;
 }
 
@@ -813,8 +822,8 @@ std::uint32_t Controller::free_buckets(unsigned group, unsigned cmu) const {
 const DeployedTask& Controller::require(std::uint32_t id) const {
   // Every by-id access can precede a register readout (or clear): fold
   // outstanding shard deltas first so queries always see exactly what a
-  // sequential run would have produced.  Cheap when no pool is enabled or
-  // no shard is dirty.
+  // sequential run would have produced.  One acquire load when no pool is
+  // enabled or no batch has run since the last fold: no lock.
   dp_->merge_shards();
   const auto it = tasks_.find(id);
   if (it == tasks_.end()) throw std::out_of_range("Controller: unknown task id");
@@ -826,38 +835,58 @@ namespace {
 struct ProbeView {
   const Cmu* cmu;
   const CmuTaskEntry* entry;
+  unsigned group;
   std::uint32_t addr;
   std::uint32_t value;
-  CompressionStage::UnitKeys unit_keys;
 };
 
-/// Reads the cells one probe packet maps to.  The group's compressed keys
-/// are hashed into a fixed-size buffer once per group the reads visit (the
-/// rows of a single-group task share them), so a query allocates nothing.
+/// Reads the cells one probe packet maps to.  A hash lane is computed the
+/// first time a read of its group selects it, into a fixed-size buffer
+/// (the rows of a single-group task share them), so a query allocates
+/// nothing and hashes no lane it does not read.
 class Prober {
  public:
   Prober(const FlyMonDataPlane& dp, const Packet& probe)
-      : dp_(dp), key_(serialize_candidate_key(probe)) {}
+      : dp_(dp), probe_(probe), key_(serialize_candidate_key(probe)) {}
 
   ProbeView unit(const UnitPlacement& up) {
-    const CmuGroup& g = dp_.group(up.group);
-    if (up.group != keys_group_) {
-      keys_ = g.compute_keys(key_);
-      keys_group_ = up.group;
-    }
-    const Cmu& cmu = g.cmu(up.cmu);
+    const Cmu& cmu = dp_.group(up.group).cmu(up.cmu);
     const CmuTaskEntry* e = cmu.find(up.phys_id);
     if (e == nullptr) throw std::logic_error("Controller: entry vanished");
-    const std::uint32_t addr = cmu.probe_address(*e, keys_);
-    return ProbeView{&cmu, e, addr, cmu.reg().read(addr), keys_};
+    const std::uint32_t addr = cmu.probe_address(*e, lanes(up.group, e->key_sel));
+    return ProbeView{&cmu, e, up.group, addr, cmu.reg().read(addr)};
   }
 
   std::uint32_t value(const UnitPlacement& up) { return unit(up).value; }
 
+  /// The probe's value of `v`'s entry parameter `sel`.
+  std::uint32_t param(const ProbeView& v, const ParamSelect& sel) {
+    PhvContext ctx;
+    return v.cmu->resolve_param(sel, probe_, lanes(v.group, sel.key_sel), ctx);
+  }
+
  private:
+  /// The unit keys of group `g`, with the lanes `sel` reads computed.
+  std::span<const std::uint32_t> lanes(unsigned g, const CompressedKeySelector& sel) {
+    if (g != keys_group_) {
+      keys_group_ = g;
+      computed_ = 0;
+    }
+    const CompressionStage& comp = dp_.group(g).compression();
+    for (const std::int8_t u : {sel.unit_a, sel.unit_b}) {
+      if (u < 0 || (computed_ >> u & 1u) != 0) continue;
+      const auto i = static_cast<unsigned>(u);
+      keys_[i] = comp.spec_of(i) ? comp.unit(i).compute(key_) : 0;
+      computed_ |= 1u << i;
+    }
+    return keys_;
+  }
+
   const FlyMonDataPlane& dp_;
+  const Packet& probe_;
   CandidateKey key_;
   unsigned keys_group_ = ~0u;
+  unsigned computed_ = 0;  ///< lanes of keys_group_ in keys_
   CompressionStage::UnitKeys keys_{};
 };
 
@@ -917,10 +946,7 @@ bool Controller::query_existence(std::uint32_t id, const Packet& probe) const {
   for (const RowPlacement& row : t.rows) {
     const ProbeView v = cells.unit(row.units.at(0));
     if (t.spec.bloom_bit_packed) {
-      PhvContext ctx;
-      const std::uint32_t sel =
-          v.cmu->resolve_param(v.entry->p1, probe, v.unit_keys, ctx);
-      const std::uint32_t bit = 1u << (sel & 31u);
+      const std::uint32_t bit = 1u << (cells.param(v, v.entry->p1) & 31u);
       if ((v.value & bit) == 0) return false;
     } else if (v.value == 0) {
       return false;

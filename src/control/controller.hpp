@@ -276,8 +276,10 @@ class Controller {
   /// paranoid gate on it; on a rejection restore the checkpoint taken on
   /// entry (the published plan keeps serving).  Otherwise free the retired
   /// partitions, let a one-for-one replacement (resize) take over the
-  /// retired public id and, unless this is a dry run, merge shards, zero
-  /// the retired and staged partitions and publish that same plan.
+  /// retired public id and, unless this is a dry run, publish that same
+  /// plan under one pool fence that zeroes the retired and staged
+  /// partitions (FlyMonDataPlane::publish_plan: scoped when the plans
+  /// merge every other region alike, else one full fold).
   /// Returns one result per staged spec, or a single failed result.
   std::vector<DeployResult> reconfigure(const std::vector<TaskSpec>& stage,
                                         std::uint32_t retire);
@@ -333,6 +335,9 @@ class Controller {
   void ref_units(unsigned group, const CmuTaskEntry& e, bool add);
 
   // Readout helpers.
+  /// The live task `id` (std::out_of_range otherwise), after folding the
+  /// pool's outstanding shard deltas so a readout sees every batch that
+  /// happens before it: one acquire load, and no lock, when none are.
   const DeployedTask& require(std::uint32_t id) const;
 
   FlyMonDataPlane* dp_;

@@ -161,7 +161,9 @@ class Cmu {
   /// Zero every register cell an entry installed since the last clear can
   /// have written — the hull of those entries' partitions — then shrink
   /// the hull to the entries still installed.  Removing an entry keeps its
-  /// partition in the hull: a publish fence may still fold deltas into it.
+  /// partition in the hull: without a pool nothing fences a publish, so a
+  /// batch still running the old plan may write it after the removal
+  /// zeroed it.
   void clear_register();
 
   /// The control-plane state a controller checkpoint saves: the installed

@@ -34,6 +34,10 @@ FlyMonDataPlane::~FlyMonDataPlane() = default;
 void FlyMonDataPlane::bind_counters(telemetry::Registry& registry) {
   registry_ = &registry;
   packets_counter_ = &registry.counter("flymon_packets_total");
+  publish_folds_[0] =
+      &registry.counter("flymon_publish_folds_total", {{"kind", "scoped"}});
+  publish_folds_[1] =
+      &registry.counter("flymon_publish_folds_total", {{"kind", "full"}});
   for (CmuGroup& g : groups_) g.bind_telemetry(registry);
   if (pool_ != nullptr) pool_->bind_telemetry(registry);
 }
@@ -58,15 +62,27 @@ std::shared_ptr<const exec::ExecPlan> FlyMonDataPlane::compile_plan(
 }
 
 std::uint64_t FlyMonDataPlane::publish_plan(
-    std::shared_ptr<const exec::ExecPlan> plan) {
+    std::shared_ptr<const exec::ExecPlan> plan,
+    std::span<const exec::CellRange> zeroed,
+    const std::function<void()>& zero) {
   const std::uint64_t generation = plan->generation();
   trace::Span span("exec.publish", generation);
   common::MutexLock publish(publish_mu_);
-  // Fence the pool across the store: block submissions and fold
-  // outstanding shard deltas under the OLD plan, so no shard ever holds
-  // deltas produced under a plan that is no longer the merge target.
+  // Fence the pool across the zeroing and the store, so no shard holds a
+  // delta in a region the new plan merges differently from the plan that
+  // produced it.  Deltas in the zeroed cells die with the live cells.
+  const std::optional<std::vector<exec::MergeRegion>> dropped =
+      exec::PlanCompiler::scoped_regions(*plan_.load(), *plan, zeroed);
+  publish_folds_[dropped ? 0 : 1]->inc();
   std::optional<exec::WorkerPool::Fence> fence;
-  if (pool_ != nullptr) fence.emplace(*pool_);
+  if (pool_ != nullptr) {
+    if (dropped) {
+      fence.emplace(*pool_, *dropped);
+    } else {
+      fence.emplace(*pool_);
+    }
+  }
+  if (zero) zero();
   plan_.store_if_newer(std::move(plan));
   trace::instant("exec.plan_published", generation);
   return generation;

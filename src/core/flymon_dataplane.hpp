@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -143,10 +144,18 @@ class FlyMonDataPlane {
   std::shared_ptr<const exec::ExecPlan> compile_plan(
       std::span<const exec::EntryOwnership> owners);
 
-  /// Publish `plan` under the pool fence: block submissions, fold
-  /// outstanding shard deltas under the old plan, then release-store the
-  /// new one.  Returns its generation.
-  std::uint64_t publish_plan(std::shared_ptr<const exec::ExecPlan> plan);
+  /// Publish `plan` under the pool fence: block submissions, settle the
+  /// shard deltas, run `zero` (which clears the live cells of `zeroed`,
+  /// the partitions the reconfiguration retires and stages), then
+  /// release-store the new plan.  When `plan` merges every region outside
+  /// `zeroed` like the published plan, the fence only drops the replicas'
+  /// deltas inside `zeroed` and carries the rest (scoped); otherwise it
+  /// folds every replica under the published plan first (full).  Counted
+  /// in flymon_publish_folds_total{kind="scoped|full"}.  Returns the
+  /// generation.  Without `zeroed` and `zero`, nothing is zeroed.
+  std::uint64_t publish_plan(std::shared_ptr<const exec::ExecPlan> plan,
+                             std::span<const exec::CellRange> zeroed = {},
+                             const std::function<void()>& zero = {});
 
   /// The currently published plan; never null.
   std::shared_ptr<const exec::ExecPlan> current_plan() const noexcept;
@@ -203,6 +212,7 @@ class FlyMonDataPlane {
   std::unique_ptr<exec::BatchScratch> scratch_;  ///< processing-thread only
   telemetry::Registry* registry_ = nullptr;
   telemetry::Counter* packets_counter_ = nullptr;
+  telemetry::Counter* publish_folds_[2] = {};  ///< scoped, full
   std::atomic<telemetry::PacketTracer*> tracer_{nullptr};
   // Declared last so the pool (and its threads) dies before the registers
   // and counters the shards reference.

@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -260,6 +261,13 @@ struct MergeRegion {
   std::uint32_t value_mask = 0xFFFF'FFFFu;
 };
 
+/// A run of cells of one flat CMU: a partition a reconfiguration zeroes.
+struct CellRange {
+  std::uint32_t cmu = 0;  ///< flat CompiledCmu index
+  std::uint32_t base = 0;
+  std::uint32_t size = 0;
+};
+
 /// Where a sharded execution writes instead of the live plan targets: a
 /// private register replica per flat CMU index and a flat block of counter
 /// deltas (ExecPlan::counter_slots() wide) in place of the shared atomics.
@@ -474,6 +482,17 @@ class PlanCompiler {
   static std::shared_ptr<const ExecPlan> compile(
       FlyMonDataPlane& dp, std::span<const EntryOwnership> owners,
       std::uint64_t generation);
+
+  /// Whether shard deltas produced under `from` stay exact under `to` once
+  /// the cells in `zeroed` are dropped: every merge region of either plan
+  /// lies inside one `zeroed` range or touches none, and the regions that
+  /// touch none are the same in both (register, cells, MergeKind, value
+  /// mask).  Returns `from`'s regions inside `zeroed` — the only replica
+  /// cells there that can hold deltas — or nullopt when the plans differ
+  /// elsewhere.
+  static std::optional<std::vector<MergeRegion>> scoped_regions(
+      const ExecPlan& from, const ExecPlan& to,
+      std::span<const CellRange> zeroed);
 };
 
 }  // namespace flymon::exec

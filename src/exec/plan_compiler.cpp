@@ -394,4 +394,45 @@ std::shared_ptr<const ExecPlan> PlanCompiler::compile(
   return plan;
 }
 
+std::optional<std::vector<MergeRegion>> PlanCompiler::scoped_regions(
+    const ExecPlan& from, const ExecPlan& to,
+    std::span<const CellRange> zeroed) {
+  enum class Place { kInside, kOutside, kStraddles };
+  const auto place = [&](const MergeRegion& r) {
+    Place p = Place::kOutside;
+    for (const CellRange& z : zeroed) {
+      if (z.cmu != r.cmu || r.base >= z.base + z.size ||
+          z.base >= r.base + r.size) {
+        continue;
+      }
+      if (r.base < z.base || r.base + r.size > z.base + z.size) {
+        return Place::kStraddles;
+      }
+      p = Place::kInside;
+    }
+    return p;
+  };
+  // Both region lists are sorted and deduplicated the same way, so the
+  // regions outside `zeroed` must pair off in order.
+  const std::span<const MergeRegion> a = from.merge_regions();
+  const std::span<const MergeRegion> b = to.merge_regions();
+  std::vector<MergeRegion> dropped;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (;;) {
+    while (i < a.size() && place(a[i]) == Place::kInside) dropped.push_back(a[i++]);
+    while (j < b.size() && place(b[j]) == Place::kInside) ++j;
+    if (i == a.size() || j == b.size()) break;
+    const MergeRegion& x = a[i++];
+    const MergeRegion& y = b[j++];
+    if (place(x) == Place::kStraddles || place(y) == Place::kStraddles ||
+        x.cmu != y.cmu || x.base != y.base || x.size != y.size ||
+        x.kind != y.kind || x.value_mask != y.value_mask) {
+      return std::nullopt;
+    }
+  }
+  if (i != a.size() || j != b.size()) return std::nullopt;
+  return dropped;
+}
+
 }  // namespace flymon::exec

@@ -216,23 +216,50 @@ struct ControlWaiters {
   bool any() const { return waiting.load(std::memory_order_relaxed) != 0; }
 };
 
+/// Whether some shard may hold deltas that no fold has reached: the one
+/// word a read-side quiesce checks before it takes the submission lock.
+///
+/// Memory-order contract (DESIGN.md §14):
+///   - mark() is RELAXED and runs under the submission lock before the job
+///     it covers reaches an executor.  A query that happens after the
+///     batch reads that store or a later one (coherence); a later clear()
+///     comes from a fold or discard that held the lock after the batch, so
+///     it covered the batch's deltas.
+///   - clear() is RELEASE and runs after the fold (or discard) it
+///     summarises, still under the lock; pending() is ACQUIRE, so a query
+///     that finds the flag clear reads the live registers after the fold's
+///     writes.  Clearing before the fold is the model checker's
+///     kClearedBeforeFold mutation; it manifests as a race between the
+///     fold's write and the lock-free query's read.
+template <class Sync>
+struct UnmergedDeltas {
+  typename Sync::template Atomic<bool> flag{false};
+
+  void mark() { flag.store(true, std::memory_order_relaxed); }
+  void clear() { flag.store(false, std::memory_order_release); }
+  bool pending() const { return flag.load(std::memory_order_acquire); }
+};
+
 /// Fold every dirty shard into the live registers under `plan` — the
-/// merge half of the reconfiguration fence.  Caller must hold whatever
-/// serialises submissions (the pool's submit_mu_; the model's sim
-/// equivalent) so no executor is writing a shard concurrently, and `plan`
-/// must be the plan the deltas were produced under (the fencing
+/// merge half of the reconfiguration fence — then clear `unmerged`.
+/// Caller must hold whatever serialises submissions (the pool's
+/// submit_mu_; the model's sim equivalent) so no executor is writing a
+/// shard concurrently, and `plan` must merge every region a dirty shard
+/// holds deltas in exactly like the plan that produced them (the fencing
 /// invariant).  Returns the number of shards folded.
 ///
 /// Shard needs dirty() / merge_into(plan).
-template <class Shard, class PlanT>
+template <class Shard, class PlanT, class Sync>
 std::size_t fold_dirty_shards(std::span<Shard* const> shards,
-                              const PlanT& plan) {
+                              const PlanT& plan,
+                              UnmergedDeltas<Sync>& unmerged) {
   std::size_t folded = 0;
   for (Shard* shard : shards) {
     if (!shard->dirty()) continue;
     shard->merge_into(plan);
     ++folded;
   }
+  unmerged.clear();
   return folded;
 }
 

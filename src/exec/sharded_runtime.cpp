@@ -68,11 +68,15 @@ void RegisterShard::merge_into(const ExecPlan& plan) {
   dirty_ = false;
 }
 
-void RegisterShard::discard(const ExecPlan& plan) {
-  if (!dirty_) return;
-  for (const MergeRegion& region : plan.merge_regions()) {
+void RegisterShard::discard(std::span<const MergeRegion> regions) {
+  for (const MergeRegion& region : regions) {
     regs_[region.cmu].clear_range(region.base, region.base + region.size);
   }
+}
+
+void RegisterShard::discard(const ExecPlan& plan) {
+  if (!dirty_) return;
+  discard(plan.merge_regions());
   std::fill(counters_.begin(), counters_.end(), 0);
   dirty_ = false;
 }

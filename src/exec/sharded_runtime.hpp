@@ -9,12 +9,18 @@
 // reduction the PlanCompiler proved exact (Cond-ADD→saturating sum,
 // MAX→max, OR-mode AND-OR→or, XOR→xor; see DESIGN.md §11).
 //
-// Invariant maintained by the pool's fencing: a dirty shard only ever
-// holds deltas produced under the currently published ExecPlan, so
-// merge_into() is always called with the plan those deltas belong to.
+// Invariant maintained by the pool's fencing, per region: a dirty shard
+// holds deltas only in regions that the currently published ExecPlan
+// merges exactly like the plan that produced them (same register, cells,
+// MergeKind and value mask), so merge_into() under the published plan is
+// exact.  A publish keeps it in one of two ways: it folds every shard
+// under the old plan, or, when the new plan merges every region outside
+// the cells it zeroes exactly like the old one, it drops the replica cells
+// it zeroes and carries the rest (PlanCompiler::scoped_regions).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dataplane/salu.hpp"
@@ -63,9 +69,20 @@ class RegisterShard {
 
   /// Fold this shard into the live registers behind `plan` using the
   /// plan's merge regions, flush the counter deltas onto the plan's live
-  /// telemetry counters, and zero the shard.  Caller must guarantee the
-  /// shard's deltas were produced under `plan` (pool fencing does).
+  /// telemetry counters, and zero the shard.  Caller must guarantee that
+  /// `plan` merges every region holding deltas like the plan that produced
+  /// them (pool fencing does).
   void merge_into(const ExecPlan& plan);
+
+  /// Zero the replica cells of `regions`, dropping the deltas there: a
+  /// scoped publish zeroes the same live cells.  The shard stays dirty.
+  void discard(std::span<const MergeRegion> regions);
+
+  /// Flush the counter deltas onto `plan`'s live telemetry counters (the
+  /// plan that produced them: the next plan may not count that op).
+  void flush_counters(const ExecPlan& plan) {
+    plan.flush_counter_block(counters_);
+  }
 
   /// Drop all shard state without merging (epoch clear), zeroing only the
   /// cells `plan`'s merge regions cover — the ones merge_into folds.  That

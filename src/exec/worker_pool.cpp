@@ -60,6 +60,7 @@ std::size_t WorkerPool::run(std::shared_ptr<const ExecPlan> plan,
   job->watch = watch;
   job->num_chunks = (pkts.size() + kBatchChunk - 1) / kBatchChunk;
   job->ctl.arm(job->num_chunks);
+  unmerged_.mark();
 
   {
     common::MutexLock lk(job_mu_);
@@ -215,23 +216,23 @@ void WorkerPool::run_chunks(Job& job, std::size_t shard_idx) {
 }
 
 void WorkerPool::quiesce_and_merge() {
+  // Every controller query lands here.  A batch that happens before this
+  // call set the flag, and only a fold or discard after that batch clears
+  // it: a clear flag means its deltas are in the live registers.
+  if (!unmerged_.pending()) return;
   ControlLock submit(control_, submit_mu_);
-  // Every controller query lands here: with clean shards there is nothing
-  // to fold, so skip the span, the clocks and the plan load.  (A Fence
-  // still merges through merge_locked, so its merge span always nests.)
-  const bool any_dirty = std::any_of(
-      workers_.begin(), workers_.end(),
-      [](const std::unique_ptr<Worker>& w) { return w->shard.dirty(); });
-  if (any_dirty) merge_locked();
+  merge_locked();
 }
 
 void WorkerPool::discard_shards() {
+  if (!unmerged_.pending()) return;
   ControlLock submit(control_, submit_mu_);
-  // Under submit_mu_ no publish can intervene, so a dirty shard's deltas
-  // belong to this plan (the fencing invariant) and its merge regions
-  // bound them.
+  // Under submit_mu_ no publish can intervene, so the plan merges every
+  // region a dirty shard holds deltas in (the fencing invariant) and its
+  // merge regions bound them.
   const std::shared_ptr<const ExecPlan> plan = dp_->current_plan();
   for (auto& w : workers_) w->shard.discard(*plan);
+  unmerged_.clear();
 }
 
 void WorkerPool::merge_locked() {
@@ -246,8 +247,8 @@ void WorkerPool::merge_locked() {
   for (auto& w : workers_) shards.push_back(&w->shard);
   // The fold itself is the shared protocol core (exercised under the
   // model checker's fence invariants); see protocol.hpp.
-  const std::size_t folded =
-      fold_dirty_shards<RegisterShard, ExecPlan>(shards, *plan);
+  const std::size_t folded = fold_dirty_shards(
+      std::span<RegisterShard* const>(shards), *plan, unmerged_);
   const bool any = folded > 0;
   if (any) {
     merges_.fetch_add(1, std::memory_order_relaxed);
@@ -261,16 +262,31 @@ void WorkerPool::merge_locked() {
 
 WorkerPool::Fence::Fence(WorkerPool& pool) : pool_(pool) {
   trace::Span span("exec.fence");
-  const std::uint64_t t0 = trace::monotonic_now_ns();
-  pool_.control_.lock(pool_.submit_mu_);
-  pool_.note_fence_wait(trace::monotonic_now_ns() - t0);
+  pool_.lock_for_fence();
   pool_.merge_locked();
+}
+
+WorkerPool::Fence::Fence(WorkerPool& pool,
+                         std::span<const MergeRegion> dropped)
+    : pool_(pool) {
+  trace::Span span("exec.fence");
+  pool_.lock_for_fence();
+  // The deltas outside `dropped` stay, so the flag stays set.
+  const std::shared_ptr<const ExecPlan> plan = pool_.dp_->current_plan();
+  for (auto& w : pool_.workers_) {
+    if (!w->shard.dirty()) continue;
+    w->shard.discard(dropped);
+    w->shard.flush_counters(*plan);
+  }
 }
 
 WorkerPool::Fence::~Fence() { pool_.submit_mu_.unlock(); }
 
-void WorkerPool::note_fence_wait(std::uint64_t wait_ns) {
-  fence_wait_us_->observe(static_cast<double>(wait_ns) / 1000.0);
+void WorkerPool::lock_for_fence() {
+  const std::uint64_t t0 = trace::monotonic_now_ns();
+  control_.lock(submit_mu_);
+  fence_wait_us_->observe(
+      static_cast<double>(trace::monotonic_now_ns() - t0) / 1000.0);
 }
 
 void WorkerPool::count_fallback(const ExecPlan& plan) {

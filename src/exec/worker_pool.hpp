@@ -8,11 +8,14 @@
 // claim/completion atomics.
 //
 // FlyMonDataPlane::process_batch picks the path under a Submission,
-// handing run() only shard-mergeable plans.  Fence takes the same lock to
-// fold every dirty shard into the live registers, and the data plane
-// holds one across the plan store, so no delta straddles a plan change
+// handing run() only shard-mergeable plans.  Fence takes the same lock,
+// and the data plane holds one across a publish: it folds every dirty
+// shard into the live registers, or, for a plan that merges every other
+// region alike, drops only the deltas in the cells the publish zeroes.
+// Either way no delta straddles a change of how its region merges
 // (RegisterShard::merge_into relies on this) and no fold lands in a cell
-// a batch is writing.
+// a batch is writing.  Reads skip the lock while no batch has left
+// unmerged deltas (UnmergedDeltas).
 //
 // Preemption: a Submission is held for one piece of a batch, not the
 // whole batch.  A control thread (Fence, quiesce, discard, telemetry
@@ -110,12 +113,16 @@ class WorkerPool {
   /// Record a batch cut short for a waiting control thread.
   void count_preemption() FLYMON_REQUIRES(submit_mu_);
 
-  /// Block new submissions, cut the in-flight job at its next chunk seam,
-  /// and fold every dirty shard into the live registers under the current
-  /// plan.  With every shard clean this is one lock and a dirty check.
+  /// Fold every dirty shard into the live registers under the current
+  /// plan: block new submissions, cut the in-flight job at its next chunk
+  /// seam, and fold.  When no batch has left deltas since the last fold or
+  /// discard this is one acquire load: no lock, so a clean query neither
+  /// waits for nor preempts a batch.  Either way the caller sees every
+  /// delta of every batch that happens before the call.
   void quiesce_and_merge();
 
-  /// Drop all shard state without merging (epoch clear).
+  /// Drop all shard state without merging (epoch clear); one acquire load
+  /// when nothing is unmerged, like quiesce_and_merge.
   void discard_shards();
 
   ParallelStats stats() const noexcept;
@@ -126,15 +133,22 @@ class WorkerPool {
   /// is safe against in-flight batches.  Construction binds once.
   void bind_telemetry(telemetry::Registry& registry);
 
-  /// RAII reconfiguration fence: holds the submission lock and merges all
-  /// dirty shards under the (old) published plan, so the holder can
-  /// compile and publish a new plan with no deltas straddling the change.
-  /// Preempts the in-flight batch at its next chunk seam.  Records the
-  /// lock-wait time (how long the reconfiguration stalled on in-flight
-  /// traffic) and emits an "exec.fence" span.
+  /// RAII reconfiguration fence: holds the submission lock so the holder
+  /// can zero cells and publish a new plan with no delta straddling the
+  /// change.  Preempts the in-flight batch at its next chunk seam.
+  /// Records the lock-wait time (how long the reconfiguration stalled on
+  /// in-flight traffic) and emits an "exec.fence" span.
   class FLYMON_SCOPED_CAPABILITY Fence {
    public:
+    /// Fold every dirty shard under the (old) published plan.
     explicit Fence(WorkerPool& pool) FLYMON_ACQUIRE(pool.submit_mu_);
+    /// Scoped: drop the replicas' deltas in `dropped` (published-plan
+    /// regions inside the cells the holder zeroes) and flush their counter
+    /// deltas, but fold nothing.  Exact only when the next plan merges
+    /// every other region like the published one (see
+    /// PlanCompiler::scoped_regions).
+    Fence(WorkerPool& pool, std::span<const MergeRegion> dropped)
+        FLYMON_ACQUIRE(pool.submit_mu_);
     ~Fence() FLYMON_RELEASE();
 
    private:
@@ -178,7 +192,8 @@ class WorkerPool {
   void worker_main(std::size_t shard_idx);
   void run_chunks(Job& job, std::size_t shard_idx);
   void merge_locked() FLYMON_REQUIRES(submit_mu_);
-  void note_fence_wait(std::uint64_t wait_ns) FLYMON_REQUIRES(submit_mu_);
+  /// Take submit_mu_ for a fence and record the wait.
+  void lock_for_fence() FLYMON_ACQUIRE(submit_mu_);
   /// The value a sequential run would have read where fixup `f` of
   /// executor `wi` read its replica.
   std::uint32_t sequential_value(const Job& job, std::size_t wi,
@@ -197,6 +212,9 @@ class WorkerPool {
   common::Mutex submit_mu_{"exec.submit_mu"};
   /// Control threads waiting for submit_mu_ (see ControlWaiters).
   ControlWaiters<common::StdSync> control_;
+  /// Set by run() before a job writes shards, cleared after every fold
+  /// and discard (see UnmergedDeltas).
+  UnmergedDeltas<common::StdSync> unmerged_;
 
   // Job hand-off: the submitter publishes job_/job_seq_ under job_mu_ and
   // wakes every worker; each worker copies the shared_ptr once per

@@ -13,15 +13,19 @@ namespace flymon::verify::concur {
 namespace {
 
 /// The plan stand-in: generation + a "miscompiled" flag the gate rejects
-/// on.  Immutable after construction; publication order is what the
-/// model probes, so the fields need no instrumentation of their own (the
-/// kTornPublish mutation demonstrates tearing through dedicated vars).
-/// Generation 0 is the construction-time plan, the only one with no
-/// entries.
+/// on + its region layout (two plans with the same layout merge every
+/// region a shard can hold deltas in alike, so a publish between them may
+/// carry deltas).  Immutable after construction; publication order is
+/// what the model probes, so the fields need no instrumentation of their
+/// own (the kTornPublish mutation demonstrates tearing through dedicated
+/// vars).  Generation 0 is the construction-time plan, the only one with
+/// no entries.
 struct ModelPlan {
-  ModelPlan(std::uint64_t g, bool b) : gen(g), bad(b) {}
+  ModelPlan(std::uint64_t g, bool b, std::uint64_t l)
+      : gen(g), bad(b), layout(l) {}
   std::uint64_t gen;
   bool bad;
+  std::uint64_t layout;
   std::uint64_t generation() const noexcept { return gen; }
   bool empty() const noexcept { return gen == 0; }
 };
@@ -29,6 +33,7 @@ struct ModelPlan {
 using SimPlanCell = exec::BasicPlanCell<SimSync, const ModelPlan>;
 using SimJobControl = exec::JobControl<SimSync>;
 using SimControlWaiters = exec::ControlWaiters<SimSync>;
+using SimUnmerged = exec::UnmergedDeltas<SimSync>;
 
 /// Ghost accounting: plain fields on purpose — they are the *spec*, not
 /// part of the modelled program, so they must not add happens-before or
@@ -43,54 +48,75 @@ struct Ghost {
     int batch = 0;
     std::size_t base = 0;
     std::uint64_t gen = 0;
+    std::uint64_t layout = 0;
   };
   std::vector<Job> jobs;
   std::vector<int> runs;  ///< per chunk of every batch: times it ran
 };
 
-/// The per-executor shard: race-checked delta/dirty state plus the
-/// generation its deltas were produced under — carrying deltas across a
-/// plan change is the fencing invariant (I3).
+/// The per-executor shard: race-checked register and counter deltas,
+/// dirty state, and the region layout its register deltas were produced
+/// under.  Carrying register deltas across a publish that moved their
+/// region breaks the fencing invariant (I3); counter deltas are flushed at
+/// every publish.  Folded register deltas land in `live`, the register a
+/// query reads.
 class ModelShard {
  public:
-  explicit ModelShard(Ghost& g) : ghost_(&g) {}
+  ModelShard(Ghost& g, sim::var<std::uint64_t>& live)
+      : ghost_(&g), live_(&live) {}
 
   bool dirty() const { return dirty_.read(); }
 
   void merge_into(const ModelPlan& plan) {
     sim::check(dirty_.read(), "clean shard folded (fold is not exactly-once)");
-    sim::check(under_gen_.read() == plan.generation(),
-               "shard folded under a different plan than its deltas were "
-               "produced under");
-    ghost_->merged += delta_.read();
-    delta_.write(0);
+    sim::check(layout_.read() == plan.layout,
+               "shard folded under a plan that merges its region unlike "
+               "the plan its deltas were produced under");
+    live_->write(live_->read() + cells_.read());
+    cells_.write(0);
+    flush_counters();
     dirty_.write(false);
   }
+
+  /// The scoped fence: the replica cells the publish zeroes are dropped
+  /// (their deltas are not modelled), the counter deltas are flushed, and
+  /// the register deltas stay.
+  void drop_zeroed() { flush_counters(); }
 
   void discard() {
-    ghost_->discarded += delta_.read();
-    delta_.write(0);
+    ghost_->discarded += counters_.read();
+    counters_.write(0);
+    cells_.write(0);
     dirty_.write(false);
   }
 
-  /// One chunk's worth of counter deltas, produced under `gen`.
-  void produce(std::uint64_t gen) {
+  /// One chunk's worth of register and counter deltas, produced under a
+  /// plan with region layout `layout`.
+  void produce(std::uint64_t layout) {
     if (dirty_.read()) {
-      sim::check(under_gen_.read() == gen,
-                 "shard carries deltas across a plan change (fence fold "
-                 "missing)");
+      sim::check(layout_.read() == layout,
+                 "shard carries deltas across a publish that moved their "
+                 "region (fence fold missing)");
     }
-    delta_.write(delta_.read() + 1);
-    under_gen_.write(gen);
+    cells_.write(cells_.read() + 1);
+    counters_.write(counters_.read() + 1);
+    layout_.write(layout);
     dirty_.write(true);
     ghost_->produced += 1;
   }
 
  private:
-  sim::var<std::uint64_t> delta_{"shard.delta", 0};
-  sim::var<std::uint64_t> under_gen_{"shard.gen", 0};
+  void flush_counters() {
+    ghost_->merged += counters_.read();
+    counters_.write(0);
+  }
+
+  sim::var<std::uint64_t> cells_{"shard.cells", 0};
+  sim::var<std::uint64_t> counters_{"shard.counters", 0};
+  sim::var<std::uint64_t> layout_{"shard.layout", 0};
   sim::var<bool> dirty_{"shard.dirty", false};
   Ghost* ghost_;
+  sim::var<std::uint64_t>* live_;
 };
 
 /// All shared state of one execution, rebuilt fresh per run on the body
@@ -101,7 +127,7 @@ struct Model {
     const int executors = cfg.workers + 1;
     shards.reserve(static_cast<std::size_t>(executors));
     for (int i = 0; i < executors; ++i) {
-      shards.push_back(std::make_unique<ModelShard>(ghost));
+      shards.push_back(std::make_unique<ModelShard>(ghost, live));
     }
     for (auto& s : shards) shard_ptrs.push_back(s.get());
     // A batch preempted after every chunk runs as one job per chunk.
@@ -113,17 +139,21 @@ struct Model {
     ghost.jobs.resize(static_cast<std::size_t>(max_jobs));
     ghost.runs.assign(static_cast<std::size_t>(cfg.batches * cfg.chunks), 0);
     // The data plane publishes the empty deployment's plan at construction.
-    cell.store(std::make_shared<const ModelPlan>(0, false));
+    cell.store(std::make_shared<const ModelPlan>(0, false, 0));
   }
 
   const ModelConfig cfg;
   Ghost ghost;
+  /// The live register: written by folds, read by the submitter's queries.
+  sim::var<std::uint64_t> live{"reg.live", 0};
 
   SimPlanCell cell{"exec.plan_cell"};
   sim::mutex publish_mu{"core.publish_mu"};
   sim::mutex submit_mu{"exec.submit_mu"};
   /// The fence announces itself here while it waits for submit_mu.
   SimControlWaiters control;
+  /// Set by each job before it runs, cleared after every fold.
+  SimUnmerged unmerged;
   sim::mutex job_mu{"exec.job_mu"};
   sim::condvar job_cv{"exec.job_cv"};
   sim::mutex done_mu{"exec.done_mu"};
@@ -179,7 +209,7 @@ void run_chunks(Model& m, std::size_t job, ModelShard& shard, bool is_worker,
                "a job ran a chunk under a plan other than its own");
     m.ghost.runs[static_cast<std::size_t>(info.batch * m.cfg.chunks) +
                  info.base + i] += 1;
-    shard.produce(info.gen);
+    shard.produce(info.layout);
     if (m.cfg.mutation == Mutation::kInvertedLockOrder && is_worker &&
         probed != nullptr && !*probed) {
       *probed = true;
@@ -233,36 +263,54 @@ void worker_main(Model& m, ModelShard& shard) {
 
 void publisher_main(Model& m) {
   std::uint64_t next_gen = 0;
+  std::uint64_t layout = 0;
   for (int p = 0; p < m.cfg.publishes; ++p) {
     // --- Compile + validate before the fence: traffic keeps running on the
     // published plan while the candidate is checked.
     const std::uint64_t gen = ++next_gen;
     const bool rejected = m.cfg.reject_last && p == m.cfg.publishes - 1;
-    auto plan = std::make_shared<const ModelPlan>(gen, rejected);
+    const bool moves = ((m.cfg.moved_regions >> p) & 1u) != 0;
+    auto plan = std::make_shared<const ModelPlan>(gen, rejected,
+                                                  layout + (moves ? 1 : 0));
     if (rejected && m.cfg.mutation != Mutation::kPublishBeforeValidate) {
       continue;  // never stored: the previous plan keeps serving (I5)
     }
     m.publish_mu.lock();
     // --- Fence: block submissions (preempting the running job at a chunk
-    // seam), fold dirty shards under the OLD plan.
+    // seam).  A plan that merges every region like the OLD one lets the
+    // shards keep their deltas (scoped); otherwise fold them all under
+    // the OLD plan (full).
     m.control.lock(m.submit_mu);
     std::shared_ptr<const ModelPlan> old = m.cell.load();
-    switch (m.cfg.mutation) {
-      case Mutation::kDroppedFenceFold:
-        break;  // seeded: publish with deltas still parked in shards
-      case Mutation::kMergeAfterClear:
-        // seeded: "clear then merge" — the clear empties the shards, so
-        // the fold below folds nothing and the deltas are gone.
-        for (ModelShard* s : m.shard_ptrs) {
-          if (s->dirty()) s->discard();
-        }
-        [[fallthrough]];
-      default:
-        exec::fold_dirty_shards<ModelShard, const ModelPlan>(m.shard_ptrs,
-                                                             *old);
-    }
-    if (m.cfg.mutation == Mutation::kDoubleFold) {
-      for (ModelShard* s : m.shard_ptrs) s->merge_into(*old);
+    const bool scoped = plan->layout == old->layout ||
+                        m.cfg.mutation == Mutation::kScopedAcrossMovedRegion;
+    if (scoped) {
+      for (ModelShard* s : m.shard_ptrs) {
+        if (s->dirty()) s->drop_zeroed();
+      }
+    } else {
+      if (m.cfg.mutation == Mutation::kClearedBeforeFold) {
+        // seeded: a lock-free query may find the flag clear and read the
+        // live register while the fold below still writes it.
+        m.unmerged.clear();
+      }
+      switch (m.cfg.mutation) {
+        case Mutation::kDroppedFenceFold:
+          break;  // seeded: publish with deltas still parked in shards
+        case Mutation::kMergeAfterClear:
+          // seeded: "clear then merge" — the clear empties the shards, so
+          // the fold below folds nothing and the deltas are gone.
+          for (ModelShard* s : m.shard_ptrs) {
+            if (s->dirty()) s->discard();
+          }
+          [[fallthrough]];
+        default:
+          exec::fold_dirty_shards(std::span<ModelShard* const>(m.shard_ptrs),
+                                  *old, m.unmerged);
+      }
+      if (m.cfg.mutation == Mutation::kDoubleFold) {
+        for (ModelShard* s : m.shard_ptrs) s->merge_into(*old);
+      }
     }
     // --- RCU publish of the checked plan.
     if (m.cfg.mutation == Mutation::kTornPublish) {
@@ -277,6 +325,7 @@ void publisher_main(Model& m) {
       m.cell.store(old);
     } else {
       m.ghost.serving = gen;
+      layout = plan->layout;
     }
     m.submit_mu.unlock();
     m.publish_mu.unlock();
@@ -301,6 +350,21 @@ void collector_main(Model& m) {
                "observer saw the plan generation move backwards");
     last_seen = p->generation();
   }
+}
+
+/// WorkerPool::quiesce_and_merge then a readout: the flag check skips the
+/// lock when every delta is folded.  Every delta so far came from this
+/// thread's own batches, so the readout must see all of them.
+void query(Model& m) {
+  if (m.unmerged.pending()) {
+    m.control.lock(m.submit_mu);
+    std::shared_ptr<const ModelPlan> plan = m.cell.load();
+    exec::fold_dirty_shards(std::span<ModelShard* const>(m.shard_ptrs), *plan,
+                            m.unmerged);
+    m.submit_mu.unlock();
+  }
+  sim::check(m.live.read() == m.ghost.produced,
+             "query missed a delta of a batch that happens before it");
 }
 
 /// process_pooled: each batch runs as one piece per hold of submit_mu,
@@ -331,9 +395,10 @@ void submitter_and_shutdown(Model& m) {
       }
 
       const auto job = static_cast<std::size_t>(published_jobs);
-      m.ghost.jobs[job] = {b, done, plan->generation()};
+      m.ghost.jobs[job] = {b, done, plan->generation(), plan->layout};
       SimJobControl& ctl = *m.ctls[job];
       ctl.arm(chunks - done);
+      m.unmerged.mark();
       if (m.cfg.mutation != Mutation::kRelaxedJobPublish) {
         m.job_payload.write(plan->generation());
       }
@@ -355,6 +420,7 @@ void submitter_and_shutdown(Model& m) {
       done += ctl.ran.read();
       m.submit_mu.unlock();
     }
+    if (m.cfg.query) query(m);
   }
 }
 
@@ -389,8 +455,8 @@ void model_body(const ModelConfig& cfg) {
   m.control.lock(m.submit_mu);
   {
     std::shared_ptr<const ModelPlan> plan = m.cell.load();
-    exec::fold_dirty_shards<ModelShard, const ModelPlan>(m.shard_ptrs,
-                                                         *plan);
+    exec::fold_dirty_shards(std::span<ModelShard* const>(m.shard_ptrs), *plan,
+                            m.unmerged);
   }
   m.submit_mu.unlock();
 
@@ -398,6 +464,8 @@ void model_body(const ModelConfig& cfg) {
              "counter deltas discarded on the publish path");
   sim::check(m.ghost.produced == m.ghost.merged,
              "counter deltas lost (produced != merged)");
+  sim::check(m.live.read() == m.ghost.produced,
+             "register deltas lost (produced != folded into live)");
   for (ModelShard* s : m.shard_ptrs) {
     sim::check(!s->dirty(), "shard left dirty after quiesce");
   }
@@ -422,6 +490,8 @@ const char* to_string(Mutation m) noexcept {
     case Mutation::kDroppedDoneNotify: return "dropped_done_notify";
     case Mutation::kCutDropsClaimedChunk: return "cut_drops_claimed_chunk";
     case Mutation::kCancelNeverRetires: return "cancel_never_retires";
+    case Mutation::kClearedBeforeFold: return "cleared_before_fold";
+    case Mutation::kScopedAcrossMovedRegion: return "scoped_across_moved_region";
   }
   return "?";
 }
@@ -452,6 +522,10 @@ const char* mutation_description(Mutation m) noexcept {
       return "preempting cut retires the last claimed chunk too";
     case Mutation::kCancelNeverRetires:
       return "preempting cut never retires the unclaimed chunks";
+    case Mutation::kClearedBeforeFold:
+      return "unmerged-deltas flag cleared before the fold it summarises";
+    case Mutation::kScopedAcrossMovedRegion:
+      return "publish carries shard deltas across a plan that moved their region";
   }
   return "?";
 }
@@ -463,7 +537,8 @@ std::vector<Mutation> all_mutations() {
       Mutation::kRelaxedCompletion,  Mutation::kRelaxedJobPublish,
       Mutation::kTornPublish,        Mutation::kDoubleFold,
       Mutation::kDroppedDoneNotify,  Mutation::kCutDropsClaimedChunk,
-      Mutation::kCancelNeverRetires,
+      Mutation::kCancelNeverRetires, Mutation::kClearedBeforeFold,
+      Mutation::kScopedAcrossMovedRegion,
   };
 }
 
@@ -527,6 +602,15 @@ ModelConfig scenario_for(Mutation m) {
       break;
     case Mutation::kCancelNeverRetires:
       cfg.workers = 0; cfg.publishes = 2; cfg.batches = 1; cfg.chunks = 2;
+      break;
+    // A batch under the first plan leaves deltas; the second publish moves
+    // their region and folds them while the submitter queries.
+    case Mutation::kClearedBeforeFold:
+      cfg.workers = 0; cfg.publishes = 2; cfg.batches = 2; cfg.chunks = 1;
+      cfg.query = true;
+      break;
+    case Mutation::kScopedAcrossMovedRegion:
+      cfg.workers = 0; cfg.publishes = 2; cfg.batches = 2; cfg.chunks = 1;
       break;
   }
   return cfg;

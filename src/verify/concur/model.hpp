@@ -1,24 +1,32 @@
 // The bounded model of FlyMon's hot reconfiguration protocol, explored by
 // the deterministic scheduler (sim.hpp): one publisher (compile + validate,
-// then a preempting fence + RCU publish), one submitter plus N pool
-// workers (job hand-off, chunk claim, shard writes, completion, and the
-// cut a waiting fence causes at a chunk seam), and one collector
-// (the span-collector / current_plan() observer class of threads, which
-// read the published plan with no pool lock held).
+// then a preempting fence, full or scoped, + RCU publish), one submitter
+// plus N pool workers (job hand-off, chunk claim, shard writes,
+// completion, the cut a waiting fence causes at a chunk seam, and
+// optionally a lock-free-when-clean query after each batch), and one
+// collector (the span-collector / current_plan() observer class of
+// threads, which read the published plan with no pool lock held).
 //
 // The protocol cores are NOT re-implemented here: the model instantiates
 // the exact templates the data plane ships — exec::BasicPlanCell<SimSync>,
 // exec::JobControl<SimSync>, exec::ControlWaiters<SimSync>,
-// exec::fold_dirty_shards — so every verdict is about the shipped
-// publish/claim/complete/cancel/fold code (protocol.hpp).
+// exec::UnmergedDeltas<SimSync>, exec::fold_dirty_shards — so every
+// verdict is about the shipped publish/claim/complete/cancel/fold code
+// (protocol.hpp).
 //
 // Checked invariants (DESIGN.md §14 maps each to the code it guards):
 //   I1  no torn plan observation — any observer sees a whole snapshot;
 //   I2  published generation is monotone from every observer's view;
-//   I3  a shard never carries deltas across a plan change, and each dirty
-//       shard is folded exactly once, under the plan its deltas were
-//       produced under (never discarded on the publish path);
-//   I4  counter-delta conservation — every produced delta is merged;
+//   I3  a shard never carries deltas across a publish that moves their
+//       region (incompatible plans fold first; compatible ones carry them
+//       and flush only counter deltas), and each dirty shard is folded
+//       exactly once, under a plan that merges its region like the plan
+//       its deltas were produced under (never discarded on the publish
+//       path);
+//   I4  delta conservation — every produced counter delta is flushed and
+//       every register delta folded into the live register, and a query
+//       after a batch (the flag check, then a fold only when it is set)
+//       reads every delta of that batch;
 //   I5  a rejected plan is never stored, so nobody observes it, and the
 //       previous plan keeps serving through a rejection; the cell starts
 //       with the construction-time plan (generation 0), so every batch
@@ -42,7 +50,8 @@ namespace flymon::verify::concur {
 /// Seeded concurrency bugs.  Each names the protocol line it weakens.
 enum class Mutation {
   kNone = 0,
-  /// Fence publishes a new plan without folding dirty shards first.
+  /// Fence publishes a plan that moves a region without folding dirty
+  /// shards first.
   kDroppedFenceFold,
   /// Publisher RCU-stores the candidate before the gate has accepted it
   /// (and restores the previous plan on a rejection).
@@ -68,6 +77,12 @@ enum class Mutation {
   /// JobControl::cancel() stops the claims but never retires the
   /// unclaimed chunks from the completion count (deadlock).
   kCancelNeverRetires,
+  /// The full fence clears the unmerged-deltas flag before it folds, so a
+  /// lock-free query can read the live register mid-fold.
+  kClearedBeforeFold,
+  /// A publish whose plan moves a region carries the shard deltas anyway
+  /// (the scoped path taken without the region-compatibility check).
+  kScopedAcrossMovedRegion,
 };
 
 const char* to_string(Mutation m) noexcept;
@@ -85,6 +100,11 @@ struct ModelConfig {
   int chunks = 2;         ///< chunks per job
   bool collector = true;  ///< run the lock-free plan observer thread
   bool reject_last = false; ///< the gate rejects the last candidate
+  /// Bit p set: publish p moves a region a shard can hold deltas in, so it
+  /// must fold (full); clear: it carries them (scoped).  The first publish
+  /// replaces the empty plan, so only later ones can meet dirty shards.
+  unsigned moved_regions = 0b10;
+  bool query = false;     ///< the submitter queries after every batch
   Mutation mutation = Mutation::kNone;
 };
 

@@ -126,9 +126,8 @@ int SymWord::first_divergent_bit(const SymWord& a, const SymWord& b) {
 }
 
 std::string SymWord::to_string() const {
-  // std::hex stays set: lane ids and bit indices print in hex too.
   std::ostringstream out;
-  out << "0x" << std::hex << constant_;
+  out << "0x" << std::hex << constant_ << std::dec;
   bool any = false;
   for (unsigned i = 0; i < 32; ++i) {
     for (const Lane& l : lanes()) {

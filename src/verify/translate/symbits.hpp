@@ -67,8 +67,9 @@ class SymWord {
     return first_divergent_bit(a, b) < 0;
   }
 
-  /// Compact rendering for diagnostics: constant part in hex plus the
-  /// symbolic terms of the diverging bits, e.g. "0x00000000 ^ {L1.b3}".
+  /// Compact rendering for diagnostics: the constant in hex, then each
+  /// lane bit XORed into an output bit, lane ids and bit indices in
+  /// decimal, e.g. "0x0 ^ {L1.b10->b6}" (lane 1, bit 10 -> bit 6).
   std::string to_string() const;
 
  private:

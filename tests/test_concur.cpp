@@ -171,6 +171,27 @@ TEST(ConcurModel, PreemptingFenceWithCollectorIsClean) {
   EXPECT_TRUE(r.ok()) << r.error;
 }
 
+// Lock-free queries after every batch, against a second publish that
+// moves the batch's region (full fold) and one that does not (scoped: the
+// shard keeps its deltas, so the next query folds them).
+TEST(ConcurModel, CleanQueriesSeeEveryEarlierBatchAcrossBothPublishPaths) {
+  if (!verify::concur::checker_supported()) GTEST_SKIP() << "TSan build";
+  for (const unsigned moved : {0b10u, 0b00u}) {
+    ModelConfig cfg;
+    cfg.workers = 1;
+    cfg.publishes = 2;
+    cfg.batches = 2;
+    cfg.chunks = 1;
+    cfg.collector = false;
+    cfg.moved_regions = moved;
+    cfg.query = true;
+    const ExploreResult r =
+        verify::concur::check_protocol(cfg, ExploreOptions{});
+    EXPECT_TRUE(r.ok()) << "moved_regions " << moved << ": " << r.error;
+    EXPECT_TRUE(r.complete);
+  }
+}
+
 TEST(ConcurModel, PublishVetoLeavesNoVetoedPlanObservable) {
   if (!verify::concur::checker_supported()) GTEST_SKIP() << "TSan build";
   ModelConfig cfg;

@@ -6,6 +6,8 @@
 #include <functional>
 #include <sstream>
 
+#include "common/bits.hpp"
+#include "common/rng.hpp"
 #include "control/controller.hpp"
 #include "control/shell.hpp"
 #include "exec/exec_plan.hpp"
@@ -289,6 +291,135 @@ TEST(Controller, ReusedPartitionStartsZeroed) {
   for (const std::uint32_t v :
        reg.read_range(reused.partition.base, reused.partition.end())) {
     ASSERT_EQ(v, 0u) << "a reused partition starts with stale counts";
+  }
+}
+
+/// The cell `up` maps `probe` to, reading keys from CmuGroup::compute_keys
+/// (every configured lane of the group); `p1`, if given, receives the
+/// entry's first parameter.  The referee for the prober's lazy lanes.
+std::uint32_t every_lane_cell(const FlyMonDataPlane& dp, const UnitPlacement& up,
+                              const Packet& probe, std::uint32_t* p1 = nullptr) {
+  const CmuGroup& g = dp.group(up.group);
+  const CompressionStage::UnitKeys keys = g.compute_keys(serialize_candidate_key(probe));
+  const Cmu& cmu = g.cmu(up.cmu);
+  const CmuTaskEntry& e = *cmu.find(up.phys_id);
+  if (p1 != nullptr) {
+    PhvContext ctx;
+    *p1 = cmu.resolve_param(e.p1, probe, keys, ctx);
+  }
+  return cmu.reg().read(cmu.probe_address(e, keys));
+}
+
+// A group with two configured hash units (the fig12b A+B placement at 8K):
+// the prober hashes only the lanes each read selects, and the bit-packed
+// Bloom's parameter lane, yet answers exactly like the every-lane referee.
+TEST(Controller, ProberAnswersFromTheLanesItReads) {
+  FlyMonDataPlane dp(9);
+  Controller ctl(dp);
+  TaskSpec a = freq_spec(8192, 3);  // SrcIP
+  a.filter = TaskFilter::src(0x0A00'0000, 8);
+  TaskSpec b = freq_spec(8192, 3);
+  b.key = FlowKeySpec::five_tuple();
+  b.filter = TaskFilter::src(0x2D00'0000, 8);
+  ASSERT_TRUE(ctl.add_task(a).ok);
+  ASSERT_TRUE(ctl.add_task(b).ok);
+
+  // Each task under test owns a disjoint /8, so it shares group 0's CMUs.
+  const auto add = [&](TaskSpec s, std::uint32_t net) {
+    s.filter = TaskFilter::src(net << 24, 8);
+    s.memory_buckets = 1024;
+    const DeployResult r = ctl.add_task(s);
+    EXPECT_TRUE(r.ok) << to_string(s.algorithm) << ": " << r.error;
+    return r.task_id;
+  };
+  TaskSpec cms = algorithm_spec(Algorithm::kCms);
+  // The 5-tuple key is the XOR of both lanes; this Bloom's key reads one,
+  // and only its bit-select parameter reads the other.
+  TaskSpec packed = algorithm_spec(Algorithm::kBloomFilter);
+  packed.key = FlowKeySpec::src_ip();
+  TaskSpec plain = algorithm_spec(Algorithm::kBloomFilter);
+  plain.bloom_bit_packed = false;
+  TaskSpec tower = algorithm_spec(Algorithm::kTowerSketch);
+  tower.key = FlowKeySpec::src_ip();
+  const std::uint32_t cms_id = add(cms, 11);
+  const std::uint32_t packed_id = add(packed, 12);
+  const std::uint32_t plain_id = add(plain, 13);
+  const std::uint32_t sumax_id = add(algorithm_spec(Algorithm::kSuMaxSum), 14);
+  const std::uint32_t tower_id = add(tower, 15);
+  unsigned configured = 0;
+  for (unsigned u = 0; u < dp.group(0).compression().num_units(); ++u) {
+    configured += dp.group(0).compression().spec_of(u) ? 1 : 0;
+  }
+  ASSERT_EQ(configured, 2u);
+  for (const std::uint32_t id : {cms_id, packed_id, plain_id, tower_id}) {
+    for (const RowPlacement& row : ctl.task(id)->rows) {
+      ASSERT_EQ(row.units.at(0).group, 0u) << "task " << id;
+    }
+  }
+
+  // Traffic for every /8, and as many probes that never arrived.
+  Rng rng(17);
+  std::vector<Packet> pkts;
+  for (std::uint32_t net : {10u, 45u, 11u, 12u, 13u, 14u, 15u}) {
+    for (int i = 0; i < 400; ++i) {
+      Packet p;
+      p.ft.src_ip = (net << 24) | static_cast<std::uint32_t>(rng.next() & 0xFFF);
+      p.ft.dst_ip = 0x0B00'0000u | static_cast<std::uint32_t>(rng.next() & 0xFF);
+      p.ft.src_port = static_cast<std::uint16_t>(rng.next());
+      p.ft.dst_port = 80;
+      p.ft.protocol = 6;
+      pkts.push_back(p);
+    }
+  }
+  dp.process_batch(pkts);
+  std::vector<Packet> probes(pkts.begin(), pkts.end());
+  for (Packet p : pkts) {
+    p.ft.dst_port = 443;
+    probes.push_back(p);
+  }
+
+  const auto rows = [&](std::uint32_t id) { return ctl.task(id)->rows; };
+  for (std::size_t i = 0; i < probes.size(); i += 7) {
+    const Packet& probe = probes[i];
+    std::uint64_t want = ~0ull;
+    for (const RowPlacement& row : rows(cms_id)) {
+      want = std::min<std::uint64_t>(want, every_lane_cell(dp, row.units[0], probe));
+    }
+    EXPECT_EQ(ctl.query_value(cms_id, probe), want) << "cms, probe " << i;
+
+    want = ~0ull;
+    for (const RowPlacement& row : rows(sumax_id)) {
+      for (const UnitPlacement& up : row.units) {
+        want = std::min<std::uint64_t>(want, every_lane_cell(dp, up, probe));
+      }
+    }
+    EXPECT_EQ(ctl.query_value(sumax_id, probe), want) << "sumax, probe " << i;
+
+    std::uint64_t best = ~0ull, saturated = 0;
+    const std::vector<RowPlacement> tower_rows = rows(tower_id);
+    for (std::size_t r = 0; r < tower_rows.size(); ++r) {
+      const unsigned width = 32u >> (r % 3);  // 32, 16, 8
+      const std::uint32_t v = every_lane_cell(dp, tower_rows[r].units[0], probe) >> (32 - width);
+      if (v == low_mask32(width)) {
+        saturated = std::max<std::uint64_t>(saturated, v);
+      } else {
+        best = std::min<std::uint64_t>(best, v);
+      }
+    }
+    EXPECT_EQ(ctl.query_value(tower_id, probe), best != ~0ull ? best : saturated)
+        << "tower, probe " << i;
+
+    bool packed_in = true, plain_in = true;
+    for (const RowPlacement& row : rows(packed_id)) {
+      std::uint32_t p1 = 0;
+      const std::uint32_t cell = every_lane_cell(dp, row.units[0], probe, &p1);
+      packed_in = packed_in && (cell & (1u << (p1 & 31u))) != 0;
+    }
+    for (const RowPlacement& row : rows(plain_id)) {
+      plain_in = plain_in && every_lane_cell(dp, row.units[0], probe) != 0;
+    }
+    EXPECT_EQ(ctl.query_existence(packed_id, probe), packed_in) << "packed, probe " << i;
+    EXPECT_EQ(ctl.query_existence(plain_id, probe), plain_in) << "plain, probe " << i;
   }
 }
 

@@ -14,13 +14,17 @@
 //     drop counts (produced == enqueued + dropped);
 //   - churn: producer/consumer ring traffic while the controller
 //     republishes plans and fences — TSan is the referee;
-//   - file replay: pcap and FMTR round-trips through FileReplaySource.
+//   - file replay: pcap and FMTR round-trips through FileReplaySource, and
+//     damaged captures (truncated records, an implausible length, a bad
+//     magic) end the stream cleanly and count what they skip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -897,6 +901,95 @@ TEST(IngestFiles, PcapRoundTrip) {
     ASSERT_EQ(got[i].ts_ns, trace[i].ts_ns) << "pcap ts differs at " << i;
     ASSERT_EQ(got[i].wire_bytes, trace[i].wire_bytes) << "pcap len at " << i;
   }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile captures: each damaged file yields its intact prefix, counts the
+// damaged record in skipped() and ends the stream; only an unrecognised
+// magic refuses the file.
+// ---------------------------------------------------------------------------
+
+/// Append `bytes` to the file at `path`.
+void append_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+/// Read `source` to the end: the packets, then one more pull that must
+/// find it done and empty.
+std::vector<Packet> drain_damaged(ingest::FileReplaySource& source) {
+  std::vector<Packet> got = collect(source, 64);
+  std::vector<Packet> more(8);
+  EXPECT_TRUE(source.done());
+  EXPECT_EQ(source.pull(more), 0u);
+  return got;
+}
+
+TEST(IngestFiles, TruncatedFmtrTailStopsCleanly) {
+  const std::vector<Packet> trace = make_trace(50, 5, 3);
+  const std::string path = testing::TempDir() + "ingest_truncated.fmtr";
+  ingest::FileReplaySource::write_fmtr(path, trace);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 10);
+
+  ingest::FileReplaySource source(path);
+  const std::vector<Packet> got = drain_damaged(source);
+  EXPECT_EQ(got.size(), trace.size() - 1);
+  EXPECT_EQ(source.skipped(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(IngestFiles, TruncatedPcapRecordHeaderStopsCleanly) {
+  const std::vector<Packet> trace = make_trace(50, 3, 4);
+  const std::string path = testing::TempDir() + "ingest_short_header.pcap";
+  ingest::FileReplaySource::write_pcap(path, trace);
+  append_bytes(path, std::vector<std::uint8_t>(7, 0xAB));  // 7 of 16 bytes
+
+  ingest::FileReplaySource source(path);
+  EXPECT_EQ(drain_damaged(source).size(), trace.size());
+  EXPECT_EQ(source.skipped(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(IngestFiles, TruncatedPcapPayloadStopsCleanly) {
+  const std::vector<Packet> trace = make_trace(50, 3, 5);
+  const std::string path = testing::TempDir() + "ingest_short_payload.pcap";
+  ingest::FileReplaySource::write_pcap(path, trace);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
+
+  ingest::FileReplaySource source(path);
+  EXPECT_EQ(drain_damaged(source).size(), trace.size() - 1);
+  EXPECT_EQ(source.skipped(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(IngestFiles, ImplausiblePcapRecordLengthStopsCleanly) {
+  const std::vector<Packet> trace = make_trace(50, 3, 6);
+  const std::string path = testing::TempDir() + "ingest_huge_record.pcap";
+  ingest::FileReplaySource::write_pcap(path, trace);
+  // A record header claiming 64 MiB + 1 captured bytes (file byte order is
+  // the writer's: little-endian), and no payload behind it.
+  const std::uint32_t incl = (1u << 26) + 1;
+  std::vector<std::uint8_t> hdr(16, 0);
+  for (int i = 0; i < 4; ++i) {
+    hdr[8 + i] = static_cast<std::uint8_t>(incl >> (8 * i));
+    hdr[12 + i] = static_cast<std::uint8_t>(incl >> (8 * i));
+  }
+  append_bytes(path, hdr);
+
+  ingest::FileReplaySource source(path);
+  EXPECT_EQ(drain_damaged(source).size(), trace.size());
+  EXPECT_EQ(source.skipped(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(IngestFiles, BadMagicIsRefused) {
+  const std::string path = testing::TempDir() + "ingest_bad_magic.bin";
+  std::remove(path.c_str());
+  append_bytes(path, std::vector<std::uint8_t>(64, 0x5A));
+  EXPECT_THROW(ingest::FileReplaySource source(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -15,13 +15,17 @@
 //     on the old plan;
 //   - reconfigure-while-processing churn (publish fencing vs in-flight
 //     batches and drains: TSan for races, a sequential referee for lost
-//     updates).
+//     updates);
+//   - scoped publishes: a trafficked resize and split keep the replicas'
+//     other deltas exactly, and lock-free queries on another thread see
+//     every batch that happens before them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -760,6 +764,126 @@ TEST(ShardedSmoke, TwoThreadEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
+// Scoped publish: a reconfiguration whose plan merges every other region
+// like the published one keeps the replicas' deltas instead of folding
+// them, and drops only those in the partitions it zeroes.
+// ---------------------------------------------------------------------------
+
+// Resize and split the CMS task traffic is writing, under a 2-worker pool,
+// then add a task that takes the partitions they freed.  A replica delta
+// carried out of a retired partition would land in the new task's cells;
+// the sequential referee's new task starts from zero.
+TEST(ShardedScoped, TraffickedResizeAndSplitMatchSequential) {
+  EnabledGuard on(true);
+  const std::vector<Packet> trace = make_trace(800, 24'000, 31);
+  World ws, wp;
+  MixIds seq = deploy_mergeable_mix(ws.ctl);
+  MixIds par = deploy_mergeable_mix(wp.ctl);
+  wp.dp.enable_parallel(2);
+  const auto scoped = [](World& w) {
+    return w.registry.counter("flymon_publish_folds_total", {{"kind", "scoped"}})
+        .value();
+  };
+  const std::uint64_t scoped_before = scoped(wp);
+
+  const std::size_t part = trace.size() / 4;
+  const auto run = [&](std::size_t i) {
+    const auto piece = std::span<const Packet>(trace).subspan(i * part, part);
+    ws.dp.process_batch(piece);
+    wp.dp.process_batch(piece);
+  };
+  const auto expect_same_answers = [&](std::uint32_t a, std::uint32_t b,
+                                       const char* what) {
+    for (std::size_t i = 0; i < trace.size(); i += 331) {
+      EXPECT_EQ(ws.ctl.query_value(a, trace[i]), wp.ctl.query_value(b, trace[i]))
+          << what << ", probe " << i;
+    }
+  };
+
+  run(0);
+  const auto rs = ws.ctl.resize_task(seq.cms, 4096);
+  const auto rp = wp.ctl.resize_task(par.cms, 4096);
+  ASSERT_TRUE(rs.ok && rp.ok) << rs.error << rp.error;
+  run(1);
+  expect_same_answers(rs.task_id, rp.task_id, "after the resize");
+
+  const auto [sa, sb] = ws.ctl.split_task(rs.task_id);
+  const auto [pa, pb] = wp.ctl.split_task(rp.task_id);
+  ASSERT_TRUE(sa.ok && sb.ok && pa.ok && pb.ok) << sa.error << pa.error;
+  run(2);
+  expect_same_answers(sa.task_id, pa.task_id, "after the split (lo)");
+  expect_same_answers(sb.task_id, pb.task_id, "after the split (hi)");
+
+  TaskSpec fresh;
+  fresh.name = "fresh";
+  fresh.key = FlowKeySpec::src_ip();
+  fresh.attribute = AttributeKind::kFrequency;
+  fresh.memory_buckets = 8192;
+  fresh.rows = 3;
+  const auto fs = ws.ctl.add_task(fresh);
+  const auto fp = wp.ctl.add_task(fresh);
+  ASSERT_TRUE(fs.ok && fp.ok) << fs.error << fp.error;
+  run(3);
+  wp.dp.merge_shards();
+  expect_identical_registers(ws.dp, wp.dp, "trafficked resize + split");
+  expect_identical_counters(ws, wp, "trafficked resize + split");
+  expect_same_answers(fs.task_id, fp.task_id, "the task on freed partitions");
+  EXPECT_EQ(scoped(wp), scoped_before + 3);
+  EXPECT_EQ(wp.registry.counter("flymon_publish_folds_total", {{"kind", "full"}})
+                .value(),
+            0u);
+}
+
+// A query on a second thread needs no lock once every delta is folded, yet
+// it still sees every batch that happens before it.  One flow per batch
+// position, so each probe's CMS count is exact: k batches read k.
+TEST(ShardedScoped, ConcurrentQueriesSeeEveryEarlierBatch) {
+  EnabledGuard on(false);
+  World w;
+  TaskSpec s;
+  s.key = FlowKeySpec::five_tuple();
+  s.attribute = AttributeKind::kFrequency;
+  s.memory_buckets = 16384;
+  s.rows = 3;
+  const auto r = w.ctl.add_task(s);
+  ASSERT_TRUE(r.ok) << r.error;
+  w.dp.enable_parallel(2);
+  std::vector<Packet> batch(2 * exec::kBatchChunk);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].ft.src_ip = 0x0A000000u + static_cast<std::uint32_t>(i);
+    batch[i].ft.dst_ip = 0x0B000001u;
+    batch[i].ft.src_port = 1000;
+    batch[i].ft.dst_port = 80;
+    batch[i].ft.protocol = 6;
+  }
+
+  constexpr std::uint64_t kBatches = 100;
+  std::atomic<std::uint64_t> done{0};
+  std::thread proc([&] {
+    for (std::uint64_t k = 1; k <= kBatches; ++k) {
+      w.dp.process_batch(batch);
+      done.store(k, std::memory_order_release);
+    }
+  });
+  std::uint64_t queries = 0;
+  for (std::size_t i = 0; done.load(std::memory_order_acquire) < kBatches;
+       i = (i + 37) % batch.size(), ++queries) {
+    const std::uint64_t before = done.load(std::memory_order_acquire);
+    const std::uint64_t v = w.ctl.query_value(r.task_id, batch[i]);
+    if (v < before || v > kBatches) {
+      ADD_FAILURE() << "query " << queries << " read " << v << " after "
+                    << before << " finished batches";
+      break;
+    }
+  }
+  proc.join();
+  for (std::size_t i = 0; i < batch.size(); i += 17) {
+    EXPECT_EQ(w.ctl.query_value(r.task_id, batch[i]), kBatches);
+  }
+  EXPECT_GT(queries, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Churn: reconfigure while batches are in flight.  The publish fence
 // serialises against every batch, so each executes one coherent plan,
 // every shard delta merges under the plan it was produced with, and no
@@ -979,8 +1103,11 @@ TEST(ShardedFence, TracedBatchContinuesItsSample) {
   std::atomic<bool> started{false}, done{false};
   std::thread controller([&] {
     while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
-    // A bounded number of cuts, to keep the test short under TSan.
-    for (int q = 0; q < 32 && !done.load(std::memory_order_acquire); ++q) {
+    // A query cuts the job only once a job has left unmerged deltas, so
+    // keep querying until then; a bounded number of cuts keeps the test
+    // short under TSan.
+    while (!done.load(std::memory_order_acquire) &&
+           w.dp.parallel_stats().preemptions < 32) {
       (void)w.ctl.query_value(ids.cms, trace[0]);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

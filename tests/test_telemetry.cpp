@@ -478,6 +478,9 @@ flymon_group_packets_total{group="0"} 6
 flymon_hash_invocations_total{group="0"} 6
 # TYPE flymon_packets_total counter
 flymon_packets_total 6
+# TYPE flymon_publish_folds_total counter
+flymon_publish_folds_total{kind="full"} 0
+flymon_publish_folds_total{kind="scoped"} 1
 # TYPE flymon_reconfig_phase_us histogram
 flymon_reconfig_phase_us_bucket{phase="checkpoint",le="0.25"} 1
 flymon_reconfig_phase_us_bucket{phase="checkpoint",le="1"} 1
@@ -608,7 +611,7 @@ TEST(TelemetryGolden, JsonScenario) {
   EnabledGuard on(true);
   Registry reg;
   const std::string text = golden_scenario(reg, false);
-  EXPECT_EQ(text, R"({"metrics":[{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":0.03125},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":1},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":6},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_dataplane_groups","kind":"gauge","labels":{},"value":1},{"name":"flymon_group_hash_units_configured","kind":"gauge","labels":{"group":"0"},"value":1},{"name":"flymon_group_packets_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_hash_invocations_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_packets_total","kind":"counter","labels":{},"value":6},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"checkpoint"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"compile"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"publish"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"validate"},"count":0,"sum":0,"buckets":[{"le":0.25,"count":0},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"zero"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_salu_op_total","kind":"counter","labels":{"group":"0","cmu":"0","op":"Cond-ADD"},"value":6},{"name":"flymon_task_buckets","kind":"gauge","labels":{"task":"1"},"value":64},{"name":"flymon_task_deploy_delay_ms_total","kind":"gauge","labels":{"task":"1"},"value":16},{"name":"flymon_task_deploy_failures_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_deploys_total","kind":"counter","labels":{},"value":1},{"name":"flymon_task_max_saturation","kind":"gauge","labels":{"task":"1"},"value":0.03125},{"name":"flymon_task_removals_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_resizes_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_row_saturation","kind":"gauge","labels":{"task":"1","row":"0"},"value":0.03125},{"name":"flymon_task_rules","kind":"gauge","labels":{"task":"1"},"value":5},{"name":"flymon_tasks_active","kind":"gauge","labels":{},"value":1}]})");
+  EXPECT_EQ(text, R"({"metrics":[{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_prep_aborts_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":0.03125},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_register_occupancy","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_sampled_out_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"0"},"value":1},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_tasks_installed","kind":"gauge","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"0"},"value":6},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"1"},"value":0},{"name":"flymon_cmu_updates_total","kind":"counter","labels":{"group":"0","cmu":"2"},"value":0},{"name":"flymon_dataplane_groups","kind":"gauge","labels":{},"value":1},{"name":"flymon_group_hash_units_configured","kind":"gauge","labels":{"group":"0"},"value":1},{"name":"flymon_group_packets_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_hash_invocations_total","kind":"counter","labels":{"group":"0"},"value":6},{"name":"flymon_packets_total","kind":"counter","labels":{},"value":6},{"name":"flymon_publish_folds_total","kind":"counter","labels":{"kind":"full"},"value":0},{"name":"flymon_publish_folds_total","kind":"counter","labels":{"kind":"scoped"},"value":1},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"checkpoint"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"compile"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"publish"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"validate"},"count":0,"sum":0,"buckets":[{"le":0.25,"count":0},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_reconfig_phase_us","kind":"histogram","labels":{"phase":"zero"},"count":1,"sum":0,"buckets":[{"le":0.25,"count":1},{"le":1,"count":0},{"le":4,"count":0},{"le":16,"count":0},{"le":64,"count":0},{"le":256,"count":0},{"le":1024,"count":0},{"le":4096,"count":0},{"le":16384,"count":0},{"le":65536,"count":0},{"le":262144,"count":0},{"le":1048576,"count":0},{"le":4194304,"count":0},{"le":16777216,"count":0},{"le":67108864,"count":0},{"le":268435456,"count":0},{"le":1073741824,"count":0},{"le":"+Inf","count":0}]},{"name":"flymon_salu_op_total","kind":"counter","labels":{"group":"0","cmu":"0","op":"Cond-ADD"},"value":6},{"name":"flymon_task_buckets","kind":"gauge","labels":{"task":"1"},"value":64},{"name":"flymon_task_deploy_delay_ms_total","kind":"gauge","labels":{"task":"1"},"value":16},{"name":"flymon_task_deploy_failures_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_deploys_total","kind":"counter","labels":{},"value":1},{"name":"flymon_task_max_saturation","kind":"gauge","labels":{"task":"1"},"value":0.03125},{"name":"flymon_task_removals_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_resizes_total","kind":"counter","labels":{},"value":0},{"name":"flymon_task_row_saturation","kind":"gauge","labels":{"task":"1","row":"0"},"value":0.03125},{"name":"flymon_task_rules","kind":"gauge","labels":{"task":"1"},"value":5},{"name":"flymon_tasks_active","kind":"gauge","labels":{},"value":1}]})");
 }
 
 // ---- shell commands ----
