@@ -5,13 +5,19 @@
 #   scripts/lint.sh src/verify      lint one subtree
 #   scripts/lint.sh --changed REF   lint only files changed vs. git REF
 #                                   (default origin/main; used by CI)
-#   scripts/lint.sh --lock-order    only the lock-order declaration lint
+#   scripts/lint.sh --lock-order    only the two toolchain-free lints below
+#   scripts/lint.sh --test-only     (either flag runs both; CI names each)
 #
-# Every mode starts with the lock-order declaration lint: the static
-# FLYMON_DECLARE_LOCK_ORDER facts must be acyclic and must name
-# capabilities that actually exist in the tree (a typo'd name silently
-# exempts its lock from the concur analyzer).  It needs no toolchain, so
-# it gates even where clang-tidy is unavailable.
+# Every mode starts with two lints that need no toolchain, so they gate
+# even where clang-tidy is unavailable:
+#   - the lock-order declaration lint: the static FLYMON_DECLARE_LOCK_ORDER
+#     facts must be acyclic and must name capabilities that actually exist
+#     in the tree (a typo'd name silently exempts its lock from the concur
+#     analyzer);
+#   - the test-only symbol lint (scripts/test_only_lint.py): no public
+#     function or class declared in src/ may have tests/ as its only
+#     callers, apart from a short allowlist of referees, ground truth and
+#     test hooks.
 #
 # clang-tidy requires a compile database: configure with
 #   cmake --preset default -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
@@ -85,7 +91,8 @@ EOF
 }
 
 lock_order_lint
-if [ "${1:-}" = "--lock-order" ]; then
+python3 scripts/test_only_lint.py
+if [ "${1:-}" = "--lock-order" ] || [ "${1:-}" = "--test-only" ]; then
   exit 0
 fi
 

@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 
 namespace flymon {
 
@@ -30,29 +29,6 @@ constexpr std::uint64_t pow2_ceil(std::uint64_t v) noexcept {
 /// Largest power of two <= v (v must be >= 1).
 constexpr std::uint64_t pow2_floor(std::uint64_t v) noexcept {
   return std::uint64_t{1} << log2_floor(v);
-}
-
-/// Position (1-based, from the most-significant side) of the leftmost set
-/// bit within a `width`-bit value; returns 0 when no bit is set. This is the
-/// "rho" function used by HyperLogLog-style estimators.
-constexpr unsigned leftmost_one_pos(std::uint32_t v, unsigned width = 32) noexcept {
-  if (v == 0) return 0;
-  const unsigned lz = static_cast<unsigned>(std::countl_zero(v));
-  // v occupies the low `width` bits: skip the (32-width) always-zero bits.
-  return lz - (32 - width) + 1;
-}
-
-/// One-hot encoding: a word with only bit `idx` set (idx in [0,31]).
-constexpr std::uint32_t one_hot32(unsigned idx) noexcept {
-  return std::uint32_t{1} << idx;
-}
-
-/// Extract bits [lo, lo+len) of v (little-endian bit order).
-constexpr std::uint32_t bit_slice(std::uint64_t v, unsigned lo, unsigned len) noexcept {
-  const std::uint64_t mask =
-      len >= 64 ? std::numeric_limits<std::uint64_t>::max()
-                : (std::uint64_t{1} << len) - 1;
-  return static_cast<std::uint32_t>((v >> lo) & mask);
 }
 
 /// Mask with the low `n` bits set.

@@ -274,25 +274,6 @@ std::uint32_t CrcKernel::update(const std::uint8_t* p, std::size_t n,
   return update_scalar(p, n, c);
 }
 
-std::uint32_t CrcKernel::update_fixed13(const std::uint8_t* p,
-                                        std::uint32_t c) const noexcept {
-  // 13 = 8 + 4 + 1: one slice-8 round, one slice-4 round, one byte.
-  // PCLMUL needs a full 16-byte block, so slice8 is the fast path here.
-  if (kLittleEndian && crc_active_impl() >= CrcImpl::kSlice8) {
-    const std::uint32_t lo = c ^ load_le32(p);
-    const std::uint32_t hi = load_le32(p + 4);
-    c = tables_[7][lo & 0xFFu] ^ tables_[6][(lo >> 8) & 0xFFu] ^
-        tables_[5][(lo >> 16) & 0xFFu] ^ tables_[4][lo >> 24] ^
-        tables_[3][hi & 0xFFu] ^ tables_[2][(hi >> 8) & 0xFFu] ^
-        tables_[1][(hi >> 16) & 0xFFu] ^ tables_[0][hi >> 24];
-    const std::uint32_t w = c ^ load_le32(p + 8);
-    c = tables_[3][w & 0xFFu] ^ tables_[2][(w >> 8) & 0xFFu] ^
-        tables_[1][(w >> 16) & 0xFFu] ^ tables_[0][w >> 24];
-    return tables_[0][(c ^ p[12]) & 0xFFu] ^ (c >> 8);
-  }
-  return update_scalar(p, 13, c);
-}
-
 std::uint32_t CrcKernel::update_fixed17(const std::uint8_t* p,
                                         std::uint32_t c) const noexcept {
 #if defined(FLYMON_CRC_HAVE_PCLMUL)

@@ -23,8 +23,8 @@
 // (CPUID-derived, FLYMON_DISABLE_SIMD-capped, test-overridable) so a single
 // binary can prove scalar/vectorized equivalence at runtime.
 //
-// Every kernel returns bit-identical results to crc32() in common/hash.hpp
-// for every polynomial, init value and length — the golden exec/translate
+// Every kernel returns bit-identical results to a plain bitwise CRC-32 for
+// every polynomial, init value and length — the golden exec/translate
 // equivalence suites rely on it.
 #pragma once
 
@@ -67,7 +67,7 @@ class CrcKernel {
 
   std::uint32_t poly() const noexcept { return poly_; }
 
-  /// Full CRC (applies the final xor), byte-identical to crc32().
+  /// Full CRC (applies the final xor).
   std::uint32_t compute(std::span<const std::uint8_t> data,
                         std::uint32_t init) const noexcept {
     return update(data.data(), data.size(), init) ^ 0xFFFFFFFFu;
@@ -77,22 +77,10 @@ class CrcKernel {
   std::uint32_t update(const std::uint8_t* p, std::size_t n,
                        std::uint32_t c) const noexcept;
 
-  /// Fixed-length specialisations for the two key shapes on the packet
-  /// path: the 13 meaningful FiveTuple bytes and the 17-byte candidate
-  /// key.  Fully unrolled slice rounds (or one PCLMUL fold for 17).
-  std::uint32_t update_fixed13(const std::uint8_t* p,
-                               std::uint32_t c) const noexcept;
+  /// Fixed-length specialisation for the 17-byte candidate key on the
+  /// packet path: two unrolled slice-8 rounds, or one PCLMUL fold.
   std::uint32_t update_fixed17(const std::uint8_t* p,
                                std::uint32_t c) const noexcept;
-
-  std::uint32_t compute_fixed13(const std::uint8_t* p,
-                                std::uint32_t init) const noexcept {
-    return update_fixed13(p, init) ^ 0xFFFFFFFFu;
-  }
-  std::uint32_t compute_fixed17(const std::uint8_t* p,
-                                std::uint32_t init) const noexcept {
-    return update_fixed17(p, init) ^ 0xFFFFFFFFu;
-  }
 
   /// The compression-stage primitive: CRC of (key[i] & mask[i]) over the
   /// 17 candidate-key bytes, final xor applied.  The mask AND folds into

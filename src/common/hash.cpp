@@ -2,19 +2,7 @@
 
 #include <array>
 
-#include "common/crc_kernels.hpp"
-
 namespace flymon {
-
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t poly_reflected,
-                    std::uint32_t init) noexcept {
-  // All CRC math lives in the kernel registry (common/crc_kernels.hpp):
-  // one immutable descriptor per polynomial, resolved here by a lock-free
-  // lookup instead of the old per-call thread_local table scan.  Hot
-  // callers (HashUnit, compiled plans) hold the descriptor directly and
-  // skip even that.
-  return crc_kernel_for(poly_reflected).compute(data, init);
-}
 
 std::uint32_t crc_polynomial(unsigned unit_index) noexcept {
   // Reflected polynomials of well-known CRC-32 variants.  Units cycle

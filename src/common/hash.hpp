@@ -13,13 +13,6 @@
 
 namespace flymon {
 
-/// CRC-32 over `data` with a configurable polynomial (reflected form) and
-/// initial value.  Polynomial diversity is how distinct physical hash units
-/// produce independent hashes of the same input.
-std::uint32_t crc32(std::span<const std::uint8_t> data,
-                    std::uint32_t poly_reflected = 0xEDB88320u,
-                    std::uint32_t init = 0xFFFFFFFFu) noexcept;
-
 /// A small set of distinct reflected CRC-32 polynomials (CRC-32, CRC-32C,
 /// CRC-32K, CRC-32Q, ...) used to parameterise independent hash units.
 std::uint32_t crc_polynomial(unsigned unit_index) noexcept;
@@ -34,7 +27,8 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
 }
 
 /// Seeded 64-bit hash of a byte string (FNV-1a core + splitmix finaliser).
-/// Baseline sketches use this; the FlyMon data plane uses crc32 above.
+/// Baseline sketches use this; the FlyMon data plane uses the CRC kernels
+/// (common/crc_kernels.hpp).
 std::uint64_t hash64(std::span<const std::uint8_t> data, std::uint64_t seed) noexcept;
 
 /// Convenience: hash a trivially-copyable value.

@@ -801,16 +801,6 @@ std::vector<std::uint32_t> Controller::task_ids() const {
   return out;
 }
 
-void Controller::clear_task_state(std::uint32_t id) {
-  const DeployedTask& t = require(id);
-  for (const RowPlacement& row : t.rows) {
-    for (const UnitPlacement& up : row.units) {
-      dp_->group(up.group).cmu(up.cmu).reg().clear_range(up.partition.base,
-                                                         up.partition.end());
-    }
-  }
-}
-
 std::uint32_t Controller::free_buckets(unsigned group, unsigned cmu) const {
   const auto it = allocators_.find({group, cmu});
   return it == allocators_.end() ? dp_->group(group).config().register_buckets
@@ -820,9 +810,9 @@ std::uint32_t Controller::free_buckets(unsigned group, unsigned cmu) const {
 // ---------- readout ----------
 
 const DeployedTask& Controller::require(std::uint32_t id) const {
-  // Every by-id access can precede a register readout (or clear): fold
-  // outstanding shard deltas first so queries always see exactly what a
-  // sequential run would have produced.  One acquire load when no pool is
+  // Every by-id access can precede a register readout: fold outstanding
+  // shard deltas first so queries always see exactly what a sequential
+  // run would have produced.  One acquire load when no pool is
   // enabled or no batch has run since the last fold: no lock.
   dp_->merge_shards();
   const auto it = tasks_.find(id);
@@ -841,9 +831,10 @@ struct ProbeView {
 };
 
 /// Reads the cells one probe packet maps to.  A hash lane is computed the
-/// first time a read of its group selects it, into a fixed-size buffer
-/// (the rows of a single-group task share them), so a query allocates
-/// nothing and hashes no lane it does not read.
+/// first time a read of its group selects it, into a fixed-size buffer per
+/// group (the rows of a task share them, also a chained task whose rows
+/// alternate groups), so a query allocates nothing and hashes each lane it
+/// reads once.
 class Prober {
  public:
   Prober(const FlyMonDataPlane& dp, const Packet& probe)
@@ -868,26 +859,43 @@ class Prober {
  private:
   /// The unit keys of group `g`, with the lanes `sel` reads computed.
   std::span<const std::uint32_t> lanes(unsigned g, const CompressedKeySelector& sel) {
-    if (g != keys_group_) {
-      keys_group_ = g;
-      computed_ = 0;
+    const unsigned slot = g % kCachedGroups;
+    GroupLanes& c = groups_[slot];
+    if ((live_slots_ >> slot & 1u) == 0 || c.group != g) {
+      live_slots_ |= 1u << slot;
+      c.group = g;
+      c.computed = 0;
     }
     const CompressionStage& comp = dp_.group(g).compression();
     for (const std::int8_t u : {sel.unit_a, sel.unit_b}) {
-      if (u < 0 || (computed_ >> u & 1u) != 0) continue;
+      if (u < 0 || (c.computed >> u & 1u) != 0) continue;
       const auto i = static_cast<unsigned>(u);
-      keys_[i] = comp.spec_of(i) ? comp.unit(i).compute(key_) : 0;
-      computed_ |= 1u << i;
+      c.keys[i] = comp.spec_of(i) ? comp.unit(i).compute(key_) : 0;
+      c.computed |= 1u << i;
     }
-    return keys_;
+    return c.keys;
   }
+
+  /// The lanes of one group computed so far; only the lanes in `computed`
+  /// hold keys.
+  struct GroupLanes {
+    unsigned group;
+    unsigned computed;  ///< lanes of `group` in keys
+    CompressionStage::UnitKeys keys;
+  };
+  /// Group g caches in slot g % kCachedGroups: one slot per group of any
+  /// pipeline (a group sits in one of TofinoModel::kNumStages MAU stages).
+  /// Slots are left unset until first used (live_slots_), because a query
+  /// touches one to three of them and zeroing all of them would cost more
+  /// than the lanes it saves on an epoch readout.
+  static constexpr unsigned kCachedGroups = 16;
+  static_assert(kCachedGroups >= dataplane::TofinoModel::kNumStages);
 
   const FlyMonDataPlane& dp_;
   const Packet& probe_;
   CandidateKey key_;
-  unsigned keys_group_ = ~0u;
-  unsigned computed_ = 0;  ///< lanes of keys_group_ in keys_
-  CompressionStage::UnitKeys keys_{};
+  std::uint32_t live_slots_ = 0;  ///< slots of groups_ that hold a group
+  std::array<GroupLanes, kCachedGroups> groups_;
 };
 
 std::uint64_t read_row_value(Algorithm algo, const RowPlacement& row,
@@ -1036,46 +1044,6 @@ std::map<std::uint32_t, double> Controller::estimate_size_distribution(
     mrac.load_counter(i, reg.read(up.partition.base + i));
   }
   return mrac.estimate_size_distribution();
-}
-
-Controller::TaskSnapshot Controller::snapshot_task(std::uint32_t id) const {
-  const DeployedTask& t = require(id);
-  TaskSnapshot snap;
-  snap.task_id = id;
-  for (const RowPlacement& row : t.rows) {
-    const UnitPlacement& up = row.units.at(0);
-    const auto& reg = dp_->group(up.group).cmu(up.cmu).reg();
-    snap.row_cells.push_back(reg.read_range(up.partition.base, up.partition.end()));
-  }
-  return snap;
-}
-
-std::uint64_t Controller::query_snapshot(const TaskSnapshot& snap,
-                                         const Packet& probe) const {
-  const DeployedTask& t = require(snap.task_id);
-  Prober cells(*dp_, probe);
-  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t r = 0; r < t.rows.size() && r < snap.row_cells.size(); ++r) {
-    const UnitPlacement& up = t.rows[r].units.at(0);
-    const ProbeView v = cells.unit(up);
-    const std::uint32_t offset = v.addr - up.partition.base;
-    best = std::min<std::uint64_t>(best, snap.row_cells[r].at(offset));
-  }
-  return best;
-}
-
-std::vector<FlowKeyValue> Controller::detect_heavy_changers(
-    std::uint32_t id, const TaskSnapshot& previous_epoch,
-    const std::vector<FlowKeyValue>& candidates, std::uint64_t threshold) const {
-  std::vector<FlowKeyValue> out;
-  for (const FlowKeyValue& k : candidates) {
-    const Packet probe = packet_from_candidate_key(k.bytes);
-    const std::uint64_t now = query_value(id, probe);
-    const std::uint64_t before = query_snapshot(previous_epoch, probe);
-    const std::uint64_t delta = now > before ? now - before : before - now;
-    if (delta >= threshold) out.push_back(k);
-  }
-  return out;
 }
 
 namespace {

@@ -136,9 +136,6 @@ class Controller {
   std::size_t num_tasks() const noexcept { return tasks_.size(); }
   std::vector<std::uint32_t> task_ids() const;
 
-  /// Zero the task's register partitions (start of a measurement epoch).
-  void clear_task_state(std::uint32_t id);
-
   // ---- resource management interfaces ----
   std::uint32_t free_buckets(unsigned group, unsigned cmu) const;
   AllocMode alloc_mode() const noexcept { return mode_; }
@@ -212,20 +209,6 @@ class Controller {
   std::vector<FlowKeyValue> detect_over_threshold(
       std::uint32_t id, const std::vector<FlowKeyValue>& candidates,
       std::uint64_t threshold) const;
-
-  /// Freeze a copy of the task's register partitions (end-of-epoch state).
-  struct TaskSnapshot {
-    std::uint32_t task_id = 0;
-    std::vector<std::vector<std::uint32_t>> row_cells;  ///< first unit per row
-  };
-  TaskSnapshot snapshot_task(std::uint32_t id) const;
-  /// Frequency estimate of `probe` against a snapshot (min across rows).
-  std::uint64_t query_snapshot(const TaskSnapshot& snap, const Packet& probe) const;
-  /// Heavy changers (paper Table 1): keys whose frequency changed by at
-  /// least `threshold` between a snapshot epoch and the current state.
-  std::vector<FlowKeyValue> detect_heavy_changers(
-      std::uint32_t id, const TaskSnapshot& previous_epoch,
-      const std::vector<FlowKeyValue>& candidates, std::uint64_t threshold) const;
 
   FlyMonDataPlane& dataplane() noexcept { return *dp_; }
   const FlyMonDataPlane& dataplane() const noexcept { return *dp_; }

@@ -836,6 +836,9 @@ std::string Shell::cmd_ingest(const std::vector<std::string>& args) {
     std::ostringstream out;
     out << "source: " << source_->name()
         << (running ? " (streaming)" : " (idle)") << "\n";
+    if (const auto* file = dynamic_cast<const ingest::FileReplaySource*>(source_.get())) {
+      out << "skipped: " << file->skipped() << " record(s) (truncated or not IPv4)\n";
+    }
     if (pump_ != nullptr) {
       const ingest::PumpStats s = pump_->stats();
       out << "produced: " << s.produced << "  enqueued: " << s.enqueued

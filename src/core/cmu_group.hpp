@@ -40,12 +40,6 @@ class CmuGroup {
   Cmu& cmu(unsigned i) { return cmus_.at(i); }
   const Cmu& cmu(unsigned i) const { return cmus_.at(i); }
 
-  /// Compressed keys of one packet (the compression stage's output), in a
-  /// fixed-size buffer so control-plane probes do not allocate.
-  CompressionStage::UnitKeys compute_keys(const CandidateKey& key) const noexcept {
-    return compression_.compute(key);
-  }
-
   /// Run the packet through all CMUs of this group.
   void process(const Packet& pkt, PhvContext& ctx);
 

@@ -91,11 +91,4 @@ std::vector<MemoryPartition> BuddyAllocator::live_partitions() const {
   return out;
 }
 
-std::uint32_t BuddyAllocator::largest_free_block() const noexcept {
-  for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
-    if (!it->second.empty()) return it->first;
-  }
-  return 0;
-}
-
 }  // namespace flymon

@@ -41,9 +41,6 @@ class BuddyAllocator {
 
   std::uint32_t total() const noexcept { return total_; }
   std::uint32_t free_buckets() const noexcept { return free_total_; }
-  std::uint32_t largest_free_block() const noexcept;
-  /// Number of live allocations.
-  std::size_t allocations() const noexcept { return live_blocks_.size(); }
 
   /// True iff `p` is exactly a block handed out by allocate() and not yet
   /// released — the ground truth the static verifier audits placements

@@ -22,7 +22,6 @@ class Pipeline {
   /// PHV is a whole-pipe resource.
   bool allocate_phv(unsigned bits) noexcept;
   void release_phv(unsigned bits) noexcept;
-  unsigned phv_used() const noexcept { return phv_used_; }
   unsigned phv_capacity() const noexcept { return phv_bits_; }
   double phv_utilization() const noexcept {
     return phv_bits_ == 0 ? 0.0 : static_cast<double>(phv_used_) / phv_bits_;

@@ -92,11 +92,6 @@ class RegisterArray {
   /// Control-plane reset of [begin, end) to zero.
   void clear_range(std::uint32_t begin, std::uint32_t end);
 
-  /// SRAM blocks this register occupies in the resource model.
-  unsigned sram_blocks() const noexcept {
-    return TofinoModel::sram_blocks_for(size(), bit_width_);
-  }
-
  private:
   void check(std::uint32_t addr) const {
     if (addr >= size_) throw std::out_of_range("RegisterArray: address out of range");

@@ -284,7 +284,6 @@ class ExecPlan {
   std::uint64_t generation() const noexcept { return generation_; }
 
   std::size_t num_entries() const noexcept { return entries_.size(); }
-  std::size_t num_hash_slots() const noexcept { return slots_.size(); }
   std::size_t num_chain_channels() const noexcept { return chain_count_; }
 
   /// Ownership labels the plan was compiled with (kept so the data plane

@@ -1,7 +1,7 @@
 // File replay source: streams packets out of a capture file without
 // materialising the trace.  Two on-disk formats:
-//   - FMTR    the repo's own fixed-record format (write_fmtr) —
-//             lossless round-trip of the full Packet struct;
+//   - FMTR    the repo's own fixed-record format — a lossless
+//             round-trip of the full Packet struct;
 //   - pcap    classic libpcap captures (magic 0xa1b2c3d4 usec or
 //             0xa1b23c4d nsec, either endianness), linktype 1 (Ethernet,
 //             VLAN-aware) or 101 (raw IPv4).  Non-IPv4 or truncated
@@ -11,11 +11,11 @@
 // ingest pump (pump.hpp) owns the real-time pacing policy.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "ingest/packet_source.hpp"
 
@@ -37,19 +37,11 @@ class FileReplaySource final : public PacketSource {
   bool rewind() override;
 
   Format format() const noexcept { return format_; }
-  /// pcap records skipped (non-IPv4 payload, truncated record).
-  std::uint64_t skipped() const noexcept { return skipped_; }
-
-  /// Write `trace` as an FMTR file; throws std::runtime_error on I/O
-  /// failure.
-  static void write_fmtr(const std::string& path, const std::vector<Packet>& trace);
-
-  /// Write `trace` as a pcap file (nanosecond or microsecond timestamps),
-  /// synthesising minimal Ethernet+IPv4+TCP/UDP frames — so generated
-  /// workloads can exercise the pcap replay path end to end.
-  static void write_pcap(const std::string& path,
-                         const std::vector<Packet>& trace,
-                         bool nanosecond = true);
+  /// Records skipped (non-IPv4 payload, truncated record).  Readable from
+  /// another thread while a pump pulls.
+  std::uint64_t skipped() const noexcept {
+    return skipped_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct FileCloser {
@@ -68,7 +60,7 @@ class FileReplaySource final : public PacketSource {
   std::unique_ptr<std::FILE, FileCloser> f_;
   bool done_ = false;
   std::uint64_t produced_ = 0;
-  std::uint64_t skipped_ = 0;
+  std::atomic<std::uint64_t> skipped_{0};
 
   // FMTR state.
   std::uint64_t fmtr_remaining_ = 0;

@@ -103,13 +103,6 @@ struct GeneratorSource::Phase {
 };
 
 GeneratorSource::GeneratorSource(GeneratorConfig cfg) : cfg_(std::move(cfg)) {
-  for (const GeneratorPhase& phase : cfg_.phases) {
-    for (const TraceConfig& c : phase.components) total_ += c.num_packets;
-    for (const DdosConfig& d : phase.ddos) {
-      total_ += static_cast<std::uint64_t>(d.num_victims) *
-                d.spreaders_per_victim * d.packets_per_spreader;
-    }
-  }
   open_phase(0);
 }
 

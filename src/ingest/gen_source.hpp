@@ -65,9 +65,6 @@ class GeneratorSource final : public PacketSource {
   std::uint64_t produced() const override { return produced_; }
   bool rewind() override;
 
-  /// Packets the full workload will produce (phases are finite).
-  std::uint64_t total_packets() const noexcept { return total_; }
-
  private:
   struct Phase;  // merged component streams + buffered ddos packets
 
@@ -78,7 +75,6 @@ class GeneratorSource final : public PacketSource {
   std::unique_ptr<Phase> phase_;
   std::size_t phase_idx_ = 0;
   std::uint64_t produced_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace flymon::ingest

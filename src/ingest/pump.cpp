@@ -1,5 +1,6 @@
 #include "ingest/pump.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <vector>
@@ -16,6 +17,7 @@ IngestPump::IngestPump(PacketSource& source, PumpConfig cfg)
   const telemetry::Labels labels{{"source", label_}};
   packets_ctr_ = &reg.counter("flymon_ingest_packets", labels);
   drops_ctr_ = &reg.counter("flymon_ingest_drops", labels);
+  pace_jumps_ctr_ = &reg.counter("flymon_ingest_pace_jumps_total", labels);
   occupancy_gauge_ = &reg.gauge("flymon_ingest_ring_occupancy", labels);
 }
 
@@ -48,9 +50,13 @@ PumpStats IngestPump::stats() const {
 
 void IngestPump::run(std::stop_token stop) {
   std::vector<Packet> buf(cfg_.batch == 0 ? 1 : cfg_.batch);
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::uint64_t first_ts = 0;
-  bool have_first_ts = false;
+  // Pacing origin: the wall time and capture timestamp every due time is
+  // measured from.  It starts at the first batch and moves to a batch due
+  // more than kMaxPaceGapNs after the latest due time so far (last_due_ns).
+  auto origin_wall = std::chrono::steady_clock::now();
+  std::uint64_t origin_ts = 0;
+  std::uint64_t last_due_ns = 0;
+  bool have_origin = false;
 
   // Packets the pump pulled but will not enqueue: a full ring under kDrop,
   // or a stop that cuts a batch short.
@@ -65,17 +71,25 @@ void IngestPump::run(std::stop_token stop) {
       produced_.fetch_add(batch.size(), std::memory_order_relaxed);
 
       if (cfg_.pace == PumpConfig::Pace::kReal) {
-        if (!have_first_ts) {
-          first_ts = batch[0].ts_ns;
-          have_first_ts = true;
+        const std::uint64_t ts = batch[0].ts_ns;
+        if (!have_origin) {
+          origin_ts = ts;
+          have_origin = true;
         }
         // Pace the batch by its first packet: sleep until that packet is
         // due on the (scaled) wall clock.  Batch-granular pacing bounds
         // the error at one batch of inter-packet gaps.
-        const auto due = wall_start + std::chrono::nanoseconds(pace_delay_ns(
-                                          first_ts, batch[0].ts_ns, cfg_.time_scale));
-        // Wait on the stop token, not a plain sleep: a capture whose
-        // timestamps jump forward must not hold stop() for the jump.
+        std::uint64_t due_ns = pace_delay_ns(origin_ts, ts, cfg_.time_scale);
+        if (due_ns > last_due_ns && due_ns - last_due_ns > kMaxPaceGapNs) {
+          origin_wall = std::chrono::steady_clock::now();
+          origin_ts = ts;
+          due_ns = last_due_ns = 0;
+          pace_jumps_ctr_->inc();
+        }
+        last_due_ns = std::max(last_due_ns, due_ns);
+        const auto due = origin_wall + std::chrono::nanoseconds(due_ns);
+        // Wait on the stop token, not a plain sleep: stop() must not wait
+        // out a pacing gap.
         std::mutex mu;
         std::unique_lock lock(mu);
         std::condition_variable_any().wait_until(lock, stop, due,

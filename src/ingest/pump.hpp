@@ -18,12 +18,17 @@
 // times the producer is quiescent, stopped early or not, and all three
 // counts are exported as telemetry (flymon_ingest_packets / _drops /
 // _ring_occupancy, labelled by source).
+//
+// Real-time pacing sleeps until each batch's first packet is due, but never
+// for more than kMaxPaceGapNs past the previous batch: a longer forward
+// jump in the timestamps re-bases the pacing origin instead.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <stop_token>
 #include <string>
 #include <thread>
@@ -68,15 +73,24 @@ struct PumpStats {
 };
 
 /// Wall-clock delay (ns) at which a packet with capture timestamp `ts_ns`
-/// is due, relative to the first packet's timestamp, under `time_scale`.
-/// Pure so the pacing arithmetic is unit-testable without sleeping.
-constexpr std::uint64_t pace_delay_ns(std::uint64_t first_ts_ns,
+/// is due, relative to the pacing origin's timestamp, under `time_scale`.
+/// Saturates at UINT64_MAX when the scaled gap does not fit.  Pure so the
+/// pacing arithmetic is unit-testable without sleeping.
+constexpr std::uint64_t pace_delay_ns(std::uint64_t origin_ts_ns,
                                       std::uint64_t ts_ns,
                                       double time_scale) noexcept {
-  if (ts_ns <= first_ts_ns || time_scale <= 0.0) return 0;
-  return static_cast<std::uint64_t>(
-      static_cast<double>(ts_ns - first_ts_ns) / time_scale);
+  if (ts_ns <= origin_ts_ns || !(time_scale > 0.0)) return 0;
+  const double delay = static_cast<double>(ts_ns - origin_ts_ns) / time_scale;
+  // 2^64, the first double a uint64_t cannot hold (the cast would be UB).
+  if (delay >= 18446744073709551616.0) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(delay);
 }
+
+/// A batch due more than this much wall time after the previous one marks
+/// a jump in the capture's timestamps, not a gap to sleep through: the
+/// pump re-bases its pacing origin at that batch and counts the jump in
+/// flymon_ingest_pace_jumps_total.
+inline constexpr std::uint64_t kMaxPaceGapNs = 1'000'000'000;
 
 class IngestPump {
  public:
@@ -128,6 +142,7 @@ class IngestPump {
 
   telemetry::Counter* packets_ctr_ = nullptr;
   telemetry::Counter* drops_ctr_ = nullptr;
+  telemetry::Counter* pace_jumps_ctr_ = nullptr;
   telemetry::Gauge* occupancy_gauge_ = nullptr;
 };
 

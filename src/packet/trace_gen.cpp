@@ -101,25 +101,6 @@ void TraceGenerator::inject_ddos(std::vector<Packet>& trace, const DdosConfig& c
   sort_by_time(trace);
 }
 
-void TraceGenerator::inject_spike(std::vector<Packet>& trace, std::size_t extra_flows,
-                                  std::uint64_t t_begin_ns, std::uint64_t t_end_ns,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  const std::uint64_t span = t_end_ns > t_begin_ns ? t_end_ns - t_begin_ns : 1;
-  for (std::size_t f = 0; f < extra_flows; ++f) {
-    const FiveTuple ft = random_tuple(rng, 0x2D00'0000, 0xC0A8'0000);
-    const std::size_t pkts = 1 + rng.next_below(3);
-    for (std::size_t k = 0; k < pkts; ++k) {
-      Packet p;
-      p.ft = ft;
-      p.wire_bytes = static_cast<std::uint32_t>(64 + rng.next_below(1437));
-      p.ts_ns = t_begin_ns + rng.next_below(span);
-      trace.push_back(p);
-    }
-  }
-  sort_by_time(trace);
-}
-
 void TraceGenerator::sort_by_time(std::vector<Packet>& trace) {
   std::stable_sort(trace.begin(), trace.end(),
                    [](const Packet& a, const Packet& b) { return a.ts_ns < b.ts_ns; });

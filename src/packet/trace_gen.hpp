@@ -79,12 +79,6 @@ class TraceGenerator {
   static void inject_ddos(std::vector<Packet>& trace, const DdosConfig& cfg,
                           std::uint64_t duration_ns);
 
-  /// Append `extra_flows` one-or-few-packet flows uniformly over the time
-  /// window [t_begin_ns, t_end_ns) — models the Fig 12b traffic spike.
-  static void inject_spike(std::vector<Packet>& trace, std::size_t extra_flows,
-                           std::uint64_t t_begin_ns, std::uint64_t t_end_ns,
-                           std::uint64_t seed);
-
   /// Stable sort by timestamp (injectors append out of order).
   static void sort_by_time(std::vector<Packet>& trace);
 

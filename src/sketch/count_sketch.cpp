@@ -34,20 +34,6 @@ std::int64_t CountSketch::query(KeyBytes key) const {
   return est[d_ / 2];
 }
 
-double CountSketch::f2_estimate() const {
-  std::vector<double> per_row(d_);
-  for (unsigned r = 0; r < d_; ++r) {
-    double s = 0;
-    for (std::uint32_t c = 0; c < w_; ++c) {
-      const double v = static_cast<double>(cells_[std::size_t{r} * w_ + c]);
-      s += v * v;
-    }
-    per_row[r] = s;
-  }
-  std::nth_element(per_row.begin(), per_row.begin() + d_ / 2, per_row.end());
-  return per_row[d_ / 2];
-}
-
 void CountSketch::clear() { std::fill(cells_.begin(), cells_.end(), 0); }
 
 }  // namespace flymon::sketch

@@ -19,9 +19,6 @@ class CountSketch {
   /// Median-of-rows estimate (can be negative; callers clamp as needed).
   std::int64_t query(KeyBytes key) const;
 
-  /// Second-moment (F2) estimate: median over rows of sum of squares.
-  double f2_estimate() const;
-
   unsigned depth() const noexcept { return d_; }
   std::uint32_t width() const noexcept { return w_; }
   std::size_t memory_bytes() const noexcept { return std::size_t{d_} * w_ * 4; }

@@ -28,7 +28,6 @@ class HyperLogLog {
   /// Direct register write — used to load state collected by a FlyMon CMU
   /// (the data plane tracks max rho, the control plane runs this estimator).
   void load_register(std::size_t idx, std::uint8_t rho);
-  std::uint8_t register_at(std::size_t idx) const { return regs_.at(idx); }
 
  private:
   unsigned b_;

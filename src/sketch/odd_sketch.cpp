@@ -16,11 +16,6 @@ OddSketch OddSketch::with_memory(std::size_t bytes) {
   return OddSketch(std::max<std::uint64_t>(64, std::uint64_t{bytes} * 8));
 }
 
-void OddSketch::toggle(KeyBytes key) {
-  const std::uint64_t b = row_hash(key, 0, 0x0DD5ull) % m_;
-  bits_[b >> 6] ^= (1ull << (b & 63));
-}
-
 void OddSketch::load_parity(std::uint64_t idx, bool parity) {
   const std::uint64_t bit = 1ull << (idx & 63);
   if (parity) {

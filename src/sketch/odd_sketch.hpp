@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sketch/sketch_common.hpp"
-
 namespace flymon::sketch {
 
 class OddSketch {
@@ -18,11 +16,6 @@ class OddSketch {
   explicit OddSketch(std::uint64_t m_bits);
 
   static OddSketch with_memory(std::size_t bytes);
-
-  /// Toggle the element's bit.  Callers must insert each set element
-  /// exactly once (duplicates cancel) — the FlyMon deployment gates the
-  /// toggle behind a Bloom-filter "new flow" check for exactly this reason.
-  void toggle(KeyBytes key);
 
   /// Estimated set size: n-hat = -(m/2) ln(1 - 2z/m), z = #odd bits.
   double estimate_size() const;

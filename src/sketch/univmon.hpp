@@ -39,7 +39,6 @@ class UnivMon {
   std::vector<std::pair<FlowKeyValue, std::uint64_t>> heavy_hitters(
       std::uint64_t threshold) const;
 
-  std::uint64_t total_updates() const noexcept { return total_; }
   std::size_t memory_bytes() const noexcept;
   unsigned levels() const noexcept { return static_cast<unsigned>(levels_.size()); }
   void clear();

@@ -16,7 +16,6 @@ void PacketTracer::publish(TraceRecord&& rec) {
   ring_[head_] = std::move(rec);
   head_ = (head_ + 1) % ring_.size();
   if (filled_ < ring_.size()) ++filled_;
-  taken_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t PacketTracer::size() const {
@@ -30,7 +29,6 @@ void PacketTracer::clear() {
   head_ = 0;
   filled_ = 0;
   seen_.store(0, std::memory_order_relaxed);
-  taken_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<TraceRecord> PacketTracer::records() const {

@@ -98,12 +98,9 @@ class PacketTracer {
 
   /// Number of published records currently held (<= capacity).
   std::size_t size() const;
-  /// Packets seen / records published since construction or clear().
+  /// Packets seen since construction or clear().
   std::uint64_t packets_seen() const noexcept {
     return seen_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t records_taken() const noexcept {
-    return taken_.load(std::memory_order_relaxed);
   }
 
   /// Sampling decision for a batch of `n` packets; advances the packet
@@ -131,7 +128,6 @@ class PacketTracer {
   std::size_t head_ FLYMON_GUARDED_BY(mu_) = 0;  ///< next slot to publish into
   std::size_t filled_ FLYMON_GUARDED_BY(mu_) = 0;
   std::atomic<std::uint64_t> seen_{0};
-  std::atomic<std::uint64_t> taken_{0};
   std::atomic<std::uint64_t> every_;
 };
 

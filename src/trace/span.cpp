@@ -241,8 +241,6 @@ ReconfigScope::~ReconfigScope() {
   if (--t_reconfig_depth == 0 && top_) t_reconfig_tag = 0;
 }
 
-std::uint64_t current_reconfig() noexcept { return t_reconfig_tag; }
-
 std::uint64_t latest_reconfig() noexcept {
   return g_reconfig.load(std::memory_order_relaxed);
 }

@@ -159,8 +159,6 @@ class ReconfigScope {
   bool top_ = false;
 };
 
-/// Tag active on the calling thread (0 outside any ReconfigScope).
-std::uint64_t current_reconfig() noexcept;
 /// Largest tag handed out so far.
 std::uint64_t latest_reconfig() noexcept;
 

@@ -113,11 +113,6 @@ class StageProfiler {
   };
   std::array<StageStats, kNumStages> snapshot() const;
 
-  /// Batches seen by sample_batch() since construction or reset().
-  std::uint64_t batches_seen() const noexcept {
-    return batches_.load(std::memory_order_relaxed);
-  }
-
   void reset() noexcept;
 
   /// Publish the current snapshot as gauges

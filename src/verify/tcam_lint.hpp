@@ -21,17 +21,6 @@ bool covers(const dataplane::TernaryPattern& a,
 bool overlaps(const dataplane::TernaryPattern& a,
               const dataplane::TernaryPattern& b) noexcept;
 
-/// One rule as seen by the lint, in effective match order (the order the
-/// lookup logic scans: priority-sorted, install order breaking ties).
-struct LintEntry {
-  dataplane::TernaryPattern pattern;
-  std::uint32_t priority = 0;
-  std::string action;    ///< action tag; divergent tags make a conflict
-  bool terminal = true;  ///< a match always consumes the packet (no sampling
-                         ///< fall-through), so it can shadow later entries
-  std::string label;     ///< for diagnostics ("task 3", "entry 7", ...)
-};
-
 struct LintFinding {
   enum class Kind : std::uint8_t {
     kShadowed,  ///< entry can never match: an earlier terminal entry covers it
@@ -42,10 +31,13 @@ struct LintFinding {
   std::size_t blocker = 0;  ///< index of the covering / conflicting entry
 };
 
-/// Lint `entries` given in effective match order.  `Entry` is LintEntry or
-/// any rule type with its pattern/priority/action/terminal members whose
-/// actions compare with `!=`; the TCAM analyzer lints structural actions and
-/// formats labels only for the findings.
+/// Lint `entries` given in effective match order (the order the lookup
+/// logic scans: priority-sorted, install order breaking ties).  `Entry` is
+/// any rule type with `pattern`, `priority`, `action` (divergent actions,
+/// compared with `!=`, make a conflict) and `terminal` (a match always
+/// consumes the packet, so it can shadow later entries) members; the TCAM
+/// analyzer lints structural actions and formats labels only for the
+/// findings.
 template <class Entry>
 std::vector<LintFinding> lint_entries(const std::vector<Entry>& entries) {
   std::vector<LintFinding> findings;

@@ -36,7 +36,6 @@ struct SymBit {
   bool constant = false;
   std::vector<std::uint32_t> vars;
 
-  bool is_constant() const noexcept { return vars.empty(); }
   friend bool operator==(const SymBit&, const SymBit&) = default;
 };
 

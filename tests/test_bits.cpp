@@ -48,30 +48,6 @@ TEST(Bits, Pow2Floor) {
   EXPECT_EQ(pow2_floor(1024), 1024ull);
 }
 
-TEST(Bits, LeftmostOnePos) {
-  EXPECT_EQ(leftmost_one_pos(0), 0u);
-  EXPECT_EQ(leftmost_one_pos(0x8000'0000u), 1u);
-  EXPECT_EQ(leftmost_one_pos(0x4000'0000u), 2u);
-  EXPECT_EQ(leftmost_one_pos(1u), 32u);
-  // Narrower width: the position is relative to the value's own width.
-  EXPECT_EQ(leftmost_one_pos(0x8000u, 16), 1u);
-  EXPECT_EQ(leftmost_one_pos(1u, 16), 16u);
-}
-
-TEST(Bits, OneHot32) {
-  EXPECT_EQ(one_hot32(0), 1u);
-  EXPECT_EQ(one_hot32(5), 32u);
-  EXPECT_EQ(one_hot32(31), 0x8000'0000u);
-}
-
-TEST(Bits, BitSlice) {
-  EXPECT_EQ(bit_slice(0xABCD'1234ull, 0, 16), 0x1234u);
-  EXPECT_EQ(bit_slice(0xABCD'1234ull, 16, 16), 0xABCDu);
-  EXPECT_EQ(bit_slice(0xFFull, 4, 4), 0xFu);
-  EXPECT_EQ(bit_slice(0xFFull, 8, 8), 0u);
-  EXPECT_EQ(bit_slice(~0ull, 0, 64), 0xFFFF'FFFFu);  // truncated to 32 bits
-}
-
 TEST(Bits, LowMask32) {
   EXPECT_EQ(low_mask32(0), 0u);
   EXPECT_EQ(low_mask32(1), 1u);

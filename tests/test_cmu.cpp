@@ -316,7 +316,7 @@ TEST(CmuGroup, ProcessRunsAllCmus) {
   g.process(p, ctx);
   for (unsigned c = 0; c < 3; ++c) {
     const auto* e = g.cmu(c).find(10 + c);
-    const auto keys = g.compute_keys(serialize_candidate_key(p));
+    const auto keys = g.compression().compute(serialize_candidate_key(p));
     EXPECT_EQ(g.cmu(c).reg().read(g.cmu(c).probe_address(*e, keys)), 1u);
   }
 }
@@ -330,8 +330,8 @@ TEST(CmuGroup, GroupsUseDistinctHashFunctions) {
   g0.compression().configure(0, FlowKeySpec::src_ip());
   g1.compression().configure(0, FlowKeySpec::src_ip());
   const Packet p = pkt(0x0A000001);
-  const auto k0 = g0.compute_keys(serialize_candidate_key(p));
-  const auto k1 = g1.compute_keys(serialize_candidate_key(p));
+  const auto k0 = g0.compression().compute(serialize_candidate_key(p));
+  const auto k1 = g1.compression().compute(serialize_candidate_key(p));
   EXPECT_NE(k0[0], k1[0]);
 }
 

@@ -251,21 +251,6 @@ TEST(Controller, ShiftStrategyUsesFewerTableRules) {
   EXPECT_LT(rs.report.table_rules, rt.report.table_rules);
 }
 
-TEST(Controller, ClearTaskStateZeroesPartitions) {
-  FlyMonDataPlane dp(9);
-  Controller ctl(dp);
-  const auto r = ctl.add_task(freq_spec(4096, 3));
-  ASSERT_TRUE(r.ok);
-  TraceConfig cfg;
-  cfg.num_flows = 100;
-  cfg.num_packets = 1000;
-  const auto trace = TraceGenerator::generate(cfg);
-  dp.process_batch(trace);
-  EXPECT_GT(ctl.query_value(r.task_id, trace[0]), 0u);
-  ctl.clear_task_state(r.task_id);
-  EXPECT_EQ(ctl.query_value(r.task_id, trace[0]), 0u);
-}
-
 // A batch submitted between remove_task's merge and its publish fence is
 // folded into the freed partition after the removal cleared it.  A task
 // placed there later must still start from zero.
@@ -294,13 +279,13 @@ TEST(Controller, ReusedPartitionStartsZeroed) {
   }
 }
 
-/// The cell `up` maps `probe` to, reading keys from CmuGroup::compute_keys
-/// (every configured lane of the group); `p1`, if given, receives the
+/// The cell `up` maps `probe` to, reading keys from the group's whole
+/// compression stage (every configured lane); `p1`, if given, receives the
 /// entry's first parameter.  The referee for the prober's lazy lanes.
 std::uint32_t every_lane_cell(const FlyMonDataPlane& dp, const UnitPlacement& up,
                               const Packet& probe, std::uint32_t* p1 = nullptr) {
   const CmuGroup& g = dp.group(up.group);
-  const CompressionStage::UnitKeys keys = g.compute_keys(serialize_candidate_key(probe));
+  const CompressionStage::UnitKeys keys = g.compression().compute(serialize_candidate_key(probe));
   const Cmu& cmu = g.cmu(up.cmu);
   const CmuTaskEntry& e = *cmu.find(up.phys_id);
   if (p1 != nullptr) {

@@ -9,6 +9,7 @@
 #include "control/controller.hpp"
 #include "control/crossstack.hpp"
 #include "control/epoch.hpp"
+#include "common/hash.hpp"
 #include "control/network.hpp"
 #include "packet/trace_gen.hpp"
 #include "sketch/odd_sketch.hpp"
@@ -16,10 +17,17 @@
 namespace flymon {
 namespace {
 
-std::vector<std::uint8_t> key(std::uint64_t id) {
-  std::vector<std::uint8_t> k(8);
-  for (int i = 0; i < 8; ++i) k[i] = static_cast<std::uint8_t>(id >> (8 * i));
-  return k;
+/// The Odd Sketch of the element ids [lo, hi) plus `extra`: each element
+/// toggles one parity bit, as the data plane's XOR op does, and the control
+/// plane loads the parities with load_parity.
+sketch::OddSketch odd_sketch_of(std::uint64_t m_bits, std::uint64_t lo, std::uint64_t hi,
+                                const std::vector<std::uint64_t>& extra = {}) {
+  std::vector<bool> parity(m_bits);
+  for (std::uint64_t id = lo; id < hi; ++id) parity[mix64(id) % m_bits].flip();
+  for (const std::uint64_t id : extra) parity[mix64(id) % m_bits].flip();
+  sketch::OddSketch os(m_bits);
+  for (std::uint64_t i = 0; i < m_bits; ++i) os.load_parity(i, parity[i]);
+  return os;
 }
 
 // -------- XOR stateful op --------
@@ -44,33 +52,26 @@ TEST(XorOp, FitsInReservedSlot) {
 // -------- Odd Sketch baseline --------
 
 TEST(OddSketch, SizeEstimate) {
-  sketch::OddSketch os(1 << 16);
-  for (std::uint64_t i = 0; i < 5000; ++i) os.toggle(key(i));
+  const sketch::OddSketch os = odd_sketch_of(1 << 16, 0, 5000);
   EXPECT_NEAR(os.estimate_size(), 5000.0, 500.0);
 }
 
 TEST(OddSketch, DuplicateTogglesCancel) {
-  sketch::OddSketch os(4096);
-  os.toggle(key(1));
-  os.toggle(key(1));
+  const sketch::OddSketch os = odd_sketch_of(4096, 0, 0, {1, 1});
   EXPECT_EQ(os.odd_bits(), 0u);
 }
 
 TEST(OddSketch, SymmetricDifference) {
-  sketch::OddSketch a(1 << 16), b(1 << 16);
   // A = [0,3000), B = [1000,4000): |A delta B| = 2000.
-  for (std::uint64_t i = 0; i < 3000; ++i) a.toggle(key(i));
-  for (std::uint64_t i = 1000; i < 4000; ++i) b.toggle(key(i));
+  const sketch::OddSketch a = odd_sketch_of(1 << 16, 0, 3000);
+  const sketch::OddSketch b = odd_sketch_of(1 << 16, 1000, 4000);
   EXPECT_NEAR(a.estimate_symmetric_difference(b), 2000.0, 300.0);
 }
 
 TEST(OddSketch, JaccardEndpoints) {
-  sketch::OddSketch a(1 << 14), b(1 << 14), c(1 << 14);
-  for (std::uint64_t i = 0; i < 2000; ++i) {
-    a.toggle(key(i));
-    b.toggle(key(i));           // identical set
-    c.toggle(key(100000 + i));  // disjoint set
-  }
+  const sketch::OddSketch a = odd_sketch_of(1 << 14, 0, 2000);
+  const sketch::OddSketch b = odd_sketch_of(1 << 14, 0, 2000);          // identical set
+  const sketch::OddSketch c = odd_sketch_of(1 << 14, 100000, 102000);  // disjoint set
   EXPECT_GT(a.estimate_jaccard(b), 0.9);
   EXPECT_LT(a.estimate_jaccard(c), 0.15);
 }

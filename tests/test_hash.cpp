@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 
+#include "common/crc_kernels.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
@@ -13,6 +14,13 @@ namespace {
 
 std::span<const std::uint8_t> bytes(const std::string& s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+/// CRC-32 through the kernel registry the hash units use.
+std::uint32_t crc32(std::span<const std::uint8_t> data,
+                    std::uint32_t poly = 0xEDB88320u,
+                    std::uint32_t init = 0xFFFFFFFFu) {
+  return crc_kernel_for(poly).compute(data, init);
 }
 
 TEST(Crc32, KnownVector) {

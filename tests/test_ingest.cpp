@@ -34,6 +34,7 @@
 #include "control/controller.hpp"
 #include "control/epoch.hpp"
 #include "control/shell.hpp"
+#include "capture_writers.hpp"
 #include "ingest/file_source.hpp"
 #include "ingest/gen_source.hpp"
 #include "ingest/packet_source.hpp"
@@ -247,7 +248,6 @@ TEST(IngestSources, GeneratorSourceMatchesMaterialize) {
       [](const Packet& a, const Packet& b) { return a.ts_ns < b.ts_ns; }));
 
   ingest::GeneratorSource source(cfg);
-  EXPECT_EQ(source.total_packets(), golden.size());
 
   // Pull in a deliberately awkward batch size so batch seams never line up
   // with phase boundaries.
@@ -358,6 +358,8 @@ TEST(IngestPump, PaceDelayArithmetic) {
   EXPECT_EQ(pace_delay_ns(1000, 3000, 2.0), 1000u);  // 2x speed-up halves gaps
   EXPECT_EQ(pace_delay_ns(1000, 3000, 0.5), 4000u);  // slow-motion doubles
   EXPECT_EQ(pace_delay_ns(1000, 3000, 0.0), 0u);     // degenerate scale
+  // A gap the scale stretches past 2^64 ns saturates instead of wrapping.
+  EXPECT_EQ(pace_delay_ns(0, UINT64_MAX, 1e-9), UINT64_MAX);
 }
 
 TEST(IngestPump, StopIsPromptWhileSourceIsDry) {
@@ -377,13 +379,14 @@ TEST(IngestPump, StopIsPromptWhileSourceIsDry) {
   EXPECT_EQ(pump.stats().produced, 0u);
 }
 
-// A capture whose timestamps jump forward must not hold stop() for the
-// jump: the pacing wait ends when stop is requested.
+// A pacing wait must not hold stop(): the wait ends when stop is
+// requested.  The gap stays under kMaxPaceGapNs, so the pump does sleep.
 TEST(IngestPump, StopIsPromptDuringAPacingSleep) {
   telemetry::Registry registry;
   std::vector<Packet> pkts(2);
   pkts[0].ts_ns = 0;
-  pkts[1].ts_ns = 30'000'000'000;  // 30 s later
+  pkts[1].ts_ns = 900'000'000;  // 0.9 s later
+  static_assert(900'000'000 <= ingest::kMaxPaceGapNs);
   ingest::MemorySource source{std::span<const Packet>(pkts)};
   ingest::PumpConfig cfg;
   cfg.registry = &registry;
@@ -401,13 +404,43 @@ TEST(IngestPump, StopIsPromptDuringAPacingSleep) {
 
   const auto t0 = std::chrono::steady_clock::now();
   pump.stop();
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
   EXPECT_TRUE(pump.finished());
   const ingest::PumpStats s = pump.stats();
   EXPECT_EQ(s.enqueued, 1u) << "the stopped pump never paced in the second "
                                "packet";
   EXPECT_EQ(s.dropped, 1u) << "the packet the stop cut off counts as dropped";
   EXPECT_EQ(s.produced, s.enqueued + s.dropped) << "conservation law";
+}
+
+// A forward jump in the timestamps (a year here) is not slept through: the
+// pump re-bases its pacing origin at the jumping batch and counts the jump.
+TEST(IngestPump, ForwardJumpRebasesPacingInsteadOfSleeping) {
+  EnabledGuard on(true);
+  telemetry::Registry registry;
+  std::vector<Packet> pkts(2);
+  pkts[0].ts_ns = 0;
+  pkts[1].ts_ns = 365ull * 24 * 3600 * 1'000'000'000;  // one year later
+  ingest::MemorySource source{std::span<const Packet>(pkts)};
+  ingest::PumpConfig cfg;
+  cfg.registry = &registry;
+  cfg.batch = 1;
+  cfg.pace = ingest::PumpConfig::Pace::kReal;
+  cfg.source_label = "jumpy";
+  ingest::IngestPump pump(source, cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  pump.start();
+  const auto deadline = t0 + std::chrono::seconds(5);
+  while (!pump.finished() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  pump.stop();
+  EXPECT_LT(elapsed, std::chrono::seconds(2)) << "the pump slept through the jump";
+  EXPECT_EQ(pump.stats().enqueued, 2u);
+  EXPECT_EQ(registry.counter("flymon_ingest_pace_jumps_total", {{"source", "jumpy"}})
+                .value(),
+            1u);
 }
 
 // A stop while kBlock backpressure holds a batch: the pump returns at once,
@@ -872,7 +905,7 @@ TEST(IngestChurn, RingTrafficDuringRepublishAndFenceIsRaceFree) {
 TEST(IngestFiles, FmtrRoundTrip) {
   const std::vector<Packet> trace = make_trace(200, 3'000, 6);
   const std::string path = testing::TempDir() + "ingest_roundtrip.fmtr";
-  ingest::FileReplaySource::write_fmtr(path, trace);
+  write_fmtr(path, trace);
 
   ingest::FileReplaySource source(path);
   EXPECT_EQ(source.format(), ingest::FileReplaySource::Format::kFmtr);
@@ -886,7 +919,7 @@ TEST(IngestFiles, FmtrRoundTrip) {
 TEST(IngestFiles, PcapRoundTrip) {
   const std::vector<Packet> trace = make_trace(200, 3'000, 8);
   const std::string path = testing::TempDir() + "ingest_roundtrip.pcap";
-  ingest::FileReplaySource::write_pcap(path, trace, /*nanosecond=*/true);
+  write_pcap(path, trace, /*nanosecond=*/true);
 
   ingest::FileReplaySource source(path);
   EXPECT_EQ(source.format(), ingest::FileReplaySource::Format::kPcap);
@@ -931,7 +964,7 @@ std::vector<Packet> drain_damaged(ingest::FileReplaySource& source) {
 TEST(IngestFiles, TruncatedFmtrTailStopsCleanly) {
   const std::vector<Packet> trace = make_trace(50, 5, 3);
   const std::string path = testing::TempDir() + "ingest_truncated.fmtr";
-  ingest::FileReplaySource::write_fmtr(path, trace);
+  write_fmtr(path, trace);
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 10);
 
   ingest::FileReplaySource source(path);
@@ -944,7 +977,7 @@ TEST(IngestFiles, TruncatedFmtrTailStopsCleanly) {
 TEST(IngestFiles, TruncatedPcapRecordHeaderStopsCleanly) {
   const std::vector<Packet> trace = make_trace(50, 3, 4);
   const std::string path = testing::TempDir() + "ingest_short_header.pcap";
-  ingest::FileReplaySource::write_pcap(path, trace);
+  write_pcap(path, trace);
   append_bytes(path, std::vector<std::uint8_t>(7, 0xAB));  // 7 of 16 bytes
 
   ingest::FileReplaySource source(path);
@@ -956,7 +989,7 @@ TEST(IngestFiles, TruncatedPcapRecordHeaderStopsCleanly) {
 TEST(IngestFiles, TruncatedPcapPayloadStopsCleanly) {
   const std::vector<Packet> trace = make_trace(50, 3, 5);
   const std::string path = testing::TempDir() + "ingest_short_payload.pcap";
-  ingest::FileReplaySource::write_pcap(path, trace);
+  write_pcap(path, trace);
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
 
   ingest::FileReplaySource source(path);
@@ -968,7 +1001,7 @@ TEST(IngestFiles, TruncatedPcapPayloadStopsCleanly) {
 TEST(IngestFiles, ImplausiblePcapRecordLengthStopsCleanly) {
   const std::vector<Packet> trace = make_trace(50, 3, 6);
   const std::string path = testing::TempDir() + "ingest_huge_record.pcap";
-  ingest::FileReplaySource::write_pcap(path, trace);
+  write_pcap(path, trace);
   // A record header claiming 64 MiB + 1 captured bytes (file byte order is
   // the writer's: little-endian), and no payload behind it.
   const std::uint32_t incl = (1u << 26) + 1;
@@ -1023,6 +1056,35 @@ TEST(IngestShell, AttachRunStats) {
   const std::string stats = shell.execute("ingest stats");
   EXPECT_NE(stats.find("drained: 20000"), std::string::npos) << stats;
   EXPECT_NE(shell.execute("ingest detach").find("detached"), std::string::npos);
+}
+
+// A capture with a truncated last record: the session streams the intact
+// prefix, and `ingest stats` reports the skipped record.
+TEST(IngestShell, FileSessionReportsSkippedRecords) {
+  const std::vector<Packet> trace = make_trace(50, 40, 8);
+  const std::string path = testing::TempDir() + "ingest_shell_truncated.pcap";
+  write_pcap(path, trace);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
+
+  FlyMonDataPlane dp(9);
+  control::Controller ctl(dp);
+  control::Shell shell(ctl);
+  ASSERT_NE(shell.execute("add key=SrcIP attr=Frequency mem=8192 rows=2")
+                .find("deployed"),
+            std::string::npos);
+  const std::string attach = shell.execute("ingest attach file " + path);
+  ASSERT_NE(attach.find("attached file"), std::string::npos) << attach;
+  const std::string start = shell.execute("ingest start ring=1024 batch=16");
+  EXPECT_EQ(start.find("error"), std::string::npos) << start;
+  const std::size_t intact = trace.size() - 1;
+  while (dp.packets_processed() < intact) std::this_thread::yield();
+  const std::string stop = shell.execute("ingest stop");
+  EXPECT_NE(stop.find("drained " + std::to_string(intact) + " packets"),
+            std::string::npos) << stop;
+
+  const std::string stats = shell.execute("ingest stats");
+  EXPECT_NE(stats.find("skipped: 1 record(s)"), std::string::npos) << stats;
+  std::remove(path.c_str());
 }
 
 }  // namespace

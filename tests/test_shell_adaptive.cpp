@@ -267,7 +267,7 @@ TEST(Adaptive, TracksTrafficSwing) {
   ASSERT_TRUE(r.ok);
 
   auto run_epoch = [&](std::size_t flows, std::uint64_t seed) {
-    ctl.clear_task_state(r.task_id);
+    dp.clear_registers();  // the data plane holds this one task
     TraceConfig cfg;
     cfg.num_flows = flows;
     cfg.num_packets = flows * 10;

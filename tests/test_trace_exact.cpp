@@ -5,6 +5,7 @@
 #include <unistd.h>
 #include <unordered_set>
 
+#include "capture_writers.hpp"
 #include "ingest/file_source.hpp"
 #include "packet/exact.hpp"
 #include "packet/trace_gen.hpp"
@@ -81,21 +82,6 @@ TEST(TraceGen, DdosInjectionCreatesVictims) {
   const FreqMap spread =
       ExactStats::distinct(trace, FlowKeySpec::dst_ip(), FlowKeySpec::src_ip());
   EXPECT_EQ(ExactStats::over_threshold(spread, 512).size(), 3u);
-}
-
-TEST(TraceGen, SpikeAddsFlowsInWindow) {
-  TraceConfig cfg;
-  cfg.num_flows = 100;
-  cfg.num_packets = 1000;
-  auto trace = TraceGenerator::generate(cfg);
-  const auto before = ExactStats::cardinality(trace, FlowKeySpec::five_tuple());
-  TraceGenerator::inject_spike(trace, 500, 100'000'000, 200'000'000, 5);
-  const auto after = ExactStats::cardinality(trace, FlowKeySpec::five_tuple());
-  EXPECT_GE(after, before + 400);
-  // Spike packets live inside the window.
-  for (const Packet& p : TraceGenerator::slice(trace, 200'000'000, cfg.duration_ns)) {
-    EXPECT_NE((p.ft.src_ip >> 24), 0x2Du) << "spike flow outside its window";
-  }
 }
 
 TEST(TraceGen, SliceBoundaries) {
@@ -211,7 +197,7 @@ TEST_F(TraceIoTest, RoundTrip) {
   cfg.num_flows = 50;
   cfg.num_packets = 500;
   const auto original = TraceGenerator::generate(cfg);
-  ingest::FileReplaySource::write_fmtr(path_, original);
+  write_fmtr(path_, original);
   ingest::FileReplaySource source(path_, ingest::FileReplaySource::Format::kFmtr);
   const auto loaded = replay(source);
   ASSERT_EQ(loaded.size(), original.size());
@@ -226,7 +212,7 @@ TEST_F(TraceIoTest, RoundTrip) {
 }
 
 TEST_F(TraceIoTest, EmptyTrace) {
-  ingest::FileReplaySource::write_fmtr(path_, {});
+  write_fmtr(path_, {});
   ingest::FileReplaySource source(path_, ingest::FileReplaySource::Format::kFmtr);
   EXPECT_TRUE(source.done());
   EXPECT_TRUE(replay(source).empty());
@@ -255,7 +241,7 @@ TEST_F(TraceIoTest, TruncatedFileRejected) {
   cfg.num_flows = 10;
   cfg.num_packets = 100;
   const auto original = TraceGenerator::generate(cfg);
-  ingest::FileReplaySource::write_fmtr(path_, original);
+  write_fmtr(path_, original);
   // Truncate in the middle of the records: one whole 33-byte record and 17
   // bytes of the next.
   ASSERT_EQ(truncate(path_.c_str(), 16 + 50), 0);

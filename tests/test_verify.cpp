@@ -102,8 +102,17 @@ TEST(TcamLint, CoversAndOverlaps) {
 
 // ---- shadow / conflict lint on hand-built rule sets ----
 
+/// One hand-built rule, with the members lint_entries reads.
+struct LintEntry {
+  TernaryPattern pattern;
+  std::uint32_t priority = 0;
+  std::string action;
+  bool terminal = true;
+  std::string label;
+};
+
 TEST(TcamLint, EarlierTerminalEntryShadowsLaterCoveredEntry) {
-  std::vector<verify::LintEntry> entries;
+  std::vector<LintEntry> entries;
   entries.push_back({pat(0, 0), 100, "taskA", true, "entry 0"});
   entries.push_back({pat(0x0A000000u, 0xFF000000u), 200, "taskB", true, "entry 1"});
   const auto findings = verify::lint_entries(entries);
@@ -114,7 +123,7 @@ TEST(TcamLint, EarlierTerminalEntryShadowsLaterCoveredEntry) {
 }
 
 TEST(TcamLint, NonTerminalEntryDoesNotShadow) {
-  std::vector<verify::LintEntry> entries;
+  std::vector<LintEntry> entries;
   // A sampled rule (terminal=false) lets unmatched-coin packets fall through,
   // so the later specific entry is still reachable.
   entries.push_back({pat(0, 0), 100, "taskA", false, "entry 0"});
@@ -123,7 +132,7 @@ TEST(TcamLint, NonTerminalEntryDoesNotShadow) {
 }
 
 TEST(TcamLint, SamePriorityOverlapDifferentActionsIsConflict) {
-  std::vector<verify::LintEntry> entries;
+  std::vector<LintEntry> entries;
   entries.push_back({pat(0x0A000000u, 0xFF000000u), 100, "add@0", false, "entry 0"});
   entries.push_back({pat(0x0A010000u, 0xFFFF0000u), 100, "max@4096", false, "entry 1"});
   const auto findings = verify::lint_entries(entries);
@@ -134,21 +143,21 @@ TEST(TcamLint, SamePriorityOverlapDifferentActionsIsConflict) {
 }
 
 TEST(TcamLint, SamePrioritySameActionIsNotAConflict) {
-  std::vector<verify::LintEntry> entries;
+  std::vector<LintEntry> entries;
   entries.push_back({pat(0x0A000000u, 0xFF000000u), 100, "add@0", false, "entry 0"});
   entries.push_back({pat(0x0A010000u, 0xFFFF0000u), 100, "add@0", false, "entry 1"});
   EXPECT_TRUE(verify::lint_entries(entries).empty());
 }
 
 TEST(TcamLint, DisjointSamePriorityIsNotAConflict) {
-  std::vector<verify::LintEntry> entries;
+  std::vector<LintEntry> entries;
   entries.push_back({pat(0x0A000000u, 0xFF000000u), 100, "add@0", true, "entry 0"});
   entries.push_back({pat(0x0B000000u, 0xFF000000u), 100, "max@64", true, "entry 1"});
   EXPECT_TRUE(verify::lint_entries(entries).empty());
 }
 
 TEST(TcamLint, ShadowedEntryIsNotAlsoReportedAsConflict) {
-  std::vector<verify::LintEntry> entries;
+  std::vector<LintEntry> entries;
   entries.push_back({pat(0x0A000000u, 0xFF000000u), 100, "add@0", true, "entry 0"});
   entries.push_back({pat(0x0A010000u, 0xFFFF0000u), 100, "max@64", true, "entry 1"});
   const auto findings = verify::lint_entries(entries);

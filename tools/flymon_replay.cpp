@@ -6,7 +6,8 @@
 //                 stream the paper's Figure 12b phased workload
 //                 (skew spike in epochs 6..15)
 //   flymon_replay --file PATH [--format pcap|fmtr]
-//                 replay a capture file (format sniffed by default)
+//                 replay a capture file (format sniffed by default) and
+//                 report the records it skipped (truncated, not IPv4)
 //   --workers N   shard the hot path across N executors (default 1)
 //   --ring[=CAP]  feed the data plane through the lock-free SPSC ring via
 //                 the ingest pump (producer thread + backpressure);
@@ -254,6 +255,10 @@ int main(int argc, char** argv) {
 
   telemetry::set_enabled(true);
 
+  // A capture file counts the records it skips (truncated, not IPv4).
+  const auto* file = dynamic_cast<const ingest::FileReplaySource*>(source.get());
+  std::uint64_t skipped = 0;
+
   // --verify needs both pipelines fed the exact same packets: materialise
   // the source once and replay it from memory on both sides.
   std::vector<Packet> golden;
@@ -262,6 +267,8 @@ int main(int argc, char** argv) {
     ingest::for_each_batch(*source, buf, [&](std::span<const Packet> pkts) {
       golden.insert(golden.end(), pkts.begin(), pkts.end());
     }, {});
+    if (file != nullptr) skipped = file->skipped();
+    file = nullptr;
     source = std::make_unique<ingest::MemorySource>(
         std::span<const Packet>(golden));
   }
@@ -299,6 +306,7 @@ int main(int argc, char** argv) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   dp.merge_shards();
+  if (file != nullptr) skipped = file->skipped();
 
   const double secs =
       std::chrono::duration<double>(t1 - t0).count();
@@ -312,6 +320,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(pump_stats.produced),
               static_cast<unsigned long long>(pump_stats.enqueued),
               static_cast<unsigned long long>(pump_stats.dropped));
+  if (opt.kind == Options::Kind::kFile) {
+    std::printf("skipped:   %llu record(s) (truncated or not IPv4)\n",
+                static_cast<unsigned long long>(skipped));
+  }
   std::printf("elapsed:   %.3f s  (%.2f Mpps, %u worker(s)%s)\n", secs,
               pps / 1e6, opt.workers, opt.use_ring ? ", ring" : "");
 
@@ -359,7 +371,8 @@ int main(int argc, char** argv) {
        << ", \"batches\": " << drain_stats.batches
        << ", \"produced\": " << pump_stats.produced
        << ", \"enqueued\": " << pump_stats.enqueued
-       << ", \"dropped\": " << pump_stats.dropped
+       << ", \"dropped\": " << pump_stats.dropped << ", \"skipped\": "
+       << (opt.kind == Options::Kind::kFile ? std::to_string(skipped) : "null")
        << ", \"elapsed_s\": " << secs << ", \"pps\": " << pps
        << ", \"workers\": " << opt.workers
        << ", \"ring\": " << (opt.use_ring ? "true" : "false")
