@@ -11,6 +11,7 @@
 #include "sketch/beaucoup.hpp"
 #include "trace/span.hpp"
 #include "trace/stage_profiler.hpp"
+#include "verify/planner.hpp"
 #include "sketch/hyperloglog.hpp"
 #include "sketch/mrac.hpp"
 #include "sketch/odd_sketch.hpp"
@@ -129,6 +130,17 @@ std::uint8_t rho_of_slice(std::uint32_t v, unsigned width) {
   return static_cast<std::uint8_t>(std::countl_one(aligned) + 1);
 }
 
+/// The DeployResult of the `k`th id a one-op transaction minted: the
+/// failed op's own error, or the gate's verdict, when it failed.
+DeployResult deployed(const Controller& ctl, const verify::PlanResult& r, std::size_t k) {
+  if (!r.ok) {
+    const bool op_failed = !r.ops.empty() && !r.ops.back().ok;
+    return {false, op_failed ? r.ops.back().detail : r.error, 0, {}};
+  }
+  const std::uint32_t id = r.ops.front().task_ids[k];
+  return {true, {}, id, ctl.task(id)->report};
+}
+
 }  // namespace
 
 Controller::Controller(FlyMonDataPlane& dp, TranslationStrategy strategy, AllocMode mode)
@@ -237,80 +249,122 @@ std::vector<exec::EntryOwnership> Controller::entry_ownership() const {
 DeployResult Controller::add_task(const TaskSpec& spec) {
   trace::ReconfigScope reconfig;
   trace::Span span("ctl.add_task", reconfig.tag());
-  return reconfigure({spec}, 0).front();
+  return deployed(*this, transact({PlanOp::add(spec)}, true), 0);
 }
 
 bool Controller::remove_task(std::uint32_t id) {
   if (tasks_.find(id) == tasks_.end()) return false;
   trace::ReconfigScope reconfig;
   trace::Span span("ctl.remove_task", id);
-  return reconfigure({}, id).empty();  // a rejection returns one failed result
+  return transact({PlanOp::remove(id)}, true).ok;
 }
 
 DeployResult Controller::resize_task(std::uint32_t id, std::uint32_t new_buckets) {
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end()) return {false, "unknown task", 0, {}};
+  if (tasks_.find(id) == tasks_.end()) return {false, "unknown task", 0, {}};
   trace::ReconfigScope reconfig;
   trace::Span span("ctl.resize_task", id);
-  TaskSpec spec = it->second.spec;
-  spec.memory_buckets = new_buckets;
-  return reconfigure({spec}, id).front();
+  return deployed(*this, transact({PlanOp::resize(id, new_buckets)}, true), 0);
 }
 
 std::pair<DeployResult, DeployResult> Controller::split_task(std::uint32_t id) {
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end()) return {{false, "unknown task", 0, {}}, {}};
+  if (tasks_.find(id) == tasks_.end()) return {{false, "unknown task", 0, {}}, {}};
   trace::ReconfigScope reconfig;
   trace::Span span("ctl.split_task", id);
-  const TaskSpec& spec = it->second.spec;
-  const TaskFilter& f = spec.filter;
-
-  TaskSpec a = spec, b = spec;
-  if (f.src_len < 32) {
-    a.filter.src_len = static_cast<std::uint8_t>(f.src_len + 1);
-    b.filter.src_len = a.filter.src_len;
-    b.filter.src_ip = f.src_ip | (1u << (31 - f.src_len));
-    a.name += "/lo";
-    b.name += "/hi";
-  } else if (f.dst_len < 32) {
-    a.filter.dst_len = static_cast<std::uint8_t>(f.dst_len + 1);
-    b.filter.dst_len = a.filter.dst_len;
-    b.filter.dst_ip = f.dst_ip | (1u << (31 - f.dst_len));
-    a.name += "/lo";
-    b.name += "/hi";
-  } else {
-    return {{false, "filter is a host route; nothing to split", 0, {}}, {}};
-  }
-
-  const std::vector<DeployResult> r = reconfigure({a, b}, id);
-  if (!r.front().ok) return {r.front(), {}};
-  return {r[0], r[1]};
+  const verify::PlanResult r = transact({PlanOp::split(id)}, true);
+  return {deployed(*this, r, 0), r.ok ? deployed(*this, r, 1) : DeployResult{}};
 }
 
-ApplyResult Controller::apply(const PlanOp& op) {
-  DeployResult r;
+verify::PlanOpResult Controller::stage(const PlanOp& op, Staged& staged) {
+  verify::PlanOpResult out{op, false, {}, {}};
+  const auto it = tasks_.find(op.task_id);
+  if (op.kind != PlanOp::Kind::kAdd && it == tasks_.end()) {
+    out.detail = "unknown task " + std::to_string(op.task_id);
+    return out;
+  }
+  std::vector<TaskSpec> specs;  // what the op deploys
   switch (op.kind) {
     case PlanOp::Kind::kAdd:
-      r = add_task(op.spec);
-      return {r.ok, r.ok ? "deployed as task " + std::to_string(r.task_id) : r.error};
+      specs = {op.spec};
+      break;
     case PlanOp::Kind::kRemove:
-      if (tasks_.count(op.task_id) == 0) {
-        return {false, "unknown task " + std::to_string(op.task_id)};
-      }
-      if (remove_task(op.task_id)) return {true, "removed"};
-      return {false, "paranoid verify rejected removal:\n" + last_verify_errors_};
+      break;
     case PlanOp::Kind::kResize:
-      r = resize_task(op.task_id, op.new_buckets);
-      return {r.ok, r.ok ? "resized to " + std::to_string(op.new_buckets) + " buckets"
-                         : r.error};
+      specs = {it->second.spec};
+      specs[0].memory_buckets = op.new_buckets;
+      break;
     case PlanOp::Kind::kSplit: {
-      const auto [lo, hi] = split_task(op.task_id);
-      return {lo.ok, lo.ok ? "split into tasks " + std::to_string(lo.task_id) + " + " +
-                                 std::to_string(hi.task_id)
-                           : lo.error};
+      // Halve the filter (paper §3.1.1: 10.0.0.0/8 -> 10.0.0.0/9 +
+      // 10.128.0.0/9), source prefix first.
+      TaskSpec a = it->second.spec, b = a;
+      const TaskFilter& f = it->second.spec.filter;
+      if (f.src_len < 32) {
+        a.filter.src_len = b.filter.src_len = static_cast<std::uint8_t>(f.src_len + 1);
+        b.filter.src_ip = f.src_ip | (1u << (31 - f.src_len));
+      } else if (f.dst_len < 32) {
+        a.filter.dst_len = b.filter.dst_len = static_cast<std::uint8_t>(f.dst_len + 1);
+        b.filter.dst_ip = f.dst_ip | (1u << (31 - f.dst_len));
+      } else {
+        out.detail = "filter is a host route; nothing to split";
+        return out;
+      }
+      a.name += "/lo";
+      b.name += "/hi";
+      specs = {std::move(a), std::move(b)};
+      break;
     }
   }
-  return {false, "unknown op"};
+  // Every partition the op stages or retires is zeroed when the batch
+  // publishes (collected before release() forgets a retired task's rows).
+  const auto collect = [&](const DeployedTask& t) {
+    for (const RowPlacement& row : t.rows) {
+      staged.zeroed.insert(staged.zeroed.end(), row.units.begin(), row.units.end());
+    }
+  };
+  for (const TaskSpec& spec : specs) {
+    DeployResult r = deploy(spec, next_id_);
+    if (!r.ok) {
+      out.detail = std::move(r.error);
+      return out;
+    }
+    collect(tasks_.at(next_id_));
+    out.task_ids.push_back(next_id_++);
+  }
+  staged.deploys += specs.size();
+  if (op.kind != PlanOp::Kind::kAdd) {
+    auto retired = tasks_.extract(it);
+    detach(retired.mapped());
+    collect(retired.mapped());
+    trace::Span reclaim("ctl.reclaim", op.task_id);
+    release(retired.mapped());
+    reclaim.close();
+    ++staged.removals;
+    if (op.kind == PlanOp::Kind::kResize) {
+      // The replacement takes over the retired public id.
+      auto node = tasks_.extract(out.task_ids[0]);
+      node.key() = node.mapped().id = op.task_id;
+      node.mapped().cumulative_delay_ms += retired.mapped().cumulative_delay_ms;
+      tasks_.insert(std::move(node));
+      out.task_ids[0] = op.task_id;
+      ++staged.resizes;
+    }
+  }
+  out.ok = true;
+  switch (op.kind) {
+    case PlanOp::Kind::kAdd:
+      out.detail = "deployed as task " + std::to_string(out.task_ids[0]);
+      break;
+    case PlanOp::Kind::kRemove:
+      out.detail = "removed";
+      break;
+    case PlanOp::Kind::kResize:
+      out.detail = "resized to " + std::to_string(op.new_buckets) + " buckets";
+      break;
+    case PlanOp::Kind::kSplit:
+      out.detail = "split into tasks " + std::to_string(out.task_ids[0]) + " + " +
+                   std::to_string(out.task_ids[1]);
+      break;
+  }
+  return out;
 }
 
 Controller::Checkpoint Controller::checkpoint() const {
@@ -350,133 +404,6 @@ void Controller::restore(Checkpoint cp) {
     }
     for (unsigned c = 0; c < grp.num_cmus(); ++c) grp.cmu(c).restore(std::move(cp.cmus[g][c]));
   }
-}
-
-std::vector<DeployResult> Controller::reconfigure(const std::vector<TaskSpec>& stage,
-                                                  std::uint32_t retire) {
-  const std::uint32_t first_id = next_id_;
-  // Each phase a commit reaches is one flymon_reconfig_phase_us sample,
-  // timed on the span clock; a dry run records none.
-  const auto observe = [&](Phase p, std::uint64_t since) {
-    if (!dry_run_) phase_us_[p]->observe(static_cast<double>(trace::now_ns() - since) / 1e3);
-  };
-  std::uint64_t since = trace::now_ns();
-  trace::Span saving("ctl.checkpoint");
-  Checkpoint cp = checkpoint();
-  saving.close();
-  observe(kCheckpoint, since);
-  // Every exit that does not publish restores the checkpoint: the data
-  // plane ends byte-identical and the published plan keeps serving.
-  const auto reject = [&](std::string error) {
-    restore(std::move(cp));
-    if (!dry_run_) deploy_failures_counter_->inc();
-    DeployResult r;
-    r.error = std::move(error);
-    return std::vector<DeployResult>{r};
-  };
-
-  std::vector<DeployResult> results;
-  for (const TaskSpec& spec : stage) {
-    DeployResult r;
-    try {
-      r = deploy(spec, next_id_);
-    } catch (const std::exception& ex) {
-      // No task-mutation path may leak an exception mid-operation.
-      return reject(std::string("deployment aborted: ") + ex.what());
-    }
-    if (!r.ok) return reject(std::move(r.error));
-    ++next_id_;
-    results.push_back(std::move(r));
-  }
-  decltype(tasks_)::node_type retired;
-  if (retire != 0) {
-    retired = tasks_.extract(retire);
-    detach(retired.mapped());
-  }
-  // The candidate plan is the final deployment, exactly as it will be
-  // published: no unreferenced hash unit, and a one-for-one replacement
-  // (resize) already owned by the retired public id.
-  gc_unreferenced_units();
-  const bool rekey = retired && stage.size() == 1;
-  std::vector<exec::EntryOwnership> owners = entry_ownership();
-  for (exec::EntryOwnership& o : owners) {
-    if (rekey && o.task_id == first_id) o.task_id = retire;
-  }
-  // A dry run compiles outside the generation sequence.
-  since = trace::now_ns();
-  std::shared_ptr<const exec::ExecPlan> candidate =
-      dry_run_ ? exec::PlanCompiler::compile(*dp_, owners, 0) : dp_->compile_plan(owners);
-  observe(kCompile, since);
-  if (paranoid_) {
-    // One gate on the final state and its plan covers the whole
-    // reconfiguration.  A pure removal stages nothing to undo, so its
-    // deployment findings only report; a wrong plan is never published.
-    since = trace::now_ns();
-    trace::Span gate("ctl.verify_gate");
-    const GateResult verdict = run_verify_gate(*candidate);
-    gate.close();
-    observe(kValidate, since);
-    last_verify_errors_ = verdict.errors;
-    if (!verdict.errors.empty() && (!stage.empty() || verdict.plan_errors)) {
-      cp.last_verify_errors = verdict.errors;  // the verdict outlives the rollback
-      return reject("paranoid verify rejected deployment:\n" + verdict.errors);
-    }
-  }
-
-  // The retired and staged partitions, zeroed under the publish fence
-  // (past every exit that does not publish), collected before a resize
-  // renames its staged task.
-  std::vector<UnitPlacement> zeroed;
-  if (!dry_run_) {
-    const auto collect = [&](const DeployedTask& t) {
-      for (const RowPlacement& row : t.rows) {
-        zeroed.insert(zeroed.end(), row.units.begin(), row.units.end());
-      }
-    };
-    if (retired) collect(retired.mapped());
-    for (std::uint32_t id = first_id; id < next_id_; ++id) collect(tasks_.at(id));
-  }
-  // The commit's bookkeeping, which a dry run shares so that later ops of
-  // its batch see the same memory and ids.
-  if (retired) {
-    trace::Span reclaim("ctl.reclaim", retire);
-    release(retired.mapped());
-    reclaim.close();
-    if (rekey) {
-      auto node = tasks_.extract(first_id);
-      node.key() = retire;
-      node.mapped().id = retire;
-      node.mapped().cumulative_delay_ms += retired.mapped().cumulative_delay_ms;
-      tasks_.insert(std::move(node));
-      results.front().task_id = retire;
-    }
-  }
-  if (dry_run_) return results;
-  if (retired) removals_counter_->inc();
-  if (rekey) resizes_counter_->inc();
-  deploys_counter_->inc(stage.size());
-  std::vector<exec::CellRange> cells;
-  cells.reserve(zeroed.size());
-  for (const UnitPlacement& up : zeroed) {
-    std::uint32_t flat = up.cmu;
-    for (unsigned g = 0; g < up.group; ++g) flat += dp_->group(g).num_cmus();
-    cells.push_back({flat, up.partition.base, up.partition.size});
-  }
-  std::uint64_t zero_ns = 0;
-  since = trace::now_ns();
-  dp_->publish_plan(std::move(candidate), cells, [&] {
-    const std::uint64_t t0 = trace::now_ns();
-    trace::Span zeroing("ctl.zero");
-    for (const UnitPlacement& up : zeroed) {
-      dp_->group(up.group).cmu(up.cmu).clear_partition(up.partition,
-                                                       cp.cmus[up.group][up.cmu]);
-    }
-    zeroing.close();
-    observe(kZero, t0);
-    zero_ns = trace::now_ns() - t0;
-  });
-  observe(kPublish, since + zero_ns);  // the fence and the store
-  return results;
 }
 
 void Controller::detach(const DeployedTask& t) {

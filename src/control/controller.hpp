@@ -19,7 +19,8 @@
 #include "core/task.hpp"
 
 namespace flymon::verify {
-struct PlanResult;  // defined in verify/planner.hpp
+struct PlanOpResult;  // defined in verify/planner.hpp
+struct PlanResult;
 }  // namespace flymon::verify
 
 namespace flymon::control {
@@ -79,10 +80,9 @@ struct DeployResult {
   DeploymentReport report;
 };
 
-/// One staged reconfiguration operation.  Controller::apply() runs it;
-/// Controller::plan() runs a batch of them the same way and then undoes
-/// it.  `task_id` is a public task id, which may be one an earlier op of
-/// the same batch minted.
+/// One reconfiguration operation of a Controller::apply() / plan() batch.
+/// `task_id` is a public task id, which may be one an earlier op of the
+/// same batch minted.
 struct PlanOp {
   enum class Kind : std::uint8_t { kAdd, kRemove, kResize, kSplit };
   Kind kind = Kind::kAdd;
@@ -99,19 +99,13 @@ struct PlanOp {
 /// "add \"name\"", "resize task 3 -> 8192 buckets", "split task 3", ...
 std::string describe(const PlanOp& op);
 
-/// Outcome of Controller::apply().
-struct ApplyResult {
-  bool ok = false;
-  std::string detail;  ///< what the op did ("deployed as task 4"), or why it failed
-};
-
 class Controller {
  public:
   explicit Controller(FlyMonDataPlane& dp,
                       TranslationStrategy strategy = TranslationStrategy::kTcam,
                       AllocMode mode = AllocMode::kAccurate);
 
-  // ---- task management interfaces (each one transaction: reconfigure()) ----
+  // ---- task management interfaces (each a one-op transaction, see apply()) ----
   DeployResult add_task(const TaskSpec& spec);
   /// False for an unknown id, or when the paranoid gate rejects the
   /// candidate plan (last_verify_errors() says why).
@@ -128,9 +122,20 @@ class Controller {
   /// failure nothing changes and `first` carries the error.
   std::pair<DeployResult, DeployResult> split_task(std::uint32_t id);
 
-  /// Run one PlanOp through the matching operation above.  `detail` names
-  /// the tasks the op created ("deployed as task 4").
-  ApplyResult apply(const PlanOp& op);
+  /// The reconfiguration transaction.  Take one checkpoint; stage every op
+  /// in order on the live controller (add = deploy; remove = detach +
+  /// release; resize = deploy + detach + release, the replacement taking
+  /// the retired id; split = two deploys + detach + release), restoring
+  /// the checkpoint at the first op that fails; compile the result once;
+  /// in paranoid mode verify it once, and restore on a rejection; then
+  /// publish that plan once, under one pool fence that zeroes every
+  /// partition the batch retired or staged (FlyMonDataPlane::publish_plan:
+  /// scoped when the plans merge every other region alike, else one full
+  /// fold).  Traffic sees the deployment before the batch or after it,
+  /// never one in between.  The counters and each
+  /// flymon_reconfig_phase_us phase get one sample per transaction
+  /// (implemented in src/verify/planner.cpp with plan()).
+  verify::PlanResult apply(const std::vector<PlanOp>& ops);
 
   const DeployedTask* task(std::uint32_t id) const noexcept;
   std::size_t num_tasks() const noexcept { return tasks_.size(); }
@@ -146,40 +151,29 @@ class Controller {
   const BuddyAllocator* find_allocator(unsigned group, unsigned cmu) const noexcept;
 
   // ---- static verification (src/verify) ----
-  /// Paranoid mode: every reconfiguration compiles its candidate plan once
-  /// and runs one gate, run_verify_gate, on its final state (new instances
-  /// staged, retired ones uninstalled) before the fence.  On a rejection the
-  /// whole operation rolls back and fails; the previously published plan
-  /// keeps serving and no counter but the failure count moves.  A pure
-  /// remove_task rolls back only when the candidate plan itself is wrong;
-  /// deployment findings there only report via last_verify_errors().  Off
-  /// by default (tests enable it); the shell toggles it with
+  /// Paranoid mode: every transaction runs one gate, every analyzer over
+  /// its final state with the compiled candidate as VerifyContext::exec_plan
+  /// (so the translation validator and merge prover check the plan that
+  /// would be published), before the fence.  On a rejection the whole batch
+  /// rolls back and fails; the previously published plan keeps serving and
+  /// no counter but the failure count moves.  A batch that stages nothing
+  /// (pure removals) rolls back only when the candidate plan itself is
+  /// wrong; deployment findings there only report via last_verify_errors().
+  /// Off by default (tests enable it); the shell toggles it with
   /// `verify paranoid on|off`.
   void set_paranoid(bool on) noexcept { paranoid_ = on; }
   bool paranoid() const noexcept { return paranoid_; }
 
-  /// Verdict of run_verify_gate.
-  struct GateResult {
-    std::string errors;        ///< formatted error diagnostics, empty = clean
-    bool plan_errors = false;  ///< some error is the candidate plan's (translate.*)
-  };
-  /// The paranoid gate: every analyzer over the live deployment, with
-  /// `candidate` as VerifyContext::exec_plan so the translation validator
-  /// and merge prover check the plan that would be published (implemented
-  /// in src/verify/verifier.cpp to keep the analyzer headers out of this
-  /// one).
-  GateResult run_verify_gate(const exec::ExecPlan& candidate) const;
   /// Formatted error diagnostics of the most recent paranoid check that
   /// failed (empty when the last check was clean or paranoid mode is off).
   const std::string& last_verify_errors() const noexcept { return last_verify_errors_; }
 
-  /// Dry-run a batch of reconfiguration ops: apply them on this controller
-  /// exactly as a commit would, up to and including the paranoid gate,
-  /// stopping at the first failure; compile the result once and run every
-  /// analyzer on it; then restore the controller from one checkpoint.  A
-  /// dry run writes no register cell, moves no counter, consumes no task
-  /// id or plan generation and publishes nothing, so traffic may run
-  /// throughout (implemented in src/verify/planner.cpp).
+  /// Dry run: apply()'s transaction up to and including the compile, then
+  /// always every analyzer on the result (paranoid or not), then the
+  /// checkpoint restored instead of the plan published.  Its verdict, ids
+  /// and compiled entries are the commit's; it writes no register cell,
+  /// moves no counter, consumes no task id or plan generation and publishes
+  /// nothing, so traffic may run throughout.
   verify::PlanResult plan(const std::vector<PlanOp>& ops);
 
   // ---- control-plane readout ----
@@ -221,7 +215,7 @@ class Controller {
   /// Rebind the controller's own counters (deploys, failures, delay) and the
   /// per-phase reconfiguration latency histograms
   /// (flymon_reconfig_phase_us{phase=checkpoint|compile|validate|zero|
-  /// publish}, one sample per phase a non-dry-run reconfiguration reaches,
+  /// publish}, one sample per phase an apply() transaction reaches,
   /// timed on the span clock) into `registry`.  Construction binds to
   /// telemetry::Registry::global().
   void bind_telemetry(telemetry::Registry& registry);
@@ -253,25 +247,25 @@ class Controller {
   /// The published plan and the register banks are not part of it.
   void restore(Checkpoint cp);
 
-  /// The transaction behind add/remove/resize/split: deploy `stage` under
-  /// fresh ids; detach task `retire` (0 = none) and clear the hash units
-  /// nothing references any more; compile the candidate plan once; run the
-  /// paranoid gate on it; on a rejection restore the checkpoint taken on
-  /// entry (the published plan keeps serving).  Otherwise free the retired
-  /// partitions, let a one-for-one replacement (resize) take over the
-  /// retired public id and, unless this is a dry run, publish that same
-  /// plan under one pool fence that zeroes the retired and staged
-  /// partitions (FlyMonDataPlane::publish_plan: scoped when the plans
-  /// merge every other region alike, else one full fold).
-  /// Returns one result per staged spec, or a single failed result.
-  std::vector<DeployResult> reconfigure(const std::vector<TaskSpec>& stage,
-                                        std::uint32_t retire);
+  /// What the ops of one transaction staged: every partition they retired
+  /// or staged (zeroed under the publish fence) and the counters' counts.
+  struct Staged {
+    std::vector<UnitPlacement> zeroed;
+    std::uint64_t deploys = 0, removals = 0, resizes = 0;
+  };
+  /// Stage one op on the live controller (see apply()): no compile, no
+  /// publish, no register write.  The result names the ids the op minted
+  /// (resize: the id it kept).  On a failure the op may be half done, and
+  /// it may throw: the transaction's checkpoint undoes either.
+  verify::PlanOpResult stage(const PlanOp& op, Staged& staged);
+  /// apply() when `publish`, else plan() (src/verify/planner.cpp).
+  verify::PlanResult transact(const std::vector<PlanOp>& ops, bool publish);
   /// Placement (paper §3.4).  A plain task puts its rows, one CMU each, in
   /// the first group that has a CMU for every row; a chained task puts
   /// each unit of a row in a strictly later group than the one before.
   /// Both place every unit through place_unit().  A group that cannot take
   /// the whole task is undone before the next is tried.  May throw
-  /// mid-operation; reconfigure() then restores its checkpoint.
+  /// mid-operation; the transaction then restores its checkpoint.
   DeployResult deploy(const TaskSpec& spec, std::uint32_t public_id);
 
   /// A task's key and parameter selectors in one group.
@@ -291,8 +285,8 @@ class Controller {
   /// chain) on CMU (g, c).  Skips a CMU that does not admit the task's
   /// filter, allocates the partition, lowers the entry and installs it
   /// under the next phys id.  Nothing changes when it returns nullopt.  It
-  /// writes no register cell: reconfigure() zeroes staged partitions only
-  /// when it publishes.
+  /// writes no register cell: the transaction zeroes staged partitions
+  /// only when it publishes.
   std::optional<UnitPlacement> place_unit(const DeployedTask& t, unsigned g, unsigned c,
                                           unsigned idx, const Selectors& sel, ChainIds ch);
   /// The lowering table of every algorithm: unit `idx`'s stateful op,
@@ -327,9 +321,6 @@ class Controller {
   TranslationStrategy strategy_;
   AllocMode mode_;
   bool paranoid_ = false;
-  /// Set only for the duration of plan(): reconfigure() stops short of
-  /// writing registers, counting and publishing.
-  bool dry_run_ = false;
   std::string last_verify_errors_;
   telemetry::Registry* registry_ = nullptr;
   telemetry::Counter* deploys_counter_ = nullptr;

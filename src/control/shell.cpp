@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "ingest/file_source.hpp"
@@ -40,6 +41,14 @@ std::optional<std::uint64_t> parse_u64(const std::string& s) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return v;
+}
+
+/// A 32-bit field (task id, bucket count, constant): values that do not
+/// fit are rejected, never wrapped.
+std::optional<std::uint32_t> parse_u32(const std::string& s) {
+  const auto v = parse_u64(s);
+  if (!v || *v > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  return static_cast<std::uint32_t>(*v);
 }
 
 std::optional<double> parse_double(const std::string& s) {
@@ -205,7 +214,7 @@ std::string Shell::help() {
       "  plan remove <id> | resize <id> <buckets> | split <id>\n"
       "  plan run               dry-run the batch on the live world + verify\n"
       "  plan diff              compiled-entry diff the batch would cause\n"
-      "  plan commit            apply the batch for real (only if clean)\n"
+      "  plan commit            apply the batch atomically (only if clean)\n"
       "  plan clear             drop the staged batch\n"
       "  ingest attach gen [fig12b] [flows=N] [pkts=N] [seed=N] [alpha=F]\n"
       "                         [dur=NS]    attach a synthetic traffic source\n"
@@ -265,20 +274,17 @@ std::string Shell::cmd_plan(const std::vector<std::string>& args) {
     if (rest.size() != 1) return "error: usage: plan " + sub + " <id>";
     // Ids are checked by `plan run`, not here: an earlier staged op may
     // mint the id this one names.
-    const auto id = parse_u64(rest[0]);
+    const auto id = parse_u32(rest[0]);
     if (!id) return "error: bad arguments";
-    pending_.push_back(sub == "remove"
-                           ? PlanOp::remove(static_cast<std::uint32_t>(*id))
-                           : PlanOp::split(static_cast<std::uint32_t>(*id)));
+    pending_.push_back(sub == "remove" ? PlanOp::remove(*id) : PlanOp::split(*id));
     return "staged op " + std::to_string(pending_.size()) + ": " + sub;
   }
   if (sub == "resize") {
     if (rest.size() != 2) return "error: usage: plan resize <id> <buckets>";
-    const auto id = parse_u64(rest[0]);
-    const auto buckets = parse_u64(rest[1]);
+    const auto id = parse_u32(rest[0]);
+    const auto buckets = parse_u32(rest[1]);
     if (!id || !buckets) return "error: bad arguments";
-    pending_.push_back(PlanOp::resize(static_cast<std::uint32_t>(*id),
-                                      static_cast<std::uint32_t>(*buckets)));
+    pending_.push_back(PlanOp::resize(*id, *buckets));
     return "staged op " + std::to_string(pending_.size()) + ": resize";
   }
   if (sub == "clear") {
@@ -298,18 +304,17 @@ std::string Shell::cmd_plan(const std::vector<std::string>& args) {
     return out + "(dry run; data plane untouched)";
   }
   if (sub == "commit") {
-    const verify::PlanResult result = ctl_->plan(pending_);
+    // The dry run first, then the batch as one transaction: one publish,
+    // or nothing committed at all.
+    verify::PlanResult result = ctl_->plan(pending_);
+    if (result.ok) result = ctl_->apply(pending_);
     if (!result.ok) {
       return result.format() +
              "commit aborted; staged ops kept ('plan clear' to drop)";
     }
     std::ostringstream out;
-    for (const PlanOp& op : pending_) {
-      const ApplyResult r = ctl_->apply(op);
-      if (!r.ok) {
-        return out.str() + "error applying " + describe(op) + ": " + r.detail;
-      }
-      out << describe(op) << ": " << r.detail << '\n';
+    for (const verify::PlanOpResult& r : result.ops) {
+      out << describe(r.op) << ": " << r.detail << '\n';
     }
     out << pending_.size() << " op(s) committed";
     pending_.clear();
@@ -345,8 +350,8 @@ std::string parse_task_spec(const std::vector<std::string>& args,
       spec.param = ParamSpec::compressed(*key);
     } else if (const auto meta = parse_meta(*v)) {
       spec.param = ParamSpec::metadata(*meta);
-    } else if (const auto n = parse_u64(*v)) {
-      spec.param = ParamSpec::constant(static_cast<std::uint32_t>(*n));
+    } else if (const auto n = parse_u32(*v)) {
+      spec.param = ParamSpec::constant(*n);
     } else {
       return "error: bad param '" + *v + "'";
     }
@@ -363,9 +368,9 @@ std::string parse_task_spec(const std::vector<std::string>& args,
     spec.algorithm = *algo;
   }
   if (const auto v = arg_value(args, "mem")) {
-    const auto n = parse_u64(*v);
+    const auto n = parse_u32(*v);
     if (!n || *n == 0) return "error: bad mem";
-    spec.memory_buckets = static_cast<std::uint32_t>(*n);
+    spec.memory_buckets = *n;
   }
   if (const auto v = arg_value(args, "rows")) {
     const auto n = parse_u64(*v);
@@ -427,19 +432,17 @@ std::string Shell::cmd_add(const std::vector<std::string>& args) {
 
 std::string Shell::cmd_remove(const std::vector<std::string>& args) {
   if (args.size() != 1) return "error: usage: remove <id>";
-  const auto id = parse_u64(args[0]);
+  const auto id = parse_u32(args[0]);
   if (!id) return "error: bad id";
-  return ctl_->remove_task(static_cast<std::uint32_t>(*id)) ? "removed"
-                                                            : "error: unknown task";
+  return ctl_->remove_task(*id) ? "removed" : "error: unknown task";
 }
 
 std::string Shell::cmd_resize(const std::vector<std::string>& args) {
   if (args.size() != 2) return "error: usage: resize <id> <buckets>";
-  const auto id = parse_u64(args[0]);
-  const auto buckets = parse_u64(args[1]);
+  const auto id = parse_u32(args[0]);
+  const auto buckets = parse_u32(args[1]);
   if (!id || !buckets) return "error: bad arguments";
-  const DeployResult r =
-      ctl_->resize_task(static_cast<std::uint32_t>(*id), static_cast<std::uint32_t>(*buckets));
+  const DeployResult r = ctl_->resize_task(*id, *buckets);
   if (!r.ok) return "error: " + r.error;
   std::ostringstream out;
   out << "task " << r.task_id << " resized to "
@@ -450,9 +453,9 @@ std::string Shell::cmd_resize(const std::vector<std::string>& args) {
 
 std::string Shell::cmd_split(const std::vector<std::string>& args) {
   if (args.size() != 1) return "error: usage: split <id>";
-  const auto id = parse_u64(args[0]);
+  const auto id = parse_u32(args[0]);
   if (!id) return "error: bad id";
-  const auto [lo, hi] = ctl_->split_task(static_cast<std::uint32_t>(*id));
+  const auto [lo, hi] = ctl_->split_task(*id);
   if (!lo.ok) return "error: " + lo.error;
   std::ostringstream out;
   out << "split into tasks " << lo.task_id << " and " << hi.task_id;
@@ -714,10 +717,8 @@ std::string Shell::cmd_verify(const std::vector<std::string>& args) {
 
 std::string Shell::cmd_query(const std::vector<std::string>& args) const {
   if (args.empty()) return "error: usage: query <id> src=<ip> ...";
-  const auto id = parse_u64(args[0]);
-  if (!id || ctl_->task(static_cast<std::uint32_t>(*id)) == nullptr) {
-    return "error: unknown task";
-  }
+  const auto id = parse_u32(args[0]);
+  if (!id || ctl_->task(*id) == nullptr) return "error: unknown task";
   Packet probe;
   if (const auto v = arg_value(args, "src")) {
     const auto ip = parse_ipv4(*v);
@@ -739,7 +740,7 @@ std::string Shell::cmd_query(const std::vector<std::string>& args) const {
     probe.ft.protocol = static_cast<std::uint8_t>(parse_u64(*v).value_or(0));
   }
 
-  const auto tid = static_cast<std::uint32_t>(*id);
+  const std::uint32_t tid = *id;
   const DeployedTask* t = ctl_->task(tid);
   std::ostringstream out;
   switch (t->spec.attribute) {
@@ -773,34 +774,28 @@ std::string Shell::cmd_query(const std::vector<std::string>& args) const {
 
 std::string Shell::cmd_cardinality(const std::vector<std::string>& args) const {
   if (args.size() != 1) return "error: usage: cardinality <id>";
-  const auto id = parse_u64(args[0]);
-  if (!id || ctl_->task(static_cast<std::uint32_t>(*id)) == nullptr) {
-    return "error: unknown task";
-  }
+  const auto id = parse_u32(args[0]);
+  if (!id || ctl_->task(*id) == nullptr) return "error: unknown task";
   std::ostringstream out;
-  out << ctl_->estimate_cardinality(static_cast<std::uint32_t>(*id));
+  out << ctl_->estimate_cardinality(*id);
   return out.str();
 }
 
 std::string Shell::cmd_entropy(const std::vector<std::string>& args) const {
   if (args.size() != 1) return "error: usage: entropy <id>";
-  const auto id = parse_u64(args[0]);
-  if (!id || ctl_->task(static_cast<std::uint32_t>(*id)) == nullptr) {
-    return "error: unknown task";
-  }
+  const auto id = parse_u32(args[0]);
+  if (!id || ctl_->task(*id) == nullptr) return "error: unknown task";
   std::ostringstream out;
-  out << ctl_->estimate_entropy(static_cast<std::uint32_t>(*id)) << " nats";
+  out << ctl_->estimate_entropy(*id) << " nats";
   return out.str();
 }
 
 std::string Shell::cmd_occupancy(const std::vector<std::string>& args) {
   if (args.size() != 1) return "error: usage: occupancy <id>";
-  const auto id = parse_u64(args[0]);
-  if (!id || ctl_->task(static_cast<std::uint32_t>(*id)) == nullptr) {
-    return "error: unknown task";
-  }
+  const auto id = parse_u32(args[0]);
+  if (!id || ctl_->task(*id) == nullptr) return "error: unknown task";
   std::ostringstream out;
-  out << adaptive_.occupancy(static_cast<std::uint32_t>(*id));
+  out << adaptive_.occupancy(*id);
   return out.str();
 }
 
@@ -868,9 +863,9 @@ std::string Shell::cmd_ingest(const std::vector<std::string>& args) {
       if (std::find(rest.begin(), rest.end(), "fig12b") != rest.end()) {
         unsigned epochs = 20;
         if (const auto v = arg_value(rest, "epochs")) {
-          const auto n = parse_u64(*v);
+          const auto n = parse_u32(*v);
           if (!n || *n == 0) return "error: bad epochs";
-          epochs = static_cast<unsigned>(*n);
+          epochs = *n;
         }
         source_ = std::make_unique<ingest::GeneratorSource>(
             ingest::fig12b_scenario(epochs));

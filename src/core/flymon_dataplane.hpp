@@ -166,7 +166,7 @@ class FlyMonDataPlane {
   /// Rebind all instrumentation counters (groups, CMUs, pipeline totals)
   /// into `registry`, then recompile the published plan's deployment
   /// against the new counter handles and publish it under the same
-  /// generation.  This is the only publish outside Controller::reconfigure;
+  /// generation.  This is the only publish outside Controller::apply;
   /// no production caller rebinds after the first reconfiguration.
   /// Construction binds to telemetry::Registry::global().
   void bind_telemetry(telemetry::Registry& registry);

@@ -143,6 +143,11 @@ struct PipelineIr {
                               std::uint32_t phys_id) const noexcept;
 };
 
+/// Epoch packet budget the verifier assumes: a Cond-ADD counter is
+/// "overflow-safe" when neither its p2 guard nor this many worst-case
+/// increments can push it past the register's value mask.
+inline constexpr std::uint64_t kEpochPacketBudget = 1ull << 26;
+
 /// Extract the IR from a data-plane snapshot.  `ctl` may be null (entries
 /// are still lowered, but task nodes and ownership are absent).
 /// `packets_per_epoch` bounds per-epoch Cond-ADD accumulation for the

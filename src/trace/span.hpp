@@ -141,8 +141,7 @@ void instant(const char* name, std::uint64_t arg = 0) noexcept;
 // ---- reconfiguration tagging ----
 
 /// Monotonic tag linking every span of one reconfiguration.  Nested scopes
-/// reuse the outermost tag (Controller::plan opens one scope, so the ops of
-/// its batch share one tag); the counter only advances at top level, so
+/// reuse the outermost tag; the counter only advances at top level, so
 /// tags order reconfigurations totally.
 class ReconfigScope {
  public:

@@ -18,17 +18,11 @@ namespace flymon::verify {
 /// Read-only snapshot the analyzers run over.  `plan` is optional: when a
 /// cross-stacking plan is supplied the resource analyzer audits it against
 /// the pipeline capacity; otherwise it re-derives one from the data-plane
-/// configuration.  `allow_wrap` permits spliced (recirculating) plans whose
-/// groups wrap around the pipe end (paper Appendix E).
+/// configuration.
 struct VerifyContext {
   const control::Controller* controller = nullptr;
   const FlyMonDataPlane* dataplane = nullptr;
   const control::CrossStackPlan* plan = nullptr;
-  bool allow_wrap = false;
-  /// Epoch packet budget assumed by the value-range analysis: a Cond-ADD
-  /// counter is "overflow-safe" when neither its p2 guard nor this many
-  /// worst-case increments can push it past the register's value mask.
-  std::uint64_t packets_per_epoch = 1ull << 26;
   /// Compiled plan for the translation-validation analyzers ("translate",
   /// "merge").  Deliberately NOT defaulted to the data plane's current
   /// plan: during a reconfiguration the published plan still describes the

@@ -28,7 +28,7 @@ class DataflowKeyAnalyzer final : public Analyzer {
   void run(const VerifyContext& ctx, VerifyReport& report) const override {
     if (ctx.dataplane == nullptr) return;
     const ir::PipelineIr irx =
-        ir::extract_ir(*ctx.dataplane, ctx.controller, ctx.packets_per_epoch);
+        ir::extract_ir(*ctx.dataplane, ctx.controller, ir::kEpochPacketBudget);
     check_units(irx, report);
     check_entries(irx, report);
     check_row_aliasing(irx, report);

@@ -26,7 +26,7 @@ class DataflowRangeAnalyzer final : public Analyzer {
   void run(const VerifyContext& ctx, VerifyReport& report) const override {
     if (ctx.dataplane == nullptr) return;
     const ir::PipelineIr irx =
-        ir::extract_ir(*ctx.dataplane, ctx.controller, ctx.packets_per_epoch);
+        ir::extract_ir(*ctx.dataplane, ctx.controller, ir::kEpochPacketBudget);
     for (const ir::EntryNode& e : irx.entries) {
       check_overflow(irx, e, report);
       check_address(e, report);

@@ -1,11 +1,12 @@
-// Dry-run reconfiguration planner: Controller::plan() runs a batch of
-// deploy/resize/split/remove operations on the live controller through the
-// same path a commit takes, runs every analyzer over the result and the
-// plan it compiles to, and then restores the controller from one
-// checkpoint.  Its verdict, ids and compiled entries are the commit's; the
-// registers, counters and published plan are never touched.
+// The result of one reconfiguration transaction: Controller::apply()
+// stages a batch of deploy/resize/split/remove ops on the live controller,
+// compiles the result once, verifies it and publishes it; Controller::plan()
+// runs the same transaction, always verifies, and restores the checkpoint
+// instead of publishing.  A plan's verdict, ids and compiled entries are the
+// commit's; its registers, counters and published plan are never touched.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,31 +15,35 @@
 
 namespace flymon::verify {
 
-/// Outcome of one staged op in the dry run.
+/// Outcome of one staged op.
 struct PlanOpResult {
   control::PlanOp op{};
   bool ok = false;
   std::string detail;  ///< deploy summary or failure reason
+  /// The public ids the op minted (add: one, split: two) or kept (resize).
+  std::vector<std::uint32_t> task_ids;
 };
 
-/// Result of one Controller::plan() call.
+/// Result of one Controller::apply() or Controller::plan() transaction.
 struct PlanResult {
-  /// Every op applied cleanly AND the post-batch verification has no
-  /// errors (warnings do not fail a plan).
+  /// Every op staged cleanly AND the verification passed: for plan(), no
+  /// error at all (warnings do not fail a plan); for apply(), no paranoid
+  /// rejection.  An apply() that is not ok published nothing.
   bool ok = false;
-  /// First failure: op error, or "verification failed".
+  /// First failure: "op '<op>' failed: <detail>", "verification failed"
+  /// (plan) or "paranoid verify rejected deployment:\n<errors>" (apply).
   std::string error;
   /// Per-op outcomes, in order; stops at the first failed op.
   std::vector<PlanOpResult> ops;
   /// Full analyzer report over the deployment after the batch, with its
-  /// compiled plan as the translation validator's subject.  When an op
-  /// fails the report covers the state up to that op.
+  /// compiled plan as the translation validator's subject.  Empty when an
+  /// op failed, or for an apply() outside paranoid mode.
   VerifyReport report;
 
-  /// Compiled-entry signature lines (exec::ExecPlan::signature) of the
-  /// published plan before the batch and of the plan a commit of the batch
-  /// would publish, under the task ids the commit would mint.  Render with
-  /// format_plan_diff().
+  /// plan() only: compiled-entry signature lines (exec::ExecPlan::signature)
+  /// of the published plan before the batch and of the plan a commit of the
+  /// batch would publish, under the task ids the commit would mint (the
+  /// plan before, when an op fails).  Render with format_plan_diff().
   std::vector<std::string> compiled_before;
   std::vector<std::string> compiled_after;
 

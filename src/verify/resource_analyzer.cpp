@@ -113,7 +113,7 @@ class ResourceAnalyzer final : public Analyzer {
       const CmuGroupConfig cfg =
           g < dp.num_groups() ? dp.group(g).config() : CmuGroupConfig{};
       const unsigned start = plan.start_stage[g];
-      if (!ctx.allow_wrap && start + 4 > stages) {
+      if (start + 4 > stages) {
         report.add(Severity::kError, "resources.plan",
                    "group " + std::to_string(g),
                    "start stage " + std::to_string(start) +
@@ -127,7 +127,7 @@ class ResourceAnalyzer final : public Analyzer {
       }
       const auto demands = CmuGroup::stage_demands(cfg);
       for (unsigned k = 0; k < demands.size(); ++k) {
-        const unsigned idx = (start + k) % stages;
+        const unsigned idx = start + k;
         if (!replay.stage(idx).allocate(demands[k])) {
           report.add(Severity::kError, "resources.stage", stage_site(idx),
                      "group " + std::to_string(g) + " stage " +

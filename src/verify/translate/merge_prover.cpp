@@ -322,7 +322,7 @@ void prove_merge_soundness(const FlyMonDataPlane& dp, const ExecPlan& plan,
   // Interval facts from the interpreted deployment.  The controller handle
   // is not needed: blocker derivation only consumes per-entry value ranges,
   // not task ownership.
-  const ir::PipelineIr pir = ir::extract_ir(dp, nullptr, 1ull << 26);
+  const ir::PipelineIr pir = ir::extract_ir(dp, nullptr, ir::kEpochPacketBudget);
   if (pir.entries.size() != raw.size()) {
     report.add(Severity::kError, "translate.merge.unsound", "plan",
                "IR extraction and the raw entry walk disagree on the entry "

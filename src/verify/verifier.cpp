@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-
 namespace flymon::verify {
 
 Verifier::Verifier() {
@@ -52,34 +51,13 @@ VerifyReport Verifier::run_one(std::string_view name,
 
 VerifyReport verify_deployment(const control::Controller& ctl,
                                const control::CrossStackPlan* plan,
-                               bool allow_wrap,
                                const exec::ExecPlan* exec_plan) {
   VerifyContext ctx;
   ctx.controller = &ctl;
   ctx.dataplane = &ctl.dataplane();
   ctx.plan = plan;
-  ctx.allow_wrap = allow_wrap;
   ctx.exec_plan = exec_plan;
   return Verifier{}.run(ctx);
 }
 
 }  // namespace flymon::verify
-
-namespace flymon::control {
-
-// Implemented here (not in controller.cpp) so the controller translation
-// unit stays free of the analyzer headers.
-Controller::GateResult Controller::run_verify_gate(
-    const exec::ExecPlan& candidate) const {
-  const verify::VerifyReport report =
-      verify::verify_deployment(*this, nullptr, false, &candidate);
-  GateResult result;
-  result.errors = report.format(verify::Severity::kError);
-  for (const verify::Diagnostic& d : report.diagnostics()) {
-    result.plan_errors |= d.severity == verify::Severity::kError &&
-                          d.check.starts_with("translate.");
-  }
-  return result;
-}
-
-}  // namespace flymon::control

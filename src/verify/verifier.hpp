@@ -1,7 +1,7 @@
 // The verifier: a registry of analyzers run over one deployment snapshot.
-// Entry points: the Controller's paranoid gate (run_verify_gate) and
-// dry-run planner, the shell `verify` command family, and the
-// flymon_verify CLI.
+// Entry points: the Controller's reconfiguration transaction (its
+// paranoid gate and dry-run plan), the shell `verify` command family, and
+// the flymon_verify CLI.
 #pragma once
 
 #include <memory>
@@ -52,7 +52,6 @@ class Verifier {
 /// of `exec_plan` against it when one is given.
 VerifyReport verify_deployment(const control::Controller& ctl,
                                const control::CrossStackPlan* plan = nullptr,
-                               bool allow_wrap = false,
                                const exec::ExecPlan* exec_plan = nullptr);
 
 }  // namespace flymon::verify

@@ -85,7 +85,7 @@ std::string dataplane_fingerprint(const FlyMonDataPlane& dp,
 verify::VerifyReport run_analyzer(const char* name, const Controller& ctl,
                                   const FlyMonDataPlane& dp) {
   const verify::Verifier v;
-  const verify::VerifyContext ctx{&ctl, &dp, nullptr, false};
+  const verify::VerifyContext ctx{&ctl, &dp, nullptr};
   return v.run_one(name, ctx);
 }
 
@@ -708,13 +708,14 @@ TEST(Planner, FragmentedWorldVerdictIsTheCommits) {
                            Algorithm::kCms, 32768, TaskFilter::src(20u << 24, 8));
   big.rows = 3;
   const verify::PlanResult res = ctl.plan({PlanOp::add(big)});
-  const control::ApplyResult committed = ctl.apply(PlanOp::add(big));
+  const verify::PlanResult committed = ctl.apply({PlanOp::add(big)});
   EXPECT_FALSE(committed.ok);
-  EXPECT_NE(committed.detail.find("insufficient resources"), std::string::npos);
+  ASSERT_EQ(committed.ops.size(), 1u);
+  EXPECT_NE(committed.ops[0].detail.find("insufficient resources"), std::string::npos);
   EXPECT_FALSE(res.ok) << res.format();
   ASSERT_EQ(res.ops.size(), 1u);
-  EXPECT_EQ(res.ops[0].ok, committed.ok);
-  EXPECT_EQ(res.ops[0].detail, committed.detail);
+  EXPECT_EQ(res.ops[0].ok, committed.ops[0].ok);
+  EXPECT_EQ(res.ops[0].detail, committed.ops[0].detail);
 }
 
 TEST(Planner, EmptyBatchAfterRemovalDiffsToNothing) {
@@ -788,12 +789,133 @@ TEST(Planner, DryRunReusingALivePartitionLeavesNoTrace) {
   EXPECT_TRUE(ctl.last_verify_errors().empty()) << ctl.last_verify_errors();
 
   // The commit mints the ids the dry run named and publishes its plan.
-  ASSERT_TRUE(ctl.apply(PlanOp::remove(ra.task_id)).ok);
-  const control::ApplyResult added = ctl.apply(PlanOp::add(b));
-  ASSERT_TRUE(added.ok) << added.detail;
-  EXPECT_EQ(added.detail, res.ops[1].detail);
+  const verify::PlanResult committed =
+      ctl.apply({PlanOp::remove(ra.task_id), PlanOp::add(b)});
+  ASSERT_TRUE(committed.ok) << committed.format();
+  ASSERT_EQ(committed.ops.size(), 2u);
+  EXPECT_TRUE(committed.ops[0].ok);
+  EXPECT_EQ(committed.ops[1].detail, res.ops[1].detail);
   EXPECT_EQ(res.compiled_after, dp.current_plan()->signature());
   telemetry::set_enabled(telemetry_was);
+}
+
+// ---- Controller::apply: one batch, one transaction ----
+
+/// A paranoid controller on a private registry, telemetry on, with two
+/// 3-row CMS tasks deployed and traffic in their registers.
+struct BatchWorld {
+  bool telemetry_was = telemetry::enabled();
+  telemetry::Registry reg;
+  FlyMonDataPlane dp{9};
+  Controller ctl{dp};
+  std::uint32_t a = 0, b = 0;
+
+  BatchWorld() {
+    telemetry::set_enabled(true);
+    dp.bind_telemetry(reg);
+    ctl.bind_telemetry(reg);
+    ctl.set_paranoid(true);
+    a = ctl.add_task(cms("a", FlowKeySpec::src_ip(), 4096)).task_id;
+    b = ctl.add_task(cms("b", FlowKeySpec::dst_ip(), 4096)).task_id;
+    TraceConfig cfg;
+    cfg.num_flows = 200;
+    cfg.num_packets = 4000;
+    dp.process_batch(TraceGenerator::generate(cfg));
+  }
+  ~BatchWorld() { telemetry::set_enabled(telemetry_was); }
+
+  static TaskSpec cms(const std::string& name, FlowKeySpec key, std::uint32_t buckets) {
+    TaskSpec s = make_spec(name, key, AttributeKind::kFrequency, Algorithm::kCms, buckets);
+    s.rows = 3;
+    return s;
+  }
+  std::uint64_t folds() {
+    return reg.counter("flymon_publish_folds_total", {{"kind", "scoped"}}).value() +
+           reg.counter("flymon_publish_folds_total", {{"kind", "full"}}).value();
+  }
+  std::uint64_t phase_samples(const char* phase) {
+    return reg.histogram("flymon_reconfig_phase_us", {{"phase", phase}}).snapshot().count;
+  }
+};
+
+TEST(Transaction, ParanoidBatchPublishesOnce) {
+  BatchWorld w;
+  ASSERT_TRUE(w.a != 0 && w.b != 0);
+  const std::uint64_t gen = w.dp.plan_generation();
+  const std::uint64_t folds = w.folds();
+  const std::uint64_t validates = w.phase_samples("validate");
+  const std::uint64_t compiles = w.phase_samples("compile");
+  const auto counters = task_counters(w.reg);
+
+  const verify::PlanResult r = w.ctl.apply(
+      {PlanOp::add(BatchWorld::cms("c", FlowKeySpec::ip_pair(), 4096)),
+       PlanOp::resize(w.a, 8192), PlanOp::remove(w.b)});
+  ASSERT_TRUE(r.ok) << r.format();
+  ASSERT_EQ(r.ops.size(), 3u);
+  EXPECT_EQ(w.dp.plan_generation(), gen + 1);
+  EXPECT_EQ(w.folds(), folds + 1);
+  EXPECT_EQ(w.phase_samples("validate"), validates + 1);
+  EXPECT_EQ(w.phase_samples("compile"), compiles + 1);
+  // Two deploys (the add and the resize's replacement), two removals (the
+  // remove and the resized instance), one resize.
+  EXPECT_EQ(task_counters(w.reg),
+            (std::array<std::uint64_t, 4>{counters[0] + 2, counters[1] + 2,
+                                          counters[2] + 1, counters[3]}));
+  EXPECT_EQ(w.ctl.num_tasks(), 2u);
+  EXPECT_EQ(w.ctl.task(w.a)->buckets, 8192u);
+  EXPECT_EQ(w.ctl.task(w.b), nullptr);
+  EXPECT_EQ(r.ops[0].task_ids, std::vector<std::uint32_t>{3u});
+  EXPECT_EQ(r.ops[1].task_ids, std::vector<std::uint32_t>{w.a});
+  EXPECT_TRUE(r.ops[2].task_ids.empty());
+  EXPECT_TRUE(w.ctl.last_verify_errors().empty()) << w.ctl.last_verify_errors();
+}
+
+TEST(Transaction, BatchWhoseLastOpFailsPublishesNothing) {
+  BatchWorld w;
+  const std::string before = dataplane_fingerprint(w.dp, w.ctl);
+  const std::uint64_t gen = w.dp.plan_generation();
+  const auto counters = task_counters(w.reg);
+
+  const verify::PlanResult r = w.ctl.apply(
+      {PlanOp::remove(w.b), PlanOp::resize(w.a, 8192),
+       PlanOp::add(BatchWorld::cms("whale", FlowKeySpec::ip_pair(), 1u << 30))});
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.ops.size(), 3u);
+  EXPECT_TRUE(r.ops[0].ok && r.ops[1].ok);
+  EXPECT_NE(r.ops[2].detail.find("insufficient resources"), std::string::npos)
+      << r.ops[2].detail;
+  EXPECT_NE(r.error.find("op 'add \"whale\"' failed"), std::string::npos) << r.error;
+  EXPECT_EQ(dataplane_fingerprint(w.dp, w.ctl), before);
+  EXPECT_EQ(w.dp.plan_generation(), gen);
+  EXPECT_EQ(task_counters(w.reg),
+            (std::array<std::uint64_t, 4>{counters[0], counters[1], counters[2],
+                                          counters[3] + 1}));
+  EXPECT_EQ(w.ctl.num_tasks(), 2u);
+  EXPECT_EQ(w.ctl.task(w.a)->buckets, 4096u);
+  // The failed batch consumed no id.
+  EXPECT_EQ(w.ctl.add_task(BatchWorld::cms("c", FlowKeySpec::ip_pair(), 4096)).task_id, 3u);
+}
+
+// The dry run is the commit rewound: the same op details and ids, and the
+// compiled plan the commit then publishes.
+TEST(Transaction, PlanPredictsTheBatchApplyPublishes) {
+  BatchWorld w;
+  TaskSpec c = BatchWorld::cms("c", FlowKeySpec::ip_pair(), 4096);
+  c.filter = TaskFilter::src(10u << 24, 8);
+  const std::vector<PlanOp> ops = {PlanOp::remove(w.b), PlanOp::add(c),
+                                   PlanOp::split(3), PlanOp::resize(w.a, 16384)};
+  const verify::PlanResult planned = w.ctl.plan(ops);
+  ASSERT_TRUE(planned.ok) << planned.format();
+  const verify::PlanResult applied = w.ctl.apply(ops);
+  ASSERT_TRUE(applied.ok) << applied.format();
+  EXPECT_EQ(planned.compiled_after, w.dp.current_plan()->signature());
+  ASSERT_EQ(planned.ops.size(), applied.ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(planned.ops[i].ok, applied.ops[i].ok) << i;
+    EXPECT_EQ(planned.ops[i].detail, applied.ops[i].detail) << i;
+    EXPECT_EQ(planned.ops[i].task_ids, applied.ops[i].task_ids) << i;
+  }
+  EXPECT_EQ(applied.ops[2].detail, "split into tasks 4 + 5");
 }
 
 // ---- shell `plan` command family ----

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -41,6 +42,7 @@
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_ring.hpp"
 #include "verify/mutations.hpp"
+#include "verify/planner.hpp"
 
 namespace flymon {
 namespace {
@@ -833,6 +835,72 @@ TEST(ShardedScoped, TraffickedResizeAndSplitMatchSequential) {
   EXPECT_EQ(wp.registry.counter("flymon_publish_folds_total", {{"kind", "full"}})
                 .value(),
             0u);
+}
+
+/// (group, cmu, base, size) of every partition `t` holds.
+std::vector<std::array<std::uint32_t, 4>> partitions(const control::DeployedTask& t) {
+  std::vector<std::array<std::uint32_t, 4>> out;
+  for (const control::RowPlacement& row : t.rows) {
+    for (const control::UnitPlacement& up : row.units) {
+      out.push_back({up.group, up.cmu, up.partition.base, up.partition.size});
+    }
+  }
+  return out;
+}
+
+// One batch while the shards hold deltas in every task's cells: remove A,
+// add B into the partitions A fills, resize C.  It publishes once, under
+// one scoped fence that drops A's and C's deltas, and the pool matches the
+// sequential referee register for register.
+TEST(ShardedBatch, RemoveAddResizeUnderTrafficMatchesSequential) {
+  EnabledGuard on(true);
+  const std::vector<Packet> trace = make_trace(800, 24'000, 37);
+  World ws, wp;
+  const MixIds seq = deploy_mergeable_mix(ws.ctl);
+  const MixIds par = deploy_mergeable_mix(wp.ctl);
+  wp.dp.enable_parallel(2);
+  const auto folds = [&](const char* kind) {
+    return wp.registry.counter("flymon_publish_folds_total", {{"kind", kind}}).value();
+  };
+  const std::size_t half = trace.size() / 2;
+  const auto run = [&](std::size_t i) {
+    const auto piece = std::span<const Packet>(trace).subspan(i * half, half);
+    ws.dp.process_batch(piece);
+    wp.dp.process_batch(piece);
+  };
+
+  run(0);
+  const auto a_parts = partitions(*wp.ctl.task(par.cms));
+  TaskSpec b = wp.ctl.task(par.cms)->spec;
+  b.name = "b";
+  const auto batch = [&](const MixIds& ids) {
+    return std::vector<control::PlanOp>{control::PlanOp::remove(ids.cms),
+                                        control::PlanOp::add(b),
+                                        control::PlanOp::resize(ids.bloom, 4096)};
+  };
+  const std::uint64_t gen = wp.dp.plan_generation();
+  const std::uint64_t scoped = folds("scoped"), full = folds("full");
+  const verify::PlanResult rs = ws.ctl.apply(batch(seq));
+  const verify::PlanResult rp = wp.ctl.apply(batch(par));
+  ASSERT_TRUE(rs.ok && rp.ok) << rs.format() << rp.format();
+  EXPECT_EQ(wp.dp.plan_generation(), gen + 1);
+  EXPECT_EQ(folds("scoped"), scoped + 1);
+  EXPECT_EQ(folds("full"), full);
+  const std::uint32_t b_id = rp.ops[1].task_ids.at(0);
+  EXPECT_EQ(partitions(*wp.ctl.task(b_id)), a_parts) << "B reuses A's partitions";
+  EXPECT_EQ(b_id, rs.ops[1].task_ids.at(0));
+
+  run(1);
+  wp.dp.merge_shards();
+  expect_identical_registers(ws.dp, wp.dp, "batch under traffic");
+  expect_identical_counters(ws, wp, "batch under traffic");
+  for (std::size_t i = 0; i < trace.size(); i += 331) {
+    EXPECT_EQ(ws.ctl.query_value(b_id, trace[i]), wp.ctl.query_value(b_id, trace[i]))
+        << "probe " << i;
+    EXPECT_EQ(ws.ctl.query_existence(seq.bloom, trace[i]),
+              wp.ctl.query_existence(par.bloom, trace[i]))
+        << "probe " << i;
+  }
 }
 
 // A query on a second thread needs no lock once every delta is folded, yet

@@ -115,6 +115,30 @@ TEST(Shell, UnknownCommandsAndIds) {
   EXPECT_FALSE(Shell::help().empty());
 }
 
+// Ids, bucket counts and constants are 32-bit: a larger number is rejected,
+// never wrapped onto a live task id or a zero-bucket request.
+TEST(Shell, WideNumbersAreRejectedNotWrapped) {
+  ShellWorld w;
+  ASSERT_NE(w.shell.execute("add key=SrcIP attr=Frequency mem=8192 rows=3 name=demo")
+                .find("task 1 deployed"),
+            std::string::npos);
+  EXPECT_EQ(w.shell.execute("resize 4294967297 16384"), "error: bad arguments");
+  EXPECT_EQ(w.shell.execute("resize 1 4294975488"), "error: bad arguments");
+  EXPECT_EQ(w.shell.execute("remove 4294967297"), "error: bad id");
+  EXPECT_EQ(w.shell.execute("split 4294967297"), "error: bad id");
+  EXPECT_EQ(w.shell.execute("query 4294967297 src=1.2.3.4"), "error: unknown task");
+  EXPECT_EQ(w.shell.execute("cardinality 4294967297"), "error: unknown task");
+  EXPECT_EQ(w.shell.execute("add key=SrcIP attr=Frequency mem=4294967296"),
+            "error: bad mem");
+  EXPECT_EQ(w.shell.execute("add key=SrcIP attr=Frequency param=4294967296"),
+            "error: bad param '4294967296'");
+  EXPECT_EQ(w.shell.execute("plan remove 4294967297"), "error: bad arguments");
+  EXPECT_EQ(w.shell.execute("plan resize 1 4294975488"), "error: bad arguments");
+  ASSERT_EQ(w.ctl.num_tasks(), 1u);
+  EXPECT_EQ(w.ctl.task(1)->buckets, 8192u);
+  EXPECT_EQ(w.shell.execute("remove 1"), "removed");
+}
+
 TEST(Shell, DdosWorkflow) {
   ShellWorld w;
   const std::string out = w.shell.execute(

@@ -331,6 +331,16 @@ TEST(TranslateAnalyzer, SilentWithoutExplicitPlanLoudWithIt) {
 
 // ---- the paranoid gate checks the candidate plan ----
 
+/// The gate's rule for a batch that stages nothing: reject it only when
+/// some error is the candidate plan's own (translate.*).
+bool has_plan_errors(const verify::VerifyReport& report) {
+  return std::any_of(report.diagnostics().begin(), report.diagnostics().end(),
+                     [](const verify::Diagnostic& d) {
+                       return d.severity == verify::Severity::kError &&
+                              d.check.starts_with("translate.");
+                     });
+}
+
 TEST(PublishGate, ParanoidModeInstallsTranslationValidator) {
   // Paranoid mode's one gate runs the translation validator on the
   // candidate plan before the fence, and the plan it passed is the one
@@ -342,9 +352,9 @@ TEST(PublishGate, ParanoidModeInstallsTranslationValidator) {
   const auto published = dp.current_plan();
   ASSERT_NE(published, nullptr);
   EXPECT_TRUE(ctl.last_verify_errors().empty()) << ctl.last_verify_errors();
-  const auto verdict = ctl.run_verify_gate(*published);
-  EXPECT_TRUE(verdict.errors.empty()) << verdict.errors;
-  EXPECT_FALSE(verdict.plan_errors);
+  const auto verdict = verify::verify_deployment(ctl, nullptr, published.get());
+  EXPECT_FALSE(verdict.has_errors()) << verdict.format();
+  EXPECT_FALSE(has_plan_errors(verdict));
   // With paranoid mode off nothing is gated; publishes still succeed.
   ctl.set_paranoid(false);
   ASSERT_TRUE(add_cms(ctl, "hh2", TaskFilter::src(0x0A00'0000u, 8)).ok);
@@ -364,13 +374,15 @@ TEST(PublishGate, GateReportsTranslateErrorsOfTheCandidatePlan) {
     // A candidate nothing runs yet: the gate's plan before the fence.
     const auto candidate =
         std::const_pointer_cast<exec::ExecPlan>(dp.compile_plan({}));
-    EXPECT_TRUE(ctl.run_verify_gate(*candidate).errors.empty()) << name;
+    EXPECT_FALSE(verify::verify_deployment(ctl, nullptr, candidate.get()).has_errors())
+        << name;
     m->apply(*candidate);
     exec::PlanMutator::rebuild_hot(*candidate);
-    const auto verdict = ctl.run_verify_gate(*candidate);
-    EXPECT_TRUE(verdict.plan_errors) << name;
-    EXPECT_NE(verdict.errors.find(m->expected_check), std::string::npos)
-        << name << ": " << verdict.errors;
+    const auto verdict = verify::verify_deployment(ctl, nullptr, candidate.get());
+    EXPECT_TRUE(has_plan_errors(verdict)) << name;
+    const std::string errors = verdict.format(verify::Severity::kError);
+    EXPECT_NE(errors.find(m->expected_check), std::string::npos)
+        << name << ": " << errors;
   }
 }
 

@@ -216,7 +216,7 @@ TEST(Verifier, RunOneUnknownAnalyzerThrows) {
   FlyMonDataPlane dp(9);
   control::Controller ctl(dp);
   const verify::Verifier v;
-  const verify::VerifyContext ctx{&ctl, &dp, nullptr, false};
+  const verify::VerifyContext ctx{&ctl, &dp, nullptr};
   EXPECT_THROW((void)v.run_one("nonesuch", ctx), std::invalid_argument);
 }
 
@@ -224,7 +224,7 @@ TEST(Verifier, RunRecordsAnalyzersRun) {
   FlyMonDataPlane dp(9);
   control::Controller ctl(dp);
   const verify::Verifier v;
-  const verify::VerifyContext ctx{&ctl, &dp, nullptr, false};
+  const verify::VerifyContext ctx{&ctl, &dp, nullptr};
   const auto report = v.run(ctx);
   EXPECT_EQ(report.analyzers_run.size(), 10u);
   EXPECT_TRUE(report.empty());  // empty deployment is trivially clean
@@ -500,6 +500,45 @@ TEST(VerifyParanoid, ResizeAndSplitGateOnceAndPublishOnce) {
   EXPECT_EQ(spans_in_latest_reconfig("exec.fence"), 1u);
   EXPECT_EQ(dp.plan_generation(), gen + 1);
   EXPECT_TRUE(ctl.last_verify_errors().empty()) << ctl.last_verify_errors();
+}
+
+// `plan commit` of N ops is the dry run plus one transaction, whatever N:
+// two checkpoints, two compiles, two verifier passes and one publish.
+TEST(VerifyParanoid, PlanCommitOfABatchIsTwoPassesAndOnePublish) {
+  TraceOn on;
+  FlyMonDataPlane dp(9);
+  dp.enable_parallel(2);
+  control::Controller ctl(dp);
+  ctl.set_paranoid(true);
+  control::Shell shell(ctl);
+  ASSERT_EQ(shell.execute("add name=a key=SrcIP attr=Frequency mem=4096 rows=3")
+                .rfind("error:", 0),
+            std::string::npos);
+  ASSERT_EQ(shell.execute("add name=b key=DstIP attr=Frequency mem=4096 rows=3")
+                .rfind("error:", 0),
+            std::string::npos);
+  shell.execute("plan add name=c key=5Tuple attr=Frequency mem=4096 rows=3");
+  shell.execute("plan resize 1 8192");
+  shell.execute("plan remove 2");
+  const std::uint64_t gen = dp.plan_generation();
+  const std::uint64_t first = trace::latest_reconfig() + 1;
+  const std::string out = shell.execute("plan commit");
+  EXPECT_EQ(out,
+            "add \"c\": deployed as task 3\nresize task 1 -> 8192 buckets: resized "
+            "to 8192 buckets\nremove task 2: removed\n3 op(s) committed");
+  EXPECT_EQ(dp.plan_generation(), gen + 1);
+  const auto events = trace::SpanCollector::global().collect();
+  const auto spans = [&](const std::string& name) {
+    return std::count_if(events.begin(), events.end(), [&](const auto& e) {
+      return e.gen >= first && e.kind == trace::EventKind::kSpan && name == e.name;
+    });
+  };
+  EXPECT_EQ(trace::latest_reconfig(), first + 1) << "plan, then apply";
+  EXPECT_EQ(spans("ctl.checkpoint"), 2);
+  EXPECT_EQ(spans("exec.compile"), 2);
+  EXPECT_EQ(spans("ctl.verify_gate"), 2);
+  EXPECT_EQ(spans("exec.publish"), 1);
+  EXPECT_EQ(spans("exec.fence"), 1);
 }
 
 // Each operation compiles, gates and fences exactly once; no dry-run

@@ -93,7 +93,7 @@ TEST(VerifyAllocations, CleanGateOnTheChurnMixStaysUnderBudget) {
   g_allocations = 0;
   g_counting = true;
   const verify::VerifyReport report =
-      verify::verify_deployment(ctl, nullptr, false, plan.get());
+      verify::verify_deployment(ctl, nullptr, plan.get());
   g_counting = false;
   const std::size_t allocations = g_allocations;
 

@@ -1,8 +1,8 @@
 // flymon_trace: scripted reconfiguration with span tracing enabled.
 //
-// Runs a Table-3-style scenario — deploy a CMS + BeauCoup + Bloom mix,
-// process traffic across a worker pool, then resize and split under load —
-// with span tracing on, and exports the collected timeline as Chrome
+// Runs a Table-3-style scenario — deploy a CMS + Bloom + HLL mix, process
+// traffic across a worker pool, then resize, split and apply one
+// add + resize + remove batch under load — with span tracing on, and exports the collected timeline as Chrome
 // trace-event JSON (load in ui.perfetto.dev or chrome://tracing: pid 1
 // groups per-thread tracks, pid 2 one track per reconfiguration).
 //
@@ -12,7 +12,8 @@
 // --check verifies the tracing contract the DESIGN doc promises: every
 // reconfiguration's end-to-end span must decompose into >= 95% covered
 // deploy/compile/verify/reclaim/publish/fence/merge children, and must
-// compile, gate and fence exactly once (exit 1 otherwise).  The summary
+// compile, gate and fence exactly once, the batch included (exit 1
+// otherwise).  The summary
 // counts each reconfiguration's exec.compile, ctl.verify_gate and
 // exec.fence spans.
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "telemetry/export.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/span.hpp"
+#include "verify/planner.hpp"
 
 using namespace flymon;
 
@@ -123,8 +125,8 @@ int main(int argc, char** argv) {
     dp.process_batch(traffic);  // keep the pool hot so fences wait
   };
 
-  // Scripted reconfiguration batch: add + add + add, resize, split —
-  // each under live traffic, like the paper's on-the-fly scenario.
+  // Scripted reconfigurations: add + add + add, resize, split, then one
+  // batch — each under live traffic, like the paper's on-the-fly scenario.
   const auto cms = ctl.add_task(cms_spec(65536));
   if (!cms.ok) {
     std::fprintf(stderr, "cms deploy failed: %s\n", cms.error.c_str());
@@ -152,6 +154,16 @@ int main(int argc, char** argv) {
   const auto split = ctl.split_task(bloom.task_id);
   if (!split.first.ok) {
     std::fprintf(stderr, "split failed: %s\n", split.first.error.c_str());
+    return 1;
+  }
+  pump();
+  TaskSpec extra = cms_spec(8192);
+  extra.name = "cms2";
+  const verify::PlanResult batch =
+      ctl.apply({control::PlanOp::add(extra), control::PlanOp::resize(cms.task_id, 32768),
+                 control::PlanOp::remove(split.second.task_id)});
+  if (!batch.ok) {
+    std::fprintf(stderr, "batch failed: %s\n", batch.error.c_str());
     return 1;
   }
   pump();
